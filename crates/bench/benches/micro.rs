@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the performance-critical substrates:
 //! Gibbs sweeps, TRON solves, entropy estimators, information-gain
-//! selection, greedy batch selection, and streaming updates. These back the
-//! ablation rows of DESIGN.md §6.
+//! selection, greedy batch selection, and streaming updates. Nothing
+//! records their numbers; the recorded, gated figures are the end-to-end
+//! benchmark's (`crates/bench/src/bin/e2e`, declared in `BENCHMARK.json`).
 
 use crf::entropy::EntropyMode;
 use crf::logistic::{Dataset, LogisticObjective};

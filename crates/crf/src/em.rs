@@ -11,10 +11,15 @@
 //! instead of from scratch, so one new user label only perturbs an almost-
 //! converged state (typically 1–2 EM iterations instead of dozens).
 //!
-//! Cloning an [`Icrf`] is cheap (the model and partition are shared through
-//! `Arc`), which is what makes the information-gain guidance strategies
-//! affordable: they clone the state, pin a hypothetical label, and re-run
-//! inference without disturbing the real state.
+//! The information-gain guidance strategies score each candidate under a
+//! hypothetical label. What they read of the hypothetical state — claim
+//! marginals and the final sample set — comes from its first E-step, so
+//! [`Icrf::hypothetical_estep`] runs just that E-step on borrowed model,
+//! partition, and weights, copying only the labels and probabilities, and
+//! reuses one caller-owned Gibbs scratch across hypotheses. A full
+//! hypothetical engine ([`Icrf::hypothetical`] plus [`Icrf::run`]) remains
+//! for callers that need the re-estimated weights or several EM
+//! iterations, and as the executable spec of the borrowed E-step.
 //!
 //! # Streaming growth
 //!
@@ -152,9 +157,9 @@ struct InferenceScratch {
 impl Clone for InferenceScratch {
     /// Only the dataset (its static feature prefix is expensive to
     /// recompute) is carried over; every other buffer is rebuilt before its
-    /// first read, and the info-gain strategies clone whole engines per
-    /// candidate ([`Icrf::hypothetical`]), so copying dead scratch would be
-    /// pure memcpy waste on every hypothetical inference.
+    /// first read. A cloned engine ([`Icrf::hypothetical`]) therefore starts
+    /// with a cold Gibbs score cache; the guidance hot path avoids both the
+    /// clone and the cold cache through [`Icrf::hypothetical_estep`].
     fn clone(&self) -> Self {
         InferenceScratch {
             gibbs: GibbsScratch::default(),
@@ -506,32 +511,25 @@ impl Icrf {
         self.ensure_dataset();
         self.epoch += 1;
 
+        // Lent to the E-step helper, which borrows the rest of the engine.
+        let mut gibbs = std::mem::take(&mut self.scratch.gibbs);
         for l in 0..self.config.max_em_iters {
             stats.em_iterations += 1;
 
-            // ---- E-step: component-scheduled Gibbs sampling under the
-            // current weights (Eq. 6–7, §5.1). The scheduler parallelises
-            // across chains *and* across connected components within each
-            // chain, and refreshes the score cache incrementally when only
-            // a few weight coordinates moved since the last E-step.
-            let mut gcfg = self.config.gibbs.clone();
-            gcfg.seed = gcfg
-                .seed
-                .wrapping_add(self.epoch.wrapping_mul(0x9e37_79b9))
-                .wrapping_add(l as u64);
-            let sampler = GibbsSampler::new(&self.model, gcfg);
+            // ---- E-step: Gibbs sampling under the current weights.
             let GibbsResult {
                 samples,
                 marginals,
                 sweeps,
                 mode,
                 cache,
-            } = sampler.run_scheduled(
+            } = self.estep(
+                self.epoch,
+                l,
                 &self.weights,
                 &self.labels,
                 &self.probs,
-                &self.partition,
-                &mut self.scratch.gibbs,
+                &mut gibbs,
             );
             stats.gibbs_sweeps += sweeps;
             stats.schedule = Some(mode);
@@ -613,7 +611,97 @@ impl Icrf {
                 break;
             }
         }
+        self.scratch.gibbs = gibbs;
         stats
+    }
+
+    /// The E-step of EM iteration `l` of the inference call numbered
+    /// `epoch`: component-scheduled Gibbs sampling under `weights`
+    /// (Eq. 6–7, §5.1). The scheduler parallelises across chains *and*
+    /// across connected components within each chain, and refreshes the
+    /// score cache in `scratch` incrementally when only a few weight
+    /// coordinates moved since its last E-step. The seed rule lives here
+    /// alone, so [`Self::run`] and [`Self::hypothetical_estep`] draw the
+    /// same chains for the same `(epoch, l)`.
+    fn estep(
+        &self,
+        epoch: u64,
+        l: usize,
+        weights: &Weights,
+        labels: &[Option<bool>],
+        probs: &[f64],
+        scratch: &mut GibbsScratch,
+    ) -> GibbsResult {
+        let mut gcfg = self.config.gibbs.clone();
+        gcfg.seed = gcfg
+            .seed
+            .wrapping_add(epoch.wrapping_mul(0x9e37_79b9))
+            .wrapping_add(l as u64);
+        GibbsSampler::new(&self.model, gcfg).run_scheduled(
+            weights,
+            labels,
+            probs,
+            &self.partition,
+            scratch,
+        )
+    }
+
+    /// The first E-step that `self.hypothetical(claim, value).run()` would
+    /// run, without cloning the engine and without the M-step that follows
+    /// it: the model, partition, and weights are borrowed, and only the
+    /// labels and probabilities are copied to pin the hypothetical label.
+    /// The result's `marginals` and `samples` equal the probabilities and
+    /// [`Self::last_samples`] of that hypothetical engine after a one-
+    /// iteration run, bit for bit.
+    ///
+    /// `scratch` is the caller's: every hypothesis scored against one
+    /// engine state shares its `(model, weights)`, so after the first call
+    /// the score cache refresh is [`crate::potentials::CacheRefresh::Unchanged`]
+    /// instead of a rebuild. Bit-identity with the hypothetical run holds
+    /// when `scratch` is fresh or was last used at these same weights — an
+    /// incremental refresh from other weights rounds differently.
+    ///
+    /// An engine that has never run infers under zero weights, as
+    /// [`Self::run`] does. An engine whose handle moved past its snapshot
+    /// cannot sync through `&self`; it takes the cloning path (a clone,
+    /// a sync, the E-step on the synced clone with its own fresh scratch),
+    /// so the result is in the id space of the handle's current revision.
+    pub fn hypothetical_estep(
+        &self,
+        claim: VarId,
+        value: bool,
+        scratch: &mut GibbsScratch,
+    ) -> GibbsResult {
+        if self.model.revision() != self.handle.revision() {
+            let mut h = self.hypothetical(claim, value);
+            h.sync();
+            return h.next_estep(&h.labels, &h.probs, &mut GibbsScratch::new());
+        }
+        let mut labels = self.labels.clone();
+        let mut probs = self.probs.clone();
+        labels[claim.idx()] = Some(value);
+        probs[claim.idx()] = if value { 1.0 } else { 0.0 };
+        self.next_estep(&labels, &probs, scratch)
+    }
+
+    /// The first E-step the next [`Self::run`] of this (synced) engine
+    /// would run if it held `labels` and `probs`: seeded for the next
+    /// epoch, under zero weights if the engine has never run.
+    fn next_estep(
+        &self,
+        labels: &[Option<bool>],
+        probs: &[f64],
+        scratch: &mut GibbsScratch,
+    ) -> GibbsResult {
+        let dim = self.model.feature_dim();
+        let zeros;
+        let weights = if self.weights.dim() == dim {
+            &self.weights
+        } else {
+            zeros = Weights::zeros(dim);
+            &zeros
+        };
+        self.estep(self.epoch + 1, 0, weights, labels, probs, scratch)
     }
 
     /// Size the persistent training set to the model and write each clique's
@@ -683,6 +771,7 @@ pub fn source_trust_into(model: &CrfModel, probs: &[f64], prior: (f64, f64), out
 mod tests {
     use super::*;
     use crate::graph::{CrfModelBuilder, Stance};
+    use crate::potentials::CacheRefresh;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -804,6 +893,35 @@ mod tests {
         assert_eq!(icrf.probs(), probs_before.as_slice());
         assert_eq!(hyp.probs()[3], 1.0);
         assert_eq!(icrf.labels()[3], None);
+    }
+
+    /// The borrowed E-step is the first E-step of the hypothetical run, and
+    /// a scratch shared across hypotheses keeps its score cache: every
+    /// call after the first finds it up to date.
+    #[test]
+    fn hypothetical_estep_is_the_first_estep_of_a_hypothetical_run() {
+        let (m, _) = signal_model(8, 4);
+        let mut icrf = Icrf::new(m, small_config());
+        icrf.run();
+        let mut scratch = GibbsScratch::new();
+        for (i, (claim, value)) in [(VarId(3), true), (VarId(5), false)]
+            .into_iter()
+            .enumerate()
+        {
+            let r = icrf.hypothetical_estep(claim, value, &mut scratch);
+            let mut spec = icrf.hypothetical(claim, value);
+            spec.config_mut().max_em_iters = 1;
+            spec.run();
+            assert_eq!(r.marginals, spec.probs());
+            assert_eq!(r.samples, spec.last_samples());
+            let expect = if i == 0 {
+                CacheRefresh::Rebuilt
+            } else {
+                CacheRefresh::Unchanged
+            };
+            assert_eq!(r.cache, expect);
+        }
+        assert_eq!(icrf.labels()[3], None, "the engine is only borrowed");
     }
 
     #[test]

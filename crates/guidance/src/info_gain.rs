@@ -5,14 +5,27 @@
 //! entropy (Eq. 14–15): `IG_C(c) = H_C(Q) − [P(c)·H_C(Q⁺) + (1−P(c))·H_C(Q⁻)]`,
 //! where `Q⁺`/`Q⁻` are obtained by running `iCRF` under the hypothetical
 //! input that confirms or refutes `c`. Each candidate therefore costs two
-//! bounded inference runs; the two optimisations of §5.1 keep this
-//! interactive:
+//! bounded inference runs; three optimisations keep this interactive — the
+//! two of §5.1 and one that removes work the entropies never read:
 //!
 //! * **candidate pooling** — information gain is evaluated only for the
 //!   `pool_size` most uncertain unlabelled claims (everything else has
-//!   near-zero marginal entropy and thus near-zero gain), and
+//!   near-zero marginal entropy and thus near-zero gain),
 //! * **parallelisation** — candidates are scored concurrently on scoped
-//!   worker threads (the computations are independent).
+//!   worker threads (the computations are independent), and
+//! * **borrowed E-step** — with one hypothetical EM iteration, the
+//!   approximate entropy (Eq. 13) reads only the hypothetical claim
+//!   marginals and the source-trust entropy (Eq. 18) reads only the
+//!   grounding decided from the hypothetical samples. Both come out of the
+//!   iteration's E-step; its trailing M-step only re-estimates weights,
+//!   which neither entropy reads. Such candidates are scored through
+//!   [`Icrf::hypothetical_estep`]: no engine clone, no M-step, and one
+//!   Gibbs scratch per worker whose score cache every hypothesis after
+//!   the first finds already up to date. The exact entropy reads the
+//!   re-estimated weights, and several iterations need M-steps between
+//!   E-steps, so both keep running the full hypothetical engine
+//!   ([`hypothetical_run`]), which is also the spec the borrowed path is
+//!   tested against.
 //!
 //! Opposing claims need no separate ranking: confirming `c` and refuting
 //! `¬c` induce the same conditional entropies (§4.2), which our single-bit
@@ -21,6 +34,7 @@
 use crate::context::{GuidanceContext, SelectionStrategy};
 use crate::strategies::rank_by_uncertainty;
 use crf::entropy::{self, EntropyMode};
+use crf::gibbs::{GibbsResult, GibbsScratch};
 use crf::{Icrf, VarId};
 
 /// Tuning of the information-gain evaluation.
@@ -74,8 +88,65 @@ pub fn conditional_entropy(icrf: &Icrf, claim: VarId, mode: EntropyMode, em_iter
     p * h_plus + (1.0 - p) * h_minus
 }
 
+/// Whether a `em_iters`-iteration hypothetical inference on `icrf` can be
+/// replaced by [`Icrf::hypothetical_estep`] for an entropy that reads only
+/// marginals or samples: exactly one iteration (its trailing M-step is
+/// dead), on an engine whose snapshot is current (a stale one would score
+/// against its old model and partition, while the spec syncs).
+pub(crate) fn borrows_estep(icrf: &Icrf, em_iters: usize) -> bool {
+    em_iters == 1 && icrf.model().revision() == icrf.handle().revision()
+}
+
+/// `P(c)·f(E-step | c = 1) + (1 − P(c))·f(E-step | c = 0)` over borrowed
+/// hypothetical E-steps: the expectation of Eq. 14 and Eq. 19 when `f`
+/// reads only the E-step's marginals or samples (see [`borrows_estep`]).
+pub(crate) fn expected_over_estep(
+    icrf: &Icrf,
+    claim: VarId,
+    scratch: &mut GibbsScratch,
+    f: impl Fn(&GibbsResult) -> f64,
+) -> f64 {
+    let p = icrf.probs()[claim.idx()];
+    let h_plus = f(&icrf.hypothetical_estep(claim, true, scratch));
+    let h_minus = f(&icrf.hypothetical_estep(claim, false, scratch));
+    p * h_plus + (1.0 - p) * h_minus
+}
+
+/// Score every candidate with `score`, in the candidates' order, on up to
+/// `threads` scoped worker threads (§5.1). Each worker lends one Gibbs
+/// scratch to all of its score calls.
+pub(crate) fn score_candidates<F>(candidates: &[VarId], threads: usize, score: F) -> Vec<f64>
+where
+    F: Fn(VarId, &mut GibbsScratch) -> f64 + Sync,
+{
+    let score_chunk = |chunk: &[VarId]| {
+        let mut scratch = GibbsScratch::new();
+        chunk
+            .iter()
+            .map(|&c| score(c, &mut scratch))
+            .collect::<Vec<f64>>()
+    };
+    if threads <= 1 || candidates.len() <= 1 {
+        return score_chunk(candidates);
+    }
+    let chunk = candidates.len().div_ceil(threads.min(candidates.len()));
+    std::thread::scope(|s| {
+        let handles: Vec<_> = candidates
+            .chunks(chunk)
+            .map(|cands| s.spawn(move || score_chunk(cands)))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("information-gain worker panicked"))
+            .collect()
+    })
+}
+
 /// Score `IG_C` for every candidate, in the candidates' order. Runs on
-/// `threads` scoped worker threads when `threads > 1` (§5.1).
+/// `threads` scoped worker threads when `threads > 1` (§5.1). The
+/// approximate entropy with one hypothetical iteration is scored through
+/// borrowed E-steps (see the module docs); the result is bit-identical to
+/// `H_C(Q) − `[`conditional_entropy`] either way.
 pub fn info_gains(
     icrf: &Icrf,
     candidates: &[VarId],
@@ -84,27 +155,15 @@ pub fn info_gains(
     threads: usize,
 ) -> Vec<f64> {
     let h_base = database_entropy_of(icrf, mode);
-    let score = |c: VarId| h_base - conditional_entropy(icrf, c, mode, em_iters);
-
-    if threads <= 1 || candidates.len() <= 1 {
-        return candidates.iter().map(|&c| score(c)).collect();
+    if mode == EntropyMode::Approximate && borrows_estep(icrf, em_iters) {
+        score_candidates(candidates, threads, |c, scratch| {
+            h_base - expected_over_estep(icrf, c, scratch, |r| entropy::claim_entropy(&r.marginals))
+        })
+    } else {
+        score_candidates(candidates, threads, |c, _| {
+            h_base - conditional_entropy(icrf, c, mode, em_iters)
+        })
     }
-
-    let threads = threads.min(candidates.len());
-    let chunk = candidates.len().div_ceil(threads);
-    let mut out = vec![0.0; candidates.len()];
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for cand_chunk in candidates.chunks(chunk) {
-            handles
-                .push(s.spawn(move || cand_chunk.iter().map(|&c| score(c)).collect::<Vec<f64>>()));
-        }
-        for (out_chunk, h) in out.chunks_mut(chunk).zip(handles) {
-            let scores = h.join().expect("IG worker panicked");
-            out_chunk.copy_from_slice(&scores);
-        }
-    });
-    out
 }
 
 /// The information-driven strategy (`info` in Fig. 6): pick the pooled
@@ -209,7 +268,7 @@ mod tests {
         let seq = info_gains(&icrf, &candidates, EntropyMode::Approximate, 1, 1);
         let par = info_gains(&icrf, &candidates, EntropyMode::Approximate, 1, 4);
         for (a, b) in seq.iter().zip(&par) {
-            assert!((a - b).abs() < 1e-12, "seq {a} par {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "seq {a} par {b}");
         }
     }
 

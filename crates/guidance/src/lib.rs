@@ -16,9 +16,10 @@
 //! * [`batch`] — top-k batch selection with the submodular utility of §6.2
 //!   and its greedy `(1 − 1/e)`-approximation.
 //!
-//! Information-gain computation supports the two optimisations of §5.1:
+//! Information-gain computation supports the two optimisations of §5.1 —
 //! candidate pooling over the most uncertain claims and parallel evaluation
-//! across worker threads.
+//! across worker threads — and scores one-iteration hypotheses through a
+//! borrowed E-step instead of a cloned EM run (see [`info_gain`]).
 
 #![warn(missing_docs)]
 

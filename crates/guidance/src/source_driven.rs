@@ -7,10 +7,13 @@
 //! maximising `IG_S(c) = H_S(Q) − H_S(Q|c)` (Eq. 19–21) is selected. Like
 //! `IG_C`, the conditional term requires two hypothetical `iCRF` runs per
 //! candidate, after each of which a grounding is instantiated from the run's
-//! final Gibbs samples.
+//! final Gibbs samples — with one hypothetical iteration, the samples of a
+//! borrowed E-step (see [`crate::info_gain`]).
 
 use crate::context::{GuidanceContext, SelectionStrategy};
-use crate::info_gain::{hypothetical_run, InfoGainConfig};
+use crate::info_gain::{
+    borrows_estep, expected_over_estep, hypothetical_run, score_candidates, InfoGainConfig,
+};
 use crate::strategies::rank_by_uncertainty;
 use crf::entropy::source_trust_entropy;
 use crf::gibbs::mode_configuration;
@@ -28,7 +31,10 @@ pub fn conditional_source_entropy(icrf: &Icrf, claim: VarId, em_iters: usize) ->
     p * h(true) + (1.0 - p) * h(false)
 }
 
-/// Score `IG_S` for every candidate, optionally on worker threads.
+/// Score `IG_S` for every candidate, optionally on worker threads. With
+/// one hypothetical iteration the candidates are scored through borrowed
+/// E-steps (see [`crate::info_gain`]); the result is bit-identical to
+/// `H_S(Q) − `[`conditional_source_entropy`] either way.
 pub fn source_gains(
     icrf: &Icrf,
     grounding: &crf::Bitset,
@@ -37,25 +43,19 @@ pub fn source_gains(
     threads: usize,
 ) -> Vec<f64> {
     let h_base = source_trust_entropy(icrf.model(), grounding);
-    let score = |c: VarId| h_base - conditional_source_entropy(icrf, c, em_iters);
-    if threads <= 1 || candidates.len() <= 1 {
-        return candidates.iter().map(|&c| score(c)).collect();
+    if borrows_estep(icrf, em_iters) {
+        score_candidates(candidates, threads, |c, scratch| {
+            h_base
+                - expected_over_estep(icrf, c, scratch, |r| {
+                    let grounding = mode_configuration(&r.samples, icrf.partition());
+                    source_trust_entropy(icrf.model(), &grounding)
+                })
+        })
+    } else {
+        score_candidates(candidates, threads, |c, _| {
+            h_base - conditional_source_entropy(icrf, c, em_iters)
+        })
     }
-    let threads = threads.min(candidates.len());
-    let chunk = candidates.len().div_ceil(threads);
-    let mut out = vec![0.0; candidates.len()];
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for cand_chunk in candidates.chunks(chunk) {
-            handles
-                .push(s.spawn(move || cand_chunk.iter().map(|&c| score(c)).collect::<Vec<f64>>()));
-        }
-        for (out_chunk, h) in out.chunks_mut(chunk).zip(handles) {
-            let scores = h.join().expect("IG_S worker panicked");
-            out_chunk.copy_from_slice(&scores);
-        }
-    });
-    out
 }
 
 /// The source-driven strategy (`source` in Fig. 6).
@@ -131,14 +131,17 @@ mod tests {
         assert!(h.is_finite() && h >= 0.0, "H_S|c = {h}");
     }
 
+    /// Any thread count, including more workers than candidates, scores
+    /// bit-identically to the sequential path.
     #[test]
     fn parallel_matches_sequential() {
         let (icrf, g) = engine();
         let candidates: Vec<VarId> = (0..6).map(VarId).collect();
         let seq = source_gains(&icrf, &g, &candidates, 1, 1);
-        let par = source_gains(&icrf, &g, &candidates, 1, 3);
-        for (a, b) in seq.iter().zip(&par) {
-            assert!((a - b).abs() < 1e-12);
+        for threads in [2, 3, 4, 8] {
+            let par = source_gains(&icrf, &g, &candidates, 1, threads);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&par), bits(&seq), "{threads} threads");
         }
     }
 

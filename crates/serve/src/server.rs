@@ -521,6 +521,46 @@ mod tests {
         );
     }
 
+    /// A compaction that drops every id the cursor has left between two
+    /// steps ends the cursor: the next step relocates, finds nothing, and
+    /// answers `Ok(None)` with every remaining id counted as dropped.
+    #[test]
+    fn cursor_ends_when_a_compaction_drops_every_remaining_id() {
+        let mut srv = server();
+        for k in 0..6 {
+            ingest_one(&mut srv, k);
+        }
+        let reader = srv.reader();
+        let before = reader.snapshot();
+        // The three oldest claims, which a window of three retires.
+        let mut cursor = reader.cursor(vec![VarId(0), VarId(1), VarId(2)]);
+        assert_eq!(
+            cursor.next(&before).unwrap().unwrap().answer.claim,
+            VarId(0)
+        );
+
+        srv.backend_mut().set_retention(RetentionPolicy {
+            window: Some(3),
+            compact_threshold: 0.0,
+            ..RetentionPolicy::unbounded()
+        });
+        srv.expire_old().unwrap();
+        let after = reader.snapshot();
+        assert_eq!(after.compactions, 1);
+        let remap = after.model.last_compaction().unwrap();
+        let left = cursor.remaining().to_vec();
+        assert_eq!(left, [VarId(1), VarId(2)]);
+        assert!(
+            left.iter().all(|&c| remap.claim(c).is_none()),
+            "the compaction must drop every remaining id"
+        );
+
+        assert_eq!(cursor.next(&after), Ok(None));
+        assert_eq!(cursor.dropped(), left.len());
+        assert!(cursor.remaining().is_empty());
+        assert_eq!(cursor.next(&after), Ok(None), "an ended cursor stays ended");
+    }
+
     #[test]
     fn durable_backend_serves_and_survives_reopen() {
         use durability::MemFs;

@@ -180,6 +180,32 @@ fn verify(rec: &Recorded, log: &[(Arc<Published>, Offline)]) {
     }
 }
 
+/// The cursor oracle's relocation: when `state` is one compaction past
+/// `compactions`, apply the same published remap to `expected` offline,
+/// counting the ids it drops.
+fn relocate(
+    state: &Published,
+    expected: &mut Vec<VarId>,
+    compactions: &mut u64,
+    dropped: &mut usize,
+) {
+    if state.compactions == *compactions {
+        return;
+    }
+    assert_eq!(state.compactions, *compactions + 1);
+    let remap = state.model.last_compaction().unwrap();
+    let before = expected.len();
+    expected.retain_mut(|c| match remap.claim(*c) {
+        Some(nc) => {
+            *c = nc;
+            true
+        }
+        None => false,
+    });
+    *dropped += before - expected.len();
+    *compactions = state.compactions;
+}
+
 proptest::proptest! {
     #![proptest_config(proptest::ProptestConfig::with_cases(4))]
 
@@ -277,23 +303,16 @@ proptest::proptest! {
                                 }
                                 Err(e) => panic!("unexpected cursor error: {e}"),
                                 Ok(None) => {
+                                    // The cursor relocates before it finds
+                                    // itself exhausted: a compaction may
+                                    // have dropped everything left.
+                                    relocate(&state, &mut expected, &mut compactions, &mut dropped);
                                     assert!(expected.is_empty(), "cursor ended early");
+                                    assert_eq!(cursor.dropped(), dropped);
                                     break;
                                 }
                                 Ok(Some(step)) => {
-                                    if state.compactions != compactions {
-                                        // The cursor relocated: apply the
-                                        // same published remap offline.
-                                        assert_eq!(state.compactions, compactions + 1);
-                                        let remap = state.model.last_compaction().unwrap();
-                                        let before = expected.len();
-                                        expected = expected
-                                            .iter()
-                                            .filter_map(|&c| remap.claim(c))
-                                            .collect();
-                                        dropped += before - expected.len();
-                                        compactions = state.compactions;
-                                    }
+                                    relocate(&state, &mut expected, &mut compactions, &mut dropped);
                                     assert!(
                                         !expected.is_empty(),
                                         "cursor served {:?} with nothing left to serve",
