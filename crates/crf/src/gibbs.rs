@@ -3184,6 +3184,301 @@ mod tests {
             chromatic_lifecycle_spec(seed.wrapping_mul(113) ^ 0xC4A0, 2 + (seed as usize % 5));
         }
     }
+
+    /// The exact law of a sweep schedule on a small model (at most 10
+    /// unlabelled claims).
+    pub(super) struct ExactLaw {
+        /// Per-claim marginals of the stationary law (labels pinned, dead
+        /// claims 0).
+        pub marginals: Vec<f64>,
+        /// L1 distance between the law after `burn_in` sweeps from the
+        /// sampler's initial draw and the stationary law.
+        pub burn_in_gap: f64,
+    }
+
+    /// Exact oracle of a Gibbs sweep schedule. Builds the `2^k × 2^k`
+    /// one-sweep transition matrix for visiting the unlabelled claims in
+    /// `order`, where each single-site update draws claim `c` from the
+    /// sampler's conditional — `τ(s)` without `c` over `c`'s live cliques
+    /// ([`crate::potentials::claim_logit`]), plus the clamped anchor term
+    /// — mapped to a probability by `accept`. The stationary law comes from
+    /// power iteration.
+    ///
+    /// The trust conditional leaves the claim itself out, so the site
+    /// conditionals need not come from one joint distribution, and the
+    /// stationary law may depend on the visit order. That is why each
+    /// order gets its own oracle; the joint of
+    /// [`crate::entropy::exact_component_entropy`] is not this law.
+    pub(super) fn exact_sweep_law(
+        m: &CrfModel,
+        w: &Weights,
+        labels: &[Option<bool>],
+        probs: &[f64],
+        cfg: &GibbsConfig,
+        order: &[usize],
+        accept: impl Fn(f64) -> f64,
+    ) -> ExactLaw {
+        let n = m.n_claims();
+        let k = order.len();
+        assert!(k <= 10, "exact oracle enumerates 2^k states; k = {k}");
+        let states = 1usize << k;
+        let (a, b) = cfg.trust_prior;
+
+        // cond[x·k + i]: P(order[i] = 1 | state x). The conditional leaves
+        // the claim out, so it is the same at both values of bit i.
+        let mut cond = vec![0.0; states * k];
+        let mut values = vec![false; n];
+        for x in 0..states {
+            for c in 0..n {
+                values[c] = m.claim_live(c) && labels[c] == Some(true);
+            }
+            for (i, &c) in order.iter().enumerate() {
+                values[c] = (x >> i) & 1 == 1;
+            }
+            for (i, &c) in order.iter().enumerate() {
+                let trust = |s: u32| {
+                    let others = m
+                        .claims_of_source(s)
+                        .iter()
+                        .filter(|&&o| {
+                            o as usize != c && m.claim_live(o as usize) && values[o as usize]
+                        })
+                        .count() as f64;
+                    (a + others) / (a + b + m.n_live_claims_of_source(s) as f64 - 1.0)
+                };
+                let mut z = crate::potentials::claim_logit(m, w, VarId(c as u32), trust);
+                if cfg.anchor > 0.0 {
+                    let q = probs[c].clamp(0.05, 0.95);
+                    z += cfg.anchor * (q / (1.0 - q)).ln();
+                }
+                cond[x * k + i] = accept(z);
+            }
+        }
+        let sweep = |d: &mut [f64]| {
+            for i in 0..k {
+                let bit = 1usize << i;
+                for y in (0..states).filter(|y| y & bit == 0) {
+                    let mass = d[y] + d[y | bit];
+                    let q = cond[y * k + i];
+                    d[y | bit] = mass * q;
+                    d[y] = mass * (1.0 - q);
+                }
+            }
+        };
+        // Row x of the transition matrix: the law after one sweep from x.
+        let mut t = vec![0.0; states * states];
+        for (x, row) in t.chunks_mut(states).enumerate() {
+            row[x] = 1.0;
+            sweep(row);
+        }
+        let step = |pi: &[f64]| -> Vec<f64> {
+            let mut next = vec![0.0; states];
+            for (x, row) in t.chunks(states).enumerate() {
+                for (nx, &txy) in next.iter_mut().zip(row) {
+                    *nx += pi[x] * txy;
+                }
+            }
+            next
+        };
+        let l1 = |p: &[f64], q: &[f64]| p.iter().zip(q).map(|(x, y)| (x - y).abs()).sum::<f64>();
+
+        let mut pi = vec![1.0 / states as f64; states];
+        let mut converged = false;
+        for _ in 0..100_000 {
+            let next = step(&pi);
+            let delta = l1(&next, &pi);
+            pi = next;
+            if delta < 1e-14 {
+                converged = true;
+                break;
+            }
+        }
+        assert!(converged, "power iteration did not converge");
+
+        // The sampler's initial draw: each unlabelled claim independently
+        // credible with probability `clamp_prob(probs[c])`.
+        let mut law: Vec<f64> = (0..states)
+            .map(|x| {
+                order
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &c)| {
+                        let q = numerics::clamp_prob(probs[c]);
+                        if (x >> i) & 1 == 1 {
+                            q
+                        } else {
+                            1.0 - q
+                        }
+                    })
+                    .product()
+            })
+            .collect();
+        for _ in 0..cfg.burn_in {
+            law = step(&law);
+        }
+
+        let mut marginals: Vec<f64> = (0..n)
+            .map(|c| f64::from(m.claim_live(c) && labels[c] == Some(true)))
+            .collect();
+        for (i, &c) in order.iter().enumerate() {
+            marginals[c] = (0..states)
+                .filter(|x| (x >> i) & 1 == 1)
+                .map(|x| pi[x])
+                .sum();
+        }
+        ExactLaw {
+            marginals,
+            burn_in_gap: l1(&law, &pi),
+        }
+    }
+
+    /// Two small oracle models with support and refute stances: two path
+    /// components (2 colors each), and a single component whose four
+    /// sources each cover a run of claims (more colors, so the
+    /// color-major order differs from claim-id order).
+    fn oracle_models() -> Vec<(CrfModel, Vec<Option<bool>>)> {
+        let path = chained_components_model(&[6, 4]);
+        let mut path_labels = vec![None; path.n_claims()];
+        path_labels[0] = Some(true);
+        path_labels[7] = Some(false);
+
+        let mut b = CrfModelBuilder::new(2, 2);
+        let sources: Vec<u32> = (0..4)
+            .map(|s| b.add_source(&[0.3 * s as f64 - 0.4, 0.2]).unwrap())
+            .collect();
+        for i in 0..9usize {
+            let c = b.add_claim();
+            for j in 0..2 {
+                let d = b
+                    .add_document(&[0.15 * i as f64 - 0.5, 0.4 - 0.3 * j as f64])
+                    .unwrap();
+                let stance = if (i + 2 * j) % 3 == 0 {
+                    Stance::Refute
+                } else {
+                    Stance::Support
+                };
+                b.add_clique(c, d, sources[(i + j) % 4], stance);
+            }
+        }
+        let ring = b.build().unwrap();
+        let mut ring_labels = vec![None; ring.n_claims()];
+        ring_labels[4] = Some(false);
+        vec![(path, path_labels), (ring, ring_labels)]
+    }
+
+    /// ROADMAP item 4's exact oracle. On small models with both stances,
+    /// labels and a nonzero anchor, the marginals of `run_reference`
+    /// (claim-id order) and of the color-major kernel (sigmoid table) over
+    /// many independently seeded chains each fall within a sample-count
+    /// bound of the exact stationary law of their own visit order. Prints
+    /// the gap between the two orders' laws and the sigmoid table's bias.
+    #[test]
+    fn exact_oracle_bounds_reference_and_color_major_marginals() {
+        const CHAINS: usize = 6_000;
+        for (mi, (m, labels)) in oracle_models().iter().enumerate() {
+            let n = m.n_claims();
+            let p = Partition::of_model(m);
+            let w = Weights::from_vec(vec![0.3, 0.9, -0.6, 0.5, -0.4, 3.0]);
+            let probs: Vec<f64> = (0..n).map(|c| 0.2 + 0.6 * ((c % 4) as f64) / 3.0).collect();
+            let cfg = GibbsConfig {
+                burn_in: 30,
+                samples: 1,
+                thin: 1,
+                anchor: 0.7,
+                chains: 1,
+                ..Default::default()
+            };
+
+            let id_order: Vec<usize> = (0..n).filter(|&c| labels[c].is_none()).collect();
+            let coloring = Coloring::of_model(m);
+            let mut cm_order = Vec::new();
+            for comp in p.iter() {
+                let mut span: Vec<usize> = comp
+                    .iter()
+                    .copied()
+                    .filter(|&c| labels[c].is_none())
+                    .collect();
+                span.sort_by_key(|&c| coloring.color(c));
+                cm_order.extend(span);
+            }
+            assert_ne!(id_order, cm_order, "model {mi}: orders must differ");
+
+            let exact = |z: f64| numerics::clamp_prob(numerics::sigmoid(z));
+            let table = sigmoid_table();
+            let tabled = |z: f64| {
+                let t = (z.clamp(-CHROM_LOGIT_CLAMP, CHROM_LOGIT_CLAMP) + CHROM_LOGIT_CLAMP)
+                    * SIG_TABLE_INV_STEP;
+                let i = (t as usize).min(SIG_TABLE_N - 1);
+                table[i] + (t - i as f64) * (table[i + 1] - table[i])
+            };
+            let id_law = exact_sweep_law(m, &w, labels, &probs, &cfg, &id_order, exact);
+            let cm_law = exact_sweep_law(m, &w, labels, &probs, &cfg, &cm_order, exact);
+            let tab_law = exact_sweep_law(m, &w, labels, &probs, &cfg, &cm_order, tabled);
+            for law in [&id_law, &cm_law, &tab_law] {
+                assert!(
+                    law.burn_in_gap < 1e-4,
+                    "model {mi}: burn-in gap {}",
+                    law.burn_in_gap
+                );
+            }
+            let max_gap = |x: &[f64], y: &[f64]| {
+                x.iter()
+                    .zip(y)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f64::max)
+            };
+            let order_gap = max_gap(&id_law.marginals, &cm_law.marginals);
+            let table_bias = max_gap(&cm_law.marginals, &tab_law.marginals);
+            println!(
+                "oracle model {mi}: max |claim-id − color-major| = {order_gap:.3e}, \
+                 table bias = {table_bias:.3e}"
+            );
+            assert!(table_bias < 1e-4, "model {mi}: table bias {table_bias}");
+
+            let mut id_ones = vec![0u64; n];
+            let mut cm_ones = vec![0u64; n];
+            let mut scratch = GibbsScratch::new();
+            for chain in 0..CHAINS {
+                let sampler = GibbsSampler::new(
+                    m,
+                    GibbsConfig {
+                        seed: 0x0AC1E ^ (chain as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                        ..cfg.clone()
+                    },
+                );
+                let r = sampler.run_reference(&w, labels, &probs);
+                let s = sampler.run_scheduled_forced(
+                    &w,
+                    labels,
+                    &probs,
+                    &p,
+                    &mut scratch,
+                    ScheduleMode::Chromatic,
+                    1,
+                );
+                for c in 0..n {
+                    id_ones[c] += u64::from(r.samples[0].get(c));
+                    cm_ones[c] += u64::from(s.samples[0].get(c));
+                }
+            }
+            // 4.5σ of a binomial proportion over independent chains, plus
+            // slack for the (asserted tiny) burn-in gap.
+            let bound = |q: f64| 4.5 * (q * (1.0 - q) / CHAINS as f64).sqrt() + 1e-3;
+            for &c in &id_order {
+                for (name, ones, law) in [
+                    ("claim-id", &id_ones, &id_law),
+                    ("color-major", &cm_ones, &cm_law),
+                ] {
+                    let got = ones[c] as f64 / CHAINS as f64;
+                    let want = law.marginals[c];
+                    assert!(
+                        (got - want).abs() <= bound(want),
+                        "model {mi} claim {c} {name}: sampled {got} vs exact {want}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
