@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks of the performance-critical substrates:
-//! Gibbs sweeps, TRON solves, entropy estimators, information-gain
-//! selection, greedy batch selection, and streaming updates. Nothing
-//! records their numbers; the recorded, gated figures are the end-to-end
-//! benchmark's (`crates/bench/src/bin/e2e`, declared in `BENCHMARK.json`).
+//! TRON solves, entropy estimators, information-gain selection, greedy
+//! batch selection, and streaming updates. Nothing records their numbers;
+//! the recorded, gated figures are the end-to-end benchmark's
+//! (`crates/bench/src/bin/e2e`, declared in `BENCHMARK.json`) and, for the
+//! Gibbs E-step, `benches/gibbs.rs`.
 
 use crf::entropy::EntropyMode;
 use crf::logistic::{Dataset, LogisticObjective};
-use crf::{GibbsConfig, GibbsSampler, Icrf, VarId};
+use crf::{Icrf, VarId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use evalkit::{fast_icrf, fast_ig};
 use factdb::DatasetPreset;
@@ -27,25 +28,6 @@ fn trained_engine(model: Arc<crf::CrfModel>, truth: &[bool]) -> Icrf {
     }
     icrf.run();
     icrf
-}
-
-fn bench_gibbs(c: &mut Criterion) {
-    let (model, _) = fixture();
-    let weights = crf::potentials::Weights::from_vec(vec![0.2; model.feature_dim()]);
-    let labels = vec![None; model.n_claims()];
-    let probs = vec![0.5; model.n_claims()];
-    c.bench_function("gibbs_30_samples_wiki_mini", |b| {
-        let sampler = GibbsSampler::new(
-            &model,
-            GibbsConfig {
-                burn_in: 5,
-                samples: 30,
-                thin: 1,
-                ..Default::default()
-            },
-        );
-        b.iter(|| black_box(sampler.run(&weights, &labels, &probs)));
-    });
 }
 
 fn bench_tron(c: &mut Criterion) {
@@ -185,7 +167,6 @@ fn bench_stream(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_gibbs,
     bench_tron,
     bench_icrf_warm_vs_cold,
     bench_entropy,

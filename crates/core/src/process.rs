@@ -565,10 +565,6 @@ mod tests {
         let initial = p.last_em_stats().clone();
         assert!(initial.components >= 1);
         assert!(initial.largest_component >= 1 && initial.largest_component <= n);
-        assert!(
-            initial.schedule.is_some(),
-            "scheduler mode must be recorded"
-        );
         assert_eq!(
             initial.cache_rebuilds
                 + initial.cache_incremental

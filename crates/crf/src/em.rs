@@ -116,8 +116,6 @@ pub struct IcrfStats {
     pub components: usize,
     /// Claims in the largest connected component.
     pub largest_component: usize,
-    /// Task layout the scheduler chose for the last E-step.
-    pub schedule: Option<crate::gibbs::ScheduleMode>,
     /// E-steps that rebuilt the score cache from scratch.
     pub cache_rebuilds: usize,
     /// E-steps that refreshed the score cache incrementally (only the
@@ -521,7 +519,6 @@ impl Icrf {
                 samples,
                 marginals,
                 sweeps,
-                mode,
                 cache,
             } = self.estep(
                 self.epoch,
@@ -532,7 +529,6 @@ impl Icrf {
                 &mut gibbs,
             );
             stats.gibbs_sweeps += sweeps;
-            stats.schedule = Some(mode);
             match cache {
                 crate::potentials::CacheRefresh::Rebuilt => stats.cache_rebuilds += 1,
                 crate::potentials::CacheRefresh::Incremental { .. } => stats.cache_incremental += 1,
@@ -958,31 +954,6 @@ mod tests {
         assert!(stats.em_iterations >= 1);
         assert!(stats.gibbs_sweeps > 0);
         assert!(!icrf.last_samples().is_empty());
-    }
-
-    /// The chromatic threshold flows from the config into the E-step: with
-    /// `chromatic_min_work: 0` the scheduler reports the chromatic layout
-    /// and inference stays deterministic; the default never goes chromatic.
-    #[test]
-    fn chromatic_schedule_flows_through_em() {
-        let (m, truth) = signal_model(10, 11);
-        let mk = |min_work: u64| {
-            let mut cfg = small_config();
-            cfg.gibbs.chromatic_min_work = min_work;
-            let mut icrf = Icrf::new(m.clone(), cfg);
-            for i in 0..3 {
-                icrf.set_label(VarId(i), truth[i as usize]);
-            }
-            let stats = icrf.run();
-            (stats.schedule, icrf.probs().to_vec())
-        };
-        let (mode, probs) = mk(0);
-        assert_eq!(mode, Some(crate::gibbs::ScheduleMode::Chromatic));
-        let (mode_again, probs_again) = mk(0);
-        assert_eq!(mode_again, mode);
-        assert_eq!(probs, probs_again, "chromatic EM must be deterministic");
-        let (default_mode, _) = mk(u64::MAX);
-        assert_ne!(default_mode, Some(crate::gibbs::ScheduleMode::Chromatic));
     }
 
     /// Streaming growth through the shared handle: `sync` resizes the

@@ -29,93 +29,74 @@
 //!
 //! 1. **Precomputed clique scores.** Weights are fixed within an E-step, so
 //!    each clique's `β·[1, f^D, f^S]` is a constant. A claim-major
-//!    [`ScoreCache`] reduces one clique visit to a single fused
-//!    multiply-add (`signed_static + signed_τw·(τ−½)`) over three contiguous
-//!    arrays — `O(1)` per visit instead of `O(feature_dim)`, and no pointer
-//!    chasing into the feature matrices.
+//!    [`ScoreCache`] holds it with the clique's signed trust weight, and is
+//!    refreshed incrementally when the M-step moves only a few weights.
 //! 2. **CSR adjacency.** `claim → cliques` and `source → claims` are flat
 //!    offset+index arrays ([`CrfModel`] docs), so a single-site update reads
 //!    consecutive memory.
-//! 3. **Multi-chain parallelism.** Instead of one long chain, `K`
-//!    independent chains ([`GibbsConfig::chains`]) with deterministic
-//!    per-chain seeds run in parallel via `rayon` scoped tasks, and their
-//!    thinned samples and credible-counts are pooled *in chain-id order* —
-//!    the estimator (Eq. 7) is unchanged, throughput scales near-linearly,
-//!    and results are reproducible regardless of thread count or
-//!    scheduling. With `chains == 1` the sample stream is bit-identical to
-//!    the pre-cache scalar implementation (kept as
-//!    [`GibbsSampler::run_reference`], the executable specification).
+//! 3. **One folded color-major kernel.** Every component is swept color
+//!    class by color class of the claim-conflict graph
+//!    ([`crate::coloring`]: claims sharing a live source get distinct
+//!    colors), claim-id order within a class. Per E-step the weights, the
+//!    anchor terms and every source's live-claim count are folded into
+//!    per-visit-position constants (`FoldedScores`), so a visit is one
+//!    gather and one multiply-add per incident clique, decided against a
+//!    piecewise-linear sigmoid table — no divide and no exponential per
+//!    visit.
 //!
 //! Per-sweep work allocates nothing: chain state (claim values, per-source
-//! credible counts) is preallocated per chain, and the only allocations in
-//! the sampling phase are the output bitsets themselves.
+//! credible counts) lives in reusable [`GibbsScratch`] task states, and the
+//! only allocations in the sampling phase are the output bitsets.
+//!
+//! # Two specs, one kernel
+//!
+//! [`GibbsSampler::run_scheduled`] is the only production E-step. Two
+//! executable specifications pin it down (`docs/sampling.md`):
+//!
+//! * **Distribution spec** — [`GibbsSampler::run_reference`], the scalar
+//!   sampler that visits claims in claim-id order and re-evaluates every
+//!   clique's full `β·x_π` dot product. An exact oracle (the stationary law
+//!   of the one-sweep transition matrix on models of at most 10 unlabelled
+//!   claims) holds both it and the production kernel to their own visit
+//!   order's law. The trust conditional leaves the claim itself out, so
+//!   the site conditionals need not share one joint distribution and the
+//!   visit order can move the stationary law slightly.
+//! * **Bit spec** — a test-side scalar replay of the color-major order, the
+//!   folded constants in the kernel's exact summation order, the sigmoid
+//!   table and the seed scheme. The production kernel is bit-identical to
+//!   it at any thread count, task layout and stripe count.
 //!
 //! # Component-aware scheduling (§5.1)
 //!
 //! The CRF decomposes into independent sub-models, one per connected
 //! component of the claim graph ([`Partition`]): claims in different
-//! components share no source, so their conditionals never interact.
-//! [`GibbsSampler::run_scheduled`] exploits this *within* a chain: every
+//! components share no source, so their conditionals never interact. Every
 //! `(chain, component)` pair runs as its own self-contained chain with a
 //! deterministic seed derived from the chain seed and the component id, and
 //! the per-component sample streams are stitched back together in
 //! `(chain-id, component-id)` order. Because each stream is fixed by its
 //! seed alone, the pooled output is **identical at any thread count and
-//! under any task layout** — the same pooling discipline the multi-chain
-//! path uses. Restricted to one component, the stream is bit-identical to
-//! running [`GibbsSampler::run_reference`] on the sub-model induced by that
-//! component (the executable spec of the decomposition).
+//! under any task layout**.
 //!
-//! # Chromatic sampling inside giant components
+//! ## Task layout
 //!
-//! When one component dominates, component packing cannot help — sampling
-//! serialises inside the giant. [`ScheduleMode::Chromatic`] colors the
-//! claim-conflict graph ([`crate::coloring`]: claims sharing a live source
-//! get distinct colors) and sweeps each eligible component **color class
-//! by color class, claim-id order within a class**. Same-color claims
-//! neither read nor write each other's sweep state, so a class can be
-//! evaluated against the frozen pre-class state in parallel stripes after
-//! pre-drawing its uniforms — bit-identical to sweeping it interleaved on
-//! one thread, hence bit-identical at any thread or stripe count. The
-//! per-visit conditional is computed by a folded-constant kernel
-//! (`chromatic_logit`) and decided by `chromatic_accept` against a
-//! piecewise-linear sigmoid table on the clamped logit (no divide or
-//! exponential per visit); their exact arithmetic, together with the
-//! color-major visit order, is the chromatic **executable spec**: it is
-//! *not* sample-compatible with the other modes (those keep theirs), and
-//! the spec-equivalence tests replay it term for term. The full schedule
-//! taxonomy and the determinism contract of each mode live in
-//! [`docs/sampling.md`](../../../docs/sampling.md).
+//! Three axes of parallelism compete for the same cores: `K` chains, `P`
+//! components and the claims of one color class. The scheduler picks the
+//! layout from the *measured* per-component sweep cost (clique incidences
+//! of unlabelled claims, `CompSchedule::comp_work`):
 //!
-//! ## Crossover heuristic
-//!
-//! Two axes of parallelism compete for the same cores: `K` chains and `P`
-//! components. The scheduler ([`GibbsSampler::run_scheduled`]) picks the
-//! task layout from the *measured* per-component sweep cost (clique
-//! incidences of unlabelled claims, `CompSchedule::comp_work`):
-//!
-//! * **a dominating component** (max component work ≥
-//!   [`GibbsConfig::chromatic_min_work`]) — switch to the chromatic
-//!   schedule: one task per chain, eligible components swept color-major
-//!   with `threads / K` stripes per class. This arm compares deterministic
-//!   work against a deterministic threshold — the mode (which changes the
-//!   sample stream) never depends on thread count; the stripe count (which
-//!   does not) may.
-//! * **1 worker thread** (or `K == P == 1`) — run everything inline, no
-//!   tasks spawned: the single-core path pays zero scheduling overhead.
-//! * **many chains (`K ≥` threads)** — chains alone saturate the hardware:
-//!   spawn one task per chain and sweep its components sequentially
-//!   (the "many small components → parallelise across chains" arm).
-//! * **few chains, several components (`K <` threads)** — parallelise
-//!   *inside* each chain: components are packed largest-first (LPT over
-//!   their clique-incidence work, deterministic tie-break on component id)
-//!   into `⌈threads/K⌉` groups per chain — additionally capped at
+//! * **component groups** — with fewer chains than threads, the components
+//!   are packed largest-first (LPT over their work, deterministic tie-break
+//!   on component id) into `⌈threads/K⌉` groups per chain, capped at
 //!   `total_work / max_work` groups, past which every extra group idles
-//!   behind the giant — one task per `(chain, group)` (the "few big
-//!   components → parallelise inside" arm).
+//!   behind the giant; one task per `(chain, group)`;
+//! * **stripes** — the threads the `K × groups` tasks leave idle split each
+//!   color class of at least 512 claims per stripe into stripes evaluated
+//!   in parallel against the frozen pre-class state;
+//! * **inline** — a one-task layout (or a single worker thread) runs on the
+//!   caller's thread and spawns nothing.
 //!
-//! Below the chromatic threshold the heuristic affects wall-clock only —
-//! never the output.
+//! The layout affects wall-clock only — never the output.
 
 use crate::bitset::Bitset;
 use crate::coloring::Coloring;
@@ -126,7 +107,10 @@ use crate::potentials::{clique_logit_contribution, CacheRefresh, ScoreCache, Wei
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Tuning knobs for the sampler.
+/// Tuning knobs for the sampler. Every field is part of the determinism
+/// contract: given the configuration, the model, the partition and the
+/// inputs, [`GibbsSampler::run_scheduled`] produces the same samples at any
+/// thread count.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct GibbsConfig {
     /// Full sweeps discarded before collecting samples (per chain).
@@ -144,36 +128,9 @@ pub struct GibbsConfig {
     /// Weight of the previous-round probability factor `Pr^{l−1}(c)` of
     /// Eq. 6; `0` disables anchoring.
     pub anchor: f64,
-    /// Independent chains run in parallel; samples are pooled in chain-id
-    /// order. `1` (the default) reproduces the single-chain stream exactly;
-    /// `0` means "one per available core".
+    /// Independent chains, run in parallel when threads allow; samples are
+    /// pooled in chain-id order. `0` means "one per available core".
     pub chains: usize,
-    /// Sweep-work threshold (clique incidences of a component's unlabelled
-    /// claims — the same measured cost the LPT packing balances) above
-    /// which the scheduler switches to the **chromatic** schedule
-    /// ([`ScheduleMode::Chromatic`], `docs/sampling.md`). The chromatic
-    /// sampler has its own executable spec (color-major update order), so
-    /// the threshold is part of the determinism contract: it is compared
-    /// against deterministic per-component work only, never against thread
-    /// count. `u64::MAX` (the default) disables chromatic sampling; `0`
-    /// forces it for every component.
-    #[serde(default = "default_chromatic_min_work")]
-    pub chromatic_min_work: u64,
-    /// Minimum same-color claims **per stripe** before a chromatic color
-    /// class is evaluated in parallel stripes; smaller classes are swept
-    /// interleaved on the task thread. Purely a wall-clock knob — striped
-    /// and interleaved execution are bit-identical — sized so one stripe
-    /// amortises a task spawn.
-    #[serde(default = "default_chromatic_stripe_min")]
-    pub chromatic_stripe_min: usize,
-}
-
-fn default_chromatic_min_work() -> u64 {
-    u64::MAX
-}
-
-fn default_chromatic_stripe_min() -> usize {
-    512
 }
 
 impl Default for GibbsConfig {
@@ -186,8 +143,6 @@ impl Default for GibbsConfig {
             trust_prior: (1.0, 1.0),
             anchor: 0.5,
             chains: 1,
-            chromatic_min_work: default_chromatic_min_work(),
-            chromatic_stripe_min: default_chromatic_stripe_min(),
         }
     }
 }
@@ -206,26 +161,6 @@ impl GibbsConfig {
     }
 }
 
-/// The task layout the component-aware scheduler chose for an E-step (see
-/// the module-level *Crossover heuristic* section). Informational: every
-/// layout produces the same output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleMode {
-    /// Everything ran inline on the calling thread.
-    Sequential,
-    /// One task per chain; components (if any) swept sequentially inside it.
-    ChainsOuter,
-    /// `chains × component-groups` tasks: parallelism inside each chain.
-    ComponentsInner,
-    /// Chromatic schedule (`docs/sampling.md`): one task per chain;
-    /// components above [`GibbsConfig::chromatic_min_work`] are swept color
-    /// class by color class with the folded-constant kernel, large classes
-    /// in parallel stripes. **Not** sample-compatible with the other modes:
-    /// the color-major update order is its own executable spec (still
-    /// bit-identical at any thread or stripe count).
-    Chromatic,
-}
-
 /// The outcome of one E-step: the sample sequence `Ω` and the per-claim
 /// marginals `Pr(c)` computed from it (Eq. 7).
 #[derive(Debug, Clone)]
@@ -238,36 +173,33 @@ pub struct GibbsResult {
     pub marginals: Vec<f64>,
     /// Number of sweeps executed across all chains (burn-in + sampling).
     pub sweeps: usize,
-    /// Task layout the scheduler used for this E-step.
-    pub mode: ScheduleMode,
     /// How the score cache was refreshed for this E-step's weights.
     pub cache: CacheRefresh,
 }
 
-/// Reusable buffers for [`GibbsSampler::run_with`]: the score cache and the
-/// unlabelled-claim index list survive across E-steps, so repeated inference
-/// calls (every EM iteration of every validation step) allocate nothing but
-/// their output samples.
+/// Reusable buffers for [`GibbsSampler::run_scheduled`]: the score cache,
+/// the component schedule, the coloring, the color-major layout with its
+/// folded constants, and the per-task chain states survive across E-steps,
+/// so repeated inference calls (every EM iteration of every validation
+/// step) allocate little beyond their output samples.
 #[derive(Debug, Clone, Default)]
 pub struct GibbsScratch {
     cache: ScoreCache,
-    unlabelled: Vec<usize>,
     /// Per claim: the anchor contribution `anchor · ln(p/(1−p))` of Eq. 6,
     /// constant within an E-step (`prev_probs` is fixed), so the `ln` is
     /// paid once per claim instead of once per claim *per sweep*.
     anchor_term: Vec<f64>,
-    /// Component-schedule metadata for [`GibbsSampler::run_scheduled`].
+    /// Component-schedule metadata.
     sched: CompSchedule,
-    /// Per-task chain state for the component-parallel path, reused across
-    /// E-steps (one full-width `values` + `credible` pair per worker task).
+    /// Per-task chain state, reused across E-steps (one full-width state
+    /// per worker task).
     tasks: Vec<TaskState>,
     /// Incrementally maintained greedy coloring of the claim-conflict
-    /// graph, synced lazily when the chromatic schedule is chosen.
+    /// graph, synced at the start of every E-step.
     coloring: Coloring,
-    /// Color-major sweep order and class boundaries per chromatically
-    /// swept component.
+    /// Color-major sweep order and class boundaries per component.
     chrom: ChromLayout,
-    /// Folded per-run constants of the chromatic kernel.
+    /// Folded per-run constants of the kernel.
     fold: FoldedScores,
 }
 
@@ -380,23 +312,17 @@ impl CompSchedule {
         }
     }
 
-    fn unlabelled_of(&self, comp: usize) -> &[u32] {
-        &self.comp_unlabelled[self.comp_unlabelled_offsets[comp] as usize
-            ..self.comp_unlabelled_offsets[comp + 1] as usize]
-    }
-
     fn sources_of(&self, comp: usize) -> &[u32] {
         &self.comp_sources
             [self.comp_source_offsets[comp] as usize..self.comp_source_offsets[comp + 1] as usize]
     }
 }
 
-/// The chromatic sweep order: per chromatically swept component, its
-/// unlabelled claims re-sorted **color-major, claim-id-minor** — the
-/// executable update order of [`ScheduleMode::Chromatic`] — plus the class
-/// boundaries the striped executor cuts at. Rebuilt per chromatic E-step
-/// from [`CompSchedule`] and the synced [`Coloring`]; allocation-free in
-/// steady state.
+/// The sweep order: per component, its unlabelled claims re-sorted
+/// **color-major, claim-id-minor** — the kernel's update order — plus the
+/// class boundaries the striped executor cuts at. Rebuilt per E-step from
+/// [`CompSchedule`] and the synced [`Coloring`]; allocation-free in steady
+/// state.
 #[derive(Debug, Clone, Default)]
 struct ChromLayout {
     /// Re-ordered copy of [`CompSchedule::comp_unlabelled`] (same spans).
@@ -404,18 +330,13 @@ struct ChromLayout {
     /// Concatenated per-component class boundaries: absolute indices into
     /// [`Self::order`], `m + 1` entries for a component with `m` classes.
     class_offsets: Vec<u32>,
-    /// CSR offsets (`n_components + 1`) into [`Self::class_offsets`]; an
-    /// empty range marks a component the chromatic sweep does not cover.
+    /// CSR offsets (`n_components + 1`) into [`Self::class_offsets`]; a
+    /// fully labelled component has an empty range.
     comp_class_offsets: Vec<u32>,
 }
 
 impl ChromLayout {
-    fn build(
-        &mut self,
-        sched: &CompSchedule,
-        coloring: &Coloring,
-        eligible: impl Fn(usize) -> bool,
-    ) {
+    fn build(&mut self, sched: &CompSchedule, coloring: &Coloring) {
         let p = sched.comp_work.len();
         self.order.clear();
         self.order.extend_from_slice(&sched.comp_unlabelled);
@@ -425,9 +346,9 @@ impl ChromLayout {
         for comp in 0..p {
             let lo = sched.comp_unlabelled_offsets[comp] as usize;
             let hi = sched.comp_unlabelled_offsets[comp + 1] as usize;
-            if lo < hi && eligible(comp) {
+            if lo < hi {
                 // Stable sort of an id-ascending span: ties keep claim-id
-                // order, giving the color-major, claim-id-minor spec order.
+                // order, giving the color-major, claim-id-minor order.
                 self.order[lo..hi].sort_by_key(|&c| coloring.color(c as usize));
                 self.class_offsets.push(lo as u32);
                 for i in lo + 1..hi {
@@ -444,15 +365,15 @@ impl ChromLayout {
         }
     }
 
-    /// Class boundary list of a component (empty when the component is not
-    /// chromatically swept).
+    /// Class boundary list of a component (empty when it is fully
+    /// labelled).
     fn classes_of(&self, comp: usize) -> &[u32] {
         &self.class_offsets
             [self.comp_class_offsets[comp] as usize..self.comp_class_offsets[comp + 1] as usize]
     }
 }
 
-/// Folded per-run constants of the chromatic kernel. Within one E-step the
+/// Folded per-run constants of the kernel. Within one E-step the
 /// weights, the anchor terms, and every source's live-claim count are
 /// fixed, so the per-visit conditional logit
 ///
@@ -464,8 +385,8 @@ impl ChromLayout {
 /// everything but the per-source credible counts precomputed **once per
 /// run**: the hot visit is one gather and one multiply-add per incident
 /// clique — no divide, no live-count lookup, no exponential (see
-/// [`chromatic_logit`], whose summation order is the chromatic executable
-/// spec). Dead cliques carry exact zeros in the score cache, so their
+/// [`chromatic_logit`], whose summation order is part of the bit spec).
+/// Dead cliques carry exact zeros in the score cache, so their
 /// packed `tw` is `±0.0` and the product is `±0.0` for any finite
 /// credible count — dead evidence contributes nothing and cannot leak
 /// interference between color classes.
@@ -479,8 +400,8 @@ impl ChromLayout {
 #[derive(Debug, Clone, Default)]
 struct FoldedScores {
     /// Per source: `1 / (a + b + n_live(s) − 1)`, filled for the sources
-    /// of chromatically swept components (other slots are stale and only
-    /// ever multiplied by a `±0.0` trust weight).
+    /// of every component (other slots are stale and only ever multiplied
+    /// by a `±0.0` trust weight).
     recip: Vec<f64>,
     /// Per visit position: `anchor_term[c] + Σ_span (statics[k] −
     /// ½·signed_τw[k]) + a·t_sum[p]` — the whole value-independent part of
@@ -489,8 +410,7 @@ struct FoldedScores {
     /// Per visit position: `Σ_span tw[k]`, subtracted once when the
     /// claim's current value is `true`.
     t_sum: Vec<f64>,
-    /// CSR offsets (`positions + 1`) into the packed incidence lanes;
-    /// spans of components that are not chromatically swept are empty.
+    /// CSR offsets (`positions + 1`) into the packed incidence lanes.
     csr: Vec<u32>,
     /// Packed per-incidence `signed_τw[k] · recip[source_k]`, visit order.
     tw: Vec<f64>,
@@ -533,13 +453,6 @@ impl FoldedScores {
         for comp in 0..sched.comp_work.len() {
             let lo = sched.comp_unlabelled_offsets[comp] as usize;
             let hi = sched.comp_unlabelled_offsets[comp + 1] as usize;
-            if chrom.classes_of(comp).is_empty() {
-                for p in lo..hi {
-                    self.csr[p + 1] = self.tw.len() as u32;
-                    self.flip_csr[p + 1] = self.flip_src.len() as u32;
-                }
-                continue;
-            }
             for &s in sched.sources_of(comp) {
                 let n = model.n_live_claims_of_source(s) as f64;
                 self.recip[s as usize] = 1.0 / (prior.0 + prior.1 + n - 1.0);
@@ -569,16 +482,14 @@ impl FoldedScores {
     }
 }
 
-/// The chromatic kernel's conditional logit of the claim at visit
-/// position `p` (see [`FoldedScores`]): `(base_a[p] − v_c·t_sum[p]) + Σ_k
-/// tw[k]·credible[s_k]`, the incidence sum accumulated over the claim's
-/// packed span in ascending order and added last. `vt[p]` carries
-/// `v_c·t_sum[p]` (maintained by [`chromatic_flip`]) and `credible` the
-/// exact-integer float mirror of the per-source credible counts, so the
-/// computed value is identical to folding from `values[c]` and integer
-/// counts directly. This exact summation order **is** the chromatic
-/// executable spec — the reference-equivalence tests replay it term for
-/// term.
+/// The kernel's conditional logit of the claim at visit position `p` (see
+/// [`FoldedScores`]): `(base_a[p] − v_c·t_sum[p]) + Σ_k tw[k]·credible[s_k]`,
+/// the incidence sum accumulated over the claim's packed span in ascending
+/// order and added last. `vt[p]` carries `v_c·t_sum[p]` (maintained by
+/// [`chromatic_flip`]) and `credible` the exact-integer float mirror of the
+/// per-source credible counts, so the computed value is identical to
+/// folding from `values[c]` and integer counts directly. This exact
+/// summation order is part of the bit spec, which replays it term for term.
 #[inline]
 fn chromatic_logit(fold: &FoldedScores, vt: &[f64], credible: &[f64], p: usize) -> f64 {
     let lo = fold.csr[p] as usize;
@@ -590,12 +501,10 @@ fn chromatic_logit(fold: &FoldedScores, vt: &[f64], credible: &[f64], p: usize) 
     (fold.base_a[p] - vt[p]) + acc
 }
 
-/// [`flip`] for the chromatic sweep: reads the claim's deduplicated
-/// source list from the fold's visit-ordered [`FoldedScores::flip_src`]
-/// lane instead of the model's claim-indexed CSR, steps the float mirror
-/// of the credible counts by an exact ±1.0, and refreshes the claim's
-/// `v_c·t_sum[p]` slot — same counters, same arithmetic as [`flip`],
-/// sequential reads.
+/// Set the claim at visit position `p` to `new_value`: reads its
+/// deduplicated source list from the fold's visit-ordered
+/// [`FoldedScores::flip_src`] lane, steps the float credible counts by an
+/// exact ±1.0, and refreshes the claim's `v_c·t_sum[p]` slot.
 #[inline]
 fn chromatic_flip(
     fold: &FoldedScores,
@@ -619,25 +528,31 @@ fn chromatic_flip(
     }
 }
 
-/// Bound on the chromatic conditional logit: beyond ±28 the acceptance
+/// Bound on the kernel's conditional logit: beyond ±28 the acceptance
 /// probability is within 7e-13 of 0 or 1 and is pinned there — like
-/// [`numerics::clamp_prob`] on the other schedules, the clamp never lets
-/// a conditional become exactly deterministic. It is also the domain of
-/// the chromatic sigmoid table.
+/// [`numerics::clamp_prob`] in [`GibbsSampler::run_reference`], the clamp
+/// never lets a conditional become exactly deterministic. It is also the
+/// domain of the sigmoid table.
 const CHROM_LOGIT_CLAMP: f64 = 28.0;
 
-/// Interval count of the chromatic sigmoid table. 4096 intervals over
-/// `[-28, 28]` put the chord-vs-curve error of linear interpolation below
+/// Interval count of the sigmoid table. 4096 intervals over `[-28, 28]`
+/// put the chord-vs-curve error of linear interpolation below
 /// `max|σ''|·h²/8 ≈ 2.3e-6` — four orders of magnitude under the
 /// Monte-Carlo noise of any sample budget this sampler runs at.
 const SIG_TABLE_N: usize = 4096;
 const SIG_TABLE_INV_STEP: f64 = SIG_TABLE_N as f64 / (2.0 * CHROM_LOGIT_CLAMP);
 
+/// Minimum same-color claims **per stripe** before a color class is
+/// evaluated in parallel stripes; smaller classes are swept interleaved on
+/// the task thread. Purely a wall-clock threshold — striped and interleaved
+/// execution are bit-identical — sized so one stripe amortises a task
+/// spawn.
+const STRIPE_MIN: usize = 512;
+
 /// `SIG_TABLE[i] = σ(−28 + i·h)` for `i = 0..=4096`, `h = 56/4096`; built
-/// once on first chromatic sweep. Shared by every thread and stripe, so
-/// the accept rule stays a pure function of `(u, z)`. The fixed-size
-/// array type lets the indexing in [`chromatic_accept`] compile without
-/// bounds checks.
+/// once on the first sweep. Shared by every thread and stripe, so the
+/// accept rule stays a pure function of `(u, z)`. The fixed-size array type
+/// lets the indexing in [`table_sigmoid`] compile without bounds checks.
 static SIG_TABLE: std::sync::OnceLock<Box<[f64; SIG_TABLE_N + 1]>> = std::sync::OnceLock::new();
 
 fn sigmoid_table() -> &'static [f64; SIG_TABLE_N + 1] {
@@ -650,51 +565,62 @@ fn sigmoid_table() -> &'static [f64; SIG_TABLE_N + 1] {
     })
 }
 
-/// The chromatic resample decision for uniform `u` and conditional logit
-/// `z`: accept `v = 1` iff `u < σ̃(z̄)` with `z̄ = clamp(z, ±28)` and `σ̃`
-/// the piecewise-linear interpolant of the sigmoid through the 4097 knots
-/// of `table` (always [`sigmoid_table`]; callers hoist the fetch out of
-/// their sweep loops). Together with [`chromatic_logit`] this is the
-/// chromatic executable spec's decision rule (the reference-equivalence
-/// tests replay it verbatim): no divide, no exponential, no probability
-/// clamp on the hot path — the tail pinning is done once on the logit,
-/// and σ̃ is monotone with `|σ̃ − σ| < 2.3e-6`, far beneath sampling
-/// noise (the marginal-accuracy tests bound the end-to-end effect).
+/// `σ̃(z̄)` with `z̄ = clamp(z, ±28)` and `σ̃` the piecewise-linear
+/// interpolant of the sigmoid through the 4097 knots of `table` (always
+/// [`sigmoid_table`]; callers hoist the fetch out of their sweep loops).
+/// σ̃ is monotone with `|σ̃ − σ| < 2.3e-6`; the exact oracle test reports
+/// its effect on the stationary marginals.
 #[inline]
-fn chromatic_accept(u: f64, z: f64, table: &[f64; SIG_TABLE_N + 1]) -> bool {
+fn table_sigmoid(z: f64, table: &[f64; SIG_TABLE_N + 1]) -> f64 {
     let t =
         (z.clamp(-CHROM_LOGIT_CLAMP, CHROM_LOGIT_CLAMP) + CHROM_LOGIT_CLAMP) * SIG_TABLE_INV_STEP;
     let i = (t as usize).min(SIG_TABLE_N - 1);
     let frac = t - i as f64;
-    u < table[i] + frac * (table[i + 1] - table[i])
+    table[i] + frac * (table[i + 1] - table[i])
 }
 
-/// One worker task's chain state for the scheduled path: full-width arrays
-/// of which each task only ever reads and writes the slots of the
-/// components assigned to it (components are claim- and source-disjoint).
-/// Persistent in [`GibbsScratch`], so steady-state E-steps allocate nothing
-/// here; the per-claim `ones` counters accumulate across the task's
-/// components (and, on the inline path, across chains).
+/// The kernel's resample decision for uniform `u` and conditional logit
+/// `z`: accept `v = 1` iff `u < σ̃(z̄)` ([`table_sigmoid`]). Together with
+/// [`chromatic_logit`] this is the bit spec's decision rule: no divide, no
+/// exponential, no probability clamp on the hot path — the tail pinning is
+/// done once on the logit.
+#[inline]
+fn chromatic_accept(u: f64, z: f64, table: &[f64; SIG_TABLE_N + 1]) -> bool {
+    u < table_sigmoid(z, table)
+}
+
+/// One worker task's chain state: full-width arrays of which each task only
+/// ever reads and writes the slots of the components assigned to it
+/// (components are claim- and source-disjoint). Persistent in
+/// [`GibbsScratch`], so steady-state E-steps allocate nothing here; the
+/// per-claim `ones` counters accumulate across the task's components (and,
+/// on the inline path, across chains).
 #[derive(Debug, Clone, Default)]
 struct TaskState {
     values: Vec<bool>,
-    credible: Vec<u32>,
     ones: Vec<u64>,
-    /// Chromatic mirror of `credible` as exact-integer `f64`s (counts are
-    /// tiny, so every ±1.0 step is exact and the values equal the `u32`
-    /// counts bit for bit after conversion) — the folded kernel's gather
-    /// then needs no int→float convert per incidence.
-    credible_f: Vec<f64>,
+    /// Per source: its credible live claims, as exact-integer `f64`s
+    /// (counts are tiny, so every ±1.0 step is exact) — the kernel's
+    /// gather then needs no int→float convert per incidence.
+    credible: Vec<f64>,
     /// Per visit position: `v_c · t_sum[p]` of the claim at that position,
-    /// maintained by [`chromatic_flip`] — the folded kernel reads its
-    /// value term sequentially instead of loading `values[c]` at random.
+    /// maintained by [`chromatic_flip`] — the kernel reads its value term
+    /// sequentially instead of loading `values[c]` at random.
     vt: Vec<f64>,
-    /// Pre-drawn uniforms of the color class being striped (chromatic
-    /// two-phase execution; claim order within the class).
+    /// Pre-drawn uniforms of the color class being striped (two-phase
+    /// execution; claim order within the class).
     uniforms: Vec<f64>,
     /// Frozen-state resample decisions of the striped class, applied in
     /// claim order after the parallel evaluation.
     decisions: Vec<bool>,
+}
+
+/// The task layout of one scheduled E-step (module docs, *Task layout*):
+/// component groups per chain and stripes per large color class.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    groups: usize,
+    stripes: usize,
 }
 
 /// A deterministic single-site Gibbs sampler bound to a model.
@@ -704,7 +630,8 @@ pub struct GibbsSampler<'a> {
     config: GibbsConfig,
 }
 
-/// Mutable chain state, maintained incrementally across sweeps.
+/// Chain state of [`GibbsSampler::run_reference`], maintained
+/// incrementally across sweeps.
 struct ChainState {
     values: Vec<bool>,
     /// Per source: number of its distinct claims currently credible.
@@ -745,7 +672,6 @@ impl ChainState {
     /// `excl` is always one of the source's claims here (the sweep only
     /// asks about sources of `excl`'s own cliques), so no membership test
     /// is needed.
-    #[inline]
     fn trust_excluding(
         &self,
         model: &CrfModel,
@@ -753,94 +679,64 @@ impl ChainState {
         source: u32,
         excl: usize,
     ) -> f64 {
-        trust_excluding(
-            model,
-            prior,
-            &self.values,
-            &self.credible_per_source,
-            source,
-            excl,
-        )
+        let mut credible = self.credible_per_source[source as usize] as f64;
+        // Live count: tombstoned claims neither support nor dilute a
+        // source's trust (their values are pinned `false` and excluded
+        // from `n`).
+        let mut n = model.n_live_claims_of_source(source) as f64;
+        if self.values[excl] {
+            credible -= 1.0;
+        }
+        n -= 1.0;
+        (prior.0 + credible) / (prior.0 + prior.1 + n)
     }
 
-    #[inline]
+    /// Set `claim` to `new_value`, maintaining the per-source credible
+    /// counts.
     fn flip(&mut self, model: &CrfModel, claim: usize, new_value: bool) {
-        flip(
-            model,
-            &mut self.values,
-            &mut self.credible_per_source,
-            claim,
-            new_value,
-        )
+        if self.values[claim] == new_value {
+            return;
+        }
+        self.values[claim] = new_value;
+        for &s in model.sources_of_claim(VarId(claim as u32)) {
+            let slot = &mut self.credible_per_source[s as usize];
+            *slot = if new_value { *slot + 1 } else { *slot - 1 };
+        }
     }
 }
 
-/// Smoothed trust of `source` excluding claim `excl` from the count — the
-/// shared single-site kernel of the whole-graph and component-scheduled
-/// sweeps (`excl` is always one of the source's claims here).
-#[inline]
-fn trust_excluding(
-    model: &CrfModel,
-    prior: (f64, f64),
-    values: &[bool],
-    credible_per_source: &[u32],
-    source: u32,
-    excl: usize,
-) -> f64 {
-    let mut credible = credible_per_source[source as usize] as f64;
-    // Live count: tombstoned claims neither support nor dilute a source's
-    // trust (their values are pinned `false` and excluded from `n`).
-    let mut n = model.n_live_claims_of_source(source) as f64;
-    if values[excl] {
-        credible -= 1.0;
-    }
-    n -= 1.0;
-    (prior.0 + credible) / (prior.0 + prior.1 + n)
-}
-
-/// Set `claim` to `new_value`, maintaining the per-source credible counts.
-#[inline]
-fn flip(
-    model: &CrfModel,
-    values: &mut [bool],
-    credible_per_source: &mut [u32],
-    claim: usize,
-    new_value: bool,
-) {
-    if values[claim] == new_value {
-        return;
-    }
-    values[claim] = new_value;
-    let delta: i64 = if new_value { 1 } else { -1 };
-    for &s in model.sources_of_claim(VarId(claim as u32)) {
-        let slot = &mut credible_per_source[s as usize];
-        *slot = (*slot as i64 + delta) as u32;
-    }
-}
-
-/// One chain's contribution to the pooled estimate.
-struct ChainOutput {
-    ones: Vec<u64>,
-    samples: Vec<Bitset>,
-    sweeps: usize,
-}
-
-/// Deterministic per-chain seed: chain 0 uses the configured seed verbatim
-/// (preserving the single-chain stream); further chains decorrelate through
-/// a golden-ratio multiply.
+/// Deterministic per-chain seed: chain 0 uses the configured seed verbatim;
+/// further chains decorrelate through a golden-ratio multiply.
 #[inline]
 fn chain_seed(seed: u64, chain: usize) -> u64 {
     seed ^ (chain as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// Deterministic per-component seed within a chain: component 0 uses the
-/// chain seed verbatim (a single-component graph reproduces the chain's
-/// whole-graph stream exactly); further components decorrelate through a
-/// distinct odd multiplier so `(chain, component)` streams never collide
-/// with `(chain', 0)` streams.
+/// chain seed verbatim; further components decorrelate through a distinct
+/// odd multiplier so `(chain, component)` streams never collide with
+/// `(chain', 0)` streams.
 #[inline]
 fn component_seed(chain_seed: u64, comp: usize) -> u64 {
     chain_seed ^ (comp as u64).wrapping_mul(0xa076_1d64_78bd_642f)
+}
+
+/// `Pr(c = 1)` per claim from the pooled per-claim credible counts: the
+/// label for labelled claims, 0 for tombstoned ones.
+fn marginals_of(model: &CrfModel, labels: &[Option<bool>], ones: &[u64], total: usize) -> Vec<f64> {
+    let total = total.max(1) as f64;
+    (0..model.n_claims())
+        .map(|c| {
+            if !model.claim_live(c) {
+                return 0.0; // tombstoned: out of service, never credible
+            }
+            match labels[c] {
+                Some(true) => 1.0,
+                Some(false) => 0.0,
+                None => ones[c] as f64 / total,
+            }
+        })
+        .collect()
 }
 
 impl<'a> GibbsSampler<'a> {
@@ -852,194 +748,6 @@ impl<'a> GibbsSampler<'a> {
     /// The model this sampler is bound to.
     pub fn model(&self) -> &CrfModel {
         self.model
-    }
-
-    /// One full sweep over the unlabelled claims: the allocation-free inner
-    /// loop. Each single-site update reads the claim's contiguous
-    /// score-cache span and source ids, accumulates the conditional logit
-    /// with one fused multiply-add per clique, and resamples the claim.
-    fn sweep(
-        &self,
-        cache: &ScoreCache,
-        unlabelled: &[usize],
-        anchor_term: &[f64],
-        state: &mut ChainState,
-        rng: &mut SmallRng,
-    ) {
-        let model = self.model;
-        let prior = self.config.trust_prior;
-        for &c in unlabelled {
-            let (lo, hi) = model.claim_clique_span(c);
-            let (statics, trust_ws) = cache.span(lo, hi);
-            let sources = model.clique_sources_of(VarId(c as u32));
-            let mut logit = 0.0;
-            for k in 0..statics.len() {
-                let trust = state.trust_excluding(model, prior, sources[k], c);
-                logit += statics[k] + trust_ws[k] * (trust - 0.5);
-            }
-            // The precomputed anchor contribution (0.0 when anchoring is
-            // off) is added last, in the same position the reference
-            // sampler adds it — term order must match bit for bit.
-            logit += anchor_term[c];
-            let p = numerics::sigmoid(logit);
-            let v = rng.gen_bool(numerics::clamp_prob(p));
-            state.flip(model, c, v);
-        }
-    }
-
-    /// Run one chain to completion: burn-in, then `n_samples` thinned
-    /// collections into a fresh output buffer.
-    #[allow(clippy::too_many_arguments)] // internal hot-path plumbing; the slices are views of one scratch
-    fn run_chain(
-        &self,
-        cache: &ScoreCache,
-        unlabelled: &[usize],
-        anchor_term: &[f64],
-        labels: &[Option<bool>],
-        prev_probs: &[f64],
-        seed: u64,
-        n_samples: usize,
-    ) -> ChainOutput {
-        let n = self.model.n_claims();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut state = ChainState::init(self.model, labels, prev_probs, &mut rng);
-        let mut ones = vec![0u64; n];
-        let mut samples = Vec::with_capacity(n_samples);
-        let mut sweeps = 0;
-
-        for _ in 0..self.config.burn_in {
-            self.sweep(cache, unlabelled, anchor_term, &mut state, &mut rng);
-            sweeps += 1;
-        }
-        for _ in 0..n_samples {
-            for _ in 0..self.config.thin.max(1) {
-                self.sweep(cache, unlabelled, anchor_term, &mut state, &mut rng);
-                sweeps += 1;
-            }
-            for (c, &v) in state.values.iter().enumerate() {
-                if v {
-                    ones[c] += 1;
-                }
-            }
-            samples.push(Bitset::from_bools(&state.values));
-        }
-        ChainOutput {
-            ones,
-            samples,
-            sweeps,
-        }
-    }
-
-    /// Run the chain(s): `labels[c]` pins claim `c`, `prev_probs` are the
-    /// previous-round probabilities `Pr^{l−1}` anchoring the chain (Eq. 6).
-    pub fn run(
-        &self,
-        weights: &Weights,
-        labels: &[Option<bool>],
-        prev_probs: &[f64],
-    ) -> GibbsResult {
-        let mut scratch = GibbsScratch::new();
-        self.run_with(weights, labels, prev_probs, &mut scratch)
-    }
-
-    /// Like [`Self::run`], but reusing `scratch` (score cache, index
-    /// buffers) across calls — the EM loop calls this every iteration.
-    pub fn run_with(
-        &self,
-        weights: &Weights,
-        labels: &[Option<bool>],
-        prev_probs: &[f64],
-        scratch: &mut GibbsScratch,
-    ) -> GibbsResult {
-        let model = self.model;
-        let n = model.n_claims();
-        assert_eq!(labels.len(), n, "labels length mismatch");
-        assert_eq!(prev_probs.len(), n, "probs length mismatch");
-
-        let cache_refresh = scratch.cache.update(model, weights);
-        scratch.unlabelled.clear();
-        scratch
-            .unlabelled
-            .extend((0..n).filter(|&c| labels[c].is_none() && model.claim_live(c)));
-        self.fill_anchor_terms(prev_probs, &mut scratch.anchor_term);
-        let cache = &scratch.cache;
-        let unlabelled = &scratch.unlabelled;
-        let anchor_term = &scratch.anchor_term;
-
-        let k = self.config.effective_chains();
-        // Deterministic sample split: chain i collects base (+1 for the
-        // first `rem` chains) samples.
-        let (base, rem) = (self.config.samples / k, self.config.samples % k);
-        let mut outputs: Vec<Option<ChainOutput>> = Vec::new();
-        outputs.resize_with(k, || None);
-
-        if k == 1 {
-            outputs[0] = Some(self.run_chain(
-                cache,
-                unlabelled,
-                anchor_term,
-                labels,
-                prev_probs,
-                chain_seed(self.config.seed, 0),
-                self.config.samples,
-            ));
-        } else {
-            rayon::scope(|s| {
-                for (i, slot) in outputs.iter_mut().enumerate() {
-                    let n_samples = base + usize::from(i < rem);
-                    s.spawn(move |_| {
-                        *slot = Some(self.run_chain(
-                            cache,
-                            unlabelled,
-                            anchor_term,
-                            labels,
-                            prev_probs,
-                            chain_seed(self.config.seed, i),
-                            n_samples,
-                        ));
-                    });
-                }
-            });
-        }
-
-        // Pool in chain-id order — `outputs` is indexed by chain id, so the
-        // pooled sequence is independent of thread scheduling.
-        let mut ones = vec![0u64; n];
-        let mut samples = Vec::with_capacity(self.config.samples);
-        let mut sweeps = 0;
-        for out in outputs.into_iter().flatten() {
-            for (acc, o) in ones.iter_mut().zip(&out.ones) {
-                *acc += o;
-            }
-            samples.extend(out.samples);
-            sweeps += out.sweeps;
-        }
-
-        let total = samples.len().max(1) as f64;
-        let marginals: Vec<f64> = (0..n)
-            .map(|c| {
-                if !model.claim_live(c) {
-                    return 0.0; // tombstoned: out of service, never credible
-                }
-                match labels[c] {
-                    Some(true) => 1.0,
-                    Some(false) => 0.0,
-                    None => ones[c] as f64 / total,
-                }
-            })
-            .collect();
-
-        GibbsResult {
-            samples,
-            marginals,
-            sweeps,
-            mode: if k == 1 {
-                ScheduleMode::Sequential
-            } else {
-                ScheduleMode::ChainsOuter
-            },
-            cache: cache_refresh,
-        }
     }
 
     /// One `ln` per claim per E-step instead of per sweep; the term is
@@ -1060,11 +768,12 @@ impl<'a> GibbsSampler<'a> {
         }));
     }
 
-    /// The pre-optimisation scalar sampler, kept as the executable
-    /// specification: a single chain that re-evaluates every clique's full
-    /// `β·x_π` dot product on every visit. [`Self::run`] with `chains == 1`
-    /// is bit-identical to this; the equivalence tests and the
-    /// before/after benchmark hold the two against each other.
+    /// The scalar sampler, kept as the **distribution spec**: a single
+    /// chain that visits the unlabelled claims in claim-id order and
+    /// re-evaluates every clique's full `β·x_π` dot product on every visit,
+    /// deciding each resample with the exact sigmoid. The exact oracle test
+    /// holds it to the stationary law of its visit order, and the gibbs
+    /// benchmark measures [`Self::run_scheduled`] against it.
     pub fn run_reference(
         &self,
         weights: &Weights,
@@ -1127,74 +836,46 @@ impl<'a> GibbsSampler<'a> {
             samples.push(Bitset::from_bools(&state.values));
         }
 
-        let total = samples.len().max(1) as f64;
-        let marginals: Vec<f64> = (0..n)
-            .map(|c| {
-                if !model.claim_live(c) {
-                    return 0.0; // tombstoned: out of service, never credible
-                }
-                match labels[c] {
-                    Some(true) => 1.0,
-                    Some(false) => 0.0,
-                    None => ones[c] as f64 / total,
-                }
-            })
-            .collect();
-
+        let marginals = marginals_of(model, labels, &ones, samples.len());
         GibbsResult {
             samples,
             marginals,
             sweeps,
-            mode: ScheduleMode::Sequential,
             cache: CacheRefresh::Rebuilt,
         }
     }
 
-    /// Pick the task layout for the scheduled path (see the module-level
-    /// *Crossover heuristic* section), driven by the measured per-component
-    /// sweep cost in [`CompSchedule::comp_work`]. Returns the mode and its
-    /// fan-out: component groups per chain for
-    /// [`ScheduleMode::ComponentsInner`], stripes per class for
-    /// [`ScheduleMode::Chromatic`], `1` otherwise.
-    ///
-    /// The chromatic arm compares deterministic work against a
-    /// deterministic threshold, so the *mode* — which changes the sample
-    /// stream — never depends on thread count; only the stripe fan-out
-    /// (which does not change the output) does.
-    fn plan(&self, chains: usize, sched: &CompSchedule) -> (ScheduleMode, usize) {
-        let components = sched.comp_work.len();
+    /// Pick the task layout (module docs, *Task layout*) from the measured
+    /// per-component sweep cost in [`CompSchedule::comp_work`].
+    fn plan(&self, chains: usize, sched: &CompSchedule) -> Layout {
         let threads = rayon::current_num_threads();
-        let max_work = sched.comp_work.iter().copied().max().unwrap_or(0);
-        if max_work >= self.config.chromatic_min_work {
-            let stripes = (threads / chains.max(1)).max(1);
-            return (ScheduleMode::Chromatic, stripes);
+        let components = sched.comp_work.len();
+        let groups = if threads <= chains || components <= 1 {
+            1
+        } else {
+            // Group-count cap from measured cost: once every group holds
+            // at least the giant component's work, further splitting only
+            // adds task overhead while the makespan stays pinned to it.
+            let max_work = sched.comp_work.iter().copied().max().unwrap_or(0);
+            let useful = sched
+                .comp_work
+                .iter()
+                .sum::<u64>()
+                .checked_div(max_work)
+                .map_or(1, |g| g.max(1)) as usize;
+            threads.div_ceil(chains).min(components).min(useful)
+        };
+        Layout {
+            groups,
+            stripes: (threads / (chains * groups)).max(1),
         }
-        if threads <= 1 || (chains == 1 && components == 1) {
-            return (ScheduleMode::Sequential, 1);
-        }
-        if chains >= threads || components == 1 {
-            return (ScheduleMode::ChainsOuter, 1);
-        }
-        // Group-count cap from measured cost: once every group holds at
-        // least the giant component's work, further splitting only adds
-        // task overhead while the makespan stays pinned to the giant.
-        let useful = sched
-            .comp_work
-            .iter()
-            .sum::<u64>()
-            .checked_div(max_work)
-            .map_or(1, |g| g.max(1)) as usize;
-        let groups = threads.div_ceil(chains).clamp(1, components).min(useful);
-        (ScheduleMode::ComponentsInner, groups)
     }
 
-    /// Component-aware E-step: every `(chain, component)` pair runs as its
-    /// own deterministic chain and the streams are stitched in
-    /// `(chain-id, component-id)` order, so the result depends only on the
-    /// configuration and the partition — never on thread count or task
-    /// scheduling. With a single component this is bit-identical to
-    /// [`Self::run_with`]; restricted to one component it is bit-identical
-    /// to [`Self::run_reference`] on that component's induced sub-model.
+    /// The E-step: every `(chain, component)` pair runs as its own
+    /// deterministic chain of the folded color-major kernel, and the
+    /// streams are stitched in `(chain-id, component-id)` order, so the
+    /// result depends only on the configuration, the inputs and the
+    /// partition — never on thread count, task layout or stripe count.
     ///
     /// `partition` must be the connected-component partition of this
     /// sampler's model (see [`Partition::of_model`]).
@@ -1209,6 +890,36 @@ impl<'a> GibbsSampler<'a> {
         self.run_scheduled_impl(weights, labels, prev_probs, partition, scratch, None)
     }
 
+    /// Test/bench hook: [`Self::run_scheduled`] under an explicit layout of
+    /// `groups` component groups per chain and `stripes` stripes per color
+    /// class (classes below the stripe minimum still run interleaved)
+    /// instead of the planner's choice. The output is identical for every
+    /// layout.
+    #[allow(clippy::too_many_arguments)] // test/bench hook mirroring run_scheduled
+    pub fn run_scheduled_forced(
+        &self,
+        weights: &Weights,
+        labels: &[Option<bool>],
+        prev_probs: &[f64],
+        partition: &Partition,
+        scratch: &mut GibbsScratch,
+        groups: usize,
+        stripes: usize,
+    ) -> GibbsResult {
+        let layout = Layout {
+            groups: groups.max(1),
+            stripes: stripes.max(1),
+        };
+        self.run_scheduled_impl(
+            weights,
+            labels,
+            prev_probs,
+            partition,
+            scratch,
+            Some(layout),
+        )
+    }
+
     fn run_scheduled_impl(
         &self,
         weights: &Weights,
@@ -1216,7 +927,7 @@ impl<'a> GibbsSampler<'a> {
         prev_probs: &[f64],
         partition: &Partition,
         scratch: &mut GibbsScratch,
-        force: Option<(ScheduleMode, usize)>,
+        force: Option<Layout>,
     ) -> GibbsResult {
         let model = self.model;
         let n = model.n_claims();
@@ -1228,23 +939,12 @@ impl<'a> GibbsSampler<'a> {
             "partition does not cover this model's claims"
         );
 
+        // Per-run prep: refresh the score cache and the component schedule,
+        // sync the conflict-graph coloring, lay every component out
+        // color-major, and fold the per-run kernel constants.
         let cache_refresh = scratch.cache.update(model, weights);
         self.fill_anchor_terms(prev_probs, &mut scratch.anchor_term);
-        scratch.sched.refresh_static(model, partition);
-        scratch.sched.refresh_labels(model, partition, labels);
-
-        let k = self.config.effective_chains();
-        let p = partition.len();
-        let (mode, fanout) = force.unwrap_or_else(|| self.plan(k, &scratch.sched));
-        let (base, rem) = (self.config.samples / k, self.config.samples % k);
-
-        // Chromatic prep: sync the conflict-graph coloring, lay the
-        // eligible components out color-major, and fold the per-run kernel
-        // constants. A forced chromatic layout sweeps *every* component
-        // chromatically so tests pin the whole graph to the chromatic spec.
-        let chromatic = mode == ScheduleMode::Chromatic;
-        let stripes = if chromatic { fanout.max(1) } else { 1 };
-        if chromatic {
+        {
             let GibbsScratch {
                 cache,
                 anchor_term,
@@ -1254,12 +954,10 @@ impl<'a> GibbsSampler<'a> {
                 fold,
                 ..
             } = &mut *scratch;
+            sched.refresh_static(model, partition);
+            sched.refresh_labels(model, partition, labels);
             coloring.sync(model);
-            let forced = force.is_some();
-            let min_work = self.config.chromatic_min_work;
-            chrom.build(sched, coloring, |comp| {
-                forced || sched.comp_work[comp] >= min_work
-            });
+            chrom.build(sched, coloring);
             fold.build(
                 model,
                 cache,
@@ -1270,13 +968,16 @@ impl<'a> GibbsSampler<'a> {
             );
         }
 
+        let k = self.config.effective_chains();
+        let p = partition.len();
+        let layout = force.unwrap_or_else(|| self.plan(k, &scratch.sched));
+        let (base, rem) = (self.config.samples / k, self.config.samples % k);
+
         // Deterministic LPT packing: components sorted by sweep work,
         // largest first (ties on id), greedily assigned to the least-loaded
         // group (ties on lowest group index). Purely a makespan decision —
-        // assignment never changes the output. The chromatic mode keeps
-        // every component in its chain's single task (its parallelism is
-        // the stripes *inside* a class, not component groups).
-        let g = if chromatic { 1 } else { fanout.max(1) };
+        // assignment never changes the output.
+        let g = layout.groups;
         let mut groups: Vec<Vec<u32>> = vec![Vec::new(); g];
         {
             let mut order: Vec<u32> = (0..p as u32).collect();
@@ -1291,98 +992,70 @@ impl<'a> GibbsSampler<'a> {
             }
         }
 
-        // The inline path reuses one state for every (chain, component)
-        // pair; the parallel paths use one state per task.
+        // A one-task layout, or a single worker thread, runs inline on the
+        // caller's thread and reuses one state for every task; otherwise
+        // each task gets its own state.
         let n_tasks = k * g;
-        let n_states = if mode == ScheduleMode::Sequential {
-            1
-        } else {
-            n_tasks
-        };
+        let inline = n_tasks == 1 || rayon::current_num_threads() <= 1;
+        let n_states = if inline { 1 } else { n_tasks };
         if scratch.tasks.len() < n_states {
             scratch.tasks.resize_with(n_states, TaskState::default);
         }
         for state in &mut scratch.tasks[..n_states] {
             state.values.resize(n, false);
-            state.credible.resize(model.n_sources(), 0);
             state.ones.clear();
             state.ones.resize(n, 0);
+            state.credible.resize(model.n_sources(), 0.0);
+            state.vt.resize(scratch.chrom.order.len(), 0.0);
         }
 
-        let cache = &scratch.cache;
-        let anchor_term = &scratch.anchor_term;
         let sched = &scratch.sched;
         let chrom = &scratch.chrom;
         let fold = &scratch.fold;
-
         // Each task fills full-width sample bitsets for its chain: only the
         // bits of its own components are set, so a chain's tasks merge with
         // a word-level OR. These bitsets *are* the output samples (the
         // single-group layouts move them out unmerged) — the sampling phase
-        // allocates nothing else. Under the chromatic mode, components with
-        // a chromatic layout run the color-major kernel; the rest keep the
-        // sequential component chain.
+        // allocates nothing else.
         let run_task = |chain: usize, comps: &[u32], state: &mut TaskState| -> Vec<Bitset> {
             let n_samples = base + usize::from(chain < rem);
             let mut samples = vec![Bitset::zeros(n); n_samples];
             let cseed = chain_seed(self.config.seed, chain);
             for &comp in comps {
-                let classes: &[u32] = if chromatic {
-                    chrom.classes_of(comp as usize)
-                } else {
-                    &[]
-                };
-                if classes.is_empty() {
-                    self.run_component_chain(
-                        cache,
-                        partition.component(comp as usize),
-                        sched.unlabelled_of(comp as usize),
-                        sched.sources_of(comp as usize),
-                        anchor_term,
-                        labels,
-                        prev_probs,
-                        component_seed(cseed, comp as usize),
-                        &mut samples,
-                        state,
-                    );
-                } else {
-                    self.run_component_chain_chromatic(
-                        partition.component(comp as usize),
-                        sched.unlabelled_of(comp as usize),
-                        sched.sources_of(comp as usize),
-                        classes,
-                        &chrom.order,
-                        fold,
-                        labels,
-                        prev_probs,
-                        component_seed(cseed, comp as usize),
-                        stripes,
-                        &mut samples,
-                        state,
-                    );
-                }
+                let comp = comp as usize;
+                self.run_component_chain(
+                    partition.component(comp),
+                    sched.sources_of(comp),
+                    chrom.classes_of(comp),
+                    &chrom.order,
+                    fold,
+                    labels,
+                    prev_probs,
+                    component_seed(cseed, comp),
+                    layout.stripes,
+                    &mut samples,
+                    state,
+                );
             }
             samples
         };
 
         let mut outputs: Vec<Option<Vec<Bitset>>> = Vec::new();
         outputs.resize_with(n_tasks, || None);
-        if mode == ScheduleMode::Sequential {
-            let all: Vec<u32> = (0..p as u32).collect();
+        if inline {
             let state = &mut scratch.tasks[0];
-            for (chain, slot) in outputs.iter_mut().enumerate().take(k) {
-                *slot = Some(run_task(chain, &all, &mut *state));
+            for (ti, slot) in outputs.iter_mut().enumerate() {
+                *slot = Some(run_task(ti / g, &groups[ti % g], &mut *state));
             }
         } else {
             rayon::scope(|s| {
                 for ((ti, slot), state) in
                     outputs.iter_mut().enumerate().zip(scratch.tasks.iter_mut())
                 {
-                    let (chain, group) = (ti / g, ti % g);
-                    let comps = &groups[group];
+                    let comps = &groups[ti % g];
                     let run_task = &run_task;
                     s.spawn(move |_| {
-                        *slot = Some(run_task(chain, comps, state));
+                        *slot = Some(run_task(ti / g, comps, state));
                     });
                 }
             });
@@ -1412,51 +1085,49 @@ impl<'a> GibbsSampler<'a> {
             samples.append(&mut merged);
         }
 
-        let total = samples.len().max(1) as f64;
-        let marginals: Vec<f64> = (0..n)
-            .map(|c| {
-                if !model.claim_live(c) {
-                    return 0.0; // tombstoned: out of service, never credible
-                }
-                match labels[c] {
-                    Some(true) => 1.0,
-                    Some(false) => 0.0,
-                    None => ones[c] as f64 / total,
-                }
-            })
-            .collect();
-
+        let marginals = marginals_of(model, labels, &ones, samples.len());
         GibbsResult {
             samples,
             marginals,
             sweeps,
-            mode,
             cache: cache_refresh,
         }
     }
 
-    /// Run one component's self-contained chain: init, burn-in, and one
-    /// thinned collection per entry of `samples`, writing the component's
-    /// claim bits into those shared full-width bitsets (and its per-claim
-    /// counts into `state.ones`). Consumes its RNG stream exactly as
-    /// [`Self::run_reference`] would on the component's induced sub-model,
-    /// which is what makes the per-component bit-identity hold.
+    /// Run one component's self-contained chain: draw the initial values in
+    /// claim-id order, then burn in and collect one thinned sample per entry
+    /// of `samples`, writing the component's claim bits into those shared
+    /// full-width bitsets (and its per-claim counts into `state.ones`).
+    ///
+    /// Every sweep visits the component's unlabelled claims **color class
+    /// by color class** (color-major, claim-id-minor) through the folded
+    /// kernel of [`chromatic_logit`]. Same-color claims share no live
+    /// source, so their single-site updates neither read nor write each
+    /// other's state: a small class is swept interleaved on the task thread
+    /// (draw, decide with [`chromatic_accept`], flip — claim by claim),
+    /// while a class of at least [`STRIPE_MIN`] claims per stripe runs in
+    /// two phases — uniforms pre-drawn in claim order, conditionals
+    /// evaluated against the frozen pre-class state in parallel stripes,
+    /// flips applied in claim order. One uniform per visit in claim order
+    /// makes both executions consume the same RNG stream and write the same
+    /// values, which is what makes the output invariant to stripe count.
     #[allow(clippy::too_many_arguments)] // internal hot-path plumbing; the slices are views of one scratch
     fn run_component_chain(
         &self,
-        cache: &ScoreCache,
         comp_claims: &[usize],
-        comp_unlabelled: &[u32],
         comp_sources: &[u32],
-        anchor_term: &[f64],
+        classes: &[u32],
+        order: &[u32],
+        fold: &FoldedScores,
         labels: &[Option<bool>],
         prev_probs: &[f64],
         seed: u64,
+        stripes: usize,
         samples: &mut [Bitset],
         state: &mut TaskState,
     ) {
         let model = self.model;
-        if comp_unlabelled.is_empty() {
+        let Some((&first, &last)) = classes.first().zip(classes.last()) else {
             // Fully pinned component: no RNG stream, every sample carries
             // the label projection.
             for bs in samples.iter_mut() {
@@ -1468,7 +1139,7 @@ impl<'a> GibbsSampler<'a> {
                 }
             }
             return;
-        }
+        };
 
         let mut rng = SmallRng::seed_from_u64(seed);
         for &c in comp_claims {
@@ -1485,137 +1156,24 @@ impl<'a> GibbsSampler<'a> {
                 .claims_of_source(s)
                 .iter()
                 .filter(|&&c| model.claim_live(c as usize) && state.values[c as usize])
-                .count() as u32;
-        }
-
-        let prior = self.config.trust_prior;
-        let sweep = |state: &mut TaskState, rng: &mut SmallRng| {
-            for &c in comp_unlabelled {
-                let c = c as usize;
-                let (lo, hi) = model.claim_clique_span(c);
-                let (statics, trust_ws) = cache.span(lo, hi);
-                let sources = model.clique_sources_of(VarId(c as u32));
-                let mut logit = 0.0;
-                for k in 0..statics.len() {
-                    let trust = trust_excluding(
-                        model,
-                        prior,
-                        &state.values,
-                        &state.credible,
-                        sources[k],
-                        c,
-                    );
-                    logit += statics[k] + trust_ws[k] * (trust - 0.5);
-                }
-                logit += anchor_term[c];
-                let p = numerics::sigmoid(logit);
-                let v = rng.gen_bool(numerics::clamp_prob(p));
-                flip(model, &mut state.values, &mut state.credible, c, v);
-            }
-        };
-
-        for _ in 0..self.config.burn_in {
-            sweep(state, &mut rng);
-        }
-        for bs in samples.iter_mut() {
-            for _ in 0..self.config.thin.max(1) {
-                sweep(state, &mut rng);
-            }
-            for &c in comp_claims {
-                if state.values[c] {
-                    bs.set(c, true);
-                    state.ones[c] += 1;
-                }
-            }
-        }
-    }
-
-    /// Chromatic twin of [`Self::run_component_chain`]: identical
-    /// initialisation draws, but every sweep visits the component's
-    /// unlabelled claims **color class by color class** (color-major,
-    /// claim-id-minor — the chromatic executable spec) through the folded
-    /// kernel of [`chromatic_logit`]. Same-color claims share no live
-    /// source, so their single-site updates neither read nor write each
-    /// other's state: a small class is swept interleaved on the task
-    /// thread (draw, decide with [`chromatic_accept`], flip — claim by
-    /// claim), while a class spanning at least
-    /// [`GibbsConfig::chromatic_stripe_min`] claims per stripe runs in two
-    /// phases — uniforms pre-drawn in claim order, conditionals evaluated
-    /// against the frozen pre-class state in parallel stripes, flips
-    /// applied in claim order. One uniform per visit in claim order makes
-    /// both executions consume the same RNG stream and write the same
-    /// values, which is what makes the output invariant to thread and
-    /// stripe count (`docs/sampling.md`).
-    #[allow(clippy::too_many_arguments)] // internal hot-path plumbing; the slices are views of one scratch
-    fn run_component_chain_chromatic(
-        &self,
-        comp_claims: &[usize],
-        comp_unlabelled: &[u32],
-        comp_sources: &[u32],
-        classes: &[u32],
-        order: &[u32],
-        fold: &FoldedScores,
-        labels: &[Option<bool>],
-        prev_probs: &[f64],
-        seed: u64,
-        stripes: usize,
-        samples: &mut [Bitset],
-        state: &mut TaskState,
-    ) {
-        let model = self.model;
-        if comp_unlabelled.is_empty() {
-            // Fully pinned component: no RNG stream, every sample carries
-            // the label projection.
-            for bs in samples.iter_mut() {
-                for &c in comp_claims {
-                    if labels[c] == Some(true) {
-                        bs.set(c, true);
-                        state.ones[c] += 1;
-                    }
-                }
-            }
-            return;
-        }
-
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for &c in comp_claims {
-            state.values[c] = match labels[c] {
-                Some(v) => v,
-                None => rng.gen_bool(numerics::clamp_prob(prev_probs[c])),
-            };
-        }
-        state.credible_f.resize(model.n_sources(), 0.0);
-        for &s in comp_sources {
-            // Tombstoned claims are excluded: they are not members of any
-            // component, so their `values` slots may hold stale bits from
-            // an earlier E-step of this reused task state.
-            state.credible_f[s as usize] = model
-                .claims_of_source(s)
-                .iter()
-                .filter(|&&c| model.claim_live(c as usize) && state.values[c as usize])
                 .count() as f64;
         }
         // Seed the value-term lane of this component's visit positions
         // from the freshly drawn values.
-        state.vt.resize(order.len(), 0.0);
-        let (plo, phi) = (
-            classes[0] as usize,
-            *classes.last().expect("non-empty class list") as usize,
-        );
-        for (p, &c) in order.iter().enumerate().take(phi).skip(plo) {
-            state.vt[p] = if state.values[c as usize] {
-                fold.t_sum[p]
-            } else {
-                0.0
-            };
+        let span = first as usize..last as usize;
+        for ((vt, &t), &c) in state.vt[span.clone()]
+            .iter_mut()
+            .zip(&fold.t_sum[span.clone()])
+            .zip(&order[span])
+        {
+            *vt = if state.values[c as usize] { t } else { 0.0 };
         }
 
-        let per_stripe = self.config.chromatic_stripe_min.max(1);
         let table = sigmoid_table();
         let sweep = |state: &mut TaskState, rng: &mut SmallRng| {
             for w in classes.windows(2) {
                 let class = &order[w[0] as usize..w[1] as usize];
-                if stripes > 1 && class.len() >= stripes.saturating_mul(per_stripe) {
+                if stripes > 1 && class.len() >= stripes.saturating_mul(STRIPE_MIN) {
                     // Two-phase striped class: pre-draw the class's
                     // uniforms in claim order (exactly the draws the
                     // interleaved path would make), evaluate every
@@ -1633,14 +1191,14 @@ impl<'a> GibbsSampler<'a> {
                     let chunk = class.len().div_ceil(stripes);
                     let TaskState {
                         values,
-                        credible_f,
+                        credible,
                         vt,
                         uniforms,
                         decisions,
                         ..
                     } = state;
                     {
-                        let (vt, credible_f) = (&*vt, &*credible_f);
+                        let (vt, credible) = (&*vt, &*credible);
                         rayon::scope(|s| {
                             for (ci, (us, ds)) in uniforms
                                 .chunks(chunk)
@@ -1650,7 +1208,7 @@ impl<'a> GibbsSampler<'a> {
                                 let p0 = w[0] as usize + ci * chunk;
                                 s.spawn(move |_| {
                                     for (i, &u) in us.iter().enumerate() {
-                                        let logit = chromatic_logit(fold, vt, credible_f, p0 + i);
+                                        let logit = chromatic_logit(fold, vt, credible, p0 + i);
                                         ds[i] = chromatic_accept(u, logit, table);
                                     }
                                 });
@@ -1659,21 +1217,20 @@ impl<'a> GibbsSampler<'a> {
                     }
                     for (i, &c) in class.iter().enumerate() {
                         let p = w[0] as usize + i;
-                        chromatic_flip(fold, values, credible_f, vt, p, c as usize, decisions[i]);
+                        chromatic_flip(fold, values, credible, vt, p, c as usize, decisions[i]);
                     }
                 } else {
                     for (i, &c) in class.iter().enumerate() {
-                        let c = c as usize;
                         let p = w[0] as usize + i;
-                        let logit = chromatic_logit(fold, &state.vt, &state.credible_f, p);
+                        let logit = chromatic_logit(fold, &state.vt, &state.credible, p);
                         let v = chromatic_accept(rng.gen::<f64>(), logit, table);
                         chromatic_flip(
                             fold,
                             &mut state.values,
-                            &mut state.credible_f,
+                            &mut state.credible,
                             &mut state.vt,
                             p,
-                            c,
+                            c as usize,
                             v,
                         );
                     }
@@ -1695,37 +1252,6 @@ impl<'a> GibbsSampler<'a> {
                 }
             }
         }
-    }
-
-    /// Test/bench hook: run the scheduled E-step under an explicit task
-    /// layout instead of the planner's choice. `fanout` is the mode's
-    /// fan-out: component groups per chain for
-    /// [`ScheduleMode::ComponentsInner`], stripes per color class for
-    /// [`ScheduleMode::Chromatic`] (a forced chromatic layout sweeps
-    /// *every* component chromatically), ignored otherwise.
-    ///
-    /// For the layout-invariant modes this produces the exact output of
-    /// [`Self::run_scheduled`]; for [`ScheduleMode::Chromatic`] it
-    /// produces the chromatic spec output, bit-identical at any `fanout`.
-    #[allow(clippy::too_many_arguments)] // test/bench hook mirroring run_scheduled_impl
-    pub fn run_scheduled_forced(
-        &self,
-        weights: &Weights,
-        labels: &[Option<bool>],
-        prev_probs: &[f64],
-        partition: &Partition,
-        scratch: &mut GibbsScratch,
-        mode: ScheduleMode,
-        fanout: usize,
-    ) -> GibbsResult {
-        self.run_scheduled_impl(
-            weights,
-            labels,
-            prev_probs,
-            partition,
-            scratch,
-            Some((mode, fanout)),
-        )
     }
 }
 
@@ -1788,6 +1314,18 @@ mod tests {
     use super::*;
     use crate::graph::{CrfModelBuilder, Stance};
 
+    /// [`GibbsSampler::run_scheduled`] with fresh scratch over the model's
+    /// own partition.
+    pub(super) fn scheduled(
+        sampler: &GibbsSampler,
+        w: &Weights,
+        labels: &[Option<bool>],
+        probs: &[f64],
+    ) -> GibbsResult {
+        let p = Partition::of_model(sampler.model());
+        sampler.run_scheduled(w, labels, probs, &p, &mut GibbsScratch::new())
+    }
+
     /// One claim, one strongly supporting clique, positive weights ->
     /// marginal well above 1/2.
     #[test]
@@ -1800,7 +1338,7 @@ mod tests {
         let m = b.build().unwrap();
         let w = Weights::from_vec(vec![2.0, 0.0, 0.0, 0.0]);
         let sampler = GibbsSampler::new(&m, GibbsConfig::default());
-        let r = sampler.run(&w, &[None], &[0.5]);
+        let r = scheduled(&sampler, &w, &[None], &[0.5]);
         assert!(r.marginals[0] > 0.8, "marginal {}", r.marginals[0]);
     }
 
@@ -1815,7 +1353,7 @@ mod tests {
         let m = b.build().unwrap();
         let w = Weights::from_vec(vec![2.0, 0.0, 0.0, 0.0]);
         let sampler = GibbsSampler::new(&m, GibbsConfig::default());
-        let r = sampler.run(&w, &[None], &[0.5]);
+        let r = scheduled(&sampler, &w, &[None], &[0.5]);
         assert!(r.marginals[0] < 0.2, "marginal {}", r.marginals[0]);
     }
 
@@ -1828,7 +1366,7 @@ mod tests {
         labels[2] = Some(true);
         labels[4] = Some(false);
         let sampler = GibbsSampler::new(&m, GibbsConfig::default());
-        let r = sampler.run(&w, &labels, &[0.5; 6]);
+        let r = scheduled(&sampler, &w, &labels, &[0.5; 6]);
         assert_eq!(r.marginals[2], 1.0);
         assert_eq!(r.marginals[4], 0.0);
         for s in &r.samples {
@@ -1846,15 +1384,20 @@ mod tests {
             seed: 42,
             ..Default::default()
         };
-        let a = GibbsSampler::new(&m, cfg.clone()).run(&w, &[None; 10], &[0.5; 10]);
-        let b = GibbsSampler::new(&m, cfg).run(&w, &[None; 10], &[0.5; 10]);
+        let a = scheduled(
+            &GibbsSampler::new(&m, cfg.clone()),
+            &w,
+            &[None; 10],
+            &[0.5; 10],
+        );
+        let b = scheduled(&GibbsSampler::new(&m, cfg), &w, &[None; 10], &[0.5; 10]);
         assert_eq!(a.samples, b.samples);
         assert_eq!(a.marginals, b.marginals);
     }
 
-    /// The optimised single-chain sampler reproduces the reference scalar
-    /// implementation bit for bit: same samples, same marginals, same sweep
-    /// count, across several random models and weight settings.
+    /// The production E-step reproduces its bit spec
+    /// ([`chromatic_reference`]) bit for bit: same samples, same marginals,
+    /// same sweep count, across several random models and weight settings.
     #[test]
     fn single_chain_is_bit_identical_to_reference() {
         for seed in [3u64, 19, 54] {
@@ -1878,12 +1421,11 @@ mod tests {
                 chains: 1,
                 ..Default::default()
             };
-            let sampler = GibbsSampler::new(&m, cfg);
-            let fast = sampler.run(&w, &labels, &probs);
-            let reference = sampler.run_reference(&w, &labels, &probs);
-            assert_eq!(fast.samples, reference.samples, "seed {seed}");
-            assert_eq!(fast.marginals, reference.marginals, "seed {seed}");
-            assert_eq!(fast.sweeps, reference.sweeps, "seed {seed}");
+            let fast = scheduled(&GibbsSampler::new(&m, cfg.clone()), &w, &labels, &probs);
+            let (samples, marginals, sweeps) = chromatic_reference(&m, &w, &labels, &probs, &cfg);
+            assert_eq!(fast.samples, samples, "seed {seed}");
+            assert_eq!(fast.marginals, marginals, "seed {seed}");
+            assert_eq!(fast.sweeps, sweeps, "seed {seed}");
         }
     }
 
@@ -1902,17 +1444,21 @@ mod tests {
         // for this fixed seed), leaving ~20% headroom. Thinning does not
         // help here — successive sweeps are close to independent for this
         // weakly-coupled graph.
-        let single = GibbsSampler::new(
-            &m,
-            GibbsConfig {
-                burn_in: 100,
-                samples: 16000,
-                thin: 1,
-                chains: 1,
-                ..Default::default()
-            },
-        )
-        .run(&w, &labels, &probs);
+        let single = scheduled(
+            &GibbsSampler::new(
+                &m,
+                GibbsConfig {
+                    burn_in: 100,
+                    samples: 16000,
+                    thin: 1,
+                    chains: 1,
+                    ..Default::default()
+                },
+            ),
+            &w,
+            &labels,
+            &probs,
+        );
         let multi_cfg = GibbsConfig {
             burn_in: 100,
             samples: 16000,
@@ -1920,14 +1466,19 @@ mod tests {
             chains: 4,
             ..Default::default()
         };
-        let multi = GibbsSampler::new(&m, multi_cfg.clone()).run(&w, &labels, &probs);
+        let multi = scheduled(
+            &GibbsSampler::new(&m, multi_cfg.clone()),
+            &w,
+            &labels,
+            &probs,
+        );
         assert_eq!(multi.samples.len(), single.samples.len());
         for (c, (a, b)) in multi.marginals.iter().zip(&single.marginals).enumerate() {
             assert!((a - b).abs() <= 0.02, "claim {c}: multi {a} vs single {b}");
         }
         // Re-running the multi-chain sampler reproduces the pooled sequence
         // exactly (chain-id pooling order, not scheduling order).
-        let again = GibbsSampler::new(&m, multi_cfg).run(&w, &labels, &probs);
+        let again = scheduled(&GibbsSampler::new(&m, multi_cfg), &w, &labels, &probs);
         assert_eq!(again.samples, multi.samples);
         assert_eq!(again.marginals, multi.marginals);
     }
@@ -1946,7 +1497,7 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.effective_chains() >= 1);
-        let r = GibbsSampler::new(&m, cfg).run(&w, &[None; 30], &[0.5; 30]);
+        let r = scheduled(&GibbsSampler::new(&m, cfg), &w, &[None; 30], &[0.5; 30]);
         assert_eq!(r.samples.len(), 21);
     }
 
@@ -1977,10 +1528,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The acceptance spec of the component scheduler: restricted to one
-    /// component, its sample stream and marginals are bit-identical to
-    /// running the scalar reference sampler on that component's induced
-    /// sub-model with the `(chain 0, component)` seed.
+    /// The acceptance spec of the component decomposition: restricted to
+    /// one component, the sample stream and marginals are bit-identical to
+    /// running the bit spec on that component's induced sub-model with the
+    /// `(chain 0, component)` seed.
     #[test]
     fn scheduled_components_match_submodel_reference() {
         for seed in [2u64, 33] {
@@ -2019,18 +1570,18 @@ mod tests {
                 };
                 let sub_labels: Vec<_> = comp.iter().map(|&c| labels[c]).collect();
                 let sub_probs: Vec<_> = comp.iter().map(|&c| probs[c]).collect();
-                let reference =
-                    GibbsSampler::new(&sub, sub_cfg).run_reference(&w, &sub_labels, &sub_probs);
+                let (ref_samples, ref_marginals, _) =
+                    chromatic_reference(&sub, &w, &sub_labels, &sub_probs, &sub_cfg);
                 for (t, s) in r.samples.iter().enumerate() {
                     assert_eq!(
                         s.project(comp),
-                        reference.samples[t],
+                        ref_samples[t],
                         "seed {seed} comp {comp_id} sample {t}"
                     );
                 }
                 for (j, &c) in comp.iter().enumerate() {
                     assert_eq!(
-                        r.marginals[c], reference.marginals[j],
+                        r.marginals[c], ref_marginals[j],
                         "seed {seed} comp {comp_id} claim {c}"
                     );
                 }
@@ -2038,11 +1589,11 @@ mod tests {
         }
     }
 
-    /// On a single-component graph the scheduled path reproduces the
-    /// whole-graph sampler bit for bit (component 0 reuses the chain seed),
-    /// for one chain and for several.
+    /// On a single-component graph the scheduled E-step reproduces the bit
+    /// spec for one chain and for several (component 0 reuses the chain
+    /// seed).
     #[test]
-    fn scheduled_single_component_matches_run_with() {
+    fn scheduled_single_component_matches_chromatic_reference() {
         let m = crate::graph::synthetic_components_model(1, 40, 10, 3, 2, 2, 7);
         let p = Partition::of_model(&m);
         assert_eq!(p.len(), 1);
@@ -2060,77 +1611,79 @@ mod tests {
                 chains,
                 ..Default::default()
             };
-            let sampler = GibbsSampler::new(&m, cfg);
-            let whole = sampler.run(&w, &labels, &probs);
+            let sampler = GibbsSampler::new(&m, cfg.clone());
             let mut scratch = GibbsScratch::new();
-            let scheduled = sampler.run_scheduled(&w, &labels, &probs, &p, &mut scratch);
-            assert_eq!(whole.samples, scheduled.samples, "chains {chains}");
-            assert_eq!(whole.marginals, scheduled.marginals, "chains {chains}");
-            assert_eq!(whole.sweeps, scheduled.sweeps, "chains {chains}");
+            let r = sampler.run_scheduled(&w, &labels, &probs, &p, &mut scratch);
+            let (samples, marginals, sweeps) = chromatic_reference(&m, &w, &labels, &probs, &cfg);
+            assert_eq!(r.samples, samples, "chains {chains}");
+            assert_eq!(r.marginals, marginals, "chains {chains}");
+            assert_eq!(r.sweeps, sweeps, "chains {chains}");
         }
     }
 
-    /// The crossover heuristic only picks the task layout — every layout
-    /// (inline, one task per chain, components split into any number of
-    /// groups inside each chain) produces identical output, and a fully
-    /// labelled component stays pinned in every sample.
+    /// The planner only picks the task layout — every layout (inline,
+    /// component groups inside each chain, color classes split into
+    /// stripes) produces the planned output bit for bit, and a fully
+    /// labelled component stays pinned in every sample. The second model's
+    /// 2100-claim path has two color classes large enough to stripe.
     #[test]
     fn scheduled_output_is_invariant_to_task_layout() {
-        let m = crate::graph::synthetic_components_model(6, 5, 2, 2, 2, 2, 11);
-        let p = Partition::of_model(&m);
-        assert_eq!(p.len(), 6);
-        let w = Weights::from_vec(
-            (0..m.feature_dim())
-                .map(|i| 0.3 - 0.15 * i as f64)
-                .collect(),
-        );
-        let n = m.n_claims();
-        let mut labels: Vec<Option<bool>> = vec![None; n];
-        // Pin component 2 entirely (alternating values) plus one stray claim.
-        for (j, &c) in p.component(2).iter().enumerate() {
-            labels[c] = Some(j % 2 == 0);
-        }
-        labels[0] = Some(true);
-        let probs = vec![0.5; n];
-        let cfg = GibbsConfig {
-            burn_in: 3,
-            samples: 8,
-            thin: 1,
-            seed: 5,
-            chains: 2,
-            ..Default::default()
-        };
-        let sampler = GibbsSampler::new(&m, cfg);
-        let layouts = [
-            (ScheduleMode::Sequential, 1),
-            (ScheduleMode::ChainsOuter, 1),
-            (ScheduleMode::ComponentsInner, 2),
-            (ScheduleMode::ComponentsInner, 6),
+        let models = [
+            crate::graph::synthetic_components_model(6, 5, 2, 2, 2, 2, 11),
+            chained_components_model(&[5, 2100, 4, 6]),
         ];
-        let mut results = Vec::new();
-        for &(mode, g) in &layouts {
-            let mut scratch = GibbsScratch::new();
-            results.push(sampler.run_scheduled_impl(
-                &w,
-                &labels,
-                &probs,
-                &p,
-                &mut scratch,
-                Some((mode, g)),
-            ));
-        }
-        for (i, r) in results.iter().enumerate().skip(1) {
-            assert_eq!(r.samples, results[0].samples, "layout {i}");
-            assert_eq!(r.marginals, results[0].marginals, "layout {i}");
-            assert_eq!(r.sweeps, results[0].sweeps, "layout {i}");
-        }
-        for s in &results[0].samples {
-            for &c in p.component(2) {
-                assert_eq!(s.get(c), labels[c].unwrap(), "pinned component drifted");
+        for (mi, m) in models.iter().enumerate() {
+            let p = Partition::of_model(m);
+            assert!(p.len() >= 4, "model {mi}");
+            let w = Weights::from_vec(
+                (0..m.feature_dim())
+                    .map(|i| 0.3 - 0.15 * i as f64)
+                    .collect(),
+            );
+            let n = m.n_claims();
+            let mut labels: Vec<Option<bool>> = vec![None; n];
+            // Pin component 2 entirely (alternating values) plus one stray
+            // claim.
+            for (j, &c) in p.component(2).iter().enumerate() {
+                labels[c] = Some(j % 2 == 0);
             }
-            assert!(s.get(0));
+            labels[p.component(1)[0]] = Some(true);
+            let probs = vec![0.5; n];
+            let cfg = GibbsConfig {
+                burn_in: 3,
+                samples: 8,
+                thin: 1,
+                seed: 5,
+                chains: 2,
+                ..Default::default()
+            };
+            let sampler = GibbsSampler::new(m, cfg);
+            let planned = scheduled(&sampler, &w, &labels, &probs);
+            for groups in [1usize, 2, 3] {
+                for stripes in [1usize, 2] {
+                    let r = sampler.run_scheduled_forced(
+                        &w,
+                        &labels,
+                        &probs,
+                        &p,
+                        &mut GibbsScratch::new(),
+                        groups,
+                        stripes,
+                    );
+                    let at = format!("model {mi} groups {groups} stripes {stripes}");
+                    assert_eq!(r.samples, planned.samples, "{at}");
+                    assert_eq!(r.marginals, planned.marginals, "{at}");
+                    assert_eq!(r.sweeps, planned.sweeps, "{at}");
+                }
+            }
+            for s in &planned.samples {
+                for &c in p.component(2) {
+                    assert_eq!(s.get(c), labels[c].unwrap(), "pinned component drifted");
+                }
+                assert!(s.get(p.component(1)[0]));
+            }
+            assert_eq!(planned.samples.len(), 8);
         }
-        assert_eq!(results[0].samples.len(), 8);
     }
 
     /// Regression: one scratch reused across *different* models built in a
@@ -2210,7 +1763,7 @@ mod tests {
             anchor: 0.0,
             ..Default::default()
         };
-        let r = GibbsSampler::new(&m, cfg).run(&w, &[None; 4], &[0.5; 4]);
+        let r = scheduled(&GibbsSampler::new(&m, cfg), &w, &[None; 4], &[0.5; 4]);
         for &p in &r.marginals {
             assert!((p - 0.5).abs() < 0.1, "marginal {p} too far from 0.5");
         }
@@ -2226,7 +1779,7 @@ mod tests {
             anchor: 3.0,
             ..Default::default()
         };
-        let r = GibbsSampler::new(&m, cfg).run(&w, &[None], &[0.95]);
+        let r = scheduled(&GibbsSampler::new(&m, cfg), &w, &[None], &[0.95]);
         assert!(r.marginals[0] > 0.8, "marginal {}", r.marginals[0]);
     }
 
@@ -2251,15 +1804,10 @@ mod tests {
             anchor: 0.0,
             ..Default::default()
         };
-        let baseline = GibbsSampler::new(&m, cfg.clone())
-            .run(&w, &[None, None], &[0.5, 0.5])
-            .marginals[1];
-        let confirmed = GibbsSampler::new(&m, cfg.clone())
-            .run(&w, &[Some(true), None], &[1.0, 0.5])
-            .marginals[1];
-        let refuted = GibbsSampler::new(&m, cfg)
-            .run(&w, &[Some(false), None], &[0.0, 0.5])
-            .marginals[1];
+        let sampler = GibbsSampler::new(&m, cfg);
+        let baseline = scheduled(&sampler, &w, &[None, None], &[0.5, 0.5]).marginals[1];
+        let confirmed = scheduled(&sampler, &w, &[Some(true), None], &[1.0, 0.5]).marginals[1];
+        let refuted = scheduled(&sampler, &w, &[Some(false), None], &[0.0, 0.5]).marginals[1];
         assert!(
             confirmed > baseline && baseline > refuted,
             "confirmed={confirmed} baseline={baseline} refuted={refuted}"
@@ -2610,8 +2158,8 @@ mod tests {
     /// "Path" components: within each segment, source `s_i` links claims
     /// `c_i` and `c_{i+1}`, so the conflict graph is a path and the greedy
     /// coloring yields exactly two classes per segment (even and odd
-    /// positions) of ~len/2 claims — large enough to engage the two-phase
-    /// striped executor in tests that set `chromatic_stripe_min: 1`.
+    /// positions) of ~len/2 claims — a segment of a few thousand claims
+    /// engages the two-phase striped executor.
     pub(super) fn chained_components_model(segments: &[usize]) -> CrfModel {
         let mut b = CrfModelBuilder::new(2, 2);
         let total: usize = segments.iter().sum();
@@ -2641,14 +2189,15 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Scalar executable spec of [`ScheduleMode::Chromatic`]
+    /// The **bit spec** of [`GibbsSampler::run_scheduled`]
     /// (`docs/sampling.md`): a **from-scratch** greedy coloring, the
     /// color-major claim-id-minor visit order, the folded kernel constants
     /// recomputed here term for term in the kernel's exact summation
-    /// order, and the `(chain, component)` seed scheme of the scheduled
-    /// path — all derived independently of the sampler's incremental
-    /// scratch ([`ChromLayout`], [`FoldedScores`], [`Coloring::sync`]).
-    /// Returns `(samples, marginals, sweeps)`.
+    /// order, the sigmoid-table decision rule, and the `(chain, component)`
+    /// seed scheme — all derived independently of the sampler's
+    /// incremental scratch ([`ChromLayout`], [`FoldedScores`],
+    /// [`Coloring::sync`]) and executed as one scalar loop. Returns
+    /// `(samples, marginals, sweeps)`.
     pub(super) fn chromatic_reference(
         m: &CrfModel,
         w: &Weights,
@@ -2705,8 +2254,10 @@ mod tests {
             let n_samples = per_chain + usize::from(chain < rem);
             sweeps += cfg.burn_in + n_samples * cfg.thin.max(1);
             let mut chain_samples = vec![Bitset::zeros(n); n_samples];
-            let mut values = vec![false; n];
-            let mut credible = vec![0u32; m.n_sources()];
+            let mut state = ChainState {
+                values: vec![false; n],
+                credible_per_source: vec![0u32; m.n_sources()],
+            };
             let cseed = chain_seed(cfg.seed, chain);
             for (comp_id, comp) in partition.iter().enumerate() {
                 // Color-major, claim-id-minor visit order (stable sort of
@@ -2731,7 +2282,7 @@ mod tests {
                 }
                 let mut rng = SmallRng::seed_from_u64(component_seed(cseed, comp_id));
                 for &c in comp {
-                    values[c] = match labels[c] {
+                    state.values[c] = match labels[c] {
                         Some(v) => v,
                         None => rng.gen_bool(numerics::clamp_prob(probs[c])),
                     };
@@ -2745,43 +2296,42 @@ mod tests {
                             .find(|&&c| m.claim_live(c as usize))
                             .is_some_and(|&c0| partition.component_of(VarId(c0)) == comp_id);
                     if owned {
-                        credible[s as usize] = m
-                            .claims_of_source(s)
-                            .iter()
-                            .filter(|&&c| m.claim_live(c as usize) && values[c as usize])
-                            .count() as u32;
+                        state.credible_per_source[s as usize] =
+                            m.claims_of_source(s)
+                                .iter()
+                                .filter(|&&c| m.claim_live(c as usize) && state.values[c as usize])
+                                .count() as u32;
                     }
                 }
-                let sweep =
-                    |values: &mut Vec<bool>, credible: &mut Vec<u32>, rng: &mut SmallRng| {
-                        for &c in &order {
-                            let (lo, hi) = m.claim_clique_span(c);
-                            let tw = &tw_recip[lo..hi];
-                            let sources = m.clique_sources_of(VarId(c as u32));
-                            let mut acc = 0.0;
-                            for k in 0..tw.len() {
-                                acc += tw[k] * credible[sources[k] as usize] as f64;
-                            }
-                            let vt = if values[c] { t_sum[c] } else { 0.0 };
-                            let logit = (base_a[c] - vt) + acc;
-                            // One uniform per visit, decided by the spec's
-                            // accept rule. The engine pre-draws a whole
-                            // class before evaluating it, but with one draw
-                            // per claim in claim order the stream is the
-                            // same either way.
-                            let v = chromatic_accept(rng.gen::<f64>(), logit, table);
-                            flip(m, values, credible, c, v);
+                let sweep = |state: &mut ChainState, rng: &mut SmallRng| {
+                    for &c in &order {
+                        let (lo, hi) = m.claim_clique_span(c);
+                        let tw = &tw_recip[lo..hi];
+                        let sources = m.clique_sources_of(VarId(c as u32));
+                        let mut acc = 0.0;
+                        for k in 0..tw.len() {
+                            acc += tw[k] * state.credible_per_source[sources[k] as usize] as f64;
                         }
-                    };
+                        let vt = if state.values[c] { t_sum[c] } else { 0.0 };
+                        let logit = (base_a[c] - vt) + acc;
+                        // One uniform per visit, decided by the spec's
+                        // accept rule. The engine pre-draws a whole class
+                        // before evaluating it in stripes, but with one
+                        // draw per claim in claim order the stream is the
+                        // same either way.
+                        let v = chromatic_accept(rng.gen::<f64>(), logit, table);
+                        state.flip(m, c, v);
+                    }
+                };
                 for _ in 0..cfg.burn_in {
-                    sweep(&mut values, &mut credible, &mut rng);
+                    sweep(&mut state, &mut rng);
                 }
                 for bs in chain_samples.iter_mut() {
                     for _ in 0..cfg.thin.max(1) {
-                        sweep(&mut values, &mut credible, &mut rng);
+                        sweep(&mut state, &mut rng);
                     }
                     for &c in comp {
-                        if values[c] {
+                        if state.values[c] {
                             bs.set(c, true);
                             ones[c] += 1;
                         }
@@ -2790,31 +2340,18 @@ mod tests {
             }
             samples.append(&mut chain_samples);
         }
-        let total = samples.len().max(1) as f64;
-        let marginals = (0..n)
-            .map(|c| {
-                if !m.claim_live(c) {
-                    return 0.0;
-                }
-                match labels[c] {
-                    Some(true) => 1.0,
-                    Some(false) => 0.0,
-                    None => ones[c] as f64 / total,
-                }
-            })
-            .collect();
+        let marginals = marginals_of(m, labels, &ones, samples.len());
         (samples, marginals, sweeps)
     }
 
-    /// The chromatic acceptance spec: `run_scheduled_forced(Chromatic, s)`
-    /// is bit-identical to the scalar spec runner above for any stripe
-    /// count — on a striping-friendly path graph (two classes of ~half the
-    /// claims) and on a multi-component synthetic topology, for one and
-    /// two chains.
+    /// The bit-spec acceptance test: `run_scheduled_forced` at any stripe
+    /// count is bit-identical to the scalar bit spec above — on a path
+    /// graph whose two color classes are large enough to stripe and on a
+    /// multi-component synthetic topology, for one and two chains.
     #[test]
     fn chromatic_matches_scalar_spec() {
         let models = [
-            chained_components_model(&[24]),
+            chained_components_model(&[2100]),
             crate::graph::synthetic_components_model(3, 8, 3, 2, 2, 2, 4),
         ];
         for (mi, m) in models.iter().enumerate() {
@@ -2832,11 +2369,10 @@ mod tests {
             for chains in [1usize, 2] {
                 let cfg = GibbsConfig {
                     burn_in: 5,
-                    samples: 9,
+                    samples: 6,
                     thin: 2,
                     seed: 0xC401 ^ mi as u64,
                     chains,
-                    chromatic_stripe_min: 1,
                     ..Default::default()
                 };
                 let sampler = GibbsSampler::new(m, cfg.clone());
@@ -2849,7 +2385,7 @@ mod tests {
                         &probs,
                         &p,
                         &mut GibbsScratch::new(),
-                        ScheduleMode::Chromatic,
+                        1,
                         stripes,
                     );
                     assert_eq!(r.samples, samples, "model {mi} chains {chains} s {stripes}");
@@ -2858,19 +2394,17 @@ mod tests {
                         "model {mi} chains {chains} s {stripes}"
                     );
                     assert_eq!(r.sweeps, sweeps, "model {mi} chains {chains} s {stripes}");
-                    assert_eq!(r.mode, ScheduleMode::Chromatic);
                 }
             }
         }
     }
 
-    /// The chromatic determinism contract at the acceptance thread counts:
-    /// stripe counts {1, 2, 8} produce bit-identical output (stripe 1 runs
-    /// the interleaved path, 2 and 8 the two-phase striped executor —
-    /// `chromatic_stripe_min: 1` makes the ~11-claim classes stripe).
+    /// The stripe determinism contract: stripe counts {1, 2, 4} produce
+    /// bit-identical output (1 runs the interleaved path; 2 and 4 the
+    /// two-phase striped executor on the path's two ~2100-claim classes).
     #[test]
     fn chromatic_is_bit_identical_across_stripe_counts() {
-        let m = chained_components_model(&[24]);
+        let m = chained_components_model(&[4200]);
         assert_eq!(
             Coloring::of_model(&m).n_colors(),
             2,
@@ -2889,17 +2423,16 @@ mod tests {
         let probs: Vec<f64> = (0..n).map(|i| 0.3 + 0.4 * ((i % 3) as f64) / 2.0).collect();
         for chains in [1usize, 2] {
             let cfg = GibbsConfig {
-                burn_in: 6,
-                samples: 12,
+                burn_in: 4,
+                samples: 6,
                 thin: 2,
                 seed: 0x57A1 ^ chains as u64,
                 chains,
-                chromatic_stripe_min: 1,
                 ..Default::default()
             };
             let sampler = GibbsSampler::new(&m, cfg);
             let mut results = Vec::new();
-            for stripes in [1usize, 2, 8] {
+            for stripes in [1usize, 2, 4] {
                 let mut scratch = GibbsScratch::new();
                 results.push(sampler.run_scheduled_forced(
                     &w,
@@ -2907,7 +2440,7 @@ mod tests {
                     &probs,
                     &p,
                     &mut scratch,
-                    ScheduleMode::Chromatic,
+                    1,
                     stripes,
                 ));
             }
@@ -2922,176 +2455,13 @@ mod tests {
         }
     }
 
-    /// The planner's chromatic arm (`chromatic_min_work: 0` makes every
-    /// component's work clear the threshold) produces exactly the forced
-    /// chromatic output at any stripe count, and reports the mode; the
-    /// default config (`u64::MAX`) never goes chromatic.
-    #[test]
-    fn chromatic_planned_equals_forced() {
-        let m = chained_components_model(&[20, 7]);
-        let p = Partition::of_model(&m);
-        let n = m.n_claims();
-        let w = Weights::from_vec((0..m.feature_dim()).map(|i| 0.2 * i as f64 - 0.3).collect());
-        let labels = vec![None; n];
-        let probs = vec![0.5; n];
-        let cfg = GibbsConfig {
-            burn_in: 4,
-            samples: 8,
-            thin: 1,
-            seed: 0x91A7,
-            chains: 2,
-            chromatic_min_work: 0,
-            chromatic_stripe_min: 1,
-            ..Default::default()
-        };
-        let sampler = GibbsSampler::new(&m, cfg.clone());
-        let planned = sampler.run_scheduled(&w, &labels, &probs, &p, &mut GibbsScratch::new());
-        assert_eq!(planned.mode, ScheduleMode::Chromatic);
-        for stripes in [1usize, 3] {
-            let forced = sampler.run_scheduled_forced(
-                &w,
-                &labels,
-                &probs,
-                &p,
-                &mut GibbsScratch::new(),
-                ScheduleMode::Chromatic,
-                stripes,
-            );
-            assert_eq!(planned.samples, forced.samples, "stripes {stripes}");
-            assert_eq!(planned.marginals, forced.marginals, "stripes {stripes}");
-        }
-        let default_cfg = GibbsConfig {
-            chromatic_min_work: u64::MAX,
-            ..cfg
-        };
-        let r = GibbsSampler::new(&m, default_cfg).run_scheduled(
-            &w,
-            &labels,
-            &probs,
-            &p,
-            &mut GibbsScratch::new(),
-        );
-        assert_ne!(
-            r.mode,
-            ScheduleMode::Chromatic,
-            "default must not go chromatic"
-        );
-    }
-
-    /// A threshold between the two components' measured work produces a
-    /// *hybrid* chromatic E-step: the big component follows the chromatic
-    /// spec (bit-identical to a forced chromatic run's projection), the
-    /// small one keeps the plain component chain (bit-identical to the
-    /// non-chromatic scheduled run's projection) — same seeds either way.
-    #[test]
-    fn chromatic_threshold_mixes_schedules_per_component() {
-        let m = chained_components_model(&[30, 5]);
-        let p = Partition::of_model(&m);
-        assert_eq!(p.len(), 2);
-        let n = m.n_claims();
-        let w = Weights::from_vec(
-            (0..m.feature_dim())
-                .map(|i| 0.15 * i as f64 - 0.25)
-                .collect(),
-        );
-        let labels = vec![None; n];
-        let probs: Vec<f64> = (0..n).map(|i| 0.3 + 0.4 * ((i % 3) as f64) / 2.0).collect();
-        let base = GibbsConfig {
-            burn_in: 4,
-            samples: 7,
-            thin: 1,
-            seed: 0x111B,
-            chains: 1,
-            ..Default::default()
-        };
-        // Segment works: 2·29 = 58 and 2·4 = 8 clique incidences.
-        let hybrid_cfg = GibbsConfig {
-            chromatic_min_work: 20,
-            ..base.clone()
-        };
-        let hybrid = GibbsSampler::new(&m, hybrid_cfg).run_scheduled(
-            &w,
-            &labels,
-            &probs,
-            &p,
-            &mut GibbsScratch::new(),
-        );
-        assert_eq!(hybrid.mode, ScheduleMode::Chromatic);
-        let sampler = GibbsSampler::new(&m, base);
-        let scheduled = sampler.run_scheduled(&w, &labels, &probs, &p, &mut GibbsScratch::new());
-        let chromatic = sampler.run_scheduled_forced(
-            &w,
-            &labels,
-            &probs,
-            &p,
-            &mut GibbsScratch::new(),
-            ScheduleMode::Chromatic,
-            1,
-        );
-        for (t, s) in hybrid.samples.iter().enumerate() {
-            assert_eq!(
-                s.project(p.component(0)),
-                chromatic.samples[t].project(p.component(0)),
-                "big component must follow the chromatic spec, sample {t}"
-            );
-            assert_eq!(
-                s.project(p.component(1)),
-                scheduled.samples[t].project(p.component(1)),
-                "small component must keep the plain chain, sample {t}"
-            );
-        }
-    }
-
-    /// Long-run agreement across the two executable specs: the chromatic
-    /// stream is legitimately different bits from the component-scheduled
-    /// one, but both sample the same conditional distribution, so their
-    /// marginals converge to the same values. Tolerance as in
-    /// `multi_chain_matches_single_chain_within_tolerance`: ~4σ of the
-    /// Monte-Carlo error at this sample count on these graphs.
-    #[test]
-    fn chromatic_marginals_match_scheduled_within_tolerance() {
-        let m = crate::graph::synthetic_components_model(1, 40, 10, 3, 2, 2, 7);
-        let p = Partition::of_model(&m);
-        let n = m.n_claims();
-        let w = Weights::from_vec((0..m.feature_dim()).map(|i| 0.1 * i as f64 - 0.2).collect());
-        let mut labels = vec![None; n];
-        labels[3] = Some(true);
-        let probs = vec![0.5; n];
-        let cfg = GibbsConfig {
-            burn_in: 50,
-            samples: 12_000,
-            thin: 1,
-            seed: 0xD157,
-            chains: 1,
-            ..Default::default()
-        };
-        let sampler = GibbsSampler::new(&m, cfg);
-        let scheduled = sampler.run_scheduled(&w, &labels, &probs, &p, &mut GibbsScratch::new());
-        let chromatic = sampler.run_scheduled_forced(
-            &w,
-            &labels,
-            &probs,
-            &p,
-            &mut GibbsScratch::new(),
-            ScheduleMode::Chromatic,
-            1,
-        );
-        for c in 0..n {
-            let (a, b) = (scheduled.marginals[c], chromatic.marginals[c]);
-            assert!(
-                (a - b).abs() < 0.03,
-                "claim {c}: scheduled {a} vs chromatic {b}"
-            );
-        }
-    }
-
-    /// Chromatic lifecycle spec (shared with the proptest): apply a random
+    /// Coloring lifecycle spec (shared with the proptest): apply a random
     /// grow/retire script op by op to ONE model (preserving the build
     /// lineage, so the reused scratch's coloring patches incrementally
-    /// instead of rebuilding), run a forced-chromatic E-step after every
-    /// op, and check each run is bit-identical to a fresh-scratch run
-    /// (whose coloring is built from scratch); then compact and check
-    /// again (the coloring relocates through the `IdRemap`).
+    /// instead of rebuilding), run an E-step after every op, and check each
+    /// run is bit-identical to a fresh-scratch run (whose coloring is built
+    /// from scratch); then compact and check again (the coloring relocates
+    /// through the `IdRemap`).
     pub(super) fn chromatic_lifecycle_spec(seed: u64, n_ops: usize) {
         use crate::graph::test_support as ts;
         use crate::graph::RetireSet;
@@ -3126,28 +2496,11 @@ mod tests {
                 thin: 1,
                 seed: seed ^ 0xC105 ^ step as u64,
                 chains: 1,
-                chromatic_stripe_min: 1,
                 ..Default::default()
             };
             let sampler = GibbsSampler::new(model, cfg);
-            let r = sampler.run_scheduled_forced(
-                &w,
-                &labels,
-                &probs,
-                &p,
-                reused,
-                ScheduleMode::Chromatic,
-                2,
-            );
-            let f = sampler.run_scheduled_forced(
-                &w,
-                &labels,
-                &probs,
-                &p,
-                &mut GibbsScratch::new(),
-                ScheduleMode::Chromatic,
-                2,
-            );
+            let r = sampler.run_scheduled(&w, &labels, &probs, &p, reused);
+            let f = sampler.run_scheduled(&w, &labels, &probs, &p, &mut GibbsScratch::new());
             assert_eq!(r.samples, f.samples, "seed {seed} step {step}");
             assert_eq!(r.marginals, f.marginals, "seed {seed} step {step}");
         };
@@ -3404,13 +2757,7 @@ mod tests {
             assert_ne!(id_order, cm_order, "model {mi}: orders must differ");
 
             let exact = |z: f64| numerics::clamp_prob(numerics::sigmoid(z));
-            let table = sigmoid_table();
-            let tabled = |z: f64| {
-                let t = (z.clamp(-CHROM_LOGIT_CLAMP, CHROM_LOGIT_CLAMP) + CHROM_LOGIT_CLAMP)
-                    * SIG_TABLE_INV_STEP;
-                let i = (t as usize).min(SIG_TABLE_N - 1);
-                table[i] + (t - i as f64) * (table[i + 1] - table[i])
-            };
+            let tabled = |z: f64| table_sigmoid(z, sigmoid_table());
             let id_law = exact_sweep_law(m, &w, labels, &probs, &cfg, &id_order, exact);
             let cm_law = exact_sweep_law(m, &w, labels, &probs, &cfg, &cm_order, exact);
             let tab_law = exact_sweep_law(m, &w, labels, &probs, &cfg, &cm_order, tabled);
@@ -3447,15 +2794,7 @@ mod tests {
                     },
                 );
                 let r = sampler.run_reference(&w, labels, &probs);
-                let s = sampler.run_scheduled_forced(
-                    &w,
-                    labels,
-                    &probs,
-                    &p,
-                    &mut scratch,
-                    ScheduleMode::Chromatic,
-                    1,
-                );
+                let s = sampler.run_scheduled(&w, labels, &probs, &p, &mut scratch);
                 for c in 0..n {
                     id_ones[c] += u64::from(r.samples[0].get(c));
                     cm_ones[c] += u64::from(s.samples[0].get(c));
@@ -3499,7 +2838,7 @@ mod prop_tests {
             let m = crate::graph::test_support::random_model(8, 4, 2, seed);
             let w = Weights::from_vec(vec![0.3; m.feature_dim()]);
             let cfg = GibbsConfig { burn_in: 3, samples: 10, thin: 1, ..Default::default() };
-            let r = GibbsSampler::new(&m, cfg).run(&w, &label_mask, &[0.5; 8]);
+            let r = super::tests::scheduled(&GibbsSampler::new(&m, cfg), &w, &label_mask, &[0.5; 8]);
             for (c, &p) in r.marginals.iter().enumerate() {
                 prop_assert!((0.0..=1.0).contains(&p), "marginal {p}");
                 if let Some(v) = label_mask[c] {
@@ -3521,7 +2860,7 @@ mod prop_tests {
             let mut labels = vec![None; 10];
             labels[0] = Some(true);
             let cfg = GibbsConfig { burn_in: 3, samples: 12, thin: 1, ..Default::default() };
-            let r = GibbsSampler::new(&m, cfg).run(&w, &labels, &[0.5; 10]);
+            let r = super::tests::scheduled(&GibbsSampler::new(&m, cfg), &w, &labels, &[0.5; 10]);
             let p = crate::partition::Partition::of_model(&m);
             let mode = mode_configuration(&r.samples, &p);
             prop_assert!(mode.get(0), "labelled claim must keep its value");
@@ -3535,10 +2874,9 @@ mod prop_tests {
             }
         }
 
-        /// The component-scheduled sweep is bit-identical to the reference
-        /// sampler run on each component's induced sub-model, on random
-        /// graphs (whose component structure is arbitrary) and random label
-        /// masks.
+        /// The scheduled E-step is bit-identical to the bit spec run on each
+        /// component's induced sub-model, on random graphs (whose component
+        /// structure is arbitrary) and random label masks.
         #[test]
         fn prop_scheduled_equals_reference_per_component(
             seed in 0u64..40,
@@ -3564,17 +2902,18 @@ mod prop_tests {
                 };
                 let sub_labels: Vec<_> = comp.iter().map(|&c| label_mask[c]).collect();
                 let sub_probs: Vec<_> = comp.iter().map(|&c| probs[c]).collect();
-                let reference = GibbsSampler::new(&sub, sub_cfg)
-                    .run_reference(&w, &sub_labels, &sub_probs);
+                let (ref_samples, ref_marginals, _) = super::tests::chromatic_reference(
+                    &sub, &w, &sub_labels, &sub_probs, &sub_cfg,
+                );
                 for (t, s) in r.samples.iter().enumerate() {
                     prop_assert_eq!(
                         s.project(comp),
-                        reference.samples[t].clone(),
+                        ref_samples[t].clone(),
                         "comp {} sample {}", comp_id, t
                     );
                 }
                 for (j, &c) in comp.iter().enumerate() {
-                    prop_assert_eq!(r.marginals[c], reference.marginals[j]);
+                    prop_assert_eq!(r.marginals[c], ref_marginals[j]);
                 }
             }
         }
@@ -3643,11 +2982,9 @@ mod prop_tests {
             super::tests::lifecycle_inference_spec(seed ^ 0x51fe, n_ops, chains);
         }
 
-        /// Chromatic acceptance spec under proptest: on random graphs and
-        /// label masks, the forced chromatic run — interleaved (1 stripe)
-        /// and two-phase striped (4 stripes, `chromatic_stripe_min: 1`) —
-        /// is bit-identical to the scalar spec runner built from a
-        /// from-scratch coloring.
+        /// Bit-spec acceptance under proptest: on random graphs and label
+        /// masks, the E-step under several forced layouts is bit-identical
+        /// to the scalar bit spec built from a from-scratch coloring.
         #[test]
         fn prop_chromatic_equals_scalar_spec(
             seed in 0u64..40,
@@ -3661,28 +2998,25 @@ mod prop_tests {
             );
             let probs = vec![0.5; 14];
             let cfg = GibbsConfig {
-                burn_in: 3, samples: 5, thin: 1, seed, chains,
-                chromatic_stripe_min: 1, ..Default::default()
+                burn_in: 3, samples: 5, thin: 1, seed, chains, ..Default::default()
             };
             let sampler = GibbsSampler::new(&m, cfg.clone());
             let (samples, marginals, sweeps) =
                 super::tests::chromatic_reference(&m, &w, &label_mask, &probs, &cfg);
-            for stripes in [1usize, 4] {
+            for (groups, stripes) in [(1usize, 1usize), (3, 4)] {
                 let r = sampler.run_scheduled_forced(
-                    &w, &label_mask, &probs, &p, &mut GibbsScratch::new(),
-                    ScheduleMode::Chromatic, stripes,
+                    &w, &label_mask, &probs, &p, &mut GibbsScratch::new(), groups, stripes,
                 );
-                prop_assert_eq!(&r.samples, &samples, "stripes {}", stripes);
-                prop_assert_eq!(&r.marginals, &marginals, "stripes {}", stripes);
-                prop_assert_eq!(r.sweeps, sweeps, "stripes {}", stripes);
+                prop_assert_eq!(&r.samples, &samples, "layout {} {}", groups, stripes);
+                prop_assert_eq!(&r.marginals, &marginals, "layout {} {}", groups, stripes);
+                prop_assert_eq!(r.sweeps, sweeps, "layout {} {}", groups, stripes);
             }
         }
 
-        /// Chromatic lifecycle spec under proptest: random interleaved
-        /// grow/retire scripts applied to one model, a forced-chromatic
-        /// E-step after every op with a reused scratch (incrementally
-        /// patched coloring) bit-identical to fresh scratch, through the
-        /// final compaction.
+        /// Coloring lifecycle spec under proptest: random interleaved
+        /// grow/retire scripts applied to one model, an E-step after every
+        /// op with a reused scratch (incrementally patched coloring)
+        /// bit-identical to fresh scratch, through the final compaction.
         #[test]
         fn prop_chromatic_lifecycle_reused_scratch(
             seed in 0u64..40,
@@ -3691,7 +3025,7 @@ mod prop_tests {
             super::tests::chromatic_lifecycle_spec(seed ^ 0xC4A0, n_ops);
         }
 
-        /// The optimised sampler equals the reference on random models and
+        /// The production E-step equals its bit spec on random models and
         /// random label masks (single chain, arbitrary seeds).
         #[test]
         fn prop_fast_equals_reference(
@@ -3705,12 +3039,12 @@ mod prop_tests {
             let cfg = GibbsConfig {
                 burn_in: 4, samples: 6, thin: 1, seed, chains: 1, ..Default::default()
             };
-            let sampler = GibbsSampler::new(&m, cfg);
             let probs = vec![0.5; 12];
-            let fast = sampler.run(&w, &label_mask, &probs);
-            let reference = sampler.run_reference(&w, &label_mask, &probs);
-            prop_assert_eq!(fast.samples, reference.samples);
-            prop_assert_eq!(fast.marginals, reference.marginals);
+            let fast = super::tests::scheduled(&GibbsSampler::new(&m, cfg.clone()), &w, &label_mask, &probs);
+            let (samples, marginals, _) =
+                super::tests::chromatic_reference(&m, &w, &label_mask, &probs, &cfg);
+            prop_assert_eq!(fast.samples, samples);
+            prop_assert_eq!(fast.marginals, marginals);
         }
     }
 }

@@ -47,7 +47,7 @@ pub mod tron;
 pub use bitset::Bitset;
 pub use coloring::{ColorRefresh, Coloring, NO_COLOR};
 pub use em::{Icrf, IcrfConfig, IcrfState, IcrfStats};
-pub use gibbs::{GibbsConfig, GibbsResult, GibbsSampler, ScheduleMode};
+pub use gibbs::{GibbsConfig, GibbsResult, GibbsSampler};
 pub use graph::{
     Clique, CliqueId, CrfModel, CrfModelBuilder, IdRemap, ModelDelta, ModelEdit, ModelError,
     RetireSet, Revision, Stance, VarId,

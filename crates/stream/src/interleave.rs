@@ -221,20 +221,17 @@ mod tests {
         );
     }
 
-    /// The chromatic schedule knob rides the existing config plumbing into
-    /// the streaming arrival path: a run with `chromatic_min_work: 0`
-    /// (every offline E-step chromatic) is reproducible end to end.
+    /// The streaming arrival path is reproducible end to end under the
+    /// color-major (chromatic) schedule that every E-step runs.
     #[test]
     fn streaming_sequence_is_deterministic_under_chromatic_schedule() {
         let ds = factdb::DatasetPreset::WikiMini.generate();
         let model = Arc::new(ds.db.to_crf_model().unwrap());
         let mk = || {
-            let mut icrf = quick_icrf();
-            icrf.gibbs.chromatic_min_work = 0;
             let config = InterleaveConfig {
                 period_fraction: 0.25,
                 validations_per_period: 2,
-                icrf,
+                icrf: quick_icrf(),
                 ig: quick_ig(),
                 ..Default::default()
             };
