@@ -892,8 +892,9 @@ impl<'a> GibbsSampler<'a> {
 
     /// Test/bench hook: [`Self::run_scheduled`] under an explicit layout of
     /// `groups` component groups per chain and `stripes` stripes per color
-    /// class (classes below the stripe minimum still run interleaved)
-    /// instead of the planner's choice. The output is identical for every
+    /// class instead of the planner's choice. A class with fewer than 512
+    /// claims per stripe still runs interleaved, and with a single worker
+    /// thread the tasks run inline. The output is identical for every
     /// layout.
     #[allow(clippy::too_many_arguments)] // test/bench hook mirroring run_scheduled
     pub fn run_scheduled_forced(
