@@ -21,7 +21,7 @@
 //! A micro-measurement of [`ScoreCache::rebuild`] vs the incremental
 //! [`ScoreCache::update`] (two moved coordinates) rounds out the numbers.
 //!
-//! Besides the criterion-style timing lines, the run writes
+//! The run prints these numbers, writes
 //! `BENCH_gibbs.json` at the repository root and exits nonzero when a gate
 //! fails: `after_scheduled.speedup >= 3` and the per-topology
 //! `scheduled_vs_reference` floors below (mirrored in `xtask::bench::GATES`).
@@ -30,7 +30,7 @@ use crf::gibbs::{GibbsConfig, GibbsSampler, GibbsScratch};
 use crf::graph::{synthetic_components_model, synthetic_model, CrfModel};
 use crf::partition::Partition;
 use crf::potentials::{ScoreCache, Weights};
-use criterion::{black_box, Criterion};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Floors on `topologies.<name>.scheduled_vs_reference`: 0.85 × the value
@@ -180,33 +180,6 @@ fn main() {
     let model = bench_model();
     let weights = bench_weights(&model);
     let threads = rayon::current_num_threads();
-    let auto_chains = config(0).effective_chains();
-
-    // Criterion-style per-variant timing (one full burn-in+sampling run per
-    // iteration) for the familiar `cargo bench` output.
-    let mut c = Criterion::default();
-    {
-        let mut g = c.benchmark_group("gibbs_10k");
-        g.sample_size(5);
-        let labels = vec![None; model.n_claims()];
-        let probs = vec![0.5; model.n_claims()];
-        let partition = Partition::of_model(&model);
-        g.bench_function("before_reference", |b| {
-            let s = GibbsSampler::new(&model, config(1));
-            b.iter(|| s.run_reference(&weights, &labels, &probs).sweeps)
-        });
-        for chains in std::iter::once(1).chain((auto_chains > 1).then_some(auto_chains)) {
-            g.bench_function(format!("scheduled_{chains}_chain"), |b| {
-                let s = GibbsSampler::new(&model, config(chains));
-                let mut scratch = GibbsScratch::new();
-                b.iter(|| {
-                    s.run_scheduled(&weights, &labels, &probs, &partition, &mut scratch)
-                        .sweeps
-                })
-            });
-        }
-        g.finish();
-    }
 
     // The committed before/after evidence on the main graph.
     let main = measure_topology(&model, &weights);

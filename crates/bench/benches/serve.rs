@@ -22,8 +22,8 @@
 
 use crf::graph::{synthetic_model, Stance};
 use crf::{ModelHandle, Partition, VarId};
-use criterion::black_box;
 use serve::{IngestBackend, PublishPolicy, TruthServer, NO_COMPONENT};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;

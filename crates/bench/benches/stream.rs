@@ -2,7 +2,7 @@
 //! versioned mutable-model API.
 //!
 //! Before the redesign, a claim arriving at runtime forced a **full
-//! rebuild**: re-run the `CrfModelBuilder` over every entity, recompute the
+//! rebuild**: re-run `CrfModel::build` over every entity, recompute the
 //! connected-component `Partition`, and rebuild the Gibbs `ScoreCache` —
 //! all `O(model)` work, and the fresh `model_id` invalidated every other
 //! model-keyed cache too. With the delta API the same arrival is
@@ -18,13 +18,13 @@
 //! repository root; the acceptance gate requires the incremental path to
 //! beat the rebuild by ≥5× per arrival.
 
-use crf::graph::{synthetic_model, CrfModel, CrfModelBuilder, ModelDelta, RetireSet, Stance};
+use crf::graph::{synthetic_model, CrfModel, ModelDelta, RetireSet, Stance};
 use crf::partition::Partition;
 use crf::potentials::{ScoreCache, Weights};
 use crf::{ModelHandle, VarId};
-use criterion::black_box;
 use durability::{DiskFs, FaultFs, MemFs, Storage, SyncPolicy};
 use std::collections::VecDeque;
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 use streamcheck::{
@@ -72,7 +72,7 @@ fn arrival(k: usize, n_sources: usize, m_doc: usize) -> Arrival {
 /// rows (base entities + every arrival so far), then recompute the
 /// partition and the score cache from scratch.
 fn rebuild_full(base: &CrfModel, arrivals: &[Arrival], weights: &Weights) -> usize {
-    let mut b = CrfModelBuilder::new(base.m_source(), base.m_doc());
+    let mut b = ModelDelta::new(base.m_source(), base.m_doc());
     for s in 0..base.n_sources() as u32 {
         b.add_source(base.source_feature_row(s)).unwrap();
     }
@@ -92,7 +92,7 @@ fn rebuild_full(base: &CrfModel, arrivals: &[Arrival], weights: &Weights) -> usi
             b.add_clique(c, d, s, Stance::Support);
         }
     }
-    let model = b.build().unwrap();
+    let model = CrfModel::build(b).unwrap();
     let partition = Partition::of_model(&model);
     let cache = ScoreCache::build(&model, weights);
     black_box(partition.len()) + black_box(cache.len())
@@ -145,10 +145,10 @@ fn windowed_delta(
 }
 
 /// The no-lifecycle cost of one windowed arrival: a one-shot build of the
-/// current *surviving* subgraph (builder + partition + score cache) — what
+/// current *surviving* subgraph (build + partition + score cache) — what
 /// every arrival would pay without retire/compact relocation.
 fn rebuild_survivors(model: &CrfModel, weights: &Weights) -> usize {
-    let mut b = CrfModelBuilder::new(model.m_source(), model.m_doc());
+    let mut b = ModelDelta::new(model.m_source(), model.m_doc());
     let mut smap = vec![u32::MAX; model.n_sources()];
     for (s, slot) in smap.iter_mut().enumerate() {
         if model.source_live(s) {
@@ -172,7 +172,7 @@ fn rebuild_survivors(model: &CrfModel, weights: &Weights) -> usize {
             );
         }
     }
-    let m = b.build().unwrap();
+    let m = CrfModel::build(b).unwrap();
     let partition = Partition::of_model(&m);
     let cache = ScoreCache::build(&m, weights);
     black_box(partition.len()) + black_box(cache.len())
@@ -200,12 +200,12 @@ struct WindowedReport {
 /// (grow + retire + compact).
 fn windowed_run(n_arrivals: usize, window: usize, threshold: f64) -> WindowedReport {
     let (m_source, m_doc) = (32, 32);
-    let mut b = CrfModelBuilder::new(m_source, m_doc);
+    let mut b = ModelDelta::new(m_source, m_doc);
     let s0 = b.add_source(&vec![0.5; m_source]).unwrap();
     let c0 = b.add_claim();
     let d0 = b.add_document(&vec![0.5; m_doc]).unwrap();
     b.add_clique(c0, d0, s0, Stance::Support);
-    let mut model = b.build().unwrap();
+    let mut model = CrfModel::build(b).unwrap();
     let weights = bench_weights(&model);
     let mut partition = Partition::of_model(&model);
     let mut cache = ScoreCache::build(&model, &weights);
@@ -340,12 +340,12 @@ fn windowed_run(n_arrivals: usize, window: usize, threshold: f64) -> WindowedRep
 /// shares one exact `(model_id, revision)` lineage.
 fn durable_seed_json() -> String {
     let (m_source, m_doc) = (8, 8);
-    let mut b = CrfModelBuilder::new(m_source, m_doc);
+    let mut b = ModelDelta::new(m_source, m_doc);
     let s = b.add_source(&vec![0.5; m_source]).unwrap();
     let c = b.add_claim();
     let d = b.add_document(&vec![0.5; m_doc]).unwrap();
     b.add_clique(c, d, s, Stance::Support);
-    serde_json::to_string(&b.build().unwrap()).unwrap()
+    serde_json::to_string(&CrfModel::build(b).unwrap()).unwrap()
 }
 
 /// The k-th arrival of the durable lifecycle: one claim, its own source,
@@ -956,7 +956,7 @@ fn main() {
     println!("arrival shape: 1 claim + {DOCS_PER_ARRIVAL} documents/cliques ({ARRIVALS} arrivals)");
     println!("incremental (apply + grow + cache patch): mean {incr_mean:>9.1} us | worst {incr_worst:>9.1} us");
     println!("arrive_new (ingest + estimate + online EM): mean {arrive_mean:>9.1} us");
-    println!("full rebuild (builder + partition + cache): mean {rebuild_mean:>9.1} us | best {rebuild_best:>9.1} us");
+    println!("full rebuild (build + partition + cache): mean {rebuild_mean:>9.1} us | best {rebuild_best:>9.1} us");
     println!("speedup: {speedup:.1}x mean ({speedup_floor:.1}x worst-case-vs-best-case)");
     println!();
     println!(

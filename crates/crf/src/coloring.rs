@@ -350,7 +350,7 @@ impl Coloring {
 mod tests {
     use super::*;
     use crate::graph::test_support as ts;
-    use crate::graph::{CrfModelBuilder, Stance};
+    use crate::graph::{CrfModel, ModelDelta, Stance};
 
     /// Invariant check: a proper coloring of the live conflict graph with
     /// dense colors, dead claims at `NO_COLOR`.
@@ -390,14 +390,14 @@ mod tests {
 
     #[test]
     fn single_source_claims_get_distinct_colors() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.0]).unwrap();
         for _ in 0..4 {
             let c = b.add_claim();
             let d = b.add_document(&[0.0]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        let m = b.build().unwrap();
+        let m = CrfModel::build(b).unwrap();
         let col = Coloring::of_model(&m);
         assert_eq!(col.colors(), &[0, 1, 2, 3]);
         assert_eq!(col.n_colors(), 4);
@@ -406,14 +406,14 @@ mod tests {
 
     #[test]
     fn disjoint_claims_share_color_zero() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         for _ in 0..3 {
             let s = b.add_source(&[0.0]).unwrap();
             let c = b.add_claim();
             let d = b.add_document(&[0.0]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        let m = b.build().unwrap();
+        let m = CrfModel::build(b).unwrap();
         let col = Coloring::of_model(&m);
         assert_eq!(col.colors(), &[0, 0, 0]);
         assert_eq!(col.n_colors(), 1);

@@ -766,7 +766,7 @@ pub fn source_trust_into(model: &CrfModel, probs: &[f64], prior: (f64, f64), out
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{CrfModelBuilder, Stance};
+    use crate::graph::{CrfModel, ModelDelta, Stance};
     use crate::potentials::CacheRefresh;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -776,7 +776,7 @@ mod tests {
     /// support false claims.
     fn signal_model(n_claims: usize, seed: u64) -> (Arc<CrfModel>, Vec<bool>) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let good = b.add_source(&[1.0]).unwrap();
         let bad = b.add_source(&[-1.0]).unwrap();
         let mut truth = Vec::new();
@@ -796,7 +796,7 @@ mod tests {
                 b.add_clique(c, d, s, stance);
             }
         }
-        (Arc::new(b.build().unwrap()), truth)
+        (Arc::new(CrfModel::build(b).unwrap()), truth)
     }
 
     fn small_config() -> IcrfConfig {

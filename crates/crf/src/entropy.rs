@@ -201,18 +201,18 @@ pub fn exact_component_entropy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{CrfModelBuilder, Stance};
+    use crate::graph::{CrfModel, ModelDelta, Stance};
     use proptest::prelude::*;
 
     fn chain_model(n: usize) -> CrfModel {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.3]).unwrap();
         for _ in 0..n {
             let c = b.add_claim();
             let d = b.add_document(&[0.6]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        b.build().unwrap()
+        CrfModel::build(b).unwrap()
     }
 
     #[test]

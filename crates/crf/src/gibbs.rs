@@ -1313,7 +1313,7 @@ pub fn mode_configuration(samples: &[Bitset], partition: &Partition) -> Bitset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{CrfModelBuilder, Stance};
+    use crate::graph::{CrfModel, ModelDelta, Stance};
 
     /// [`GibbsSampler::run_scheduled`] with fresh scratch over the model's
     /// own partition.
@@ -1331,12 +1331,12 @@ mod tests {
     /// marginal well above 1/2.
     #[test]
     fn strong_support_drives_marginal_up() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[1.0]).unwrap();
         let c = b.add_claim();
         let d = b.add_document(&[1.0]).unwrap();
         b.add_clique(c, d, s, Stance::Support);
-        let m = b.build().unwrap();
+        let m = CrfModel::build(b).unwrap();
         let w = Weights::from_vec(vec![2.0, 0.0, 0.0, 0.0]);
         let sampler = GibbsSampler::new(&m, GibbsConfig::default());
         let r = scheduled(&sampler, &w, &[None], &[0.5]);
@@ -1346,12 +1346,12 @@ mod tests {
     /// Same setup but the document refutes the claim -> marginal below 1/2.
     #[test]
     fn strong_refute_drives_marginal_down() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[1.0]).unwrap();
         let c = b.add_claim();
         let d = b.add_document(&[1.0]).unwrap();
         b.add_clique(c, d, s, Stance::Refute);
-        let m = b.build().unwrap();
+        let m = CrfModel::build(b).unwrap();
         let w = Weights::from_vec(vec![2.0, 0.0, 0.0, 0.0]);
         let sampler = GibbsSampler::new(&m, GibbsConfig::default());
         let r = scheduled(&sampler, &w, &[None], &[0.5]);
@@ -1506,7 +1506,7 @@ mod tests {
     /// feature rows, same per-claim clique order, sources restricted to the
     /// component (all their claims are inside it by construction).
     pub(super) fn induced_submodel(m: &CrfModel, comp: &[usize]) -> CrfModel {
-        let mut b = CrfModelBuilder::new(m.m_source(), m.m_doc());
+        let mut b = ModelDelta::new(m.m_source(), m.m_doc());
         let mut src_map = std::collections::BTreeMap::new();
         for s in 0..m.n_sources() as u32 {
             let owned = m
@@ -1526,7 +1526,7 @@ mod tests {
                 b.add_clique(VarId(pos as u32), d, src_map[&cl.source], cl.stance);
             }
         }
-        b.build().unwrap()
+        CrfModel::build(b).unwrap()
     }
 
     /// The acceptance spec of the component decomposition: restricted to
@@ -1789,7 +1789,7 @@ mod tests {
     fn user_input_propagates_through_source() {
         // One source with two claims; confirm one claim, observe the other's
         // marginal rise (trust weight positive).
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.0]).unwrap();
         let c0 = b.add_claim();
         let c1 = b.add_claim();
@@ -1797,7 +1797,7 @@ mod tests {
             let d = b.add_document(&[0.0]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        let m = b.build().unwrap();
+        let m = CrfModel::build(b).unwrap();
         // Only the trust feature carries signal.
         let w = Weights::from_vec(vec![0.0, 0.0, 0.0, 4.0]);
         let cfg = GibbsConfig {
@@ -1819,7 +1819,7 @@ mod tests {
     fn mode_configuration_picks_most_frequent_per_component() {
         // 3 claims, all one component is wrong here: build a partition of
         // two components {0,1} and {2} manually via a model.
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s0 = b.add_source(&[0.0]).unwrap();
         let s1 = b.add_source(&[0.0]).unwrap();
         let c0 = b.add_claim();
@@ -1829,7 +1829,7 @@ mod tests {
             let d = b.add_document(&[0.0]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        let m = b.build().unwrap();
+        let m = CrfModel::build(b).unwrap();
         let p = Partition::of_model(&m);
         // Samples: component {0,1} sees [1,1] twice and [1,0] once;
         // component {2} sees 0 twice and 1 once.
@@ -1846,14 +1846,14 @@ mod tests {
     /// [1,1,0], [1,0,0], [1,1,0] -> decide returns [1,1,0].
     #[test]
     fn paper_example_grounding() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.0]).unwrap();
         for _ in 0..3 {
             let c = b.add_claim();
             let d = b.add_document(&[0.0]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        let m = b.build().unwrap();
+        let m = CrfModel::build(b).unwrap();
         let p = Partition::of_model(&m);
         let samples = vec![
             Bitset::from_bools(&[true, true, false]),
@@ -1871,14 +1871,14 @@ mod tests {
     /// `[true, false]` packs to word 1, `[false, true]` to word 2.
     #[test]
     fn mode_configuration_breaks_ties_towards_lowest_bitset() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.0]).unwrap();
         for _ in 0..2 {
             let c = b.add_claim();
             let d = b.add_document(&[0.0]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        let m = b.build().unwrap();
+        let m = CrfModel::build(b).unwrap();
         let p = Partition::of_model(&m);
         let mut samples = vec![
             Bitset::from_bools(&[false, true]),
@@ -1902,14 +1902,14 @@ mod tests {
     /// the `Bitset` order wins, independent of observation order.
     #[test]
     fn mode_configuration_tie_is_order_independent() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.0]).unwrap();
         for _ in 0..3 {
             let c = b.add_claim();
             let d = b.add_document(&[0.0]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        let m = b.build().unwrap();
+        let m = CrfModel::build(b).unwrap();
         let p = Partition::of_model(&m);
         let configs = [
             [true, true, false],  // word 3
@@ -2162,7 +2162,7 @@ mod tests {
     /// positions) of ~len/2 claims — a segment of a few thousand claims
     /// engages the two-phase striped executor.
     pub(super) fn chained_components_model(segments: &[usize]) -> CrfModel {
-        let mut b = CrfModelBuilder::new(2, 2);
+        let mut b = ModelDelta::new(2, 2);
         let total: usize = segments.iter().sum();
         for _ in 0..total {
             b.add_claim();
@@ -2187,7 +2187,7 @@ mod tests {
             }
             base += len;
         }
-        b.build().unwrap()
+        CrfModel::build(b).unwrap()
     }
 
     /// The **bit spec** of [`GibbsSampler::run_scheduled`]
@@ -2696,7 +2696,7 @@ mod tests {
         path_labels[0] = Some(true);
         path_labels[7] = Some(false);
 
-        let mut b = CrfModelBuilder::new(2, 2);
+        let mut b = ModelDelta::new(2, 2);
         let sources: Vec<u32> = (0..4)
             .map(|s| b.add_source(&[0.3 * s as f64 - 0.4, 0.2]).unwrap())
             .collect();
@@ -2714,7 +2714,7 @@ mod tests {
                 b.add_clique(c, d, sources[(i + j) % 4], stance);
             }
         }
-        let ring = b.build().unwrap();
+        let ring = CrfModel::build(b).unwrap();
         let mut ring_labels = vec![None; ring.n_claims()];
         ring_labels[4] = Some(false);
         vec![(path, path_labels), (ring, ring_labels)]

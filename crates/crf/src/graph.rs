@@ -22,11 +22,14 @@
 //!
 //! # Versioned lifecycle (streaming arrivals and retirement, §7)
 //!
-//! A [`CrfModel`] is no longer frozen at [`CrfModelBuilder::build`] time:
-//! the streaming mode of Alg. 2 both **grows** and **shrinks** the factor
-//! graph in place as claims arrive and expire. The lifecycle has three
-//! operations, each bumping the [`CrfModel::revision`] counter while the
-//! build-lineage [`CrfModel::model_id`] is preserved:
+//! There is one way to lay out the factor graph: a private *splice* that
+//! validates a [`ModelDelta`]'s references and merges its entities into
+//! the CSR adjacency. [`CrfModel::build`] is one splice of a
+//! [`ModelDelta::new`] into the empty model; the streaming mode of Alg. 2
+//! then both **grows** and **shrinks** the factor graph in place as claims
+//! arrive and expire. The lifecycle has three operations, each bumping the
+//! [`CrfModel::revision`] counter while the build-lineage
+//! [`CrfModel::model_id`] is preserved:
 //!
 //! 1. **Grow** — a [`ModelDelta`] collects new sources, documents, claims,
 //!    and cliques against a base `(model_id, revision)` pair, and
@@ -41,8 +44,9 @@
 //!    exactly nothing) but pays no relocation cost per retire.
 //! 3. **Compact** — when the dead fraction warrants it (a threshold the
 //!    caller picks; see `stream`'s `RetentionPolicy`),
-//!    [`CrfModel::compact`] rebuilds the arrays to the **canonical layout**
-//!    of the surviving subgraph and publishes an [`IdRemap`] so every
+//!    [`CrfModel::compact`] splices the survivors into the empty model —
+//!    the **canonical layout** of the surviving subgraph — and publishes
+//!    an [`IdRemap`] so every
 //!    model-keyed structure *relocates* its state instead of recomputing
 //!    it. Documents whose cliques all died are dropped with them — this is
 //!    what bounds the memory of a long-running stream.
@@ -57,9 +61,11 @@
 //!   indices and clique ids never change meaning while tombstoned; a delta
 //!   only adds, a retire only marks. Clique ids are assigned in arrival
 //!   order, so `cliques()[k]` is stable until the next compaction.
-//! * **Canonical layout** — after any sequence of deltas the adjacency is
-//!   **identical** (same arrays, same element order) to building the final
-//!   model in one shot with the same insertion order; after a
+//! * **Canonical layout** — the splice appends each claim's new clique ids
+//!   after its old ones and merges new edges into the sorted,
+//!   deduplicated source↔claim rows, so after any sequence of deltas the
+//!   adjacency is **identical** (same arrays, same element order) to one
+//!   splice of the final content in the same insertion order; after a
 //!   [`CrfModel::compact`] it is identical to a one-shot build of the
 //!   *surviving* entities in their original insertion order (the
 //!   [`IdRemap`] is exactly that order-preserving renumbering). Claim-major
@@ -181,7 +187,8 @@ pub struct Clique {
 
 /// The full factor graph plus observed feature matrices.
 ///
-/// Construct via [`CrfModelBuilder`]. The model is immutable during
+/// Construct via [`CrfModel::build`] from a [`ModelDelta::new`], grow with
+/// [`CrfModel::apply`]. The model is immutable during
 /// inference; all mutable state (weights, probabilities, labels) lives in
 /// [`crate::em::Icrf`].
 ///
@@ -198,7 +205,7 @@ pub struct Clique {
 /// return `&[u32]`); only the backing layout moved.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CrfModel {
-    /// Build-lineage identity: every [`CrfModelBuilder::build`] call draws
+    /// Build-lineage identity: every [`CrfModel::build`] call draws
     /// a fresh process-unique id; clones and serde round-trips (which are
     /// content-identical) keep it. Model-derived caches key their
     /// freshness on this, so two independently built models can never be
@@ -278,7 +285,7 @@ impl CrfModel {
     }
 
     /// The model's revision within its lineage: how many deltas have been
-    /// applied since [`CrfModelBuilder::build`]. Clones and serde
+    /// applied since [`Self::build`]. Clones and serde
     /// round-trips keep it; [`Self::apply`] bumps it.
     #[inline]
     pub fn revision(&self) -> Revision {
@@ -529,17 +536,6 @@ impl CrfModel {
     }
 }
 
-/// Builder for [`CrfModel`]; checks referential integrity at `build` time.
-#[derive(Debug, Default)]
-pub struct CrfModelBuilder {
-    m_source: usize,
-    m_doc: usize,
-    doc_features: Vec<f64>,
-    source_features: Vec<f64>,
-    cliques: Vec<Clique>,
-    n_claims: usize,
-}
-
 /// Errors produced while assembling a [`CrfModel`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
@@ -653,196 +649,10 @@ impl std::fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
-impl CrfModelBuilder {
-    /// Start a builder for models with the given feature dimensionalities.
-    pub fn new(m_source: usize, m_doc: usize) -> Self {
-        CrfModelBuilder {
-            m_source,
-            m_doc,
-            ..Default::default()
-        }
-    }
-
-    /// Register a source, returning its index. The feature slice must have
-    /// length `m_source`.
-    pub fn add_source(&mut self, features: &[f64]) -> Result<u32, ModelError> {
-        if features.len() != self.m_source {
-            return Err(ModelError::FeatureDim {
-                entity: "source",
-                expected: self.m_source,
-                got: features.len(),
-            });
-        }
-        self.source_features.extend_from_slice(features);
-        Ok((self.source_features.len() / self.m_source.max(1) - 1) as u32)
-    }
-
-    /// Register a document, returning its index. The feature slice must have
-    /// length `m_doc`.
-    pub fn add_document(&mut self, features: &[f64]) -> Result<u32, ModelError> {
-        if features.len() != self.m_doc {
-            return Err(ModelError::FeatureDim {
-                entity: "document",
-                expected: self.m_doc,
-                got: features.len(),
-            });
-        }
-        self.doc_features.extend_from_slice(features);
-        Ok((self.doc_features.len() / self.m_doc.max(1) - 1) as u32)
-    }
-
-    /// Register a claim variable, returning its id.
-    pub fn add_claim(&mut self) -> VarId {
-        let id = VarId(self.n_claims as u32);
-        self.n_claims += 1;
-        id
-    }
-
-    /// Add a relation factor joining `claim`, `doc`, and `source`.
-    pub fn add_clique(&mut self, claim: VarId, doc: u32, source: u32, stance: Stance) {
-        self.cliques.push(Clique {
-            claim,
-            doc,
-            source,
-            stance,
-        });
-    }
-
-    /// Current number of registered sources.
-    pub fn n_sources(&self) -> usize {
-        self.source_features
-            .len()
-            .checked_div(self.m_source)
-            .unwrap_or(0)
-    }
-
-    /// Current number of registered documents.
-    pub fn n_docs(&self) -> usize {
-        self.doc_features.len().checked_div(self.m_doc).unwrap_or(0)
-    }
-
-    /// Validate integrity and produce the immutable model.
-    pub fn build(self) -> Result<CrfModel, ModelError> {
-        if self.cliques.is_empty() {
-            return Err(ModelError::Empty);
-        }
-        let n_sources = self.n_sources();
-        let n_docs = self.n_docs();
-        let n_claims = self.n_claims;
-        for cl in &self.cliques {
-            if cl.claim.idx() >= n_claims {
-                return Err(ModelError::DanglingReference {
-                    entity: "claim",
-                    index: cl.claim.idx(),
-                    len: n_claims,
-                });
-            }
-            if cl.doc as usize >= n_docs {
-                return Err(ModelError::DanglingReference {
-                    entity: "document",
-                    index: cl.doc as usize,
-                    len: n_docs,
-                });
-            }
-            if cl.source as usize >= n_sources {
-                return Err(ModelError::DanglingReference {
-                    entity: "source",
-                    index: cl.source as usize,
-                    len: n_sources,
-                });
-            }
-        }
-
-        // ---- Claim → cliques in CSR form, via a counting sort over the
-        // clique list. The fill pass walks cliques in insertion order, so
-        // each claim's clique ids appear in the same order the nested
-        // `Vec<Vec<u32>>` layout used to produce.
-        let mut claim_clique_offsets = vec![0u32; n_claims + 1];
-        for cl in &self.cliques {
-            claim_clique_offsets[cl.claim.idx() + 1] += 1;
-        }
-        for i in 0..n_claims {
-            claim_clique_offsets[i + 1] += claim_clique_offsets[i];
-        }
-        let mut cursor: Vec<u32> = claim_clique_offsets[..n_claims].to_vec();
-        let mut claim_clique_ids = vec![0u32; self.cliques.len()];
-        let mut claim_clique_sources = vec![0u32; self.cliques.len()];
-        for (i, cl) in self.cliques.iter().enumerate() {
-            let slot = cursor[cl.claim.idx()] as usize;
-            claim_clique_ids[slot] = i as u32;
-            claim_clique_sources[slot] = cl.source;
-            cursor[cl.claim.idx()] += 1;
-        }
-
-        // ---- Source → distinct claims and claim → distinct sources:
-        // sort-dedup each edge direction, then compress to CSR.
-        let (source_claim_offsets, source_claim_ids) = dedup_csr(
-            n_sources,
-            self.cliques.iter().map(|cl| (cl.source, cl.claim.0)),
-        );
-        let (claim_source_offsets, claim_source_ids) = dedup_csr(
-            n_claims,
-            self.cliques.iter().map(|cl| (cl.claim.0, cl.source)),
-        );
-
-        Ok(CrfModel {
-            model_id: NEXT_MODEL_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            revision: 0,
-            retire_ops: 0,
-            compactions: 0,
-            ingested_claims: n_claims as u64,
-            ingested_sources: n_sources as u64,
-            ingested_docs: n_docs as u64,
-            ingested_cliques: self.cliques.len() as u64,
-            dead_claims: Vec::new(),
-            dead_sources: Vec::new(),
-            dead_cliques: Vec::new(),
-            n_dead_claims: 0,
-            n_dead_sources: 0,
-            n_dead_cliques: 0,
-            live_claims_per_source: Vec::new(),
-            last_compaction: None,
-            n_claims,
-            n_sources,
-            n_docs,
-            m_source: self.m_source,
-            m_doc: self.m_doc,
-            cliques: self.cliques,
-            claim_clique_offsets,
-            claim_clique_ids,
-            claim_clique_sources,
-            source_claim_offsets,
-            source_claim_ids,
-            claim_source_offsets,
-            claim_source_ids,
-            doc_features: self.doc_features,
-            source_features: self.source_features,
-        })
-    }
-}
-
-/// Build a CSR adjacency with ascending, deduplicated neighbour lists from
-/// an edge iterator: for every `(node, neighbour)` pair, `neighbour` joins
-/// node's list.
-fn dedup_csr(n_nodes: usize, edges: impl Iterator<Item = (u32, u32)>) -> (Vec<u32>, Vec<u32>) {
-    let mut pairs: Vec<(u32, u32)> = edges.collect();
-    pairs.sort_unstable();
-    pairs.dedup();
-    let mut offsets = vec![0u32; n_nodes + 1];
-    for &(node, _) in &pairs {
-        offsets[node as usize + 1] += 1;
-    }
-    for i in 0..n_nodes {
-        offsets[i + 1] += offsets[i];
-    }
-    let ids = pairs.into_iter().map(|(_, nb)| nb).collect();
-    (offsets, ids)
-}
-
 /// Splice new `(node, neighbour)` pairs into a sorted-deduplicated CSR
 /// adjacency, growing the node range to `n_nodes_new`. Pairs already present
-/// are dropped; the result is identical to rebuilding the adjacency from the
-/// union of all edges with [`dedup_csr`].
+/// are dropped, so the result depends only on the union of all edges ever
+/// merged: every row is ascending and duplicate-free.
 fn merge_into_csr(
     offsets: &mut Vec<u32>,
     ids: &mut Vec<u32>,
@@ -907,6 +717,15 @@ fn merge_into_csr(
     *ids = new_ids;
 }
 
+/// Append `src` to `dst`, taking over `src`'s buffer when `dst` is empty.
+fn append<T: Copy>(dst: &mut Vec<T>, src: Vec<T>) {
+    if dst.is_empty() {
+        *dst = src;
+    } else {
+        dst.extend_from_slice(&src);
+    }
+}
+
 /// A batch of new entities to graft onto an existing [`CrfModel`] — the
 /// unit of streaming ingestion (Alg. 2's "claim arrives with its documents
 /// and sources").
@@ -915,14 +734,15 @@ fn merge_into_csr(
 /// [`ModelDelta::for_model`] (or [`crate::handle::ModelHandle::delta`]) and
 /// can only be applied to exactly that model state —
 /// [`CrfModel::apply`] rejects anything else with
-/// [`ModelError::StaleDelta`]. Entity ids returned by the `add_*` methods
-/// are **absolute**: they are valid in the grown model and follow on from
-/// the base model's counts, so delta-side code addresses the model the same
-/// way builder-side code does.
+/// [`ModelError::StaleDelta`]. A delta from [`ModelDelta::new`] is prepared
+/// against the empty model instead, and [`CrfModel::build`] turns it into a
+/// fresh lineage. Entity ids returned by the `add_*` methods are
+/// **absolute**: they are valid in the grown model and follow on from the
+/// base model's counts.
 ///
 /// New cliques may reference both new and pre-existing claims, documents,
-/// and sources; referential integrity is checked at apply time with the
-/// same [`ModelError`] values the builder uses.
+/// and sources; referential integrity is checked when the delta is spliced
+/// in, by `build` and `apply` alike.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ModelDelta {
     base_model_id: u64,
@@ -940,6 +760,12 @@ pub struct ModelDelta {
 }
 
 impl ModelDelta {
+    /// Start a delta against the empty model with the given feature
+    /// dimensionalities: the content of a new model, for [`CrfModel::build`].
+    pub fn new(m_source: usize, m_doc: usize) -> Self {
+        ModelDelta::for_model(&CrfModel::empty(m_source, m_doc))
+    }
+
     /// Start an empty delta against the current state of `model`.
     pub fn for_model(model: &CrfModel) -> Self {
         ModelDelta {
@@ -995,7 +821,7 @@ impl ModelDelta {
 
     /// Add a relation factor joining `claim`, `doc`, and `source` (absolute
     /// indices; both new and pre-existing entities are allowed). Integrity
-    /// is checked by [`CrfModel::apply`].
+    /// is checked by [`CrfModel::apply`] or [`CrfModel::build`].
     pub fn add_clique(&mut self, claim: VarId, doc: u32, source: u32, stance: Stance) {
         self.new_cliques.push(Clique {
             claim,
@@ -1071,19 +897,93 @@ impl ModelDelta {
 }
 
 impl CrfModel {
+    /// The empty model of the given dimensionalities: the base every
+    /// [`ModelDelta::new`] is prepared against. Lineage id 0 is never
+    /// issued to a built model, so no live model accepts such a delta.
+    fn empty(m_source: usize, m_doc: usize) -> Self {
+        CrfModel {
+            model_id: 0,
+            revision: 0,
+            retire_ops: 0,
+            compactions: 0,
+            ingested_claims: 0,
+            ingested_sources: 0,
+            ingested_docs: 0,
+            ingested_cliques: 0,
+            dead_claims: Vec::new(),
+            dead_sources: Vec::new(),
+            dead_cliques: Vec::new(),
+            n_dead_claims: 0,
+            n_dead_sources: 0,
+            n_dead_cliques: 0,
+            live_claims_per_source: Vec::new(),
+            last_compaction: None,
+            n_claims: 0,
+            n_sources: 0,
+            n_docs: 0,
+            m_source,
+            m_doc,
+            cliques: Vec::new(),
+            claim_clique_offsets: vec![0],
+            claim_clique_ids: Vec::new(),
+            claim_clique_sources: Vec::new(),
+            source_claim_offsets: vec![0],
+            source_claim_ids: Vec::new(),
+            claim_source_offsets: vec![0],
+            claim_source_ids: Vec::new(),
+            doc_features: Vec::new(),
+            source_features: Vec::new(),
+        }
+    }
+
+    /// Build a model from a delta prepared by [`ModelDelta::new`]: one
+    /// splice into the empty model, returned at revision 0 under a fresh
+    /// lineage id.
+    ///
+    /// A delta prepared against a live model is refused with
+    /// [`ModelError::StaleDelta`], one without cliques with
+    /// [`ModelError::Empty`], and dangling references with the same
+    /// [`ModelError::DanglingReference`] that [`Self::apply`] returns.
+    pub fn build(delta: ModelDelta) -> Result<CrfModel, ModelError> {
+        let mut model = CrfModel::empty(delta.m_source, delta.m_doc);
+        model.check_base(delta.base_revision())?;
+        if delta.new_cliques.is_empty() {
+            return Err(ModelError::Empty);
+        }
+        model.splice(delta)?;
+        model.model_id = NEXT_MODEL_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Ok(model)
+    }
+
+    /// The revision check every edit passes: it must have been prepared
+    /// against exactly this `(model_id, revision)` state.
+    fn check_base(&self, (model_id, revision): (u64, Revision)) -> Result<(), ModelError> {
+        if model_id != self.model_id || revision.0 != self.revision {
+            return Err(ModelError::StaleDelta {
+                delta_model_id: model_id,
+                delta_revision: revision.0,
+                model_id: self.model_id,
+                model_revision: self.revision,
+            });
+        }
+        Ok(())
+    }
+
     /// Grow the model in place by one delta, returning the new revision.
     ///
     /// The delta must have been prepared against exactly this
     /// `(model_id, revision)` state ([`ModelError::StaleDelta`] otherwise),
-    /// and every new clique must reference in-range entities (the builder's
-    /// [`ModelError::DanglingReference`] checks, against the grown counts).
-    /// On any error the model is left untouched; an empty delta is a no-op
-    /// that returns the current revision without bumping it.
+    /// and every new clique must reference in-range entities
+    /// ([`ModelError::DanglingReference`], against the grown counts) that
+    /// are not retired ([`ModelError::RetiredReference`]). On any error the
+    /// model is left untouched; an empty delta is a no-op that returns the
+    /// current revision without bumping it.
     ///
-    /// The resulting adjacency is canonical: identical, array for array, to
-    /// a one-shot [`CrfModelBuilder`] build of the final content in the
-    /// same insertion order. See the module docs for the cache-patching
-    /// contract this guarantees.
+    /// Growth is the same splice [`Self::build`] performs into the empty
+    /// model, so the resulting adjacency is canonical: identical, array for
+    /// array, to a one-shot build of the final content in the same
+    /// insertion order. See the module docs for the cache-patching contract
+    /// this guarantees.
     ///
     /// # Divergent clones
     ///
@@ -1097,20 +997,24 @@ impl CrfModel {
     /// backstops the detectable cases by rebuilding on any clique-count
     /// mismatch.
     pub fn apply(&mut self, delta: ModelDelta) -> Result<Revision, ModelError> {
-        if delta.base_model_id != self.model_id || delta.base_revision != self.revision {
-            return Err(ModelError::StaleDelta {
-                delta_model_id: delta.base_model_id,
-                delta_revision: delta.base_revision,
-                model_id: self.model_id,
-                model_revision: self.revision,
-            });
-        }
+        self.check_base(delta.base_revision())?;
         if delta.is_empty() {
             return Ok(Revision(self.revision));
         }
+        self.splice(delta)?;
+        self.revision += 1;
+        Ok(Revision(self.revision))
+    }
+
+    /// Validate `delta`'s references against the grown counts, then splice
+    /// its entities in: the only place the claim-major arrays are filled
+    /// and the deduplicated source↔claim rows are grown. On error the model
+    /// is untouched. Leaves the revision to the caller.
+    fn splice(&mut self, delta: ModelDelta) -> Result<(), ModelError> {
+        let (new_sources, new_docs) = (delta.n_new_sources(), delta.n_new_docs());
         let n_claims = self.n_claims + delta.new_claims;
-        let n_sources = self.n_sources + delta.n_new_sources();
-        let n_docs = self.n_docs + delta.n_new_docs();
+        let n_sources = self.n_sources + new_sources;
+        let n_docs = self.n_docs + new_docs;
         for cl in &delta.new_cliques {
             if cl.claim.idx() >= n_claims {
                 return Err(ModelError::DanglingReference {
@@ -1149,17 +1053,10 @@ impl CrfModel {
             }
         }
 
-        // ---- Commit. Feature matrices and the clique list are pure
-        // appends; clique ids continue the insertion order.
-        self.source_features
-            .extend_from_slice(&delta.new_source_features);
-        self.doc_features.extend_from_slice(&delta.new_doc_features);
+        // ---- Claim-major arrays. Per claim, old entries keep their
+        // relative order and the delta's entries follow in delta order;
+        // clique ids continue the insertion order.
         let first_new_id = self.cliques.len() as u32;
-
-        // ---- Claim-major arrays: splice. Per claim, old entries keep
-        // their relative order and the delta's entries follow in delta
-        // order — exactly the counting-sort fill a one-shot build of the
-        // concatenated clique list produces.
         let mut offsets = vec![0u32; n_claims + 1];
         for c in 0..self.n_claims {
             offsets[c + 1] = self.claim_clique_offsets[c + 1] - self.claim_clique_offsets[c];
@@ -1215,8 +1112,8 @@ impl CrfModel {
         );
 
         self.ingested_claims += delta.new_claims as u64;
-        self.ingested_sources += delta.n_new_sources() as u64;
-        self.ingested_docs += delta.n_new_docs() as u64;
+        self.ingested_sources += new_sources as u64;
+        self.ingested_docs += new_docs as u64;
         self.ingested_cliques += delta.new_cliques.len() as u64;
 
         // Tombstone bookkeeping: grown bitmaps stay in step with the entity
@@ -1249,12 +1146,15 @@ impl CrfModel {
             }
         }
 
-        self.cliques.extend(delta.new_cliques);
+        // Feature matrices and the clique list are pure appends; into the
+        // empty model the delta's buffers move in without a copy.
+        append(&mut self.source_features, delta.new_source_features);
+        append(&mut self.doc_features, delta.new_doc_features);
+        append(&mut self.cliques, delta.new_cliques);
         self.n_claims = n_claims;
         self.n_sources = n_sources;
         self.n_docs = n_docs;
-        self.revision += 1;
-        Ok(Revision(self.revision))
+        Ok(())
     }
 
     /// Tombstone the claims and sources of `set` in `O(touched)`, returning
@@ -1274,14 +1174,7 @@ impl CrfModel {
     /// the tombstoned model equals inference on the surviving subgraph (see
     /// the module docs). Reclaiming the memory is [`Self::compact`]'s job.
     pub fn retire(&mut self, set: RetireSet) -> Result<Revision, ModelError> {
-        if set.base_model_id != self.model_id || set.base_revision != self.revision {
-            return Err(ModelError::StaleDelta {
-                delta_model_id: set.base_model_id,
-                delta_revision: set.base_revision,
-                model_id: self.model_id,
-                model_revision: self.revision,
-            });
-        }
+        self.check_base(set.base_revision())?;
         let mut claims = set.claims;
         claims.sort_unstable();
         claims.dedup();
@@ -1389,9 +1282,10 @@ impl CrfModel {
     /// and every document whose cliques all died — and publish the
     /// order-preserving [`IdRemap`] from old to new ids.
     ///
-    /// The compacted model is identical, array for array, to a one-shot
-    /// [`CrfModelBuilder`] build of the survivors in their original
-    /// insertion order; `model_id` is preserved, `revision` bumps, and the
+    /// The survivors, in their original insertion order, are spliced into
+    /// the empty model exactly as [`Self::build`] does, so the compacted
+    /// model is identical, array for array, to a one-shot build of them;
+    /// `model_id` is preserved, `revision` bumps, and the
     /// remap is retained as [`Self::last_compaction`] (only the latest is
     /// kept). With nothing to drop this is a no-op returning an identity
     /// remap without bumping the revision. [`ModelError::Empty`] is
@@ -1435,25 +1329,25 @@ impl CrfModel {
         });
         let (clique_map, new_cliques) = number(self.cliques.len(), &|ci| self.clique_live(ci));
 
-        // One-shot replay of the survivors, in original insertion order,
-        // through the builder — canonical layout by construction.
-        let mut b = CrfModelBuilder::new(self.m_source, self.m_doc);
+        // One-shot build of the survivors, in original insertion order —
+        // canonical layout by construction.
+        let mut delta = ModelDelta::new(self.m_source, self.m_doc);
         for (s, &mapped) in source_map.iter().enumerate() {
             if mapped != DROP {
-                b.add_source(self.source_feature_row(s as u32))?;
+                delta.add_source(self.source_feature_row(s as u32))?;
             }
         }
         for _ in 0..new_claims {
-            b.add_claim();
+            delta.add_claim();
         }
         for (d, &mapped) in doc_map.iter().enumerate() {
             if mapped != DROP {
-                b.add_document(self.doc_feature_row(d as u32))?;
+                delta.add_document(self.doc_feature_row(d as u32))?;
             }
         }
         for (ci, cl) in self.cliques.iter().enumerate() {
             if clique_map[ci] != DROP {
-                b.add_clique(
+                delta.add_clique(
                     VarId(claim_map[cl.claim.idx()]),
                     doc_map[cl.doc as usize],
                     source_map[cl.source as usize],
@@ -1461,7 +1355,7 @@ impl CrfModel {
                 );
             }
         }
-        let built = b.build()?; // Empty when no clique survives; model untouched
+        let built = CrfModel::build(delta)?; // Empty when no clique survives; model untouched
 
         let remap = IdRemap {
             from_revision: self.revision,
@@ -1476,29 +1370,19 @@ impl CrfModel {
             new_cliques,
         };
 
-        self.n_claims = built.n_claims;
-        self.n_sources = built.n_sources;
-        self.n_docs = built.n_docs;
-        self.cliques = built.cliques;
-        self.claim_clique_offsets = built.claim_clique_offsets;
-        self.claim_clique_ids = built.claim_clique_ids;
-        self.claim_clique_sources = built.claim_clique_sources;
-        self.source_claim_offsets = built.source_claim_offsets;
-        self.source_claim_ids = built.source_claim_ids;
-        self.claim_source_offsets = built.claim_source_offsets;
-        self.claim_source_ids = built.claim_source_ids;
-        self.doc_features = built.doc_features;
-        self.source_features = built.source_features;
-        self.dead_claims.clear();
-        self.dead_sources.clear();
-        self.dead_cliques.clear();
-        self.n_dead_claims = 0;
-        self.n_dead_sources = 0;
-        self.n_dead_cliques = 0;
-        self.live_claims_per_source.clear();
-        self.revision += 1;
-        self.compactions += 1;
-        self.last_compaction = Some(remap.clone());
+        // The survivors' layout, without tombstones, under this lineage.
+        *self = CrfModel {
+            model_id: self.model_id,
+            revision: self.revision + 1,
+            retire_ops: self.retire_ops,
+            compactions: self.compactions + 1,
+            ingested_claims: self.ingested_claims,
+            ingested_sources: self.ingested_sources,
+            ingested_docs: self.ingested_docs,
+            ingested_cliques: self.ingested_cliques,
+            last_compaction: Some(remap.clone()),
+            ..built
+        };
         Ok(remap)
     }
 }
@@ -1632,14 +1516,7 @@ impl CrfModel {
                 base_model_id,
                 base_revision,
             } => {
-                if base_model_id != self.model_id || base_revision != self.revision {
-                    return Err(ModelError::StaleDelta {
-                        delta_model_id: base_model_id,
-                        delta_revision: base_revision,
-                        model_id: self.model_id,
-                        model_revision: self.revision,
-                    });
-                }
+                self.check_base((base_model_id, Revision(base_revision)))?;
                 self.compact()?;
                 Ok(Revision(self.revision))
             }
@@ -1870,31 +1747,31 @@ pub fn synthetic_model(
     use rand::{Rng, SeedableRng};
 
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = CrfModelBuilder::new(m_source, m_doc);
+    let mut delta = ModelDelta::new(m_source, m_doc);
     let mut row = vec![0.0; m_source.max(m_doc)];
     for _ in 0..n_sources {
         for x in row[..m_source].iter_mut() {
             *x = rng.gen::<f64>();
         }
-        b.add_source(&row[..m_source]).unwrap();
+        delta.add_source(&row[..m_source]).unwrap();
     }
-    let claims: Vec<VarId> = (0..n_claims).map(|_| b.add_claim()).collect();
+    let claims: Vec<VarId> = (0..n_claims).map(|_| delta.add_claim()).collect();
     for &c in &claims {
         for _ in 0..docs_per_claim {
             for x in row[..m_doc].iter_mut() {
                 *x = rng.gen::<f64>();
             }
-            let d = b.add_document(&row[..m_doc]).unwrap();
+            let d = delta.add_document(&row[..m_doc]).unwrap();
             let s = rng.gen_range(0..n_sources) as u32;
             let stance = if rng.gen_bool(0.8) {
                 Stance::Support
             } else {
                 Stance::Refute
             };
-            b.add_clique(c, d, s, stance);
+            delta.add_clique(c, d, s, stance);
         }
     }
-    b.build().unwrap()
+    CrfModel::build(delta).unwrap()
 }
 
 /// Build a synthetic model with a **controlled component structure**:
@@ -1926,23 +1803,23 @@ pub fn synthetic_components_model(
     );
     assert!(docs_per_claim >= 1, "need at least one document per claim");
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = CrfModelBuilder::new(m_source, m_doc);
+    let mut delta = ModelDelta::new(m_source, m_doc);
     let mut row = vec![0.0; m_source.max(m_doc)];
     for _ in 0..n_components * sources_per_component {
         for x in row[..m_source].iter_mut() {
             *x = rng.gen::<f64>();
         }
-        b.add_source(&row[..m_source]).unwrap();
+        delta.add_source(&row[..m_source]).unwrap();
     }
     for comp in 0..n_components {
         let base = (comp * sources_per_component) as u32;
         for _ in 0..claims_per_component {
-            let c = b.add_claim();
+            let c = delta.add_claim();
             for k in 0..docs_per_claim {
                 for x in row[..m_doc].iter_mut() {
                     *x = rng.gen::<f64>();
                 }
-                let d = b.add_document(&row[..m_doc]).unwrap();
+                let d = delta.add_document(&row[..m_doc]).unwrap();
                 let s = if k == 0 {
                     base
                 } else {
@@ -1953,11 +1830,11 @@ pub fn synthetic_components_model(
                 } else {
                     Stance::Refute
                 };
-                b.add_clique(c, d, s, stance);
+                delta.add_clique(c, d, s, stance);
             }
         }
     }
-    b.build().unwrap()
+    CrfModel::build(delta).unwrap()
 }
 
 #[cfg(test)]
@@ -2045,9 +1922,9 @@ pub(crate) mod test_support {
         chunks
     }
 
-    /// Replay a build script in one shot through [`CrfModelBuilder`].
+    /// Replay a build script in one shot through [`CrfModel::build`].
     pub fn build_batch(chunks: &[GrowthChunk]) -> CrfModel {
-        let mut b = CrfModelBuilder::new(2, 2);
+        let mut b = ModelDelta::new(2, 2);
         for chunk in chunks {
             for row in &chunk.sources {
                 b.add_source(row).unwrap();
@@ -2067,7 +1944,7 @@ pub(crate) mod test_support {
                 }
             }
         }
-        b.build().unwrap()
+        CrfModel::build(b).unwrap()
     }
 
     /// Turn one chunk into a delta against the current model state.
@@ -2093,8 +1970,8 @@ pub(crate) mod test_support {
         delta
     }
 
-    /// Replay a build script incrementally: chunk 0 through the builder,
-    /// every later chunk through [`CrfModel::apply`].
+    /// Replay a build script incrementally: chunk 0 through
+    /// [`CrfModel::build`], every later chunk through [`CrfModel::apply`].
     pub fn build_grown(chunks: &[GrowthChunk]) -> CrfModel {
         let mut model = build_batch(&chunks[..1]);
         for chunk in &chunks[1..] {
@@ -2122,7 +1999,7 @@ pub(crate) mod test_support {
     /// A naive mirror of the lifecycle — the executable specification the
     /// tombstone/compaction machinery is held against. It tracks entities
     /// and liveness in plain vectors and can produce the one-shot
-    /// *survivors* build through the ordinary [`CrfModelBuilder`], entirely
+    /// *survivors* build through the ordinary [`CrfModel::build`], entirely
     /// independently of [`CrfModel::retire`] / [`CrfModel::compact`].
     #[derive(Debug, Clone, Default)]
     pub struct LifecycleSim {
@@ -2154,7 +2031,7 @@ pub(crate) mod test_support {
                 .count()
         }
 
-        /// Mirror one growth chunk (same id assignment as the builder/delta).
+        /// Mirror one growth chunk (same id assignment as the delta).
         pub fn apply_chunk(&mut self, chunk: &GrowthChunk) {
             for row in &chunk.sources {
                 self.sources.push(*row);
@@ -2189,7 +2066,7 @@ pub(crate) mod test_support {
         /// the model plus the old→new claim map (`u32::MAX` = dropped).
         pub fn build_survivors(&self) -> (CrfModel, Vec<u32>) {
             const DROP: u32 = u32::MAX;
-            let mut b = CrfModelBuilder::new(2, 2);
+            let mut b = ModelDelta::new(2, 2);
             let mut source_map = vec![DROP; self.sources.len()];
             for (s, row) in self.sources.iter().enumerate() {
                 if self.source_live[s] {
@@ -2231,7 +2108,7 @@ pub(crate) mod test_support {
                     );
                 }
             }
-            (b.build().unwrap(), claim_map)
+            (CrfModel::build(b).unwrap(), claim_map)
         }
     }
 
@@ -2352,9 +2229,10 @@ pub(crate) mod test_support {
         ops
     }
 
-    /// Replay a lifecycle script against a live model (chunk 0 through the
-    /// builder, growth through [`CrfModel::apply`], retirement through
-    /// [`CrfModel::retire`]) while mirroring it in a [`LifecycleSim`].
+    /// Replay a lifecycle script against a live model (chunk 0 through
+    /// [`CrfModel::build`], growth through [`CrfModel::apply`], retirement
+    /// through [`CrfModel::retire`]) while mirroring it in a
+    /// [`LifecycleSim`].
     pub fn replay_lifecycle(ops: &[LifecycleOp]) -> (CrfModel, LifecycleSim) {
         let mut sim = LifecycleSim::default();
         let LifecycleOp::Grow(first) = &ops[0] else {
@@ -2419,100 +2297,14 @@ pub(crate) mod test_support {
             assert_eq!(a.doc_feature_row(d), b.doc_feature_row(d), "doc {d}");
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny_model() -> CrfModel {
-        let mut b = CrfModelBuilder::new(1, 1);
-        let s0 = b.add_source(&[0.9]).unwrap();
-        let s1 = b.add_source(&[0.1]).unwrap();
-        let c0 = b.add_claim();
-        let c1 = b.add_claim();
-        let d0 = b.add_document(&[0.8]).unwrap();
-        let d1 = b.add_document(&[0.2]).unwrap();
-        let d2 = b.add_document(&[0.5]).unwrap();
-        b.add_clique(c0, d0, s0, Stance::Support);
-        b.add_clique(c0, d1, s1, Stance::Refute);
-        b.add_clique(c1, d2, s0, Stance::Support);
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn builder_assigns_sequential_ids() {
-        let mut b = CrfModelBuilder::new(2, 3);
-        assert_eq!(b.add_source(&[1.0, 2.0]).unwrap(), 0);
-        assert_eq!(b.add_source(&[3.0, 4.0]).unwrap(), 1);
-        assert_eq!(b.add_document(&[1.0, 2.0, 3.0]).unwrap(), 0);
-        assert_eq!(b.add_claim(), VarId(0));
-        assert_eq!(b.add_claim(), VarId(1));
-    }
-
-    #[test]
-    fn builder_rejects_wrong_feature_dims() {
-        let mut b = CrfModelBuilder::new(2, 2);
-        assert!(matches!(
-            b.add_source(&[1.0]),
-            Err(ModelError::FeatureDim {
-                entity: "source",
-                ..
-            })
-        ));
-        assert!(matches!(
-            b.add_document(&[1.0, 2.0, 3.0]),
-            Err(ModelError::FeatureDim {
-                entity: "document",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn builder_rejects_dangling_clique() {
-        let mut b = CrfModelBuilder::new(1, 1);
-        let c = b.add_claim();
-        let d = b.add_document(&[0.5]).unwrap();
-        b.add_clique(c, d, 7, Stance::Support); // source 7 does not exist
-        assert!(matches!(
-            b.build(),
-            Err(ModelError::DanglingReference {
-                entity: "source",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn builder_rejects_empty_model() {
-        let b = CrfModelBuilder::new(1, 1);
-        assert_eq!(b.build().unwrap_err(), ModelError::Empty);
-    }
-
-    #[test]
-    fn adjacency_is_consistent() {
-        let m = tiny_model();
-        assert_eq!(m.n_claims(), 2);
-        assert_eq!(m.n_sources(), 2);
-        assert_eq!(m.n_docs(), 3);
-        assert_eq!(m.cliques_of(VarId(0)).len(), 2);
-        assert_eq!(m.cliques_of(VarId(1)).len(), 1);
-        assert_eq!(m.claims_of_source(0), &[0, 1]);
-        assert_eq!(m.claims_of_source(1), &[0]);
-        assert_eq!(m.sources_of_claim(VarId(0)), &[0, 1]);
-        assert_eq!(m.sources_of_claim(VarId(1)), &[0]);
-    }
-
-    /// The CSR layout reproduces exactly the nested `Vec<Vec<u32>>`
-    /// adjacency it replaced: per-claim clique lists in insertion order,
-    /// per-claim parallel source lists, and sorted-deduplicated
-    /// source↔claim lists, all rebuilt here directly from the clique list.
-    #[test]
-    fn csr_adjacency_round_trips_nested_reference() {
+    /// The layout spec, independent of the splice: the CSR arrays reproduce
+    /// exactly the nested `Vec<Vec<u32>>` adjacency they replaced —
+    /// per-claim clique lists in insertion order, per-claim parallel source
+    /// lists, and sorted-deduplicated source↔claim lists, all rebuilt here
+    /// directly from the clique list.
+    pub fn assert_matches_nested_reference(m: &CrfModel) {
         use std::collections::BTreeSet;
-        let m = test_support::random_model(60, 12, 3, 21);
-
         let mut claim_cliques = vec![Vec::<u32>::new(); m.n_claims()];
         let mut claim_clique_sources = vec![Vec::<u32>::new(); m.n_claims()];
         let mut claim_sources = vec![BTreeSet::<u32>::new(); m.n_claims()];
@@ -2546,6 +2338,140 @@ mod tests {
             assert_eq!(m.claims_of_source(s), expect.as_slice(), "source {s}");
             assert_eq!(m.n_claims_of_source(s), expect.len());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tiny_model() -> CrfModel {
+        CrfModel::build(tiny_delta()).unwrap()
+    }
+
+    /// The content of [`tiny_model`], as a delta against the empty model.
+    fn tiny_delta() -> ModelDelta {
+        let mut b = ModelDelta::new(1, 1);
+        let s0 = b.add_source(&[0.9]).unwrap();
+        let s1 = b.add_source(&[0.1]).unwrap();
+        let c0 = b.add_claim();
+        let c1 = b.add_claim();
+        let d0 = b.add_document(&[0.8]).unwrap();
+        let d1 = b.add_document(&[0.2]).unwrap();
+        let d2 = b.add_document(&[0.5]).unwrap();
+        b.add_clique(c0, d0, s0, Stance::Support);
+        b.add_clique(c0, d1, s1, Stance::Refute);
+        b.add_clique(c1, d2, s0, Stance::Support);
+        b
+    }
+
+    #[test]
+    fn builder_assigns_sequential_ids() {
+        let mut b = ModelDelta::new(2, 3);
+        assert_eq!(b.add_source(&[1.0, 2.0]).unwrap(), 0);
+        assert_eq!(b.add_source(&[3.0, 4.0]).unwrap(), 1);
+        assert_eq!(b.add_document(&[1.0, 2.0, 3.0]).unwrap(), 0);
+        assert_eq!(b.add_claim(), VarId(0));
+        assert_eq!(b.add_claim(), VarId(1));
+    }
+
+    #[test]
+    fn builder_rejects_wrong_feature_dims() {
+        let mut b = ModelDelta::new(2, 2);
+        assert!(matches!(
+            b.add_source(&[1.0]),
+            Err(ModelError::FeatureDim {
+                entity: "source",
+                ..
+            })
+        ));
+        assert!(matches!(
+            b.add_document(&[1.0, 2.0, 3.0]),
+            Err(ModelError::FeatureDim {
+                entity: "document",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn builder_rejects_dangling_clique() {
+        let mut b = ModelDelta::new(1, 1);
+        let c = b.add_claim();
+        let d = b.add_document(&[0.5]).unwrap();
+        b.add_clique(c, d, 7, Stance::Support); // source 7 does not exist
+        assert!(matches!(
+            CrfModel::build(b),
+            Err(ModelError::DanglingReference {
+                entity: "source",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn builder_rejects_empty_model() {
+        let b = ModelDelta::new(1, 1);
+        assert_eq!(CrfModel::build(b).unwrap_err(), ModelError::Empty);
+    }
+
+    #[test]
+    fn build_rejects_a_delta_prepared_against_a_live_model() {
+        let m = tiny_model();
+        let mut delta = ModelDelta::for_model(&m);
+        let c = delta.add_claim();
+        let d = delta.add_document(&[0.5]).unwrap();
+        delta.add_clique(c, d, 0, Stance::Support);
+        assert_eq!(
+            CrfModel::build(delta).unwrap_err(),
+            ModelError::StaleDelta {
+                delta_model_id: m.model_id(),
+                delta_revision: 0,
+                model_id: 0,
+                model_revision: 0,
+            }
+        );
+    }
+
+    /// `build` and `apply` validate through the same splice: a dangling
+    /// clique of each kind gives the same error whether it arrives in a
+    /// delta on the tiny model or in one build of the same content.
+    #[test]
+    fn build_and_apply_reject_a_dangling_clique_alike() {
+        for (claim, doc, source) in [(9, 0, 0), (0, 9, 0), (0, 0, 9)] {
+            let mut grown = tiny_model();
+            let mut delta = ModelDelta::for_model(&grown);
+            delta.add_clique(VarId(claim), doc, source, Stance::Support);
+            let from_apply = grown.apply(delta).unwrap_err();
+
+            let mut batch = tiny_delta();
+            batch.add_clique(VarId(claim), doc, source, Stance::Support);
+            let from_build = CrfModel::build(batch).unwrap_err();
+            assert!(matches!(
+                from_build,
+                ModelError::DanglingReference { index: 9, .. }
+            ));
+            assert_eq!(from_build, from_apply);
+        }
+    }
+
+    #[test]
+    fn adjacency_is_consistent() {
+        let m = tiny_model();
+        assert_eq!(m.n_claims(), 2);
+        assert_eq!(m.n_sources(), 2);
+        assert_eq!(m.n_docs(), 3);
+        assert_eq!(m.cliques_of(VarId(0)).len(), 2);
+        assert_eq!(m.cliques_of(VarId(1)).len(), 1);
+        assert_eq!(m.claims_of_source(0), &[0, 1]);
+        assert_eq!(m.claims_of_source(1), &[0]);
+        assert_eq!(m.sources_of_claim(VarId(0)), &[0, 1]);
+        assert_eq!(m.sources_of_claim(VarId(1)), &[0]);
+    }
+
+    #[test]
+    fn csr_adjacency_round_trips_nested_reference() {
+        test_support::assert_matches_nested_reference(&test_support::random_model(60, 12, 3, 21));
     }
 
     #[test]
@@ -2733,6 +2659,8 @@ mod tests {
             let batch = test_support::build_batch(&script);
             let grown = test_support::build_grown(&script);
             test_support::assert_same_content(&batch, &grown);
+            test_support::assert_matches_nested_reference(&batch);
+            test_support::assert_matches_nested_reference(&grown);
         }
     }
 
@@ -2982,13 +2910,13 @@ mod tests {
         assert_eq!(remap.n_new_claims(), 1);
 
         // Canonical: identical to the one-shot build of the survivors.
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         b.add_source(&[0.9]).unwrap();
         b.add_source(&[0.1]).unwrap();
         let c = b.add_claim();
         let d = b.add_document(&[0.5]).unwrap();
         b.add_clique(c, d, 0, Stance::Support);
-        let expect = b.build().unwrap();
+        let expect = CrfModel::build(b).unwrap();
         test_support::assert_same_content(&m, &expect);
         // Lifetime counters remember everything ever ingested.
         assert_eq!(m.ingested_claims(), 2);
@@ -3033,7 +2961,7 @@ mod tests {
         delta.add_clique(VarId(0), d, 1, Stance::Support);
         m.apply(delta).unwrap();
 
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         b.add_source(&[0.9]).unwrap();
         b.add_source(&[0.1]).unwrap();
         let c0 = b.add_claim();
@@ -3043,7 +2971,7 @@ mod tests {
         let d1 = b.add_document(&[0.7]).unwrap();
         b.add_clique(c1, d1, 0, Stance::Refute);
         b.add_clique(c0, d1, 1, Stance::Support);
-        test_support::assert_same_content(&m, &b.build().unwrap());
+        test_support::assert_same_content(&m, &CrfModel::build(b).unwrap());
     }
 
     #[test]
@@ -3127,8 +3055,11 @@ mod tests {
             let ops = test_support::random_lifecycle_script(seed ^ 0xbead, ops);
             let (mut model, sim) = test_support::replay_lifecycle(&ops);
             let (expect, _) = sim.build_survivors();
+            test_support::assert_matches_nested_reference(&model);
             model.compact().unwrap();
             test_support::assert_same_content(&model, &expect);
+            test_support::assert_matches_nested_reference(&model);
+            test_support::assert_matches_nested_reference(&expect);
         }
     }
 }

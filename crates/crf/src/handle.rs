@@ -319,15 +319,15 @@ impl From<Arc<CrfModel>> for ModelHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{CrfModelBuilder, Stance, VarId};
+    use crate::graph::{CrfModel, ModelDelta, Stance, VarId};
 
     fn handle() -> ModelHandle {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.5]).unwrap();
         let c = b.add_claim();
         let d = b.add_document(&[0.5]).unwrap();
         b.add_clique(c, d, s, Stance::Support);
-        ModelHandle::new(b.build().unwrap())
+        ModelHandle::new(CrfModel::build(b).unwrap())
     }
 
     #[test]

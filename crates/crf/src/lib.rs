@@ -49,8 +49,8 @@ pub use coloring::{ColorRefresh, Coloring, NO_COLOR};
 pub use em::{Icrf, IcrfConfig, IcrfState, IcrfStats};
 pub use gibbs::{GibbsConfig, GibbsResult, GibbsSampler};
 pub use graph::{
-    Clique, CliqueId, CrfModel, CrfModelBuilder, IdRemap, ModelDelta, ModelEdit, ModelError,
-    RetireSet, Revision, Stance, VarId,
+    Clique, CliqueId, CrfModel, IdRemap, ModelDelta, ModelEdit, ModelError, RetireSet, Revision,
+    Stance, VarId,
 };
 pub use handle::{EditObserver, FanoutObserver, ModelHandle};
 pub use partition::Partition;

@@ -632,7 +632,7 @@ fn union_live_row(dsu: &mut Dsu, model: &CrfModel, source: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{CrfModelBuilder, Stance};
+    use crate::graph::{CrfModel, ModelDelta, Stance};
     use proptest::prelude::*;
 
     #[test]
@@ -652,7 +652,7 @@ mod tests {
     /// Two sources, each with its own pair of claims -> two components.
     #[test]
     fn partition_separates_independent_sources() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s0 = b.add_source(&[0.0]).unwrap();
         let s1 = b.add_source(&[0.0]).unwrap();
         let claims: Vec<_> = (0..4).map(|_| b.add_claim()).collect();
@@ -661,7 +661,7 @@ mod tests {
             let s = if i < 2 { s0 } else { s1 };
             b.add_clique(c, d, s, Stance::Support);
         }
-        let m = b.build().unwrap();
+        let m = CrfModel::build(b).unwrap();
         let p = Partition::of_model(&m);
         assert_eq!(p.len(), 2);
         assert_eq!(p.component_of(VarId(0)), p.component_of(VarId(1)));
@@ -673,7 +673,7 @@ mod tests {
     /// A bridging claim shared by both sources merges everything.
     #[test]
     fn partition_merges_via_shared_claim() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s0 = b.add_source(&[0.0]).unwrap();
         let s1 = b.add_source(&[0.0]).unwrap();
         let c0 = b.add_claim();
@@ -683,7 +683,7 @@ mod tests {
             let d = b.add_document(&[0.0]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        let m = b.build().unwrap();
+        let m = CrfModel::build(b).unwrap();
         let p = Partition::of_model(&m);
         assert_eq!(p.len(), 1);
         assert_eq!(p.component(0), &[0, 1, 2]);
@@ -693,7 +693,7 @@ mod tests {
     /// merges them under `grow`, with canonical renumbering.
     #[test]
     fn grow_merges_components_via_bridging_claim() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s0 = b.add_source(&[0.0]).unwrap();
         let s1 = b.add_source(&[0.0]).unwrap();
         let c0 = b.add_claim();
@@ -702,7 +702,7 @@ mod tests {
             let d = b.add_document(&[0.0]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        let mut m = b.build().unwrap();
+        let mut m = CrfModel::build(b).unwrap();
         let mut p = Partition::of_model(&m);
         assert_eq!(p.len(), 2);
 
@@ -725,12 +725,12 @@ mod tests {
     /// appends new singletons/components in claim order.
     #[test]
     fn grow_appends_independent_component() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s0 = b.add_source(&[0.0]).unwrap();
         let c0 = b.add_claim();
         let d = b.add_document(&[0.0]).unwrap();
         b.add_clique(c0, d, s0, Stance::Support);
-        let mut m = b.build().unwrap();
+        let mut m = CrfModel::build(b).unwrap();
         let mut p = Partition::of_model(&m);
 
         let mut delta = crate::graph::ModelDelta::for_model(&m);
@@ -750,7 +750,7 @@ mod tests {
     /// canonical renumbering; compacting renumbers without re-merging.
     #[test]
     fn retiring_bridge_splits_component() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s0 = b.add_source(&[0.0]).unwrap();
         let s1 = b.add_source(&[0.0]).unwrap();
         let c0 = b.add_claim();
@@ -760,7 +760,7 @@ mod tests {
             let d = b.add_document(&[0.0]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        let mut m = b.build().unwrap();
+        let mut m = CrfModel::build(b).unwrap();
         let mut p = Partition::of_model(&m);
         assert_eq!(p.len(), 1);
 
@@ -787,7 +787,7 @@ mod tests {
     /// as `component_of`, tombstoned and out-of-range claims give `None`.
     #[test]
     fn try_component_of_is_total() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s0 = b.add_source(&[0.0]).unwrap();
         let c0 = b.add_claim();
         let c1 = b.add_claim();
@@ -795,7 +795,7 @@ mod tests {
             let d = b.add_document(&[0.0]).unwrap();
             b.add_clique(c, d, s0, Stance::Support);
         }
-        let mut m = b.build().unwrap();
+        let mut m = CrfModel::build(b).unwrap();
         let mut p = Partition::of_model(&m);
         assert_eq!(p.try_component_of(c0), Some(p.component_of(c0)));
         assert_eq!(p.try_component_of(VarId(99)), None, "out of range");
@@ -811,7 +811,7 @@ mod tests {
     /// A retired *source* can split a component too (its cliques die).
     #[test]
     fn retiring_source_splits_component() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s_bridge = b.add_source(&[0.0]).unwrap();
         let s0 = b.add_source(&[0.0]).unwrap();
         let s1 = b.add_source(&[0.0]).unwrap();
@@ -821,7 +821,7 @@ mod tests {
             let d = b.add_document(&[0.0]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        let mut m = b.build().unwrap();
+        let mut m = CrfModel::build(b).unwrap();
         let mut p = Partition::of_model(&m);
         assert_eq!(p.len(), 1);
         let mut set = crate::graph::RetireSet::for_model(&m);
@@ -1068,7 +1068,7 @@ mod tests {
                 state
             };
 
-            let mut b = CrfModelBuilder::new(1, 1);
+            let mut b = ModelDelta::new(1, 1);
             let s0 = b.add_source(&[0.1]).unwrap();
             let s1 = b.add_source(&[0.2]).unwrap();
             let claims: Vec<_> = (0..3).map(|_| b.add_claim()).collect();
@@ -1076,7 +1076,7 @@ mod tests {
                 let d = b.add_document(&[0.0]).unwrap();
                 b.add_clique(c, d, if i % 2 == 0 { s0 } else { s1 }, Stance::Support);
             }
-            let mut model = b.build().unwrap();
+            let mut model = CrfModel::build(b).unwrap();
             let mut part = Partition::of_model(&model);
             let mut old = model.clone();
 

@@ -766,15 +766,15 @@ impl ScoreCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{CrfModelBuilder, VarId};
+    use crate::graph::{CrfModel, ModelDelta, VarId};
 
     fn model_one_claim(stance: Stance) -> CrfModel {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.5]).unwrap();
         let c = b.add_claim();
         let d = b.add_document(&[0.25]).unwrap();
         b.add_clique(c, d, s, stance);
-        b.build().unwrap()
+        CrfModel::build(b).unwrap()
     }
 
     #[test]
@@ -818,14 +818,14 @@ mod tests {
 
     #[test]
     fn multiple_cliques_sum_their_logits() {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[1.0]).unwrap();
         let c = b.add_claim();
         for _ in 0..3 {
             let d = b.add_document(&[1.0]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        let m = b.build().unwrap();
+        let m = CrfModel::build(b).unwrap();
         let w = Weights::from_vec(vec![0.5, 0.0, 0.0, 0.0]);
         let logit = claim_logit(&m, &w, VarId(0), |_| 0.0);
         assert!((logit - 1.5).abs() < 1e-12, "3 cliques x bias 0.5");

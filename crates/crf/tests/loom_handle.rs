@@ -10,19 +10,19 @@
 #![cfg(loom)]
 
 use crf::{
-    CrfModelBuilder, EditObserver, IdRemap, ModelDelta, ModelError, ModelHandle, RetireSet,
-    Revision, Stance,
+    CrfModel, EditObserver, IdRemap, ModelDelta, ModelError, ModelHandle, RetireSet, Revision,
+    Stance,
 };
 use loom::thread;
 use std::sync::{Arc, Mutex};
 
 fn base_handle() -> ModelHandle {
-    let mut b = CrfModelBuilder::new(1, 1);
+    let mut b = ModelDelta::new(1, 1);
     let s = b.add_source(&[0.5]).unwrap();
     let c = b.add_claim();
     let d = b.add_document(&[0.5]).unwrap();
     b.add_clique(c, d, s, Stance::Support);
-    b.build().unwrap().into()
+    CrfModel::build(b).unwrap().into()
 }
 
 fn grow_delta(h: &ModelHandle) -> ModelDelta {

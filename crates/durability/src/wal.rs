@@ -632,15 +632,15 @@ impl EditLog {
 mod tests {
     use super::*;
     use crate::storage::MemFs;
-    use crf::{CrfModelBuilder, ModelDelta, ModelEdit, Stance};
+    use crf::{CrfModel, ModelDelta, ModelEdit, Stance};
 
     fn base_model() -> crf::CrfModel {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.5]).unwrap();
         let c = b.add_claim();
         let d = b.add_document(&[0.5]).unwrap();
         b.add_clique(c, d, s, Stance::Support);
-        b.build().unwrap()
+        CrfModel::build(b).unwrap()
     }
 
     fn grow_edit(model: &mut crf::CrfModel) -> ModelEdit {

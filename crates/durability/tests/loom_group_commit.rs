@@ -28,12 +28,12 @@ const GROUP: SyncPolicy = SyncPolicy::GroupCommit {
 };
 
 fn edits(n: usize) -> Vec<crf::ModelEdit> {
-    let mut b = crf::CrfModelBuilder::new(1, 1);
+    let mut b = crf::ModelDelta::new(1, 1);
     let s = b.add_source(&[0.5]).unwrap();
     let c = b.add_claim();
     let d = b.add_document(&[0.5]).unwrap();
     b.add_clique(c, d, s, crf::Stance::Support);
-    let mut model = b.build().unwrap();
+    let mut model = crf::CrfModel::build(b).unwrap();
     (0..n)
         .map(|_| {
             let mut delta = crf::ModelDelta::for_model(&model);

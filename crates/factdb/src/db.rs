@@ -2,7 +2,7 @@
 
 use crate::features;
 use crate::model::{ClaimId, ClaimRecord, DocId, DocumentRecord, SourceId, SourceRecord};
-use crf::{CrfModel, CrfModelBuilder, ModelDelta, ModelError, Revision};
+use crf::{CrfModel, ModelDelta, ModelError, Revision};
 use serde::{Deserialize, Serialize};
 
 /// The concrete `<S, D, C>` part of a probabilistic fact database; the
@@ -183,24 +183,24 @@ impl FactDatabase {
     pub fn to_crf_model(&self) -> Result<CrfModel, ModelError> {
         let sf = features::source_features(self);
         let df = features::doc_features(self);
-        let mut b = CrfModelBuilder::new(features::N_SOURCE_FEATURES, features::N_DOC_FEATURES);
+        let mut delta = ModelDelta::new(features::N_SOURCE_FEATURES, features::N_DOC_FEATURES);
         for i in 0..self.n_sources() {
-            b.add_source(
+            delta.add_source(
                 &sf[i * features::N_SOURCE_FEATURES..(i + 1) * features::N_SOURCE_FEATURES],
             )?;
         }
         for _ in 0..self.n_claims() {
-            b.add_claim();
+            delta.add_claim();
         }
         for (i, doc) in self.documents.iter().enumerate() {
-            let d = b.add_document(
+            let d = delta.add_document(
                 &df[i * features::N_DOC_FEATURES..(i + 1) * features::N_DOC_FEATURES],
             )?;
             for (c, stance) in &doc.claims {
-                b.add_clique(crf::VarId(c.0), d, doc.source.0, *stance);
+                delta.add_clique(crf::VarId(c.0), d, doc.source.0, *stance);
             }
         }
-        b.build()
+        CrfModel::build(delta)
     }
 
     /// Emit a [`ModelDelta`] covering every record added to this database

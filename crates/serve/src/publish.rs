@@ -148,15 +148,15 @@ impl std::fmt::Debug for PublishCell {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crf::graph::{CrfModelBuilder, Stance};
+    use crf::graph::{CrfModel, ModelDelta, Stance};
 
     fn published(rev: u64, arrivals: usize) -> Arc<Published> {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.5]).unwrap();
         let c = b.add_claim();
         let d = b.add_document(&[0.5]).unwrap();
         b.add_clique(c, d, s, Stance::Support);
-        let model = Arc::new(b.build().unwrap());
+        let model = Arc::new(CrfModel::build(b).unwrap());
         Arc::new(Published {
             probs: vec![0.5],
             trust: vec![0.5],

@@ -297,17 +297,17 @@ impl<B: IngestBackend> std::fmt::Debug for TruthServer<B> {
 mod tests {
     use super::*;
     use crate::query::QueryError;
-    use crf::graph::{CrfModelBuilder, Stance};
+    use crf::graph::{CrfModel, ModelDelta, Stance};
     use crf::ModelHandle;
     use streamcheck::{OnlineEmConfig, RetentionPolicy};
 
     fn seed_handle() -> ModelHandle {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.8]).unwrap();
         let c = b.add_claim();
         let d = b.add_document(&[0.6]).unwrap();
         b.add_clique(c, d, s, Stance::Support);
-        ModelHandle::new(b.build().unwrap())
+        ModelHandle::new(CrfModel::build(b).unwrap())
     }
 
     fn server() -> TruthServer<StreamingChecker> {

@@ -19,7 +19,7 @@
 //!   and the pinned state keeps its pre-wrap content.
 #![cfg(loom)]
 
-use crf::graph::{CrfModelBuilder, Revision, Stance};
+use crf::graph::{CrfModel, ModelDelta, Revision, Stance};
 use loom::thread;
 use serve::{PublishCell, Published};
 use std::sync::Arc;
@@ -27,13 +27,13 @@ use std::sync::Arc;
 /// A published state whose `revision` and `arrivals` must travel as a
 /// couple: any interleaving that shows `arrivals != revision` tore a pair.
 fn published(rev: u64) -> Arc<Published> {
-    let mut b = CrfModelBuilder::new(1, 1);
+    let mut b = ModelDelta::new(1, 1);
     let s = b.add_source(&[0.5]).unwrap();
     let c = b.add_claim();
     let d = b.add_document(&[0.5]).unwrap();
     b.add_clique(c, d, s, Stance::Support);
     Arc::new(Published {
-        model: Arc::new(b.build().unwrap()),
+        model: Arc::new(CrfModel::build(b).unwrap()),
         probs: vec![rev as f64],
         trust: vec![rev as f64],
         comp_key: vec![0],

@@ -15,7 +15,7 @@
 //! with [`QueryError::Remapped`] — never serve an id the creator didn't
 //! name.
 
-use crf::graph::{CrfModelBuilder, Stance};
+use crf::graph::{CrfModel, ModelDelta, Stance};
 use crf::{ModelHandle, Partition, VarId};
 use serve::{binary_entropy, IngestBackend, Published, QueryError, TruthServer, NO_COMPONENT};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,12 +32,12 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 fn seed_server(seed: u64) -> TruthServer<StreamingChecker> {
-    let mut b = CrfModelBuilder::new(1, 1);
+    let mut b = ModelDelta::new(1, 1);
     let s = b.add_source(&[0.5 + (seed % 5) as f64 * 0.08]).unwrap();
     let c = b.add_claim();
     let d = b.add_document(&[0.4]).unwrap();
     b.add_clique(c, d, s, Stance::Support);
-    let handle = ModelHandle::new(b.build().unwrap());
+    let handle = ModelHandle::new(CrfModel::build(b).unwrap());
     let checker = StreamingChecker::try_new(handle, OnlineEmConfig::default())
         .unwrap()
         .with_retention(RetentionPolicy {

@@ -804,19 +804,19 @@ impl StreamingChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crf::graph::{CrfModelBuilder, Stance};
+    use crf::graph::{CrfModel, ModelDelta, Stance};
     use durability::MemFs;
 
     /// One seed model, serialised: deserialising per run keeps the
     /// `model_id`, so an interrupted and an uninterrupted run share the
     /// exact lineage and can be compared byte for byte.
     fn seed_json() -> String {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.8]).unwrap();
         let c = b.add_claim();
         let d = b.add_document(&[0.6]).unwrap();
         b.add_clique(c, d, s, Stance::Support);
-        serde_json::to_string(&b.build().unwrap()).unwrap()
+        serde_json::to_string(&CrfModel::build(b).unwrap()).unwrap()
     }
 
     fn seed(json: &str) -> CrfModel {

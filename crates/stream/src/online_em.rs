@@ -582,17 +582,17 @@ mod tests {
     /// clearing tags makes instances immune to later pruning.
     #[test]
     fn remap_relocates_tags_and_clear_detaches_them() {
-        use crf::graph::{CrfModelBuilder, Stance};
+        use crf::graph::{CrfModel, ModelDelta, Stance};
         use crf::{RetireSet, VarId};
         // Build a real remap: retire claim 0 of a two-claim model, compact.
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.8]).unwrap();
         for _ in 0..2 {
             let c = b.add_claim();
             let d = b.add_document(&[0.5]).unwrap();
             b.add_clique(c, d, s, Stance::Support);
         }
-        let mut m = b.build().unwrap();
+        let mut m = CrfModel::build(b).unwrap();
         let mut set = RetireSet::for_model(&m);
         set.retire_claim(VarId(0));
         m.retire(set).unwrap();

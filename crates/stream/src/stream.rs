@@ -16,10 +16,9 @@
 //! * **Prebuilt replay** ([`StreamingChecker::arrive`]) — the arrival
 //!   order exposes progressively more of an already-built factor graph,
 //!   mirroring how the paper replays corpora "in the order of their
-//!   posting time" (§8.8). This path is kept as the executable spec of
-//!   the growth path: by the canonical-layout contract of
-//!   [`crf::graph`], a model grown delta-by-delta is bit-identical to the
-//!   prebuilt model, so inference over either is the same.
+//!   posting time" (§8.8). Table 2's [`crate::interleave`] runs, the
+//!   `stream_update_time` experiment and the `streaming_news` example
+//!   drive this path; no test holds the growth path against it.
 //!
 //! For each arrival the checker:
 //!
@@ -36,7 +35,7 @@ use crate::online_em::{ArrivalStats, OnlineEm, OnlineEmConfig, OnlineEmError, On
 use crf::em::source_trust_from_probs;
 use crf::potentials::{claim_probability, clique_features};
 use crf::{
-    CliqueId, CrfModel, Icrf, ModelDelta, ModelError, ModelHandle, RetireSet, Stance, VarId,
+    Clique, CliqueId, CrfModel, Icrf, ModelDelta, ModelError, ModelHandle, RetireSet, Stance, VarId,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -397,29 +396,19 @@ impl StreamingChecker {
         // probability is computed.
         let trust = source_trust_from_probs(&model, &self.probs, (1.0, 1.0));
         for c in first_new_claim..first_new_claim + n_new_claims {
-            self.visible[c] = true;
-            self.arrivals += 1;
-            self.arrival_seq[c] = self.arrivals as u64;
+            self.mark_arrived(c);
             self.probs[c] =
                 claim_probability(&model, self.online.weights(), VarId(c as u32), |s| {
                     trust[s as usize]
                 });
         }
 
-        // One claim-tagged (features, soft target) row per clique the
-        // delta added; the tag lets retirement reclaim the instance early.
-        let dim = model.feature_dim();
-        let mut rows = Vec::new();
-        for cl in &model.cliques()[first_new_clique..first_new_clique + n_new_cliques] {
-            let mut row = vec![0.0; dim];
-            clique_features(&model, cl, trust[cl.source as usize], &mut row);
-            let p = self.probs[cl.claim.idx()];
-            let target = match cl.stance {
-                Stance::Support => p,
-                Stance::Refute => 1.0 - p,
-            };
-            rows.push((cl.claim.0, row, target));
-        }
+        // One training row per clique the delta added.
+        let rows = self.training_rows(
+            &model,
+            &trust,
+            model.cliques()[first_new_clique..first_new_clique + n_new_cliques].iter(),
+        );
         let mut stats = self.online.observe_for_claims(&rows);
 
         // Retention rides on the ingest path: expired claims are tombstoned
@@ -555,32 +544,15 @@ impl StreamingChecker {
     /// statistics — the `∆t` measured in §8.8.
     pub fn arrive(&mut self, claim: VarId) -> ArrivalStats {
         self.sync();
-        self.visible[claim.idx()] = true;
-        self.arrivals += 1;
-        self.arrival_seq[claim.idx()] = self.arrivals as u64;
+        self.mark_arrived(claim.idx());
 
         // Estimate the new claim's credibility under current parameters
         // using the trust statistics of the visible neighbourhood.
         let model = self.model().clone();
         let trust = source_trust_from_probs(&model, &self.probs, (1.0, 1.0));
-        let p = claim_probability(&model, self.online.weights(), claim, |s| trust[s as usize]);
-        self.probs[claim.idx()] = p;
-
-        // One claim-tagged (features, soft target) row per clique of the
-        // new claim.
-        let dim = model.feature_dim();
-        let mut rows = Vec::new();
-        for &ci in model.cliques_of(claim) {
-            let cl = model.clique(CliqueId(ci));
-            let mut row = vec![0.0; dim];
-            clique_features(&model, cl, trust[cl.source as usize], &mut row);
-            let target = match cl.stance {
-                Stance::Support => p,
-                Stance::Refute => 1.0 - p,
-            };
-            rows.push((claim.0, row, target));
-        }
-        self.online.observe_for_claims(&rows)
+        self.probs[claim.idx()] =
+            claim_probability(&model, self.online.weights(), claim, |s| trust[s as usize]);
+        self.observe_claim(&model, &trust, claim)
     }
 
     /// Process a labelled arrival: the claim comes with user input already
@@ -588,26 +560,49 @@ impl StreamingChecker {
     /// expectation instead of self-estimating it.
     pub fn arrive_labelled(&mut self, claim: VarId, credible: bool) -> ArrivalStats {
         self.sync();
-        self.visible[claim.idx()] = true;
-        self.arrivals += 1;
-        self.arrival_seq[claim.idx()] = self.arrivals as u64;
-        let p = if credible { 1.0 } else { 0.0 };
-        self.probs[claim.idx()] = p;
+        self.mark_arrived(claim.idx());
+        self.probs[claim.idx()] = if credible { 1.0 } else { 0.0 };
+        // Unlike `arrive`, trust is taken after the label is pinned.
         let model = self.model().clone();
         let trust = source_trust_from_probs(&model, &self.probs, (1.0, 1.0));
-        let dim = model.feature_dim();
-        let mut rows = Vec::new();
-        for &ci in model.cliques_of(claim) {
-            let cl = model.clique(CliqueId(ci));
-            let mut row = vec![0.0; dim];
-            clique_features(&model, cl, trust[cl.source as usize], &mut row);
-            let target = match cl.stance {
-                Stance::Support => p,
-                Stance::Refute => 1.0 - p,
-            };
-            rows.push((claim.0, row, target));
-        }
+        self.observe_claim(&model, &trust, claim)
+    }
+
+    /// Expose `claim` as the next arrival (Alg. 2 lines 2–6).
+    fn mark_arrived(&mut self, claim: usize) {
+        self.visible[claim] = true;
+        self.arrivals += 1;
+        self.arrival_seq[claim] = self.arrivals as u64;
+    }
+
+    /// Feed the online estimator one training row per clique of `claim`.
+    fn observe_claim(&mut self, model: &CrfModel, trust: &[f64], claim: VarId) -> ArrivalStats {
+        let cliques = model.cliques_of(claim).iter();
+        let rows = self.training_rows(model, trust, cliques.map(|&ci| model.clique(CliqueId(ci))));
         self.online.observe_for_claims(&rows)
+    }
+
+    /// One claim-tagged `(features, soft target)` row per clique: the
+    /// target is the clique's claim's current probability, flipped for a
+    /// refuting stance. The tag lets retirement reclaim the instance early.
+    fn training_rows<'a>(
+        &self,
+        model: &CrfModel,
+        trust: &[f64],
+        cliques: impl Iterator<Item = &'a Clique>,
+    ) -> Vec<(u32, Vec<f64>, f64)> {
+        cliques
+            .map(|cl| {
+                let mut row = vec![0.0; model.feature_dim()];
+                clique_features(model, cl, trust[cl.source as usize], &mut row);
+                let p = self.probs[cl.claim.idx()];
+                let target = match cl.stance {
+                    Stance::Support => p,
+                    Stance::Refute => 1.0 - p,
+                };
+                (cl.claim.0, row, target)
+            })
+            .collect()
     }
 
     /// Snapshot the checker's complete volatile state — per-claim
@@ -682,7 +677,7 @@ pub(crate) struct CheckerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crf::graph::{CrfModelBuilder, Stance};
+    use crf::graph::{CrfModel, ModelDelta, Stance};
 
     fn model() -> (Arc<CrfModel>, Vec<bool>) {
         let ds = factdb::DatasetPreset::WikiMini.generate();
@@ -786,12 +781,12 @@ mod tests {
     // ------------------------------------------- true streaming ingestion
 
     fn seed_handle() -> ModelHandle {
-        let mut b = CrfModelBuilder::new(1, 1);
+        let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.8]).unwrap();
         let c = b.add_claim();
         let d = b.add_document(&[0.6]).unwrap();
         b.add_clique(c, d, s, Stance::Support);
-        ModelHandle::new(b.build().unwrap())
+        ModelHandle::new(CrfModel::build(b).unwrap())
     }
 
     /// `arrive_new` grows the graph in place: the new claim is visible,

@@ -21,7 +21,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crf::{CrfModel, CrfModelBuilder, ModelDelta, ModelError, Stance};
+use crf::{CrfModel, ModelDelta, ModelError, Stance};
 use durability::{FaultFs, MemFs, Storage, SyncPolicy};
 use factdb::{ClaimRecord, DocumentRecord, FactDatabase, SourceKind, SourceRecord, SyncMap};
 use streamcheck::{
@@ -38,12 +38,12 @@ const TOTAL: usize = 8;
 /// One seed model, serialised: deserialising per run keeps the
 /// `model_id`, so every trial and the reference share one exact lineage.
 fn seed_json() -> String {
-    let mut b = CrfModelBuilder::new(1, 1);
+    let mut b = ModelDelta::new(1, 1);
     let s = b.add_source(&[0.8]).unwrap();
     let c = b.add_claim();
     let d = b.add_document(&[0.6]).unwrap();
     b.add_clique(c, d, s, Stance::Support);
-    serde_json::to_string(&b.build().unwrap()).unwrap()
+    serde_json::to_string(&CrfModel::build(b).unwrap()).unwrap()
 }
 
 fn seed(json: &str) -> CrfModel {
