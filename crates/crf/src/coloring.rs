@@ -28,7 +28,10 @@
 //! * **Compaction** (`compact`): colors are relocated through the
 //!   published [`crate::graph::IdRemap`]. Conflicts are live-filtered and
 //!   the remap preserves the relative order of survivors, so relocation
-//!   alone reproduces the from-scratch coloring of the compacted model.
+//!   alone reproduces the from-scratch coloring of the compacted model;
+//!   growth in the gap (before or after the compaction) is then folded in
+//!   as above. A retire in the same gap rebuilds: the tombstones the
+//!   compaction dropped were never reflected here.
 //!
 //! Recoloring drains a sorted worklist in ascending id order, re-enqueuing
 //! higher-id neighbours whenever a color changes. Changes only propagate
@@ -36,7 +39,7 @@
 //! the drain terminates with exactly the from-scratch assignment — the
 //! bit-identity the proptests at the bottom of this file pin down.
 
-use crate::graph::{CrfModel, VarId};
+use crate::graph::{CrfModel, Since, SyncPoint, VarId};
 use std::collections::BTreeSet;
 
 /// Color slot of tombstoned (dead) claims: they are in no conflict with
@@ -69,13 +72,8 @@ pub enum ColorRefresh {
 pub struct Coloring {
     colors: Vec<u32>,
     n_colors: u32,
-    /// Lineage/state counters of the model the assignment is synced to
-    /// (same detection scheme as [`crate::potentials::ScoreCache`]).
-    model_id: u64,
-    revision: u64,
-    retire_ops: u64,
-    compactions: u64,
-    n_cliques: usize,
+    /// The model state the assignment is synced to.
+    synced: SyncPoint,
     /// Source-liveness snapshot at the last sync: retirement is detected
     /// by diffing it against the model (a retire op is allowed to touch
     /// sources and claims the caller never enumerates for us).
@@ -117,53 +115,42 @@ impl Coloring {
 
     /// Bring the assignment up to date with `model`, reproducing exactly
     /// the from-scratch greedy coloring (see the module docs for the
-    /// incremental strategy).
+    /// incremental strategy; [`CrfModel::since`] picks the path).
     pub fn sync(&mut self, model: &CrfModel) -> ColorRefresh {
-        if self.model_id != model.model_id() || self.model_id == 0 {
-            self.rebuild(model);
-            return ColorRefresh::Rebuilt;
-        }
-        if self.revision == model.revision().0
-            && self.retire_ops == model.retire_ops()
-            && self.compactions == model.compactions()
-        {
-            return ColorRefresh::Unchanged;
-        }
-
-        let compacted = self.compactions != model.compactions();
-        if compacted {
-            // Relocation is sound only when the tombstones the compaction
-            // dropped were already reflected here: a retire in the same
-            // sync gap (or a second compaction, which discards the first
-            // remap) leaves no usable delta — rebuild.
-            let relocatable = self.compactions + 1 == model.compactions()
-                && self.retire_ops == model.retire_ops()
-                && model
-                    .last_compaction()
-                    .is_some_and(|r| r.n_old_claims() == self.colors.len());
-            if !relocatable {
+        let (first_new_claim, first_new_clique, retired) = match model.since(self.synced) {
+            Since::Unchanged => return ColorRefresh::Unchanged,
+            Since::Rebuild | Since::Relocate { retired: true, .. } => {
                 self.rebuild(model);
                 return ColorRefresh::Rebuilt;
             }
-            let remap = model.last_compaction().expect("checked above");
-            let mut relocated = vec![NO_COLOR; remap.n_new_claims()];
-            for old in 0..self.colors.len() {
-                if let Some(new) = remap.claim(VarId(old as u32)) {
-                    relocated[new.idx()] = self.colors[old];
+            Since::Patch {
+                first_new_claim,
+                first_new_clique,
+                retired,
+            } => (first_new_claim, first_new_clique, retired),
+            Since::Relocate {
+                remap,
+                first_new_claim,
+                first_new_clique,
+                ..
+            } => {
+                let mut relocated = vec![NO_COLOR; remap.n_new_claims()];
+                for old in 0..self.colors.len() {
+                    if let Some(new) = remap.claim(VarId(old as u32)) {
+                        relocated[new.idx()] = self.colors[old];
+                    }
                 }
+                self.colors = relocated;
+                (first_new_claim, first_new_clique, false)
             }
-            self.colors = relocated;
-            // The compacted model has no tombstones; the snapshot below is
-            // rebuilt from the model after the growth pass.
-            self.src_live.clear();
-        }
+        };
 
         let mut work: BTreeSet<u32> = BTreeSet::new();
 
         // Retirement: diff the source-liveness snapshot, then scan for
         // claims that died. O(n) scans, but retire ops are rare next to
         // sweeps — the same trade the score cache's `zero_dead` makes.
-        if self.retire_ops != model.retire_ops() {
+        if retired {
             let scanned = self.src_live.len().min(model.n_sources());
             for s in 0..scanned as u32 {
                 if self.src_live[s as usize] && !model.source_live(s as usize) {
@@ -196,31 +183,13 @@ impl Coloring {
         // Growth: color the new claims, and recolor every claim of a
         // source a new clique touched (its conflict set may have grown).
         let n = model.n_claims();
-        if self.colors.len() < n {
-            let old_n = self.colors.len();
-            self.colors.resize(n, NO_COLOR);
-            for c in old_n..n {
-                if model.claim_live(c) {
-                    work.insert(c as u32);
-                }
+        self.colors.resize(n, NO_COLOR);
+        for c in first_new_claim..n {
+            if model.claim_live(c) {
+                work.insert(c as u32);
             }
         }
-        if !compacted && self.n_cliques > model.cliques().len() {
-            // Shrink without a compaction remap: unknown surgery, rebuild.
-            self.rebuild(model);
-            return ColorRefresh::Rebuilt;
-        }
-        let first_new = if compacted {
-            // Colors were relocated for the state at the compaction;
-            // every clique appended since then must seed (the pre-sync
-            // clique count is in old ids and no longer comparable).
-            model
-                .last_compaction()
-                .map_or(0, |r| r.n_new_cliques().min(model.cliques().len()))
-        } else {
-            self.n_cliques.min(model.cliques().len())
-        };
-        for cl in &model.cliques()[first_new..] {
+        for cl in &model.cliques()[first_new_clique..] {
             if !model.source_live(cl.source as usize) {
                 continue;
             }
@@ -317,11 +286,7 @@ impl Coloring {
     }
 
     fn sync_counters(&mut self, model: &CrfModel) {
-        self.model_id = model.model_id();
-        self.revision = model.revision().0;
-        self.retire_ops = model.retire_ops();
-        self.compactions = model.compactions();
-        self.n_cliques = model.cliques().len();
+        self.synced = model.sync_point();
         self.src_live.clear();
         self.src_live
             .extend((0..model.n_sources()).map(|s| model.source_live(s)));

@@ -35,7 +35,7 @@
 
 use crate::bitset::Bitset;
 use crate::gibbs::{GibbsConfig, GibbsResult, GibbsSampler, GibbsScratch};
-use crate::graph::{CrfModel, ModelError, Stance, VarId};
+use crate::graph::{CrfModel, ModelError, Since, Stance, VarId};
 use crate::handle::ModelHandle;
 use crate::logistic::{Dataset, LogisticObjective};
 use crate::partition::Partition;
@@ -232,13 +232,14 @@ impl Icrf {
 
     /// Catch the engine up with edits applied through the handle since its
     /// snapshot. Returns `true` when the model changed. Patch, don't
-    /// rebuild, across the whole lifecycle:
+    /// rebuild, across the whole lifecycle ([`CrfModel::since`] decides;
+    /// the partition follows through [`Partition::sync_lineage`]):
     ///
     /// * **Growth** — the partition unions only the appended cliques'
     ///   edges, the training set appends only the new cliques' static
     ///   feature rows, and new claims enter at probability 0.5 /
     ///   unlabelled.
-    /// * **Retirement** — newly tombstoned claims drop their label and
+    /// * **Retirement** — tombstoned claims drop their label and
     ///   probability (they are out of service), their training rows go to
     ///   weight zero on the next M-step, and only the partition components
     ///   containing retired entities are recomputed.
@@ -246,6 +247,7 @@ impl Icrf {
     ///   static feature rows are *relocated* through the published
     ///   [`crate::graph::IdRemap`] (no feature recomputation for
     ///   survivors), and the partition renumbers through the same remap.
+    ///   Entities grown in the gap before the compaction enter as growth.
     ///
     /// The weights and all surviving per-claim state are untouched in every
     /// case. The stale sample set is dropped (its bitsets have the old
@@ -254,121 +256,69 @@ impl Icrf {
     /// engine then rebuilds its per-claim state from scratch (weights
     /// kept).
     pub fn sync(&mut self) -> bool {
-        if self.model.revision() == self.handle.revision() {
-            return false;
-        }
         let old = std::mem::replace(&mut self.model, self.handle.snapshot());
-        if self.model.compactions() != old.compactions() {
-            self.sync_compacted(&old);
-        } else {
-            self.sync_in_place(&old);
+        let n = self.model.n_claims();
+        let retired = match self.model.since(old.sync_point()) {
+            Since::Unchanged => return false,
+            Since::Patch { retired, .. } => {
+                self.probs.resize(n, 0.5);
+                self.labels.resize(n, None);
+                retired
+            }
+            Since::Relocate {
+                remap,
+                first_new_clique,
+                retired,
+                ..
+            } => {
+                // Per-claim state and training rows through the remap;
+                // unseen claims enter fresh, unseen cliques are featurised.
+                let mut probs = vec![0.5; n];
+                let mut labels = vec![None; n];
+                for c in 0..old.n_claims() {
+                    if let Some(nc) = remap.claim(VarId(c as u32)) {
+                        probs[nc.idx()] = self.probs[c];
+                        labels[nc.idx()] = self.labels[c];
+                    }
+                }
+                self.probs = probs;
+                self.labels = labels;
+                let dim = self.model.feature_dim();
+                let inv = remap.inverse_cliques();
+                let old_rows = std::mem::replace(&mut self.scratch.dataset, Dataset::new(dim));
+                let mut row = vec![0.0; dim];
+                for (nc, clique) in self.model.cliques().iter().enumerate() {
+                    match (nc < first_new_clique).then(|| inv[nc] as usize) {
+                        Some(oc) if old_rows.dim() == dim && oc < old_rows.len() => {
+                            self.scratch.dataset.push(old_rows.row(oc), 0.5, 1.0);
+                        }
+                        _ => {
+                            clique_features(&self.model, clique, 0.5, &mut row);
+                            self.scratch.dataset.push(&row, 0.5, 1.0);
+                        }
+                    }
+                }
+                retired
+            }
+            Since::Rebuild => {
+                // Outran the single retained remap: rebuild per-claim state
+                // (weights survive — the feature space is unchanged).
+                self.probs = vec![0.5; n];
+                self.labels = vec![None; n];
+                self.scratch.dataset = Dataset::new(0);
+                false
+            }
+        };
+        if retired {
+            for c in (0..n).filter(|&c| !self.model.claim_live(c)) {
+                self.probs[c] = 0.0;
+                self.labels[c] = None;
+            }
         }
+        Arc::make_mut(&mut self.partition).sync_lineage(&old, &self.model);
+        self.ensure_dataset();
         self.last_samples.clear();
         true
-    }
-
-    /// Sync within a stable id space: growth and/or retirement, no
-    /// compaction.
-    fn sync_in_place(&mut self, old: &CrfModel) {
-        let n = self.model.n_claims();
-        let first_new_clique = old.cliques().len();
-        // Claims whose connectivity the retirement may have changed: the
-        // newly dead claims plus the claims of newly dead sources.
-        let mut newly_dead: Vec<u32> = Vec::new();
-        let mut affected: Vec<u32> = Vec::new();
-        if self.model.retire_ops() != old.retire_ops() {
-            for c in 0..old.n_claims() {
-                if old.claim_live(c) && !self.model.claim_live(c) {
-                    newly_dead.push(c as u32);
-                }
-            }
-            affected.extend_from_slice(&newly_dead);
-            for s in 0..old.n_sources() {
-                if old.source_live(s) && !self.model.source_live(s) {
-                    affected.extend_from_slice(self.model.claims_of_source(s as u32));
-                }
-            }
-        }
-        Arc::make_mut(&mut self.partition).update(&self.model, first_new_clique, &affected);
-        self.probs.resize(n, 0.5);
-        self.labels.resize(n, None);
-        for &c in &newly_dead {
-            self.probs[c as usize] = 0.0;
-            self.labels[c as usize] = None;
-        }
-        self.ensure_dataset();
-    }
-
-    /// Sync across a compaction: relocate per-claim state, the training
-    /// set, and the partition through the remap.
-    fn sync_compacted(&mut self, old: &CrfModel) {
-        let n = self.model.n_claims();
-        let relocatable = self.model.compactions() == old.compactions() + 1
-            && self.model.last_compaction().is_some_and(|r| {
-                r.n_old_claims() >= old.n_claims() && r.n_old_cliques() >= old.cliques().len()
-            });
-        if !relocatable {
-            // Outran the single retained remap: rebuild per-claim state
-            // (weights survive — the feature space is unchanged).
-            self.partition = Arc::new(Partition::of_model(&self.model));
-            self.probs = vec![0.5; n];
-            self.labels = vec![None; n];
-            self.scratch.dataset = Dataset::new(0);
-            self.ensure_dataset();
-            return;
-        }
-        let remap = self.model.last_compaction().expect("checked above").clone();
-
-        // ---- Per-claim state through the remap. Claims grown between the
-        // old snapshot and the compaction enter fresh at 0.5/unlabelled;
-        // claims tombstoned after the compaction are cleared.
-        let mut probs = vec![0.5; n];
-        let mut labels = vec![None; n];
-        for c in 0..old.n_claims() {
-            if let Some(nc) = remap.claim(VarId(c as u32)) {
-                probs[nc.idx()] = self.probs[c];
-                labels[nc.idx()] = self.labels[c];
-            }
-        }
-        for c in 0..n {
-            if !self.model.claim_live(c) {
-                probs[c] = 0.0;
-                labels[c] = None;
-            }
-        }
-        self.probs = probs;
-        self.labels = labels;
-
-        // ---- Partition: the whole broken-component / relocate / fold-in
-        // dance lives on `Partition` itself now so query layers can reuse
-        // it.
-        Arc::make_mut(&mut self.partition).sync_lineage(old, &self.model);
-
-        // ---- Training set: relocate surviving rows' static prefixes (no
-        // feature recomputation); cliques the engine never saw are
-        // featurised fresh.
-        let dim = self.model.feature_dim();
-        let inv = remap.inverse_cliques();
-        let mut dataset = Dataset::new(dim);
-        let mut row = vec![0.0; dim];
-        let relocatable_rows = self.scratch.dataset.dim() == dim;
-        for (nc, clique) in self.model.cliques().iter().enumerate() {
-            let old_id = if nc < remap.n_new_cliques() {
-                Some(inv[nc] as usize)
-            } else {
-                None
-            };
-            match old_id {
-                Some(oc) if relocatable_rows && oc < self.scratch.dataset.len() => {
-                    dataset.push(self.scratch.dataset.row(oc), 0.5, 1.0);
-                }
-                _ => {
-                    clique_features(&self.model, clique, 0.5, &mut row);
-                    dataset.push(&row, 0.5, 1.0);
-                }
-            }
-        }
-        self.scratch.dataset = dataset;
     }
 
     /// The connected-component partition of the claim graph.

@@ -100,7 +100,7 @@
 
 use crate::bitset::Bitset;
 use crate::coloring::Coloring;
-use crate::graph::{CliqueId, CrfModel, VarId};
+use crate::graph::{CliqueId, CrfModel, Since, SyncPoint, VarId};
 use crate::numerics;
 use crate::partition::Partition;
 use crate::potentials::{clique_logit_contribution, CacheRefresh, ScoreCache, Weights};
@@ -222,16 +222,13 @@ impl GibbsScratch {
 /// on every E-step.
 #[derive(Debug, Clone, Default)]
 struct CompSchedule {
-    /// Build-lineage id ([`CrfModel::model_id`]) the static part was built
-    /// for (rebuild guard, like the score cache's). `0` = not built yet.
-    model_id: u64,
-    /// Revision ([`CrfModel::revision`]) the static part was packed for.
-    /// Growth can renumber components (the canonical ordering is by lowest
-    /// claim id, and a delta can merge components), so the source→component
-    /// CSR is re-packed on any revision change — an `O(sources +
-    /// components)` scan, negligible next to one sweep and amortised over
-    /// every E-step until the next delta.
-    revision: u64,
+    /// The model state the static part was packed for. Growth can
+    /// renumber components (the canonical ordering is by lowest claim id,
+    /// and a delta can merge components), so the source→component CSR is
+    /// re-packed on any change ([`Since::Unchanged`] is the only reuse) —
+    /// an `O(sources + components)` scan, negligible next to one sweep and
+    /// amortised over every E-step until the next delta.
+    synced: SyncPoint,
     /// CSR offsets (`n_components + 1`) into [`Self::comp_sources`].
     comp_source_offsets: Vec<u32>,
     /// Source ids owned by each component, ascending within a component.
@@ -249,14 +246,10 @@ struct CompSchedule {
 impl CompSchedule {
     fn refresh_static(&mut self, model: &CrfModel, partition: &Partition) {
         let p = partition.len();
-        if self.model_id == model.model_id()
-            && self.revision == model.revision().0
-            && self.comp_source_offsets.len() == p + 1
-        {
+        if model.since(self.synced) == Since::Unchanged && self.comp_source_offsets.len() == p + 1 {
             return;
         }
-        self.model_id = model.model_id();
-        self.revision = model.revision().0;
+        self.synced = model.sync_point();
         // A source belongs to the component of its first *live* claim; dead
         // sources (all cliques dead) and sources with no live claims drive
         // no trust statistic and appear in no component.

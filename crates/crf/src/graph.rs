@@ -53,10 +53,15 @@
 //!
 //! The contract model-derived caches rely on:
 //!
-//! * **Identity** — equal `model_id` means one build lineage; a cache keyed
-//!   on `(model_id, revision)` is exactly as fresh as the model content.
-//!   [`CrfModel::retire_ops`] and [`CrfModel::compactions`] distinguish the
-//!   three edit kinds within a revision jump.
+//! * **Identity** — equal `model_id` means one build lineage, and
+//!   `(model_id, revision)` names the content exactly. A derived structure
+//!   records a [`SyncPoint`] ([`CrfModel::sync_point`]) when it syncs and
+//!   asks [`CrfModel::since`] how to catch up; that one decision tells
+//!   growth, retirement and compaction apart within a revision jump
+//!   ([`Since::Unchanged`], [`Since::Patch`], [`Since::Relocate`],
+//!   [`Since::Rebuild`]) and answers another lineage or a divergent clone
+//!   (fewer entities than the sync point saw, or one revision with two
+//!   contents) with a rebuild.
 //! * **Stable ids between compactions** — existing claim/source/document
 //!   indices and clique ids never change meaning while tombstoned; a delta
 //!   only adds, a retire only marks. Clique ids are assigned in arrival
@@ -78,9 +83,15 @@
 //!   published [`IdRemap`] — to inference on a one-shot build of the
 //!   surviving subgraph.
 //! * **Remap availability** — the model keeps only the **latest**
-//!   compaction's [`IdRemap`] ([`CrfModel::last_compaction`]). A structure
-//!   that syncs at least once per compaction relocates in `O(state)`;
-//!   one that slept through two compactions must rebuild.
+//!   compaction's [`IdRemap`]. A structure that syncs at least once per
+//!   compaction gets [`Since::Relocate`] — even when the model grew in the
+//!   gap before the compaction, since the remap covers every id the sync
+//!   point saw — and relocates in `O(state)`; one that slept through two
+//!   compactions gets [`Since::Rebuild`]. Holders of raw ids rather than
+//!   sync points (upstream sync maps, query cursors) record
+//!   [`CrfModel::compactions`] and translate through
+//!   [`CrfModel::remap_since`], which refuses a gap of two with
+//!   [`ModelError::Remapped`].
 //!
 //! # Edits as log records (LSN ↔ lineage mapping)
 //!
@@ -216,10 +227,11 @@ pub struct CrfModel {
     /// `(model_id, revision)` identifies the content exactly.
     revision: u64,
     /// Number of [`Self::retire`] operations applied over the lineage's
-    /// lifetime (monotone; caches diff it to detect tombstone changes).
+    /// lifetime (monotone; [`Self::since`] diffs it to report retirement).
     retire_ops: u64,
     /// Number of [`Self::compact`] operations applied over the lineage's
-    /// lifetime (monotone; caches diff it to decide relocation vs rebuild).
+    /// lifetime (monotone; [`Self::since`] diffs it to decide relocation
+    /// vs rebuild).
     compactions: u64,
     /// Lifetime entity counters: grown by [`Self::apply`], never reduced by
     /// retirement or compaction. Upstream stores (`FactDatabase`) key their
@@ -241,7 +253,8 @@ pub struct CrfModel {
     /// trust statistic. Empty ⇔ no tombstones (the CSR degree is the count).
     live_claims_per_source: Vec<u32>,
     /// The latest compaction's renumbering, kept so model-keyed structures
-    /// can relocate instead of rebuilding (see the module docs).
+    /// can relocate instead of rebuilding ([`Self::since`],
+    /// [`Self::remap_since`]).
     last_compaction: Option<IdRemap>,
     n_claims: usize,
     n_sources: usize,
@@ -275,10 +288,9 @@ pub struct CrfModel {
 static NEXT_MODEL_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 impl CrfModel {
-    /// The model's build-lineage id: equal ids imply identical content
-    /// (clone/serde copies of one build); independent builds always differ.
-    /// Internal caches ([`crate::potentials::ScoreCache`], the Gibbs
-    /// component schedule) use it to detect model changes.
+    /// The model's build-lineage id: clone/serde copies of one build share
+    /// it; independent builds always differ. Derived structures compare it
+    /// through [`Self::since`] rather than directly.
     #[inline]
     pub fn model_id(&self) -> u64 {
         self.model_id
@@ -292,27 +304,91 @@ impl CrfModel {
         Revision(self.revision)
     }
 
-    /// Number of [`Self::retire`] operations applied over the lineage's
-    /// lifetime; caches diff it against their synced value to detect
-    /// tombstone changes inside a revision jump.
-    #[inline]
-    pub fn retire_ops(&self) -> u64 {
-        self.retire_ops
-    }
-
     /// Number of [`Self::compact`] operations applied over the lineage's
-    /// lifetime; caches diff it to decide between remap-relocation and a
-    /// full rebuild.
+    /// lifetime: the epoch of the id space. Holders of raw ids record it
+    /// and translate through [`Self::remap_since`].
     #[inline]
     pub fn compactions(&self) -> u64 {
         self.compactions
     }
 
-    /// The renumbering published by the most recent [`Self::compact`]
-    /// (`None` before the first). Only the latest is kept: a structure that
-    /// slept through two compactions cannot relocate and must rebuild.
-    pub fn last_compaction(&self) -> Option<&IdRemap> {
-        self.last_compaction.as_ref()
+    /// The model's current position, for a derived structure to record
+    /// when it syncs and hand back to [`Self::since`] on the next sync.
+    pub fn sync_point(&self) -> SyncPoint {
+        SyncPoint {
+            model_id: self.model_id,
+            revision: self.revision,
+            retire_ops: self.retire_ops,
+            compactions: self.compactions,
+            n_claims: self.n_claims,
+            n_cliques: self.cliques.len(),
+        }
+    }
+
+    /// How a structure synced at `at` catches up with this model — the
+    /// one place the patch / relocate / rebuild decision is made (see
+    /// [`Since`] and the module docs).
+    pub fn since(&self, at: SyncPoint) -> Since<'_> {
+        if at == self.sync_point() {
+            return Since::Unchanged;
+        }
+        // Another lineage, or a state this model cannot have grown from:
+        // a counter ran backwards, or one revision shows two contents (a
+        // divergent clone; the equal-state case returned above).
+        if at.model_id != self.model_id
+            || at.revision >= self.revision
+            || at.retire_ops > self.retire_ops
+            || at.compactions > self.compactions
+        {
+            return Since::Rebuild;
+        }
+        let retired = at.retire_ops != self.retire_ops;
+        // The remap preserves order: the first survivor at or past `seen`
+        // is the first unseen compacted id (the compacted count if none).
+        let first_unseen = |map: &[u32], n_new: u32, seen: usize| {
+            let next = map[seen..].iter().find(|&&id| id != IdRemap::DROPPED);
+            next.map_or(n_new, |&id| id) as usize
+        };
+        match (self.compactions - at.compactions, &self.last_compaction) {
+            (0, _) if at.n_claims <= self.n_claims && at.n_cliques <= self.cliques.len() => {
+                Since::Patch {
+                    first_new_claim: at.n_claims,
+                    first_new_clique: at.n_cliques,
+                    retired,
+                }
+            }
+            (1, Some(remap))
+                if remap.from_revision >= at.revision
+                    && remap.n_old_claims() >= at.n_claims
+                    && remap.n_old_cliques() >= at.n_cliques =>
+            {
+                Since::Relocate {
+                    remap,
+                    first_new_claim: first_unseen(&remap.claims, remap.new_claims, at.n_claims),
+                    first_new_clique: first_unseen(&remap.cliques, remap.new_cliques, at.n_cliques),
+                    retired,
+                }
+            }
+            _ => Since::Rebuild,
+        }
+    }
+
+    /// The remap that carries ids valid after `compactions` compactions
+    /// into this model's numbering: `None` when no compaction intervened,
+    /// [`ModelError::Remapped`] when the single retained remap cannot
+    /// bridge the gap (two or more compactions, or a count from the
+    /// future).
+    pub fn remap_since(&self, compactions: u64) -> Result<Option<&IdRemap>, ModelError> {
+        if compactions == self.compactions {
+            return Ok(None);
+        }
+        match &self.last_compaction {
+            Some(remap) if self.compactions.checked_sub(compactions) == Some(1) => Ok(Some(remap)),
+            _ => Err(ModelError::Remapped {
+                model: self.compactions,
+                synced: compactions,
+            }),
+        }
     }
 
     /// Lifetime count of claims ever ingested into this lineage (monotone;
@@ -993,9 +1069,9 @@ impl CrfModel {
     /// the identity. Never share a cache or scratch buffer across
     /// independently grown clones — within a single
     /// [`crate::handle::ModelHandle`] lineage (the intended sharing
-    /// mechanism) this cannot arise, and [`crate::potentials::ScoreCache`]
-    /// backstops the detectable cases by rebuilding on any clique-count
-    /// mismatch.
+    /// mechanism) this cannot arise, and [`Self::since`] answers the
+    /// detectable cases (one revision with two contents, fewer entities
+    /// than a sync point saw) with [`Since::Rebuild`].
     pub fn apply(&mut self, delta: ModelDelta) -> Result<Revision, ModelError> {
         self.check_base(delta.base_revision())?;
         if delta.is_empty() {
@@ -1285,10 +1361,10 @@ impl CrfModel {
     /// The survivors, in their original insertion order, are spliced into
     /// the empty model exactly as [`Self::build`] does, so the compacted
     /// model is identical, array for array, to a one-shot build of them;
-    /// `model_id` is preserved, `revision` bumps, and the
-    /// remap is retained as [`Self::last_compaction`] (only the latest is
-    /// kept). With nothing to drop this is a no-op returning an identity
-    /// remap without bumping the revision. [`ModelError::Empty`] is
+    /// `model_id` is preserved, `revision` bumps, and the remap is
+    /// retained for [`Self::since`] and [`Self::remap_since`] (only the
+    /// latest is kept). With nothing to drop this is a no-op returning an
+    /// identity remap without bumping the revision. [`ModelError::Empty`] is
     /// returned — and the model left untouched — when no clique would
     /// survive; retire less, or keep the tombstoned model.
     pub fn compact(&mut self) -> Result<IdRemap, ModelError> {
@@ -1725,6 +1801,56 @@ impl IdRemap {
         }
         inv
     }
+}
+
+/// Where a model-derived structure last synchronised with its model:
+/// the lineage position plus the claim and clique counts it covered.
+/// Taken by [`CrfModel::sync_point`] and handed back to
+/// [`CrfModel::since`]. The default point belongs to no lineage (id 0 is
+/// never issued), so a structure that never synced rebuilds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SyncPoint {
+    model_id: u64,
+    revision: u64,
+    retire_ops: u64,
+    compactions: u64,
+    n_claims: usize,
+    n_cliques: usize,
+}
+
+/// How a structure synced at a [`SyncPoint`] catches up with the model
+/// ([`CrfModel::since`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Since<'a> {
+    /// Same state: nothing to do.
+    Unchanged,
+    /// Same id space: growth appended claims from `first_new_claim` and
+    /// cliques from `first_new_clique`; `retired` says tombstones changed.
+    Patch {
+        /// First claim id the structure has not seen.
+        first_new_claim: usize,
+        /// First clique id the structure has not seen.
+        first_new_clique: usize,
+        /// Whether a retire landed since the sync point.
+        retired: bool,
+    },
+    /// Exactly one compaction happened and `remap` covers the sync
+    /// point: relocate the seen entities through it. `first_new_*` are
+    /// compacted ids — everything from them on (growth before or after
+    /// the compaction) is unseen.
+    Relocate {
+        /// The compaction's renumbering, old ids → compacted ids.
+        remap: &'a IdRemap,
+        /// First compacted claim id the structure has not seen.
+        first_new_claim: usize,
+        /// First compacted clique id the structure has not seen.
+        first_new_clique: usize,
+        /// Whether a retire landed since the sync point (before or after
+        /// the compaction).
+        retired: bool,
+    },
+    /// Another lineage, two compactions, or a divergent clone: start over.
+    Rebuild,
 }
 
 /// Build a random but well-formed synthetic model: `n_claims` claims spread
@@ -2670,11 +2796,19 @@ mod tests {
     fn retire_tombstones_in_place() {
         let mut m = tiny_model();
         let id = m.model_id();
+        let before = m.sync_point();
         let mut set = RetireSet::for_model(&m);
         set.retire_claim(VarId(1));
         assert_eq!(m.retire(set).unwrap(), Revision(1));
         assert_eq!(m.model_id(), id);
-        assert_eq!(m.retire_ops(), 1);
+        assert_eq!(
+            m.since(before),
+            Since::Patch {
+                first_new_claim: 2,
+                first_new_clique: 3,
+                retired: true
+            }
+        );
         assert_eq!(m.compactions(), 0);
         // Layout untouched, liveness changed.
         assert_eq!(m.n_claims(), 2);
@@ -2898,7 +3032,7 @@ mod tests {
         assert_eq!(m.model_id(), id, "lineage survives compaction");
         assert_eq!(m.compactions(), 1);
         assert_eq!(m.revision(), Revision(2));
-        assert_eq!(m.last_compaction(), Some(&remap));
+        assert_eq!(m.remap_since(0), Ok(Some(&remap)));
         assert!(!m.has_tombstones());
 
         // Survivors: claim 1 (now 0), both sources, doc 2 (now 0), clique 2.
@@ -2930,8 +3064,107 @@ mod tests {
         assert!(remap.is_identity());
         assert_eq!(m.revision(), Revision(0));
         assert_eq!(m.compactions(), 0);
-        assert!(m.last_compaction().is_none());
+        assert_eq!(m.remap_since(0), Ok(None));
         assert_eq!(remap.claim(VarId(1)), Some(VarId(1)));
+    }
+
+    /// Every outcome of the one patch / relocate / rebuild decision, on
+    /// the tiny model (2 claims, 3 cliques; claim 0 owns cliques 0 and 1).
+    #[test]
+    fn since_decides_patch_relocate_or_rebuild() {
+        fn grow_claim(m: &mut CrfModel) {
+            let mut d = ModelDelta::for_model(m);
+            let c = d.add_claim();
+            let doc = d.add_document(&[0.4]).unwrap();
+            d.add_clique(c, doc, 1, Stance::Support);
+            m.apply(d).unwrap();
+        }
+        fn grow_clique(m: &mut CrfModel) {
+            let mut d = ModelDelta::for_model(m);
+            let doc = d.add_document(&[0.6]).unwrap();
+            d.add_clique(VarId(1), doc, 1, Stance::Refute);
+            m.apply(d).unwrap();
+        }
+        fn retire_claim(m: &mut CrfModel, c: u32) {
+            let mut set = RetireSet::for_model(m);
+            set.retire_claim(VarId(c));
+            m.retire(set).unwrap();
+        }
+        let base = tiny_model();
+        let at = base.sync_point();
+        assert_eq!(base.since(at), Since::Unchanged);
+        assert_eq!(base.since(SyncPoint::default()), Since::Rebuild);
+        assert_eq!(base.since(tiny_model().sync_point()), Since::Rebuild);
+
+        // Growth and retirement within one id space.
+        let mut m = base.clone();
+        grow_claim(&mut m);
+        let patch = Since::Patch {
+            first_new_claim: 2,
+            first_new_clique: 3,
+            retired: false,
+        };
+        assert_eq!(m.since(at), patch);
+        retire_claim(&mut m, 1);
+        assert!(matches!(m.since(at), Since::Patch { retired: true, .. }));
+
+        // One compaction that exactly covers the sync point.
+        let mut m = base.clone();
+        retire_claim(&mut m, 0);
+        let at_retired = m.sync_point();
+        let remap = m.compact().unwrap();
+        let relocate = Since::Relocate {
+            remap: &remap,
+            first_new_claim: 1,
+            first_new_clique: 1,
+            retired: false,
+        };
+        assert_eq!(m.since(at_retired), relocate);
+        assert_eq!(m.remap_since(0), Ok(Some(&remap)));
+
+        // Growth in the gap before the compaction: the unseen suffix is
+        // counted in compacted ids (old claim 2 → 1, old clique 3 → 1),
+        // and post-compaction growth stays behind it.
+        let mut m = base.clone();
+        grow_claim(&mut m);
+        retire_claim(&mut m, 0);
+        let remap = m.compact().unwrap();
+        grow_claim(&mut m);
+        let relocate = Since::Relocate {
+            remap: &remap,
+            first_new_claim: 1,
+            first_new_clique: 1,
+            retired: true,
+        };
+        assert_eq!(m.since(at), relocate);
+
+        // Two compactions outrun the single retained remap.
+        retire_claim(&mut m, 0);
+        m.compact().unwrap();
+        assert_eq!(m.compactions(), 2);
+        assert_eq!(m.since(at), Since::Rebuild);
+        assert_eq!(
+            m.remap_since(0),
+            Err(ModelError::Remapped {
+                model: 2,
+                synced: 0
+            })
+        );
+        assert!(m.remap_since(3).is_err(), "a count from the future");
+        assert!(m.remap_since(u64::MAX).is_err());
+
+        // Divergent clones of one lineage: one revision with two contents
+        // (in both directions — `a` covers every count `b` saw), and fewer
+        // claims than the sync point saw at a later revision.
+        let mut a = base.clone();
+        grow_claim(&mut a);
+        let mut b = base.clone();
+        grow_clique(&mut b);
+        assert_eq!(a.revision(), b.revision());
+        assert_eq!(a.since(b.sync_point()), Since::Rebuild);
+        assert_eq!(b.since(a.sync_point()), Since::Rebuild);
+        grow_clique(&mut b);
+        assert_eq!(b.since(a.sync_point()), Since::Rebuild);
     }
 
     #[test]
@@ -2977,13 +3210,18 @@ mod tests {
     #[test]
     fn serde_keeps_lifecycle_state() {
         let mut m = tiny_model();
+        let before = m.sync_point();
         let mut set = RetireSet::for_model(&m);
         set.retire_claim(VarId(1));
         m.retire(set).unwrap();
         let json = serde_json::to_string(&m).unwrap();
         let back: CrfModel = serde_json::from_str(&json).unwrap();
         assert_eq!(back.revision(), m.revision());
-        assert_eq!(back.retire_ops(), 1);
+        assert_eq!(back.sync_point(), m.sync_point());
+        assert!(matches!(
+            back.since(before),
+            Since::Patch { retired: true, .. }
+        ));
         assert!(!back.claim_live(1));
         assert_eq!(back.n_live_claims_of_source(0), 1);
         assert_eq!(back.ingested_claims(), 2);

@@ -65,44 +65,6 @@ pub trait EditObserver: Send + Sync {
     fn compacted(&self, base: Revision, remap: &IdRemap, rev: Revision);
 }
 
-/// Broadcast one lineage's edit stream to several [`EditObserver`]s.
-///
-/// [`ModelHandle::set_observer`] holds a single slot; a serving layer that
-/// wants to watch edits (to republish query state) without displacing the
-/// durability logger registers a fanout wrapping both. Sinks fire in the
-/// order given — register the durability logger **first** so an edit is
-/// persisted before any downstream reacts to it. The fanout inherits the
-/// slot's contract: callbacks run inside the write lock and must not
-/// reacquire the handle.
-pub struct FanoutObserver {
-    sinks: Vec<Arc<dyn EditObserver>>,
-}
-
-impl FanoutObserver {
-    /// A fanout over `sinks`, notified in order.
-    pub fn new(sinks: Vec<Arc<dyn EditObserver>>) -> Self {
-        FanoutObserver { sinks }
-    }
-}
-
-impl EditObserver for FanoutObserver {
-    fn grown(&self, delta: &ModelDelta, rev: Revision) {
-        for s in &self.sinks {
-            s.grown(delta, rev);
-        }
-    }
-    fn retired(&self, set: &RetireSet, rev: Revision) {
-        for s in &self.sinks {
-            s.retired(set, rev);
-        }
-    }
-    fn compacted(&self, base: Revision, remap: &IdRemap, rev: Revision) {
-        for s in &self.sinks {
-            s.compacted(base, remap, rev);
-        }
-    }
-}
-
 /// Shared state behind every clone of one handle: the model slot plus the
 /// (optional) edit observer, so an observer registered through any clone
 /// sees edits committed through every clone.
@@ -472,33 +434,6 @@ mod tests {
         d3.add_claim();
         h.apply(d3).unwrap();
         assert_eq!(rec.0.lock().unwrap().len(), 4);
-    }
-
-    /// A fanout notifies every sink, in registration order, with the same
-    /// per-edit payloads the single slot would deliver.
-    #[test]
-    fn fanout_broadcasts_in_order() {
-        let h: ModelHandle = crate::graph::test_support::random_model(8, 3, 2, 11).into();
-        let first = Arc::new(Recorder(std::sync::Mutex::new(Vec::new())));
-        let second = Arc::new(Recorder(std::sync::Mutex::new(Vec::new())));
-        h.set_observer(Some(Arc::new(FanoutObserver::new(vec![
-            first.clone(),
-            second.clone(),
-        ]))));
-
-        let mut d = h.delta();
-        let c = d.add_claim();
-        let doc = d.add_document(&[0.1, 0.9]).unwrap();
-        d.add_clique(c, doc, 0, Stance::Support);
-        h.apply(d).unwrap();
-        let mut set = h.retire_set();
-        set.retire_claim(VarId(1));
-        h.retire(set).unwrap();
-        h.compact().unwrap();
-
-        let expected = vec!["grow r0->r1", "retire r1->r2", "compact r2->r3"];
-        assert_eq!(*first.0.lock().unwrap(), expected);
-        assert_eq!(*second.0.lock().unwrap(), expected);
     }
 
     /// Structural invariants a torn write would violate; checked by the

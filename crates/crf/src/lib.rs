@@ -50,8 +50,8 @@ pub use em::{Icrf, IcrfConfig, IcrfState, IcrfStats};
 pub use gibbs::{GibbsConfig, GibbsResult, GibbsSampler};
 pub use graph::{
     Clique, CliqueId, CrfModel, IdRemap, ModelDelta, ModelEdit, ModelError, RetireSet, Revision,
-    Stance, VarId,
+    Since, Stance, SyncPoint, VarId,
 };
-pub use handle::{EditObserver, FanoutObserver, ModelHandle};
+pub use handle::{EditObserver, ModelHandle};
 pub use partition::Partition;
 pub use potentials::{CacheRefresh, ScoreCache, Weights};

@@ -8,7 +8,7 @@
 //! and information-gain computations can each be confined to the component
 //! touched by a candidate claim.
 
-use crate::graph::{CrfModel, IdRemap, VarId};
+use crate::graph::{CrfModel, IdRemap, Since, VarId};
 
 /// Disjoint-set union (union–find) with path halving and union by size.
 #[derive(Debug, Clone)]
@@ -517,49 +517,54 @@ impl Partition {
 
     /// Catch a partition synced to `old` up with `new` — a later state of
     /// the **same lineage** — patching instead of rebuilding across the
-    /// whole lifecycle, exactly as [`crate::em::Icrf::sync`] does for its
-    /// engine state:
+    /// whole lifecycle, as [`CrfModel::since`] decides:
     ///
-    /// * **growth / retirement** (no compaction elapsed) — derives the
+    /// * **patch** (growth / retirement, no compaction) — derives the
     ///   affected claims from the liveness diff and calls
     ///   [`Partition::update`];
-    /// * **one compaction elapsed** — marks the components broken by
+    /// * **relocate** (one compaction) — marks the components broken by
     ///   entities the compaction dropped, relocates through the published
     ///   [`IdRemap`] ([`Partition::compact`]), then folds in the cliques
     ///   grown past the old snapshot plus any post-compaction tombstones;
-    /// * **more than one compaction elapsed** — the single retained remap
-    ///   is outrun: falls back to a from-scratch [`Partition::of_model`].
+    /// * **rebuild** (two compactions, another lineage, a divergent
+    ///   clone) — a from-scratch [`Partition::of_model`].
     ///
     /// The caller must pass the exact snapshot (`old`) this partition was
     /// last synced to.
     pub fn sync_lineage(&mut self, old: &CrfModel, new: &CrfModel) {
-        if new.compactions() == old.compactions() {
-            let mut affected: Vec<u32> = Vec::new();
-            if new.retire_ops() != old.retire_ops() {
-                for c in 0..old.n_claims() {
-                    if old.claim_live(c) && !new.claim_live(c) {
-                        affected.push(c as u32);
-                    }
-                }
-                for s in 0..old.n_sources() {
-                    if old.source_live(s) && !new.source_live(s) {
-                        affected.extend_from_slice(new.claims_of_source(s as u32));
-                    }
-                }
+        let (remap, first_new_clique) = match new.since(old.sync_point()) {
+            Since::Unchanged => return,
+            Since::Rebuild => {
+                *self = Partition::of_model(new);
+                return;
             }
-            self.update(new, old.cliques().len(), &affected);
-            return;
-        }
-        let relocatable = new.compactions() == old.compactions() + 1
-            && new.last_compaction().is_some_and(|r| {
-                r.n_old_claims() >= old.n_claims() && r.n_old_cliques() >= old.cliques().len()
-            });
-        if !relocatable {
-            *self = Partition::of_model(new);
-            return;
-        }
-        let remap = new.last_compaction().expect("checked above").clone();
-
+            Since::Patch {
+                first_new_clique,
+                retired,
+                ..
+            } => {
+                let mut affected: Vec<u32> = Vec::new();
+                if retired {
+                    for c in 0..old.n_claims() {
+                        if old.claim_live(c) && !new.claim_live(c) {
+                            affected.push(c as u32);
+                        }
+                    }
+                    for s in 0..old.n_sources() {
+                        if old.source_live(s) && !new.source_live(s) {
+                            affected.extend_from_slice(new.claims_of_source(s as u32));
+                        }
+                    }
+                }
+                self.update(new, first_new_clique, &affected);
+                return;
+            }
+            Since::Relocate {
+                remap,
+                first_new_clique,
+                ..
+            } => (remap, first_new_clique),
+        };
         // Components broken by entities the compaction dropped: their
         // surviving co-members (in new ids) are the markers `update`
         // recomputes from.
@@ -586,7 +591,7 @@ impl Partition {
                 }
             }
         }
-        self.compact(&remap);
+        self.compact(remap);
         // Post-compaction retires break components too.
         for c in 0..new.n_claims() {
             if !new.claim_live(c) {
@@ -603,10 +608,7 @@ impl Partition {
         // Growth since the old snapshot is a suffix in new-id space (the
         // remap preserves order): fold in the cliques this partition never
         // saw.
-        let first_unseen = (0..old.cliques().len())
-            .filter(|&i| remap.clique(crate::graph::CliqueId(i as u32)).is_some())
-            .count();
-        self.update(new, first_unseen, &broken);
+        self.update(new, first_new_clique, &broken);
     }
 }
 
@@ -1047,17 +1049,43 @@ mod tests {
             }
         }
 
-        /// `sync_lineage` spec: catching a stale partition up across an
-        /// arbitrary slice of the lifecycle — multiple accumulated edits,
-        /// possibly spanning one or more compactions — always lands on
-        /// exactly the partition (numbering included) of a from-scratch
-        /// [`Partition::of_model`] on the new snapshot.
+        /// Claims sharing a source are always co-located.
+        #[test]
+        fn prop_shared_source_implies_same_component(seed in 0u64..500) {
+            let m = crate::graph::test_support::random_model(25, 6, 2, seed);
+            let p = Partition::of_model(&m);
+            for s in 0..m.n_sources() as u32 {
+                let claims = m.claims_of_source(s);
+                for w in claims.windows(2) {
+                    prop_assert_eq!(
+                        p.component_of(VarId(w[0])),
+                        p.component_of(VarId(w[1]))
+                    );
+                }
+            }
+        }
+    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The cross-consumer spec of [`CrfModel::since`]: catching stale
+        /// structures up across an arbitrary slice of the lifecycle —
+        /// several accumulated edits, growth before a compaction, a retire
+        /// on either side of it, or two compactions that outrun the single
+        /// retained remap — always lands on exactly the from-scratch
+        /// state on the new snapshot: the partition (numbering included)
+        /// of [`Partition::of_model`], the scores of `ScoreCache::build`
+        /// bit for bit, and the coloring of `Coloring::of_model`.
         #[test]
         fn prop_sync_lineage_matches_batch(
             seed in 0u64..300,
-            n_ops in 3usize..12,
-            stride in 1usize..4,
+            n_ops in 3usize..24,
+            stride in 1usize..7,
         ) {
+            use crate::coloring::Coloring;
+            use crate::graph::ModelError;
+            use crate::potentials::{ScoreCache, Weights};
+
             // Edits are generated against the *current* model (ids stay
             // valid across mid-script compactions), xorshift-driven.
             let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
@@ -1077,7 +1105,12 @@ mod tests {
                 b.add_clique(c, d, if i % 2 == 0 { s0 } else { s1 }, Stance::Support);
             }
             let mut model = CrfModel::build(b).unwrap();
+            let w = Weights::from_vec(
+                (0..model.feature_dim()).map(|i| 0.3 - 0.17 * i as f64).collect(),
+            );
             let mut part = Partition::of_model(&model);
+            let mut cache = ScoreCache::build(&model, &w);
+            let mut coloring = Coloring::of_model(&model);
             let mut old = model.clone();
 
             for i in 0..n_ops {
@@ -1131,12 +1164,19 @@ mod tests {
                     }
                     _ => {
                         // With `stride` > 1 two of these can land between
-                        // syncs, exercising the outrun fallback.
-                        model.compact().unwrap();
+                        // syncs, exercising the outrun fallback. A compact
+                        // that would leave no clique is refused and the
+                        // tombstoned model kept.
+                        match model.compact() {
+                            Ok(_) | Err(ModelError::Empty) => {}
+                            Err(e) => panic!("compact failed: {e}"),
+                        }
                     }
                 }
                 if i % stride == stride - 1 || i == n_ops - 1 {
                     part.sync_lineage(&old, &model);
+                    cache.update(&model, &w);
+                    coloring.sync(&model);
                     old = model.clone();
                     let fresh = Partition::of_model(&model);
                     prop_assert_eq!(part.len(), fresh.len());
@@ -1155,22 +1195,18 @@ mod tests {
                             );
                         }
                     }
-                }
-            }
-        }
-
-        /// Claims sharing a source are always co-located.
-        #[test]
-        fn prop_shared_source_implies_same_component(seed in 0u64..500) {
-            let m = crate::graph::test_support::random_model(25, 6, 2, seed);
-            let p = Partition::of_model(&m);
-            for s in 0..m.n_sources() as u32 {
-                let claims = m.claims_of_source(s);
-                for w in claims.windows(2) {
-                    prop_assert_eq!(
-                        p.component_of(VarId(w[0])),
-                        p.component_of(VarId(w[1]))
-                    );
+                    let fresh = ScoreCache::build(&model, &w);
+                    prop_assert_eq!(cache.len(), fresh.len());
+                    for k in 0..fresh.len() {
+                        prop_assert_eq!(
+                            cache.contribution(k, 0.37).to_bits(),
+                            fresh.contribution(k, 0.37).to_bits(),
+                            "incidence {} score diverged", k
+                        );
+                    }
+                    let fresh = Coloring::of_model(&model);
+                    prop_assert_eq!(coloring.colors(), fresh.colors());
+                    prop_assert_eq!(coloring.n_colors(), fresh.n_colors());
                 }
             }
         }

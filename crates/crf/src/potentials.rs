@@ -16,7 +16,7 @@
 //! claim value flipped, which realises the opposing variable `¬c` and its
 //! non-equality constraint (Eq. 3).
 
-use crate::graph::{Clique, CrfModel, Stance};
+use crate::graph::{Clique, CrfModel, Since, Stance, SyncPoint};
 use crate::numerics;
 use serde::{Deserialize, Serialize};
 
@@ -334,21 +334,9 @@ pub struct ScoreCache {
     /// relocation map of the growth patch (each clique has exactly one
     /// incidence, so this is a permutation of `0..n_cliques`).
     pos_of_clique: Vec<u32>,
-    /// Build-lineage id ([`CrfModel::model_id`]) of the model the cache
-    /// was built against; a different model — even a same-shape one reusing
-    /// the same address — forces a rebuild. `0` means "not built yet".
-    model_id: u64,
-    /// Revision ([`CrfModel::revision`]) of the cached layout; a newer
-    /// model revision triggers the growth patch instead of a rebuild.
-    revision: u64,
-    /// Retire-op counter ([`CrfModel::retire_ops`]) the cache last synced
-    /// to; a difference means tombstones changed and the dead cliques'
-    /// entries must be (re-)zeroed.
-    retire_ops: u64,
-    /// Compaction counter ([`CrfModel::compactions`]) the cache last synced
-    /// to; a jump of one relocates through the model's published
-    /// [`crate::graph::IdRemap`], a larger jump forces a rebuild.
-    compactions: u64,
+    /// The model state the cached layout covers ([`CrfModel::since`]
+    /// decides between patching, relocating and rebuilding).
+    synced: SyncPoint,
 }
 
 /// How [`ScoreCache::update`] refreshed the cache for a new weight vector.
@@ -387,12 +375,13 @@ pub enum CacheRefresh {
     /// The model compacted since the last refresh: surviving cliques'
     /// scores were relocated bit-for-bit through the published
     /// [`crate::graph::IdRemap`], dropped cliques' entries were discarded,
-    /// post-compaction growth was scored, and a weight-diff patch was
+    /// the unseen growth was scored, and a weight-diff patch was
     /// applied when `moved > 0`.
     Compacted {
         /// Cliques dropped by the compaction.
         dropped: usize,
-        /// Cliques appended since the compaction.
+        /// Cliques appended since the last refresh (before or after the
+        /// compaction) that survived it.
         added: usize,
         /// Weight coordinates that changed since the last refresh.
         moved: usize,
@@ -457,38 +446,15 @@ impl ScoreCache {
         );
         self.weights.clear();
         self.weights.extend_from_slice(weights.as_slice());
-        self.model_id = model.model_id();
-        self.revision = model.revision().0;
-        self.retire_ops = model.retire_ops();
-        self.compactions = model.compactions();
+        self.synced = model.sync_point();
     }
 
-    /// Patch the cache forward after the model grew: relocate every cached
-    /// clique score to its new claim-major position (bit-for-bit — spans
-    /// shift when old claims gain cliques) and compute scores only for the
-    /// cliques appended since the cached revision, using the *cached*
-    /// weight vector (the caller's weight-diff patch then brings everything
-    /// to the requested weights). Returns the number of cliques added.
-    fn grow_sync(&mut self, model: &CrfModel) -> usize {
-        let old_n = self.pos_of_clique.len();
-        self.revision = model.revision().0;
-        let added = model.n_incidences() - old_n;
-        if added == 0 {
-            // Entity-only delta (sources/docs/claims without cliques):
-            // nothing in the cache depends on it.
-            return 0;
-        }
-        // Pre-growth clique ids are their own old ids.
-        self.relocate(model, |ci| (ci < old_n).then_some(ci));
-        added
-    }
-
-    /// The shared relocation kernel of [`Self::grow_sync`] and
-    /// [`Self::compact_sync`]: rebuild the claim-major layout, pulling each
-    /// clique's cached scores bit-for-bit from its old position when
-    /// `old_id_of` maps its id into the previous layout, and scoring it at
-    /// the *cached* weights when it is new (the caller's weight-diff patch
-    /// then brings everything to the requested weights).
+    /// The relocation kernel of growth and compaction: rebuild the
+    /// claim-major layout, pulling each clique's cached scores bit-for-bit
+    /// from its old position when `old_id_of` maps its id into the
+    /// previous layout (spans shift when old claims gain cliques), and
+    /// scoring it at the *cached* weights when it is new (the caller's
+    /// weight-diff patch then brings everything to the requested weights).
     fn relocate(&mut self, model: &CrfModel, old_id_of: impl Fn(usize) -> Option<usize>) {
         let n = model.n_incidences();
         let trust_w = self.weights[self.weights.len() - 1];
@@ -517,27 +483,6 @@ impl ScoreCache {
                 }
             }
         }
-    }
-
-    /// Patch the cache forward through a compaction: relocate every
-    /// surviving clique's cached scores bit-for-bit to the new claim-major
-    /// layout via the model's published [`crate::graph::IdRemap`], discard
-    /// the dropped cliques' entries, and compute (at the *cached* weights)
-    /// only the cliques appended after the compaction. Returns
-    /// `(added, dropped)`.
-    fn compact_sync(&mut self, model: &CrfModel) -> (usize, usize) {
-        let remap = model
-            .last_compaction()
-            .expect("caller verified a remap is available");
-        let inv = remap.inverse_cliques();
-        let n_from_compact = remap.n_new_cliques();
-        let dropped = remap.n_old_cliques() - n_from_compact;
-        let added = model.n_incidences() - n_from_compact;
-        // Compaction-era clique ids pull their old id through the inverse
-        // remap; anything beyond them is post-compaction growth.
-        self.relocate(model, |ci| (ci < n_from_compact).then(|| inv[ci] as usize));
-        self.revision = model.revision().0;
-        (added, dropped)
     }
 
     /// (Re-)zero the cached scores of every tombstoned clique — idempotent,
@@ -582,59 +527,52 @@ impl ScoreCache {
     /// relocates the survivors through the model's published
     /// [`crate::graph::IdRemap`] ([`CacheRefresh::Compacted`]); in both
     /// cases the result equals a full rebuild bit for bit at unchanged
-    /// weights. Only a cache that slept through *two* compactions — or a
-    /// divergent clone — falls back to the rebuild.
+    /// weights. Growth in the gap before a compaction is folded in after
+    /// the relocation. Whatever [`CrfModel::since`] answers with
+    /// [`Since::Rebuild`] — another lineage, two compactions, a divergent
+    /// clone — falls back to the rebuild.
     pub fn update(&mut self, model: &CrfModel, weights: &Weights) -> CacheRefresh {
         let dim = model.feature_dim();
-        if self.model_id != model.model_id() || self.weights.len() != dim || weights.dim() != dim {
+        if self.weights.len() != dim || weights.dim() != dim {
             self.rebuild(model, weights);
             return CacheRefresh::Rebuilt;
         }
-        let mut added = 0;
-        let mut dropped = 0;
-        let compacted = self.compactions != model.compactions();
-        if compacted {
-            // Relocation needs the single retained remap to bridge exactly
-            // the cache's layout: one compaction elapsed and the cache
-            // covered its full pre-compaction clique set.
-            let relocatable = model.compactions() == self.compactions + 1
-                && model
-                    .last_compaction()
-                    .is_some_and(|r| r.n_old_cliques() == self.pos_of_clique.len());
-            if !relocatable {
+        let (mut added, mut dropped) = (0, 0);
+        let (compacted, retired) = match model.since(self.synced) {
+            Since::Unchanged => (false, false),
+            Since::Patch {
+                first_new_clique,
+                retired,
+                ..
+            } => {
+                added = model.n_incidences() - first_new_clique;
+                if added > 0 {
+                    // Seen clique ids are their own old ids.
+                    self.relocate(model, |ci| (ci < first_new_clique).then_some(ci));
+                }
+                (false, retired)
+            }
+            Since::Relocate {
+                remap,
+                first_new_clique,
+                retired,
+                ..
+            } => {
+                let inv = remap.inverse_cliques();
+                dropped = remap.n_old_cliques() - remap.n_new_cliques();
+                added = model.n_incidences() - first_new_clique;
+                self.relocate(model, |ci| {
+                    (ci < first_new_clique).then(|| inv[ci] as usize)
+                });
+                (true, retired)
+            }
+            Since::Rebuild => {
                 self.rebuild(model, weights);
                 return CacheRefresh::Rebuilt;
             }
-            (added, dropped) = self.compact_sync(model);
-            self.compactions = model.compactions();
-        } else {
-            if model.n_incidences() < self.pos_of_clique.len() {
-                // Divergent-clone backstop: `CrfModel` is `Clone` and
-                // `apply` is public, so two independently grown copies can
-                // share a `(model_id, revision)` pair with different
-                // content (see the caveat on [`CrfModel::apply`]). Within
-                // one lineage the clique count only shrinks through a
-                // compaction, which the branch above handles.
-                self.rebuild(model, weights);
-                return CacheRefresh::Rebuilt;
-            }
-            if self.revision != model.revision().0 {
-                added = self.grow_sync(model);
-            }
-        }
-        let retired = self.retire_ops != model.retire_ops();
-        let mut dead = 0;
-        if retired || (compacted && model.has_tombstones()) {
-            dead = self.zero_dead(model);
-            self.retire_ops = model.retire_ops();
-        }
-        if self.signed_static.len() != model.n_incidences() {
-            // Divergent-clone backstop, other direction: equal counters but
-            // more cliques than the cache accounts for. Rebuild rather than
-            // serve another copy's scores.
-            self.rebuild(model, weights);
-            return CacheRefresh::Rebuilt;
-        }
+        };
+        let dead = if retired { self.zero_dead(model) } else { 0 };
+        self.synced = model.sync_point();
         let refresh = |moved: usize| {
             if compacted {
                 CacheRefresh::Compacted {

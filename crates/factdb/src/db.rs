@@ -2,7 +2,7 @@
 
 use crate::features;
 use crate::model::{ClaimId, ClaimRecord, DocId, DocumentRecord, SourceId, SourceRecord};
-use crf::{CrfModel, ModelDelta, ModelError, Revision};
+use crf::{CrfModel, ModelDelta, ModelError};
 use serde::{Deserialize, Serialize};
 
 /// The concrete `<S, D, C>` part of a probabilistic fact database; the
@@ -222,11 +222,10 @@ impl FactDatabase {
     ///
     /// Feature rows for the new records are standardised against the
     /// statistics of the **current** corpus; rows already in the model keep
-    /// the standardisation of their own sync epoch (use
-    /// [`Self::sync_into_logged`] to record which epoch that was). Exact
-    /// z-scores over a growing corpus would require rewriting history —
-    /// the drift vanishes as the corpus grows and is irrelevant to the
-    /// graph structure, which is identical to a one-shot build.
+    /// the standardisation of their own sync epoch. Exact z-scores over a
+    /// growing corpus would require rewriting history — the drift vanishes
+    /// as the corpus grows and is irrelevant to the graph structure, which
+    /// is identical to a one-shot build.
     pub fn sync_delta(&self, model: &CrfModel) -> Result<ModelDelta, ModelError> {
         if model.compactions() > 0 {
             return Err(ModelError::Remapped {
@@ -279,44 +278,10 @@ impl FactDatabase {
         Ok(delta)
     }
 
-    /// Splice every record added since the last sync directly into `model`
-    /// (see [`Self::sync_delta`]), returning the model's new revision. A
-    /// no-op returning the current revision when nothing was added.
-    pub fn sync_into(&self, model: &mut CrfModel) -> Result<Revision, ModelError> {
-        let delta = self.sync_delta(model)?;
-        model.apply(delta)
-    }
-
-    /// Like [`Self::sync_into`], additionally recording the
-    /// standardisation epoch of every row the sync emitted in `log`, so
-    /// the scale each feature row lives on is never silently lost. Call
-    /// [`Self::standardisation_log`] once after the initial
-    /// [`Self::to_crf_model`] to seed epoch 0.
-    pub fn sync_into_logged(
-        &self,
-        model: &mut CrfModel,
-        log: &mut StandardisationLog,
-    ) -> Result<Revision, ModelError> {
-        let delta = self.sync_delta(model)?;
-        let rev = model.apply(delta)?;
-        log.record(self);
-        Ok(rev)
-    }
-
-    /// A fresh [`StandardisationLog`] whose epoch 0 covers every row
-    /// currently in the database — the log of a model just produced by
-    /// [`Self::to_crf_model`].
-    pub fn standardisation_log(&self) -> StandardisationLog {
-        let mut log = StandardisationLog::default();
-        log.record(self);
-        log
-    }
-
     /// Like [`Self::sync_delta`], but for a model lineage that retires
     /// *and compacts*: `map` carries the db-id → model-id correspondence
     /// across renumberings. Returns the delta plus the successor map;
-    /// commit the successor only after the delta applied (the convenience
-    /// wrapper [`Self::sync_into_mapped`] does both). Links to retired or
+    /// commit the successor only after the delta applied. Links to retired or
     /// dropped claims are dropped, and documents with no surviving links
     /// are skipped entirely — their feature rows never enter the model,
     /// which is the memory-respecting behaviour a windowed stream wants.
@@ -387,19 +352,6 @@ impl FactDatabase {
         Ok((delta, next))
     }
 
-    /// Apply [`Self::sync_delta_mapped`] to `model` and commit the
-    /// successor map, returning the model's new revision.
-    pub fn sync_into_mapped(
-        &self,
-        model: &mut CrfModel,
-        map: &mut SyncMap,
-    ) -> Result<Revision, ModelError> {
-        let (delta, next) = self.sync_delta_mapped(model, map)?;
-        let rev = model.apply(delta)?;
-        *map = next;
-        Ok(rev)
-    }
-
     /// Serialise to a JSON string.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("database serialises")
@@ -421,7 +373,8 @@ impl FactDatabase {
 ///
 /// Obtain one with [`SyncMap::for_built_model`] right after
 /// [`FactDatabase::to_crf_model`], then thread it through
-/// [`FactDatabase::sync_delta_mapped`] / [`FactDatabase::sync_into_mapped`].
+/// [`FactDatabase::sync_delta_mapped`], committing each successor map
+/// once its delta applied.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SyncMap {
     /// Model claim id per db claim id ([`SyncMap::DROPPED`] = compacted
@@ -491,9 +444,10 @@ impl SyncMap {
         self.compactions
     }
 
-    /// Re-point every id at the model's current numbering. Fails with
-    /// [`ModelError::Remapped`] when more than one compaction elapsed
-    /// since the last sync (only the latest remap is retained).
+    /// Re-point every id at the model's current numbering through
+    /// [`CrfModel::remap_since`]. Fails with [`ModelError::Remapped`] when
+    /// more than one compaction elapsed since the last sync (only the
+    /// latest remap is retained).
     ///
     /// Public for query-side id resolution: a long-lived external reader
     /// (a query cursor, a serving front end) holding db-stable ids calls
@@ -503,17 +457,9 @@ impl SyncMap {
     /// re-resolve its ids from scratch rather than risk addressing a
     /// renumbered entity.
     pub fn catch_up(&mut self, model: &CrfModel) -> Result<(), ModelError> {
-        if self.compactions == model.compactions() {
+        let Some(remap) = model.remap_since(self.compactions)? else {
             return Ok(());
-        }
-        let remap = model.last_compaction();
-        if model.compactions() != self.compactions + 1 || remap.is_none() {
-            return Err(ModelError::Remapped {
-                model: model.compactions(),
-                synced: self.compactions,
-            });
-        }
-        let remap = remap.expect("checked above");
+        };
         for slot in self.claims.iter_mut() {
             if *slot != Self::DROPPED {
                 *slot = remap
@@ -531,74 +477,11 @@ impl SyncMap {
     }
 }
 
-/// Per-epoch z-score statistics of one sync ([`FactDatabase::sync_into_logged`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EpochStats {
-    /// Sources in the corpus when the epoch's statistics were computed.
-    pub n_sources: usize,
-    /// Documents in the corpus at the epoch.
-    pub n_docs: usize,
-    /// Claims in the corpus at the epoch.
-    pub n_claims: usize,
-    /// Source-column statistics the epoch's rows were standardised under.
-    pub source: features::ColumnStats,
-    /// Document-column statistics of the epoch.
-    pub doc: features::ColumnStats,
-}
-
-/// A record of which standardisation epoch every feature row was emitted
-/// under. The corpus z-scores drift as the corpus grows; rows already in
-/// the model keep the scale of their own sync epoch, and this log is what
-/// makes that mixing *explicit* instead of silent: for every source and
-/// document row it names the epoch, and for every epoch it keeps the
-/// exact `(mean, sd)` per column — enough to re-derive (or un-do) any
-/// row's standardisation later.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct StandardisationLog {
-    /// Statistics per epoch, in sync order (epoch 0 = the initial build).
-    pub epochs: Vec<EpochStats>,
-    /// Epoch id per db source id.
-    pub source_epochs: Vec<u32>,
-    /// Epoch id per db document id.
-    pub doc_epochs: Vec<u32>,
-}
-
-impl StandardisationLog {
-    /// Record the database's current statistics as a new epoch and tag
-    /// every not-yet-tagged row with it. A no-op when no untagged rows
-    /// exist (an epoch with no rows would never be referenced).
-    pub fn record(&mut self, db: &FactDatabase) {
-        if self.source_epochs.len() >= db.n_sources() && self.doc_epochs.len() >= db.n_documents() {
-            return;
-        }
-        let epoch = self.epochs.len() as u32;
-        self.epochs.push(EpochStats {
-            n_sources: db.n_sources(),
-            n_docs: db.n_documents(),
-            n_claims: db.n_claims(),
-            source: features::source_stats(db),
-            doc: features::doc_stats(db),
-        });
-        self.source_epochs.resize(db.n_sources(), epoch);
-        self.doc_epochs.resize(db.n_documents(), epoch);
-    }
-
-    /// Epoch a db source row was standardised under.
-    pub fn source_epoch(&self, source: SourceId) -> Option<u32> {
-        self.source_epochs.get(source.idx()).copied()
-    }
-
-    /// Epoch a db document row was standardised under.
-    pub fn doc_epoch(&self, doc: DocId) -> Option<u32> {
-        self.doc_epochs.get(doc.idx()).copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::SourceKind;
-    use crf::Stance;
+    use crf::{Revision, Stance};
 
     fn source(name: &str) -> SourceRecord {
         SourceRecord {
@@ -691,7 +574,7 @@ mod tests {
         assert!(matches!(db.to_crf_model(), Err(ModelError::Empty)));
     }
 
-    /// `sync_into` grafts the records added since the model was built:
+    /// `sync_delta` grafts the records added since the model was built:
     /// identical graph structure to rebuilding from the full database, and
     /// the model's revision advances while its lineage id stays.
     #[test]
@@ -699,7 +582,8 @@ mod tests {
         let mut db = sample_db();
         let mut model = db.to_crf_model().unwrap();
         let id = model.model_id();
-        assert_eq!(db.sync_into(&mut model).unwrap(), Revision(0), "no-op sync");
+        let delta = db.sync_delta(&model).unwrap();
+        assert_eq!(model.apply(delta).unwrap(), Revision(0), "no-op sync");
 
         let s2 = db.add_source(source("c.org"));
         let c2 = db.add_claim(claim("claim two", true));
@@ -710,7 +594,8 @@ mod tests {
         })
         .unwrap();
 
-        assert_eq!(db.sync_into(&mut model).unwrap(), Revision(1));
+        let delta = db.sync_delta(&model).unwrap();
+        assert_eq!(model.apply(delta).unwrap(), Revision(1));
         assert_eq!(model.model_id(), id);
         let fresh = db.to_crf_model().unwrap();
         assert_eq!(model.n_claims(), fresh.n_claims());
@@ -769,7 +654,8 @@ mod tests {
 
         // No new records: the sync is a no-op even though the live counts
         // now lag the database's.
-        assert_eq!(db.sync_into(&mut model).unwrap(), model.revision());
+        let rev = model.revision();
+        assert_eq!(model.apply(db.sync_delta(&model).unwrap()).unwrap(), rev);
         assert_eq!(model.n_live_claims(), 1);
 
         // A new document citing both the retired claim and a live one:
@@ -782,12 +668,12 @@ mod tests {
         })
         .unwrap();
         let before = model.cliques().len();
-        db.sync_into(&mut model).unwrap();
+        model.apply(db.sync_delta(&model).unwrap()).unwrap();
         assert_eq!(model.cliques().len(), before + 1, "retired link dropped");
         assert_eq!(model.ingested_docs(), 3);
         // Syncing again re-emits nothing.
         let rev = model.revision();
-        assert_eq!(db.sync_into(&mut model).unwrap(), rev);
+        assert_eq!(model.apply(db.sync_delta(&model).unwrap()).unwrap(), rev);
     }
 
     /// After a compaction the raw-id sync refuses; the mapped sync keeps
@@ -828,7 +714,9 @@ mod tests {
         .unwrap();
 
         let docs_before = model.n_docs();
-        db.sync_into_mapped(&mut model, &mut map).unwrap();
+        let (delta, next) = db.sync_delta_mapped(&model, &map).unwrap();
+        model.apply(delta).unwrap();
+        map = next;
         assert_eq!(map.model_claim(ClaimId(0)), None, "dropped by compaction");
         assert_eq!(
             map.model_claim(ClaimId(1)),
@@ -845,7 +733,9 @@ mod tests {
         assert_eq!(map.docs_synced(), db.n_documents());
         // Nothing re-emits on the next sync.
         let rev = model.revision();
-        assert_eq!(db.sync_into_mapped(&mut model, &mut map).unwrap(), rev);
+        let (delta, next) = db.sync_delta_mapped(&model, &map).unwrap();
+        assert_eq!(model.apply(delta).unwrap(), rev);
+        assert_eq!(next.docs_synced(), map.docs_synced());
     }
 
     /// Query-side id resolution: an external reader holding db-stable ids
@@ -933,15 +823,15 @@ mod tests {
     }
 
     /// Per-epoch standardisation regression: every model feature row must
-    /// equal a full re-featurise of the corpus **as it stood at the row's
-    /// recorded epoch** — the log's epoch tags and stored statistics are
-    /// faithful, and no row silently changes scale after it is emitted.
+    /// equal a full re-featurise of the corpus **as it stood when the row
+    /// was synced** — no row silently changes scale after it is emitted.
     #[test]
     fn standardisation_log_matches_full_refeaturise_per_epoch() {
         let mut db = sample_db();
         let mut model = db.to_crf_model().unwrap();
-        let mut log = db.standardisation_log();
-        let mut snapshots = vec![db.clone()]; // db state per epoch
+        let mut snapshots = vec![db.clone()]; // db state per sync epoch
+        let mut source_epoch = vec![0; db.n_sources()];
+        let mut doc_epoch = vec![0; db.n_documents()];
 
         for step in 0..3 {
             let s = db.add_source(source(&format!("extra{step}.org")));
@@ -952,15 +842,14 @@ mod tests {
                 tokens: vec!["because".into(), "therefore".into(), format!("w{step}")],
             })
             .unwrap();
-            db.sync_into_logged(&mut model, &mut log).unwrap();
+            model.apply(db.sync_delta(&model).unwrap()).unwrap();
+            source_epoch.resize(db.n_sources(), snapshots.len());
+            doc_epoch.resize(db.n_documents(), snapshots.len());
             snapshots.push(db.clone());
         }
-        assert_eq!(log.epochs.len(), 4);
-        assert_eq!(log.source_epochs.len(), db.n_sources());
-        assert_eq!(log.doc_epochs.len(), db.n_documents());
+        assert_eq!(snapshots.len(), 4);
 
-        for i in 0..db.n_sources() {
-            let e = log.source_epoch(SourceId(i as u32)).unwrap() as usize;
+        for (i, &e) in source_epoch.iter().enumerate() {
             let full = features::source_features(&snapshots[e]);
             let expect =
                 &full[i * features::N_SOURCE_FEATURES..(i + 1) * features::N_SOURCE_FEATURES];
@@ -969,11 +858,8 @@ mod tests {
                 expect,
                 "source {i} (epoch {e}) diverged from the epoch re-featurise"
             );
-            // The recorded statistics are the epoch corpus's statistics.
-            assert_eq!(log.epochs[e].source, features::source_stats(&snapshots[e]));
         }
-        for i in 0..db.n_documents() {
-            let e = log.doc_epoch(crate::model::DocId(i as u32)).unwrap() as usize;
+        for (i, &e) in doc_epoch.iter().enumerate() {
             let full = features::doc_features(&snapshots[e]);
             let expect = &full[i * features::N_DOC_FEATURES..(i + 1) * features::N_DOC_FEATURES];
             assert_eq!(

@@ -11,7 +11,6 @@ use crate::db::FactDatabase;
 use crate::graph_metrics::{hits, pagerank, DiGraph};
 use crate::linguistic;
 use crate::model::SourceKind;
-use serde::{Deserialize, Serialize};
 
 /// Number of source features produced by [`source_features`].
 pub const N_SOURCE_FEATURES: usize = 4;
@@ -22,67 +21,20 @@ pub const N_DOC_FEATURES: usize = linguistic::N_DOC_FEATURES;
 /// Standardise a column in place to zero mean and unit variance; constant
 /// columns become all-zero instead of dividing by zero.
 pub fn zscore(column: &mut [f64]) {
-    let (mean, sd) = column_stats(column);
-    apply_zscore(column, mean, sd);
-}
-
-/// The `(mean, sd)` a [`zscore`] of this column would use (`sd == 0.0`
-/// encodes "constant column: zero it").
-fn column_stats(column: &[f64]) -> (f64, f64) {
     let n = column.len();
     if n == 0 {
-        return (0.0, 0.0);
+        return;
     }
     let mean = column.iter().sum::<f64>() / n as f64;
     let var = column.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
     let sd = var.sqrt();
     if sd > 1e-12 {
-        (mean, sd)
-    } else {
-        (mean, 0.0)
-    }
-}
-
-#[inline]
-fn apply_zscore(column: &mut [f64], mean: f64, sd: f64) {
-    if sd > 0.0 {
         for x in column.iter_mut() {
             *x = (*x - mean) / sd;
         }
     } else {
         for x in column.iter_mut() {
             *x = 0.0;
-        }
-    }
-}
-
-/// The z-score statistics of one feature matrix — a *standardisation
-/// epoch*. Feature rows emitted under different corpus states are
-/// standardised under different statistics; recording the epoch's stats is
-/// what lets a sync log say exactly which scale each row lives on (see
-/// `FactDatabase::sync_into_logged`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ColumnStats {
-    /// Per-column mean at the epoch.
-    pub mean: Vec<f64>,
-    /// Per-column standard deviation (`0.0` = constant column, zeroed).
-    pub sd: Vec<f64>,
-}
-
-impl ColumnStats {
-    fn of_columns(cols: &[Vec<f64>]) -> Self {
-        let (mean, sd) = cols.iter().map(|c| column_stats(c)).unzip();
-        ColumnStats { mean, sd }
-    }
-
-    /// Standardise `row` (one value per column) under these statistics.
-    pub fn standardise_row(&self, row: &mut [f64]) {
-        for (i, x) in row.iter_mut().enumerate() {
-            if self.sd[i] > 0.0 {
-                *x = (*x - self.mean[i]) / self.sd[i];
-            } else {
-                *x = 0.0;
-            }
         }
     }
 }
@@ -176,17 +128,6 @@ fn interleave_columns(cols: &[Vec<f64>], n: usize) -> Vec<f64> {
         }
     }
     out
-}
-
-/// The z-score statistics of the current corpus's source columns — the
-/// standardisation epoch a sync of this state would stamp on its rows.
-pub fn source_stats(db: &FactDatabase) -> ColumnStats {
-    ColumnStats::of_columns(&raw_source_columns(db))
-}
-
-/// The z-score statistics of the current corpus's document columns.
-pub fn doc_stats(db: &FactDatabase) -> ColumnStats {
-    ColumnStats::of_columns(&raw_doc_columns(db))
 }
 
 /// Compute the standardised source feature matrix, row-major

@@ -31,6 +31,6 @@ pub mod linguistic;
 pub mod model;
 pub mod synth;
 
-pub use db::{DatasetStats, EpochStats, FactDatabase, StandardisationLog, SyncMap};
+pub use db::{DatasetStats, FactDatabase, SyncMap};
 pub use model::{ClaimId, ClaimRecord, DocId, DocumentRecord, SourceId, SourceKind, SourceRecord};
 pub use synth::{DatasetPreset, SynthConfig, SynthDataset};

@@ -102,10 +102,13 @@ impl ClaimCursor {
         // cursor's id space — everything else is untranslatable: a remap
         // chain is not retained, and a *smaller* count means the caller
         // fed an older snapshot than the cursor already validated against.
-        if state.compactions != self.compactions + 1 {
-            return Err(refuse);
-        }
-        let remap = state.model.last_compaction().ok_or(refuse.clone())?;
+        let Some(remap) = state
+            .model
+            .remap_since(self.compactions)
+            .map_err(|_| refuse.clone())?
+        else {
+            return Ok(());
+        };
         let max_id = self.claims[self.pos..].iter().map(|c| c.idx() + 1).max();
         if max_id.is_some_and(|m| m > remap.n_old_claims()) {
             return Err(refuse);

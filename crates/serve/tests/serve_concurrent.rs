@@ -193,7 +193,7 @@ fn relocate(
         return;
     }
     assert_eq!(state.compactions, *compactions + 1);
-    let remap = state.model.last_compaction().unwrap();
+    let remap = state.model.remap_since(*compactions).unwrap().unwrap();
     let before = expected.len();
     expected.retain_mut(|c| match remap.claim(*c) {
         Some(nc) => {
@@ -296,7 +296,7 @@ proptest::proptest! {
                                     assert_eq!(synced, compactions);
                                     assert_eq!(current, state.compactions);
                                     assert!(
-                                        current != synced + 1 || state.model.last_compaction().is_none(),
+                                        current != synced + 1 || state.model.remap_since(synced).is_err(),
                                         "refused a translatable relocation"
                                     );
                                     break;

@@ -6,8 +6,10 @@
 //! splices into the live model through a shared [`crf::ModelHandle`] — no
 //! rebuild, no cache invalidation; the partition, score cache, component
 //! schedule, and EM scratch of every holder of the handle patch themselves
-//! forward (see the revision contract in `crf::graph`). The model
-//! parameters are maintained by an online EM algorithm with stochastic
+//! forward. Each of them — and the checker's own per-claim state — asks
+//! [`crf::CrfModel::since`], from the [`crf::SyncPoint`] it last synced
+//! at, whether to patch, relocate or rebuild (the contract in
+//! `crf::graph`). The model parameters are maintained by an online EM algorithm with stochastic
 //! approximation (Eq. 29–30): upon each arrival the expected complete-data
 //! likelihood is blended into a running objective with a decreasing
 //! Robbins–Monro step size, and the parameters are re-estimated by the same
@@ -31,7 +33,8 @@
 //! layout of the survivors (dropping the dead claims' documents — the bulk
 //! of the memory) and publishes a [`crf::IdRemap`] that the checker, the
 //! offline engine, and every model-keyed cache use to *relocate* their
-//! state instead of rebuilding it. Array sizes are then bounded by
+//! state instead of rebuilding it ([`crf::Since::Relocate`]; a holder
+//! that slept through two compactions rebuilds). Array sizes are then bounded by
 //! `live set / (1 − compact_threshold)` for any stream length — the
 //! windowed benchmark in `benches/stream.rs` shows the plateau.
 //!

@@ -35,7 +35,8 @@ use crate::online_em::{ArrivalStats, OnlineEm, OnlineEmConfig, OnlineEmError, On
 use crf::em::source_trust_from_probs;
 use crf::potentials::{claim_probability, clique_features};
 use crf::{
-    Clique, CliqueId, CrfModel, Icrf, ModelDelta, ModelError, ModelHandle, RetireSet, Stance, VarId,
+    Clique, CliqueId, CrfModel, Icrf, ModelDelta, ModelError, ModelHandle, RetireSet, Since,
+    Stance, SyncPoint, VarId,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -145,8 +146,8 @@ pub struct StreamingChecker {
     /// Arrival index per claim ([`NEVER`] = not yet arrived); what the
     /// retention window slides over. Relocated across compactions.
     arrival_seq: Vec<u64>,
-    /// Compaction count of the snapshot the per-claim state is keyed to.
-    compactions: u64,
+    /// The model state the per-claim state is sized for.
+    synced: SyncPoint,
     policy: RetentionPolicy,
     online: OnlineEm,
     arrivals: usize,
@@ -172,14 +173,13 @@ impl StreamingChecker {
         let model = handle.snapshot();
         let n = model.n_claims();
         let dim = model.feature_dim();
-        let compactions = model.compactions();
         Ok(StreamingChecker {
             handle,
+            synced: model.sync_point(),
             model: Some(model),
             visible: vec![false; n],
             probs: vec![0.5; n],
             arrival_seq: vec![NEVER; n],
-            compactions,
             policy: RetentionPolicy::unbounded(),
             online: OnlineEm::try_new(dim, config)?,
             arrivals: 0,
@@ -232,22 +232,18 @@ impl StreamingChecker {
     /// two compactions elapsed unseen, resets it). Also re-pins the
     /// snapshot after [`Self::arrive_new`] released it.
     pub(crate) fn sync(&mut self) {
-        let current = self.handle.revision();
-        if self.model.as_ref().map(|m| m.revision()) == Some(current) {
-            return;
-        }
         let model = self.handle.snapshot();
-        if model.compactions() != self.compactions {
-            let relocatable = model.compactions() == self.compactions + 1
-                && model
-                    .last_compaction()
-                    .is_some_and(|r| r.n_old_claims() >= self.visible.len());
-            let n = model.n_claims();
-            let mut visible = vec![false; n];
-            let mut probs = vec![0.5; n];
-            let mut seq = vec![NEVER; n];
-            if relocatable {
-                let remap = model.last_compaction().expect("checked above");
+        let n = model.n_claims();
+        match model.since(self.synced) {
+            Since::Unchanged => {
+                self.model = Some(model);
+                return;
+            }
+            Since::Patch { .. } => {}
+            Since::Relocate { remap, .. } => {
+                let mut visible = vec![false; n];
+                let mut probs = vec![0.5; n];
+                let mut seq = vec![NEVER; n];
                 for c in 0..self.visible.len() {
                     if let Some(nc) = remap.claim(VarId(c as u32)) {
                         visible[nc.idx()] = self.visible[c];
@@ -255,17 +251,24 @@ impl StreamingChecker {
                         seq[nc.idx()] = self.arrival_seq[c];
                     }
                 }
+                self.visible = visible;
+                self.probs = probs;
+                self.arrival_seq = seq;
                 // The online buffer relocates with us: surviving claims'
                 // instances are re-tagged, dropped claims' instances die
                 // with the claim.
                 self.online.remap_claims(remap);
-            } else {
+            }
+            Since::Rebuild => {
                 // Outran the single retained remap: provenance is lost and
                 // the per-claim state resets. Visibility cannot be
                 // reconstructed, but retention must keep working — treat
                 // every live claim as having arrived *now*, so nothing
                 // becomes immortal under the window or the live-claim cap.
-                for (c, slot) in seq.iter_mut().enumerate() {
+                self.visible = vec![false; n];
+                self.probs = vec![0.5; n];
+                self.arrival_seq = vec![NEVER; n];
+                for (c, slot) in self.arrival_seq.iter_mut().enumerate() {
                     if model.claim_live(c) {
                         *slot = self.arrivals as u64;
                     }
@@ -275,12 +278,7 @@ impl StreamingChecker {
                 // the buffered instances fall back to decay-only lifetime.
                 self.online.clear_claim_tags();
             }
-            self.visible = visible;
-            self.probs = probs;
-            self.arrival_seq = seq;
-            self.compactions = model.compactions();
         }
-        let n = model.n_claims();
         self.visible.resize(n, false);
         self.probs.resize(n, 0.5);
         self.arrival_seq.resize(n, NEVER);
@@ -296,6 +294,7 @@ impl StreamingChecker {
             self.online
                 .prune_dead_claims(|c| (c as usize) < n && model.claim_live(c as usize));
         }
+        self.synced = model.sync_point();
         self.model = Some(model);
     }
 
@@ -619,7 +618,7 @@ impl StreamingChecker {
             visible: self.visible.clone(),
             probs: self.probs.clone(),
             arrival_seq: self.arrival_seq.clone(),
-            compactions: self.compactions,
+            compactions: model.compactions(),
             arrivals: self.arrivals as u64,
             policy: self.policy.clone(),
             online: self.online.export_state(),
@@ -643,10 +642,11 @@ impl StreamingChecker {
             });
         }
         debug_assert_eq!(state.probs.len(), model.n_claims());
+        debug_assert_eq!(state.compactions, model.compactions());
         self.visible = state.visible;
         self.probs = state.probs;
         self.arrival_seq = state.arrival_seq;
-        self.compactions = state.compactions;
+        self.synced = model.sync_point();
         self.arrivals = state.arrivals as usize;
         self.policy = state.policy;
         self.online
