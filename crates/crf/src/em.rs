@@ -540,7 +540,6 @@ impl Icrf {
                 };
                 self.scratch.dataset.set_instance(i, target, weight);
             }
-            let prev_weights = self.weights.clone();
             let obj = LogisticObjective::new(&self.scratch.dataset, self.config.lambda);
             let res = tron::solve_with(
                 &obj,
@@ -551,8 +550,7 @@ impl Icrf {
             stats.tron_iterations += res.iterations;
             stats.tron_coords_moved += res.coords_moved;
 
-            let weight_change = self.weights.distance(&prev_weights);
-            if weight_change < self.config.weight_tol && max_prob_change < self.config.prob_tol {
+            if res.step_norm < self.config.weight_tol && max_prob_change < self.config.prob_tol {
                 stats.converged = true;
                 break;
             }

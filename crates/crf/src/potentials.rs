@@ -55,8 +55,9 @@ impl Weights {
         &mut self.beta
     }
 
-    /// Euclidean distance to another weight vector; used by convergence
-    /// checks in the EM loop.
+    /// Euclidean distance to another weight vector. The EM loop's
+    /// convergence check reads the same quantity from TRON's
+    /// [`crate::tron::TronResult::step_norm`].
     pub fn distance(&self, other: &Weights) -> f64 {
         self.beta
             .iter()

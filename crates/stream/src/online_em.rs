@@ -326,11 +326,6 @@ impl OnlineEm {
             self.data.push(&inst.row, inst.target, inst.weight);
         }
         let obj = LogisticObjective::new(&self.data, self.config.lambda);
-        let prev_value = if self.config.line_search {
-            obj.value(self.weights.as_slice())
-        } else {
-            f64::INFINITY
-        };
         self.w_buf.copy_from_slice(self.weights.as_slice());
         let res = tron::solve_with(
             &obj,
@@ -338,7 +333,7 @@ impl OnlineEm {
             &self.config.tron,
             &mut self.tron_scratch,
         );
-        let accepted = !self.config.line_search || res.value <= prev_value + 1e-12;
+        let accepted = !self.config.line_search || res.value <= res.start_value + 1e-12;
         if accepted {
             self.weights.as_mut_slice().copy_from_slice(&self.w_buf);
         }
