@@ -12,7 +12,7 @@
 //! already-colored (lower-id) live neighbours. This is a pure function of
 //! the live conflict graph — no hashing, no RNG, no dependence on thread
 //! count — so it can serve as part of the chromatic sampler's determinism
-//! contract and travel inside published serving snapshots.
+//! contract.
 //!
 //! # Lifecycle maintenance
 //!
@@ -65,13 +65,12 @@ pub enum ColorRefresh {
 /// A maintained greedy coloring of one model's claim-conflict graph.
 ///
 /// `colors[c]` is the color of claim `c` ([`NO_COLOR`] when tombstoned);
-/// colors are dense in `0..n_colors`. Construction is `O(Σ deg)`;
+/// the live colors are dense from 0. Construction is `O(Σ deg)`;
 /// [`Coloring::sync`] after a small edit is `O(touched)` plus whatever the
 /// change actually propagates to.
 #[derive(Debug, Clone, Default)]
 pub struct Coloring {
     colors: Vec<u32>,
-    n_colors: u32,
     /// The model state the assignment is synced to.
     synced: SyncPoint,
     /// Source-liveness snapshot at the last sync: retirement is detected
@@ -97,20 +96,28 @@ impl Coloring {
         c
     }
 
-    /// Per-claim colors ([`NO_COLOR`] for tombstoned claims).
-    pub fn colors(&self) -> &[u32] {
-        &self.colors
-    }
-
     /// Color of one claim.
     pub fn color(&self, claim: usize) -> u32 {
         self.colors[claim]
     }
 
-    /// Number of distinct colors in use (colors are dense in
-    /// `0..n_colors`).
-    pub fn n_colors(&self) -> usize {
-        self.n_colors as usize
+    /// Per-claim colors ([`NO_COLOR`] for tombstoned claims), for the
+    /// from-scratch specs.
+    #[cfg(test)]
+    pub(crate) fn colors(&self) -> &[u32] {
+        &self.colors
+    }
+
+    /// Number of distinct colors in use (colors are dense from 0),
+    /// counted on demand for the from-scratch specs.
+    #[cfg(test)]
+    pub(crate) fn n_colors(&self) -> usize {
+        self.colors
+            .iter()
+            .filter(|&&c| c != NO_COLOR)
+            .map(|&c| c as usize + 1)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Bring the assignment up to date with `model`, reproducing exactly
@@ -205,7 +212,6 @@ impl Coloring {
 
         let recolored = self.drain(model, &mut work);
         self.sync_counters(model);
-        self.recount_colors();
         ColorRefresh::Patched { recolored }
     }
 
@@ -282,7 +288,6 @@ impl Coloring {
             }
         }
         self.sync_counters(model);
-        self.recount_colors();
     }
 
     fn sync_counters(&mut self, model: &CrfModel) {
@@ -290,16 +295,6 @@ impl Coloring {
         self.src_live.clear();
         self.src_live
             .extend((0..model.n_sources()).map(|s| model.source_live(s)));
-    }
-
-    fn recount_colors(&mut self) {
-        self.n_colors = self
-            .colors
-            .iter()
-            .filter(|&&c| c != NO_COLOR)
-            .map(|&c| c + 1)
-            .max()
-            .unwrap_or(0);
     }
 
     /// A color can never exceed the claim count, so `n + 1` mark slots

@@ -474,8 +474,7 @@ impl Partition {
     }
 
     /// Index of the component containing `claim`. Must not be asked for a
-    /// tombstoned claim (dead claims belong to no component) — see
-    /// [`Partition::try_component_of`] for the total variant.
+    /// tombstoned claim (dead claims belong to no component).
     pub fn component_of(&self, claim: VarId) -> usize {
         let slot = self.component_of[claim.idx()];
         debug_assert_ne!(
@@ -485,17 +484,6 @@ impl Partition {
             claim.idx()
         );
         self.slot_rank[slot as usize] as usize
-    }
-
-    /// Index of the component containing `claim`, or `None` when the claim
-    /// is tombstoned or out of range — the total, panic-free lookup a
-    /// query layer grouping arbitrary (possibly stale) claim ids needs.
-    pub fn try_component_of(&self, claim: VarId) -> Option<usize> {
-        let slot = *self.component_of.get(claim.idx())?;
-        if slot == NO_COMPONENT {
-            return None;
-        }
-        Some(self.slot_rank[slot as usize] as usize)
     }
 
     /// The claims of component `i`, ascending.
@@ -783,31 +771,6 @@ mod tests {
             assert_eq!(p.component(i), fresh.component(i));
         }
         assert_eq!(p.n_claims(), 2);
-    }
-
-    /// `try_component_of` is total: live claims resolve to the same index
-    /// as `component_of`, tombstoned and out-of-range claims give `None`.
-    #[test]
-    fn try_component_of_is_total() {
-        let mut b = ModelDelta::new(1, 1);
-        let s0 = b.add_source(&[0.0]).unwrap();
-        let c0 = b.add_claim();
-        let c1 = b.add_claim();
-        for c in [c0, c1] {
-            let d = b.add_document(&[0.0]).unwrap();
-            b.add_clique(c, d, s0, Stance::Support);
-        }
-        let mut m = CrfModel::build(b).unwrap();
-        let mut p = Partition::of_model(&m);
-        assert_eq!(p.try_component_of(c0), Some(p.component_of(c0)));
-        assert_eq!(p.try_component_of(VarId(99)), None, "out of range");
-
-        let mut set = crate::graph::RetireSet::for_model(&m);
-        set.retire_claim(c1);
-        m.retire(set).unwrap();
-        p.update(&m, m.cliques().len(), &[c1.0]);
-        assert_eq!(p.try_component_of(c1), None, "tombstoned");
-        assert_eq!(p.try_component_of(c0), Some(p.component_of(c0)));
     }
 
     /// A retired *source* can split a component too (its cliques die).

@@ -27,6 +27,6 @@ mod query;
 mod server;
 
 pub use cursor::{ClaimCursor, CursorAnswer};
-pub use publish::{PublishCell, Published, NO_COMPONENT};
+pub use publish::{PublishCell, Published};
 pub use query::{binary_entropy, Answer, QueryError, QueryHandle, Staleness, TruthAnswer};
 pub use server::{IngestBackend, PublishPolicy, ServeError, TruthServer};

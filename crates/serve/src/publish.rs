@@ -5,7 +5,7 @@
 //!
 //! * A published state is **one** immutable [`Published`] value behind one
 //!   `Arc`: the model snapshot and every table derived from it (marginals,
-//!   trust, component keys) travel together, so a reader can no more see a
+//!   trust) travel together, so a reader can no more see a
 //!   `(model, probs)` pair from different revisions than it can see half a
 //!   pointer.
 //! * Publication swaps an `Arc`, not data. The cell keeps a small ring of
@@ -35,10 +35,6 @@ use std::sync::Arc;
 #[cfg(not(loom))]
 use std::sync::RwLock;
 
-/// Sentinel in [`Published::comp_key`] for claims in no component
-/// (tombstoned or out of service).
-pub const NO_COMPONENT: u32 = u32::MAX;
-
 /// One immutable published serving state: a pinned model snapshot plus
 /// every query-side table derived from exactly that snapshot. Readers
 /// receive the whole value behind one `Arc`, so the pairing is atomic by
@@ -54,19 +50,6 @@ pub struct Published {
     /// `crf::em::source_trust_from_probs(&model, &probs, prior)` with the
     /// publishing server's prior.
     pub trust: Vec<f64>,
-    /// Canonical connected-component index per claim
-    /// ([`NO_COMPONENT`] for tombstoned claims) — the query executor's
-    /// grouping key, matching `crf::Partition::of_model(&model)` numbering.
-    pub comp_key: Vec<u32>,
-    /// Number of live components behind [`Published::comp_key`].
-    pub n_components: usize,
-    /// Greedy conflict-graph color per claim ([`crf::NO_COLOR`] for
-    /// tombstoned claims) — bit-identical to
-    /// `crf::Coloring::of_model(&model).colors()`, so batch consumers can
-    /// run a chromatic sweep over the snapshot without recoloring it.
-    pub colors: Vec<u32>,
-    /// Number of color classes behind [`Published::colors`].
-    pub n_colors: usize,
     /// The revision of `model` — the staleness tag's identity.
     pub revision: Revision,
     /// Compaction count of `model`; cursors compare it to relocate.
@@ -160,10 +143,6 @@ mod tests {
         Arc::new(Published {
             probs: vec![0.5],
             trust: vec![0.5],
-            comp_key: vec![0],
-            n_components: 1,
-            colors: vec![0],
-            n_colors: 1,
             revision: Revision(rev),
             compactions: 0,
             arrivals,

@@ -12,15 +12,13 @@
 //! `(model, probs)` pair), and `top_k_uncertain` orders by the binary
 //! entropy of `probs` with a deterministic tie-break.
 //!
-//! Batched queries group same-component claims via the published component
-//! key ([`crate::publish::Published::comp_key`]) — the component-first
-//! execution path the CRF's independence structure makes natural: claims
-//! in one component share exactly the sources that couple them, so
-//! grouped execution touches each component's state once and later
-//! component-sharded backends can route each group wholesale.
+//! Every query is a table read: batched queries answer each claim in
+//! input order from the one pinned state, and a reader that needs the
+//! snapshot's connected components derives them on demand with
+//! `crf::Partition::of_model(&state.model)`.
 
 use crate::cursor::ClaimCursor;
-use crate::publish::{PublishCell, Published, NO_COMPONENT};
+use crate::publish::{PublishCell, Published};
 use crf::graph::Revision;
 use crf::VarId;
 use std::sync::Arc;
@@ -69,9 +67,6 @@ pub struct TruthAnswer {
     /// The published credibility estimate (0.5 for claims that never
     /// arrived; 0.0 for claims out of service).
     pub probability: f64,
-    /// Canonical component index in the published state (`None` when not
-    /// live) — the grouping key batched queries execute by.
-    pub component: Option<u32>,
 }
 
 /// Why a query could not be answered.
@@ -147,48 +142,12 @@ impl QueryHandle {
     }
 
     /// Truth probabilities for a batch of claims, answered in input order
-    /// from one published state. Execution is grouped by component: claims
-    /// are sorted by their published component key, each group is answered
-    /// against its component's shared state in one pass, and the answers
-    /// are scattered back to input positions. Duplicate and dead claims
-    /// are fine; dead claims answer `live: false`.
+    /// from one published state. Duplicate and dead claims are fine; dead
+    /// claims answer `live: false`.
     pub fn truth_batch(&self, claims: &[VarId]) -> Answer<Vec<TruthAnswer>> {
         let state = self.snapshot();
-        // (component, input index): sorting groups same-component queries
-        // while keeping the scatter target. Dead/unknown claims group
-        // under NO_COMPONENT.
-        let mut order: Vec<(u32, u32)> = claims
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let key = state.comp_key.get(c.idx()).copied().unwrap_or(NO_COMPONENT);
-                (key, i as u32)
-            })
-            .collect();
-        order.sort_unstable();
-        let mut out = vec![
-            TruthAnswer {
-                claim: VarId(0),
-                live: false,
-                probability: 0.0,
-                component: None,
-            };
-            claims.len()
-        ];
-        let mut i = 0;
-        while i < order.len() {
-            let comp = order[i].0;
-            // One component's queries answer together: they share the
-            // same published component state (and, under a sharded
-            // backend, the same shard).
-            while i < order.len() && order[i].0 == comp {
-                let input = order[i].1 as usize;
-                out[input] = answer_one(&state, claims[input]);
-                i += 1;
-            }
-        }
         Answer {
-            value: out,
+            value: claims.iter().map(|&c| answer_one(&state, c)).collect(),
             at: Staleness::of(&state),
         }
     }
@@ -198,12 +157,9 @@ impl QueryHandle {
     /// their entropies. Deterministic for a given published state.
     pub fn top_k_uncertain(&self, k: usize) -> Answer<Vec<(VarId, f64)>> {
         let state = self.snapshot();
-        let mut scored: Vec<(VarId, f64)> = state
-            .comp_key
-            .iter()
-            .enumerate()
-            .filter(|&(_, &key)| key != NO_COMPONENT)
-            .map(|(c, _)| (VarId(c as u32), binary_entropy(state.probs[c])))
+        let mut scored: Vec<(VarId, f64)> = (0..state.probs.len())
+            .filter(|&c| state.claim_live(c))
+            .map(|c| (VarId(c as u32), binary_entropy(state.probs[c])))
             .collect();
         scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0)));
         scored.truncate(k);
@@ -257,7 +213,6 @@ pub(crate) fn answer_one(state: &Published, claim: VarId) -> TruthAnswer {
         claim,
         live,
         probability: if live { state.probs[claim.idx()] } else { 0.0 },
-        component: live.then(|| state.comp_key[claim.idx()]),
     }
 }
 

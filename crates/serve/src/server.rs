@@ -7,20 +7,17 @@
 //! [`PublishCell`]. Arrivals flow through [`TruthServer::ingest`]; after
 //! every [`PublishPolicy::every`]-th arrival the server derives a fresh
 //! [`Published`] state — pinned model snapshot, credibility table, trust
-//! table, component keys — and swaps it in. Readers
-//! ([`TruthServer::reader`]) never block the ingest path and never see a
-//! torn state; the cost is bounded staleness, explicitly tagged on every
-//! answer.
+//! table — and swaps it in. Readers ([`TruthServer::reader`]) never block
+//! the ingest path and never see a torn state; the cost is bounded
+//! staleness, explicitly tagged on every answer.
 //!
-//! Component keys are maintained incrementally: the server keeps a
-//! [`crf::Partition`] synced along the model lineage
-//! ([`crf::Partition::sync_lineage`]), so per-publish partition work is
-//! O(touched components), not O(model).
+//! A publication is a copy of exactly what readers query: the `Arc` of
+//! the checker's pinned model, its `probs`, and the trust table derived
+//! from them. Nothing else is maintained per publish.
 
-use crate::publish::{PublishCell, Published, NO_COMPONENT};
+use crate::publish::{PublishCell, Published};
 use crate::query::QueryHandle;
 use crf::graph::{ModelDelta, ModelError};
-use crf::{Coloring, CrfModel, Partition, VarId};
 use std::sync::Arc;
 use streamcheck::{ArrivalStats, DurableChecker, DurableError, ExpiryStats, StreamingChecker};
 
@@ -94,8 +91,8 @@ impl IngestBackend for DurableChecker {
 }
 
 /// When the server republishes. Publication costs O(n_claims + n_sources)
-/// per swap (table clones; the partition maintenance is incremental), so
-/// the cadence trades write-path overhead against reader staleness: with
+/// per swap (one copy of `probs` plus the trust table), so the cadence
+/// trades write-path overhead against reader staleness: with
 /// `every = k`, an answer's tag lags ingest by at most `k - 1` arrivals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PublishPolicy {
@@ -128,15 +125,6 @@ impl Default for PublishPolicy {
 pub struct TruthServer<B: IngestBackend> {
     backend: B,
     cell: Arc<PublishCell>,
-    /// Component partition synced to `synced` — patched forward along the
-    /// lineage on each publication instead of rebuilt.
-    partition: Partition,
-    /// Conflict-graph coloring synced along the same lineage (it carries
-    /// its own `(model_id, revision)` guard), published with each state so
-    /// readers can run chromatic sweeps over the snapshot.
-    coloring: Coloring,
-    /// The snapshot `partition` is synced to.
-    synced: Arc<CrfModel>,
     policy: PublishPolicy,
     /// Arrivals since the last publication.
     unpublished: usize,
@@ -147,16 +135,10 @@ impl<B: IngestBackend> TruthServer<B> {
     /// never observe an unpublished server) under the default
     /// [`PublishPolicy::every_arrival`].
     pub fn new(backend: B) -> Self {
-        let model = backend.checker().model().clone();
-        let partition = Partition::of_model(&model);
-        let coloring = Coloring::of_model(&model);
-        let initial = Self::derive(backend.checker(), &partition, &coloring, &model);
+        let initial = Self::derive(backend.checker());
         TruthServer {
             backend,
             cell: Arc::new(PublishCell::new(Arc::new(initial))),
-            partition,
-            coloring,
-            synced: model,
             policy: PublishPolicy::default(),
             unpublished: 0,
         }
@@ -171,8 +153,8 @@ impl<B: IngestBackend> TruthServer<B> {
     /// Ingest one arrival batch through the backend, then republish when
     /// the policy's cadence is due. The returned stats are the backend's;
     /// the published revision advances with the model on each publication.
-    // rev-ok: the revision bookkeeping lives in publish(), which re-syncs
-    // the partition to the backend's model revision before every swap.
+    // rev-ok: the revision bookkeeping lives in publish(), which copies the
+    // checker's pinned model and its revision into the state it swaps in.
     pub fn ingest(&mut self, delta: ModelDelta) -> Result<ArrivalStats, ServeError> {
         let stats = self.backend.arrive_new(delta)?;
         self.unpublished += 1;
@@ -196,50 +178,28 @@ impl<B: IngestBackend> TruthServer<B> {
     }
 
     /// Derive and swap in a fresh [`Published`] state right now,
-    /// regardless of cadence. The partition patches forward to the
-    /// checker's current revision first, so component keys are exact.
-    // rev-ok: the partition and coloring catch up through `CrfModel::since`,
-    // which compares lineage and revision; an unchanged model is a no-op.
+    /// regardless of cadence.
+    // rev-ok: publish copies the checker's pinned model and its revision
+    // into the state, so the swapped-in tag always names the tables' model.
     pub fn publish(&mut self) {
-        let checker = self.backend.checker();
-        let model = checker.model().clone();
-        self.partition.sync_lineage(&self.synced, &model);
-        self.synced = model.clone();
-        self.coloring.sync(&model);
-        let state = Self::derive(checker, &self.partition, &self.coloring, &model);
+        let state = Self::derive(self.backend.checker());
         self.cell.publish(Arc::new(state));
         self.unpublished = 0;
     }
 
-    /// Build the published tables from one checker state. `partition` and
-    /// `coloring` must be synced to `model`.
-    fn derive(
-        checker: &StreamingChecker,
-        partition: &Partition,
-        coloring: &Coloring,
-        model: &Arc<CrfModel>,
-    ) -> Published {
-        let probs = checker.probs().to_vec();
+    /// Build the published tables from one checker state: the pinned
+    /// model, a copy of `probs`, and the trust table under them.
+    fn derive(checker: &StreamingChecker) -> Published {
+        let model = checker.model().clone();
         let mut trust = Vec::new();
         checker.source_trust_into(Self::TRUST_PRIOR, &mut trust);
-        let comp_key = (0..model.n_claims())
-            .map(|c| {
-                partition
-                    .try_component_of(VarId(c as u32))
-                    .map_or(NO_COMPONENT, |i| i as u32)
-            })
-            .collect();
         Published {
-            probs,
+            probs: checker.probs().to_vec(),
             trust,
-            comp_key,
-            n_components: partition.len(),
-            colors: coloring.colors().to_vec(),
-            n_colors: coloring.n_colors(),
             revision: model.revision(),
             compactions: model.compactions(),
             arrivals: checker.arrivals(),
-            model: model.clone(),
+            model,
         }
     }
 
@@ -269,7 +229,7 @@ impl<B: IngestBackend> TruthServer<B> {
     /// Edits made here are not auto-published; the revision readers see
     /// advances on the next [`TruthServer::publish`] / cadence point.
     // rev-ok: deliberately defers the revision swap to publish(), which
-    // re-syncs the partition to the backend's revision before swapping.
+    // copies the checker's pinned model and its revision into the state.
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.backend
     }
@@ -287,7 +247,7 @@ impl<B: IngestBackend> std::fmt::Debug for TruthServer<B> {
         f.debug_struct("TruthServer")
             .field("revision", &p.revision)
             .field("arrivals", &p.arrivals)
-            .field("n_components", &p.n_components)
+            .field("n_claims", &p.model.n_claims())
             .finish()
     }
 }
@@ -297,7 +257,7 @@ mod tests {
     use super::*;
     use crate::query::QueryError;
     use crf::graph::{CrfModel, ModelDelta, Stance};
-    use crf::ModelHandle;
+    use crf::{ModelHandle, VarId};
     use streamcheck::{OnlineEmConfig, RetentionPolicy};
 
     fn seed_handle() -> ModelHandle {
@@ -342,21 +302,6 @@ mod tests {
             p.trust, trust,
             "trust table not derived from published pair"
         );
-        let part = Partition::of_model(&p.model);
-        assert_eq!(p.n_components, part.len());
-        for c in 0..p.model.n_claims() {
-            let want = part
-                .try_component_of(VarId(c as u32))
-                .map_or(NO_COMPONENT, |i| i as u32);
-            assert_eq!(p.comp_key[c], want, "comp_key diverges at claim {c}");
-        }
-        let coloring = Coloring::of_model(&p.model);
-        assert_eq!(
-            p.colors,
-            coloring.colors(),
-            "published coloring not the from-scratch coloring of the snapshot"
-        );
-        assert_eq!(p.n_colors, coloring.n_colors());
     }
 
     #[test]
@@ -423,24 +368,51 @@ mod tests {
         for k in 0..6 {
             ingest_one(&mut srv, k);
         }
+        // Retire the oldest claims but keep their tombstones: a threshold of
+        // 1.0 defers compaction, so retired ids stay in range and dead.
+        srv.backend_mut().set_retention(RetentionPolicy {
+            window: Some(3),
+            retire_orphan_sources: false,
+            compact_threshold: 1.0,
+            ..RetentionPolicy::unbounded()
+        });
+        srv.expire_old().unwrap();
         let reader = srv.reader();
         let p = srv.published();
+        assert_eq!(p.compactions, 0, "threshold 1.0 must defer compaction");
+        let (retired, live): (Vec<VarId>, Vec<VarId>) = (0..p.model.n_claims() as u32)
+            .map(VarId)
+            .partition(|c| !p.claim_live(c.idx()));
+        assert!(!retired.is_empty() && !live.is_empty());
 
         // Point lookups and the batch path agree with raw table reads.
-        let all: Vec<VarId> = (0..p.model.n_claims() as u32).map(VarId).collect();
-        let batch = reader.truth_batch(&all);
+        let batch = reader.truth_batch(&live);
         assert_eq!(batch.at.revision, p.revision);
-        for (i, &claim) in all.iter().enumerate() {
+        for (i, &claim) in live.iter().enumerate() {
             let one = reader.truth(claim);
             assert_eq!(one.value, batch.value[i], "batch diverges from point");
             assert!(one.value.live);
-            assert_eq!(one.value.probability, p.probs[i]);
-            assert_eq!(one.value.component, Some(p.comp_key[i]));
+            assert_eq!(one.value.probability, p.probs[claim.idx()]);
         }
         // Out-of-range claims answer dead, not panic.
         let oob = reader.truth(VarId(9999));
         assert!(!oob.value.live);
-        assert_eq!(oob.value.component, None);
+
+        // A mixed batch answers in input order; the retired claim is dead.
+        let mixed = [retired[0], live[0], live[0], VarId(9999)];
+        let answers = reader.truth_batch(&mixed).value;
+        assert_eq!(answers.len(), mixed.len());
+        for (a, &c) in answers.iter().zip(&mixed) {
+            assert_eq!(*a, reader.truth(c).value, "batch out of input order");
+        }
+        assert!(!answers[0].live);
+        assert_eq!(answers[0].probability, 0.0);
+        assert!(answers[1].live && answers[2].live);
+
+        // Top-k over every id never surfaces a retired claim.
+        let every = reader.top_k_uncertain(p.model.n_claims()).value;
+        assert_eq!(every.len(), live.len());
+        assert!(every.iter().all(|(c, _)| !retired.contains(c)));
 
         // Top-k is entropy-descending, id-ascending, k-bounded.
         let top = reader.top_k_uncertain(3).value;

@@ -36,10 +36,6 @@ fn published(rev: u64) -> Arc<Published> {
         model: Arc::new(CrfModel::build(b).unwrap()),
         probs: vec![rev as f64],
         trust: vec![rev as f64],
-        comp_key: vec![0],
-        n_components: 1,
-        colors: vec![0],
-        n_colors: 1,
         revision: Revision(rev),
         compactions: 0,
         arrivals: rev as usize,

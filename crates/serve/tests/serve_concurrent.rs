@@ -9,15 +9,15 @@
 //! steps them across compactions. After the threads join, every recorded
 //! answer is checked **bit-identical** against an offline recomputation
 //! from the logged state its tag names — probabilities from the published
-//! table, components against a from-scratch `Partition::of_model`, trust
-//! against `source_trust_from_probs`, top-k against an independent sort.
+//! table, liveness from the snapshot model, trust against
+//! `source_trust_from_probs`, top-k against an independent sort.
 //! Cursors must relocate exactly through the published remap or refuse
 //! with [`QueryError::Remapped`] — never serve an id the creator didn't
 //! name.
 
 use crf::graph::{CrfModel, ModelDelta, Stance};
-use crf::{ModelHandle, Partition, VarId};
-use serve::{binary_entropy, IngestBackend, Published, QueryError, TruthServer, NO_COMPONENT};
+use crf::{ModelHandle, VarId};
+use serve::{binary_entropy, IngestBackend, Published, QueryError, TruthServer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use streamcheck::{OnlineEmConfig, RetentionPolicy, StreamingChecker};
@@ -110,24 +110,16 @@ fn state_for<'a>(
 
 /// Offline tables recomputed from scratch for one published state.
 struct Offline {
-    comp_key: Vec<u32>,
     trust: Vec<f64>,
 }
 
 fn offline(p: &Published) -> Offline {
-    let part = Partition::of_model(&p.model);
-    let comp_key = (0..p.model.n_claims())
-        .map(|c| {
-            part.try_component_of(VarId(c as u32))
-                .map_or(NO_COMPONENT, |i| i as u32)
-        })
-        .collect();
     let trust = crf::em::source_trust_from_probs(
         &p.model,
         &p.probs,
         TruthServer::<StreamingChecker>::TRUST_PRIOR,
     );
-    Offline { comp_key, trust }
+    Offline { trust }
 }
 
 fn verify_tag(p: &Published, tag: &serve::Staleness) {
@@ -142,7 +134,7 @@ fn verify(rec: &Recorded, log: &[(Arc<Published>, Offline)]) {
             inputs,
             answers,
         } => {
-            let (p, off) = state_for(log, tag);
+            let (p, _) = state_for(log, tag);
             verify_tag(p, tag);
             assert_eq!(answers.len(), inputs.len());
             for (&claim, got) in inputs.iter().zip(answers) {
@@ -151,18 +143,16 @@ fn verify(rec: &Recorded, log: &[(Arc<Published>, Offline)]) {
                 assert_eq!(got.live, live, "liveness diverges at {claim:?}");
                 if live {
                     assert_eq!(got.probability, p.probs[claim.idx()], "probs not bit-equal");
-                    assert_eq!(got.component, Some(off.comp_key[claim.idx()]));
                 } else {
                     assert_eq!(got.probability, 0.0);
-                    assert_eq!(got.component, None);
                 }
             }
         }
         Recorded::TopK { tag, k, ranking } => {
-            let (p, off) = state_for(log, tag);
+            let (p, _) = state_for(log, tag);
             verify_tag(p, tag);
             let mut want: Vec<(VarId, f64)> = (0..p.model.n_claims())
-                .filter(|&c| off.comp_key[c] != NO_COMPONENT)
+                .filter(|&c| p.model.claim_live(c))
                 .map(|c| (VarId(c as u32), binary_entropy(p.probs[c])))
                 .collect();
             want.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0)));

@@ -24,7 +24,7 @@ use factcheck::instantiate_grounding;
 use factdb::{DatasetPreset, FactDatabase};
 use guidance::{GuidanceContext, HybridStrategy, InfoGainConfig, SelectionStrategy};
 use oracle::{GroundTruthUser, User};
-use serve::{binary_entropy, Published, Staleness, TruthServer, NO_COMPONENT};
+use serve::{binary_entropy, Published, Staleness, TruthServer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use streamcheck::{OnlineEmConfig, StreamingChecker};
@@ -172,7 +172,7 @@ fn main() {
         assert_eq!(tag.compactions, state.compactions);
         assert_eq!(tag.arrivals, state.arrivals);
         let mut want: Vec<(VarId, f64)> = (0..state.model.n_claims())
-            .filter(|&i| state.comp_key[i] != NO_COMPONENT)
+            .filter(|&i| state.claim_live(i))
             .map(|i| (VarId(i as u32), binary_entropy(state.probs[i])))
             .collect();
         want.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.idx().cmp(&b.0.idx())));
