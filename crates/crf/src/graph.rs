@@ -77,8 +77,9 @@
 //!   spans shift only when a claim gains cliques, and the claim-major
 //!   position of every old clique is recoverable from its id, which is what
 //!   lets [`crate::potentials::ScoreCache`] relocate cached scores instead
-//!   of recomputing them and [`crate::partition::Partition`] touch only the
-//!   components a delta or retirement affected. Inference on a grown,
+//!   of recomputing them. ([`crate::partition::Partition`] needs no such
+//!   contract: it is recomputed from each snapshot in one union pass over
+//!   the live source rows.) Inference on a grown,
 //!   retired-then-compacted model is therefore bit-identical — modulo the
 //!   published [`IdRemap`] — to inference on a one-shot build of the
 //!   surviving subgraph.
@@ -679,6 +680,13 @@ pub enum ModelError {
         /// Entity count upstream.
         upstream: usize,
     },
+    /// A feature row carried a NaN or an infinity.
+    NonFinite {
+        /// What kind of entity the row belonged to.
+        entity: &'static str,
+        /// The entity's absolute index.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for ModelError {
@@ -719,6 +727,9 @@ impl std::fmt::Display for ModelError {
                 f,
                 "model has {model} {entity}s but the upstream store has {upstream}"
             ),
+            ModelError::NonFinite { entity, index } => {
+                write!(f, "{entity} {index} has a non-finite feature")
+            }
         }
     }
 }
@@ -802,6 +813,42 @@ fn append<T: Copy>(dst: &mut Vec<T>, src: Vec<T>) {
     }
 }
 
+/// Check one of a delta's feature blocks — rows of width `width`, the first
+/// of them entity `first_index` — against the model's row width
+/// `model_width`. A delta decoded from bytes can carry another width or a
+/// partial trailing row ([`ModelError::FeatureDim`]); any delta can carry a
+/// NaN or an infinity ([`ModelError::NonFinite`]).
+fn check_feature_block(
+    entity: &'static str,
+    features: &[f64],
+    width: usize,
+    model_width: usize,
+    first_index: usize,
+) -> Result<(), ModelError> {
+    if width != model_width {
+        return Err(ModelError::FeatureDim {
+            entity,
+            expected: model_width,
+            got: width,
+        });
+    }
+    let partial = features.len().checked_rem(width).unwrap_or(features.len());
+    if partial != 0 {
+        return Err(ModelError::FeatureDim {
+            entity,
+            expected: width,
+            got: partial,
+        });
+    }
+    match features.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(ModelError::NonFinite {
+            entity,
+            index: first_index + i / width,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// A batch of new entities to graft onto an existing [`CrfModel`] — the
 /// unit of streaming ingestion (Alg. 2's "claim arrives with its documents
 /// and sources").
@@ -817,8 +864,9 @@ fn append<T: Copy>(dst: &mut Vec<T>, src: Vec<T>) {
 /// base model's counts.
 ///
 /// New cliques may reference both new and pre-existing claims, documents,
-/// and sources; referential integrity is checked when the delta is spliced
-/// in, by `build` and `apply` alike.
+/// and sources; referential integrity and the feature rows (whole rows of
+/// the model's widths, every value finite) are checked when the delta is
+/// spliced in, by `build` and `apply` alike.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ModelDelta {
     base_model_id: u64,
@@ -1018,8 +1066,8 @@ impl CrfModel {
     ///
     /// A delta prepared against a live model is refused with
     /// [`ModelError::StaleDelta`], one without cliques with
-    /// [`ModelError::Empty`], and dangling references with the same
-    /// [`ModelError::DanglingReference`] that [`Self::apply`] returns.
+    /// [`ModelError::Empty`], and malformed feature rows and dangling
+    /// references with the same errors that [`Self::apply`] returns.
     pub fn build(delta: ModelDelta) -> Result<CrfModel, ModelError> {
         let mut model = CrfModel::empty(delta.m_source, delta.m_doc);
         model.check_base(delta.base_revision())?;
@@ -1049,9 +1097,12 @@ impl CrfModel {
     ///
     /// The delta must have been prepared against exactly this
     /// `(model_id, revision)` state ([`ModelError::StaleDelta`] otherwise),
-    /// and every new clique must reference in-range entities
-    /// ([`ModelError::DanglingReference`], against the grown counts) that
-    /// are not retired ([`ModelError::RetiredReference`]). On any error the
+    /// its feature blocks must hold whole rows of the model's widths
+    /// ([`ModelError::FeatureDim`]) and only finite values
+    /// ([`ModelError::NonFinite`]), and every new clique must reference
+    /// in-range entities ([`ModelError::DanglingReference`], against the
+    /// grown counts) that are not retired
+    /// ([`ModelError::RetiredReference`]). On any error the
     /// model is left untouched; an empty delta is a no-op that returns the
     /// current revision without bumping it.
     ///
@@ -1082,11 +1133,25 @@ impl CrfModel {
         Ok(Revision(self.revision))
     }
 
-    /// Validate `delta`'s references against the grown counts, then splice
-    /// its entities in: the only place the claim-major arrays are filled
-    /// and the deduplicated source↔claim rows are grown. On error the model
-    /// is untouched. Leaves the revision to the caller.
+    /// Validate `delta`'s feature blocks and references against the grown
+    /// counts, then splice its entities in: the only place the claim-major
+    /// arrays are filled and the deduplicated source↔claim rows are grown.
+    /// On error the model is untouched. Leaves the revision to the caller.
     fn splice(&mut self, delta: ModelDelta) -> Result<(), ModelError> {
+        check_feature_block(
+            "source",
+            &delta.new_source_features,
+            delta.m_source,
+            self.m_source,
+            self.n_sources,
+        )?;
+        check_feature_block(
+            "document",
+            &delta.new_doc_features,
+            delta.m_doc,
+            self.m_doc,
+            self.n_docs,
+        )?;
         let (new_sources, new_docs) = (delta.n_new_sources(), delta.n_new_docs());
         let n_claims = self.n_claims + delta.new_claims;
         let n_sources = self.n_sources + new_sources;
@@ -2739,6 +2804,63 @@ mod tests {
         ));
     }
 
+    /// Malformed feature blocks are refused with a typed error and leave
+    /// the model untouched: a NaN added through the API, and — made by a
+    /// `serde_json` round trip, the encoding the edit log uses — a delta of
+    /// another document width and one with a partial trailing row.
+    #[test]
+    fn apply_rejects_malformed_feature_blocks() {
+        let mut b = ModelDelta::new(1, 2);
+        let s = b.add_source(&[0.5]).unwrap();
+        let c = b.add_claim();
+        let d = b.add_document(&[0.125, 0.25]).unwrap();
+        b.add_clique(c, d, s, Stance::Support);
+        let mut m = CrfModel::build(b).unwrap();
+        let before = m.clone();
+        let delta_with = |row: &[f64]| {
+            let mut delta = ModelDelta::for_model(&m);
+            let c = delta.add_claim();
+            let d = delta.add_document(row).unwrap();
+            delta.add_clique(c, d, 0, Stance::Support);
+            delta
+        };
+        let reencoded = |from: &str, to: &str| -> ModelDelta {
+            let json = serde_json::to_string(&delta_with(&[0.375, 0.5])).unwrap();
+            assert!(json.contains(from), "{json}");
+            serde_json::from_str(&json.replace(from, to)).unwrap()
+        };
+        let cases = [
+            (
+                delta_with(&[0.375, f64::NAN]),
+                ModelError::NonFinite {
+                    entity: "document",
+                    index: 1,
+                },
+            ),
+            (
+                reencoded("\"m_doc\":2", "\"m_doc\":3"),
+                ModelError::FeatureDim {
+                    entity: "document",
+                    expected: 2,
+                    got: 3,
+                },
+            ),
+            (
+                reencoded("[0.375,0.5]", "[0.375,0.5,0.625]"),
+                ModelError::FeatureDim {
+                    entity: "document",
+                    expected: 2,
+                    got: 1,
+                },
+            ),
+        ];
+        for (delta, expect) in cases {
+            assert_eq!(m.apply(delta).unwrap_err(), expect);
+            assert_eq!(m.revision(), before.revision());
+            test_support::assert_same_content(&m, &before);
+        }
+    }
+
     #[test]
     fn empty_delta_is_a_no_op() {
         let mut m = tiny_model();
@@ -3298,6 +3420,130 @@ mod tests {
             test_support::assert_same_content(&model, &expect);
             test_support::assert_matches_nested_reference(&model);
             test_support::assert_matches_nested_reference(&expect);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(400))]
+
+        /// The cross-consumer spec of [`CrfModel::since`]: catching stale
+        /// structures up across an arbitrary slice of the lifecycle —
+        /// several accumulated edits, growth before a compaction, a retire
+        /// on either side of it, or two compactions that outrun the single
+        /// retained remap — always lands on exactly the from-scratch
+        /// state on the new snapshot: the scores of `ScoreCache::build` bit
+        /// for bit, and the coloring of `Coloring::of_model`.
+        #[test]
+        fn prop_since_catch_up_matches_batch(
+            seed in 0u64..300,
+            n_ops in 3usize..24,
+            stride in 1usize..7,
+        ) {
+            use crate::coloring::Coloring;
+            use crate::potentials::{ScoreCache, Weights};
+
+            // Edits are generated against the *current* model (ids stay
+            // valid across mid-script compactions), xorshift-driven.
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut rng = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+
+            let mut b = ModelDelta::new(1, 1);
+            let s0 = b.add_source(&[0.1]).unwrap();
+            let s1 = b.add_source(&[0.2]).unwrap();
+            let claims: Vec<_> = (0..3).map(|_| b.add_claim()).collect();
+            for (i, &c) in claims.iter().enumerate() {
+                let d = b.add_document(&[0.0]).unwrap();
+                b.add_clique(c, d, if i % 2 == 0 { s0 } else { s1 }, Stance::Support);
+            }
+            let mut model = CrfModel::build(b).unwrap();
+            let w = Weights::from_vec(
+                (0..model.feature_dim()).map(|i| 0.3 - 0.17 * i as f64).collect(),
+            );
+            let mut cache = ScoreCache::build(&model, &w);
+            let mut coloring = Coloring::of_model(&model);
+
+            for i in 0..n_ops {
+                match rng() % 4 {
+                    0 | 1 => {
+                        let mut delta = ModelDelta::for_model(&model);
+                        let s = delta.add_source(&[(rng() % 7) as f64 / 7.0]).unwrap();
+                        for _ in 0..(1 + rng() % 3) {
+                            let c = delta.add_claim();
+                            let d = delta.add_document(&[0.0]).unwrap();
+                            delta.add_clique(c, d, s, Stance::Support);
+                            if rng() % 2 == 0 {
+                                // Also cite from an existing live source so
+                                // growth can merge old components.
+                                let live: Vec<u32> = (0..model.n_sources() as u32)
+                                    .filter(|&x| model.source_live(x as usize))
+                                    .collect();
+                                if !live.is_empty() {
+                                    let es = live[rng() as usize % live.len()];
+                                    let d2 = delta.add_document(&[0.5]).unwrap();
+                                    delta.add_clique(c, d2, es, Stance::Refute);
+                                }
+                            }
+                        }
+                        model.apply(delta).unwrap();
+                    }
+                    2 => {
+                        let mut set = RetireSet::for_model(&model);
+                        let mut any = false;
+                        let live_claims: Vec<u32> = (0..model.n_claims() as u32)
+                            .filter(|&c| model.claim_live(c as usize))
+                            .collect();
+                        if !live_claims.is_empty() && rng() % 2 == 0 {
+                            set.retire_claim(VarId(
+                                live_claims[rng() as usize % live_claims.len()],
+                            ));
+                            any = true;
+                        }
+                        let live_sources: Vec<u32> = (0..model.n_sources() as u32)
+                            .filter(|&s| model.source_live(s as usize))
+                            .collect();
+                        if live_sources.len() > 1 && rng() % 3 == 0 {
+                            set.retire_source(
+                                live_sources[rng() as usize % live_sources.len()],
+                            );
+                            any = true;
+                        }
+                        if any {
+                            model.retire(set).unwrap();
+                        }
+                    }
+                    _ => {
+                        // With `stride` > 1 two of these can land between
+                        // syncs, exercising the outrun fallback. A compact
+                        // that would leave no clique is refused and the
+                        // tombstoned model kept.
+                        match model.compact() {
+                            Ok(_) | Err(ModelError::Empty) => {}
+                            Err(e) => panic!("compact failed: {e}"),
+                        }
+                    }
+                }
+                if i % stride == stride - 1 || i == n_ops - 1 {
+                    cache.update(&model, &w);
+                    coloring.sync(&model);
+                    let fresh = ScoreCache::build(&model, &w);
+                    proptest::prop_assert_eq!(cache.len(), fresh.len());
+                    for k in 0..fresh.len() {
+                        proptest::prop_assert_eq!(
+                            cache.contribution(k, 0.37).to_bits(),
+                            fresh.contribution(k, 0.37).to_bits(),
+                            "incidence {} score diverged", k
+                        );
+                    }
+                    let fresh = Coloring::of_model(&model);
+                    proptest::prop_assert_eq!(coloring.colors(), fresh.colors());
+                    proptest::prop_assert_eq!(coloring.n_colors(), fresh.n_colors());
+                }
+            }
         }
     }
 }

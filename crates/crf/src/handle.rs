@@ -18,9 +18,9 @@
 //!   once so the old snapshot stays valid — readers are never torn.
 //! * **revision-keyed cache patching** — holders compare
 //!   [`ModelHandle::revision`] against the revision they last synced and
-//!   patch their state (partition, score cache, scratch, probability
-//!   vectors) forward instead of rebuilding; see the contract in the
-//!   [`crate::graph`] module docs.
+//!   patch their state (score cache, scratch, probability vectors)
+//!   forward instead of rebuilding, and recompute the cheap partition; see
+//!   the contract in the [`crate::graph`] module docs.
 //!
 //! Locking discipline: the internal `RwLock` is held only for the duration
 //! of a pointer clone (reads) or one `CrfModel::apply` (writes) — never
