@@ -870,7 +870,7 @@ fn main() {
 
     // ---- Public ingestion API: the same arrival shape through
     // `StreamingChecker::arrive_new` (handle apply + credibility estimate
-    // + online-EM TRON update — the full `∆t` of §8.8). The checker
+    // + online-EM Newton update — the full `∆t` of §8.8). The checker
     // releases its snapshot pin around `apply`, so a sole holder grows the
     // model in place with no copy.
     let handle = ModelHandle::new(base.clone());

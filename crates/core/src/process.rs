@@ -17,7 +17,7 @@
 //! The process owns one long-lived [`Icrf`] engine, which is what makes the
 //! per-iteration inference cheap: the engine's internal scratch — the Gibbs
 //! score cache, the CSR-sized sampler buffers, the per-clique training set,
-//! and the TRON solver vectors — is allocated on the first `step` and
+//! and the Newton solver vectors — is allocated on the first `step` and
 //! reused by every subsequent validation, batch, and confirmation-check
 //! inference for the lifetime of the session. Inference runs the
 //! component-aware E-step scheduler (chains × connected components, §5.1)
@@ -150,7 +150,7 @@ impl<S: SelectionStrategy, U: User> ValidationProcess<S, U> {
         self.effort as f64 / self.icrf.model().n_claims() as f64
     }
 
-    /// Engine statistics of the most recent inference call: EM/TRON/Gibbs
+    /// Engine statistics of the most recent inference call: EM/Newton/Gibbs
     /// effort, the component structure (count, largest), the E-step task
     /// layout, and how often the score cache was refreshed incrementally.
     pub fn last_em_stats(&self) -> &IcrfStats {

@@ -41,9 +41,9 @@ use crate::gibbs::{GibbsConfig, GibbsResult, GibbsSampler, GibbsScratch};
 use crate::graph::{CrfModel, ModelError, Since, Stance, VarId};
 use crate::handle::ModelHandle;
 use crate::logistic::{Dataset, LogisticObjective};
+use crate::newton::{self, NewtonScratch};
 use crate::partition::Partition;
 use crate::potentials::{clique_features, Weights};
-use crate::tron::{self, TronConfig, TronScratch};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -86,8 +86,6 @@ pub struct IcrfConfig {
     pub lambda: f64,
     /// E-step sampler settings.
     pub gibbs: GibbsConfig,
-    /// M-step solver settings.
-    pub tron: TronConfig,
 }
 
 impl Default for IcrfConfig {
@@ -98,7 +96,6 @@ impl Default for IcrfConfig {
             prob_tol: 5e-3,
             lambda: 1.0,
             gibbs: GibbsConfig::default(),
-            tron: TronConfig::default(),
         }
     }
 }
@@ -108,7 +105,8 @@ impl Default for IcrfConfig {
 pub struct IcrfStats {
     /// EM iterations executed.
     pub em_iterations: usize,
-    /// Total TRON outer iterations across all M-steps.
+    /// Total Newton iterations across all M-steps (the name is the
+    /// paper's solver, TRON, which this one replaces).
     pub tron_iterations: usize,
     /// Total Gibbs sweeps across all E-steps.
     pub gibbs_sweeps: usize,
@@ -133,15 +131,13 @@ pub struct IcrfStats {
     pub cache_retired: usize,
     /// E-steps that relocated the score cache through a compaction remap.
     pub cache_compacted: usize,
-    /// Total weight coordinates the M-steps moved (TRON's active set).
-    pub tron_coords_moved: usize,
 }
 
 /// Long-lived hot-path buffers threaded through every E- and M-step.
 ///
 /// The engine is called once per validation iteration (hundreds of times per
 /// session) and each call runs several EM iterations; everything sized by
-/// the model — the Gibbs [`crate::potentials::ScoreCache`], the TRON solver
+/// the model — the Gibbs [`crate::potentials::ScoreCache`], the Newton solver
 /// vectors, the per-clique training set, and the per-source trust vector —
 /// is allocated once here and reused. The training set is special: its
 /// static feature prefix (`[1, f^D, f^S]` per clique) never changes, so it
@@ -150,7 +146,7 @@ pub struct IcrfStats {
 #[derive(Debug, Default)]
 struct InferenceScratch {
     gibbs: GibbsScratch,
-    tron: TronScratch,
+    newton: NewtonScratch,
     dataset: Dataset,
     trust: Vec<f64>,
 }
@@ -164,7 +160,7 @@ impl Clone for InferenceScratch {
     fn clone(&self) -> Self {
         InferenceScratch {
             gibbs: GibbsScratch::default(),
-            tron: TronScratch::default(),
+            newton: NewtonScratch::default(),
             dataset: self.dataset.clone(),
             trust: Vec::new(),
         }
@@ -447,7 +443,7 @@ impl Icrf {
     /// the previous state. Returns aggregate statistics.
     ///
     /// The hot path allocates nothing in steady state: the Gibbs score
-    /// cache, the TRON solver buffers, and the per-clique training set all
+    /// cache, the Newton solver buffers, and the per-clique training set all
     /// live in the engine and are reused across EM iterations *and* across
     /// calls (see the `InferenceScratch` internals).
     pub fn run(&mut self) -> IcrfStats {
@@ -501,7 +497,7 @@ impl Icrf {
             self.probs = marginals;
             self.last_samples = samples;
 
-            // ---- M-step: weighted logistic regression via TRON (Eq. 8).
+            // ---- M-step: weighted logistic regression by Newton (Eq. 8).
             // Only the dynamic trust column and the per-instance targets
             // change between iterations; the static feature prefix was
             // written once by `ensure_dataset`.
@@ -546,14 +542,8 @@ impl Icrf {
                 self.scratch.dataset.set_instance(i, target, weight);
             }
             let obj = LogisticObjective::new(&self.scratch.dataset, self.config.lambda);
-            let res = tron::solve_with(
-                &obj,
-                self.weights.as_mut_slice(),
-                &self.config.tron,
-                &mut self.scratch.tron,
-            );
+            let res = newton::solve(&obj, self.weights.as_mut_slice(), &mut self.scratch.newton);
             stats.tron_iterations += res.iterations;
-            stats.tron_coords_moved += res.coords_moved;
 
             if res.step_norm < self.config.weight_tol && max_prob_change < self.config.prob_tol {
                 stats.converged = true;

@@ -10,8 +10,8 @@
 //! * a Gibbs sampler over claim-credibility configurations that honours
 //!   user-pinned labels and the non-equality constraint between a claim and
 //!   its opposing variable ([`gibbs`]),
-//! * an L2-regularised Trust-Region Newton Method (TRON) with a
-//!   conjugate-gradient inner solver for the M-step ([`tron`], [`logistic`]),
+//! * a damped Newton solver with an exact Cholesky step for the
+//!   L2-regularised logistic M-step ([`newton`], [`logistic`]),
 //! * the incremental `iCRF` Expectation–Maximisation loop with warm-started
 //!   parameters ([`em`]),
 //! * exact (per connected component) and linear-time approximate entropy of
@@ -39,10 +39,10 @@ pub mod gibbs;
 pub mod graph;
 pub mod handle;
 pub mod logistic;
+pub mod newton;
 pub mod numerics;
 pub mod partition;
 pub mod potentials;
-pub mod tron;
 
 pub use bitset::Bitset;
 pub use coloring::{ColorRefresh, Coloring, NO_COLOR};

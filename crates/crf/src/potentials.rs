@@ -56,8 +56,8 @@ impl Weights {
     }
 
     /// Euclidean distance to another weight vector. The EM loop's
-    /// convergence check reads the same quantity from TRON's
-    /// [`crate::tron::TronResult::step_norm`].
+    /// convergence check reads the same quantity from the M-step solver's
+    /// [`crate::newton::NewtonResult::step_norm`].
     pub fn distance(&self, other: &Weights) -> f64 {
         self.beta
             .iter()
@@ -316,8 +316,7 @@ pub fn claim_probability(
 /// Rebuilding the cache is `O(n_cliques · feature_dim)` and happens once
 /// per E-step; [`ScoreCache::rebuild`] reuses the allocations across EM
 /// iterations. When only a few weight coordinates move between EM
-/// iterations — the common case once TRON warm-starts near the optimum —
-/// [`ScoreCache::update`] patches the cached scores incrementally in
+/// iterations, [`ScoreCache::update`] patches the cached scores incrementally in
 /// `O(n_cliques · moved)` instead of paying the full rebuild. When the
 /// model *grew* ([`CrfModel::apply`]) the cache patches too: old cliques'
 /// scores are relocated to their (possibly shifted) claim-major positions
@@ -507,8 +506,7 @@ impl ScoreCache {
     ///
     /// The cache remembers the weights it was last built for. If nothing
     /// moved, this is a no-op; if only a few coordinates moved (the M-step's
-    /// active set — warm-started TRON solves late in an EM run move little),
-    /// each cached static score is patched with the signed delta
+    /// active set), each cached static score is patched with the signed delta
     /// `Σ_{t moved} Δβ_t · x_t`, touching only the moved feature columns:
     /// `O(n_cliques · moved)` instead of `O(n_cliques · feature_dim)`.
     /// When more than half the coordinates moved — or the cache is empty,

@@ -112,6 +112,12 @@ fn write_string(s: &str, out: &mut String) {
 
 // ---------------------------------------------------------------- parsing
 
+/// Deepest array/object nesting the parser accepts — real `serde_json`'s
+/// default recursion limit. The parser recurses once per level, so the cap
+/// turns hostile input (`[[[[…`) into an [`Error`] instead of a stack
+/// overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -123,7 +129,7 @@ fn parse_value(s: &str) -> Result<Value, Error> {
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
@@ -167,9 +173,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
+    /// Parse one value that sits inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ))),
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
@@ -183,7 +194,7 @@ impl<'a> Parser<'a> {
                     return Ok(Value::Array(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => {
@@ -215,7 +226,7 @@ impl<'a> Parser<'a> {
                     let key = self.string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    let val = self.value()?;
+                    let val = self.value(depth + 1)?;
                     fields.push((key, val));
                     self.skip_ws();
                     match self.peek() {
@@ -410,5 +421,17 @@ mod tests {
         assert!(from_str::<Vec<u32>>("[1,2").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
         assert!(from_str::<bool>("truthy").is_err());
+    }
+
+    /// Nesting up to the cap parses; one level more, or a hostile run of
+    /// 10⁵ open brackets, is an error rather than a stack overflow.
+    #[test]
+    fn nesting_depth_is_capped() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse_value(&"[".repeat(100_000)).is_err());
+        assert!(parse_value(&"{\"k\":".repeat(100_000)).is_err());
+        assert!(from_str::<Vec<u32>>(&"[".repeat(100_000)).is_err());
     }
 }

@@ -9,12 +9,12 @@
 //! `γ_t`. Old instances decay geometrically; once their weight drops below
 //! a floor they are dropped — this implements the paper's "claim and
 //! associated user input are discarded after validation" with bounded
-//! memory. `W_t = argmax Q_t(W)` (Eq. 30) is computed by TRON, warm-started
-//! from `W_{t−1}`.
+//! memory. `W_t = argmax Q_t(W)` (Eq. 30) is computed by the damped Newton
+//! solver of [`crf::newton`], warm-started from `W_{t−1}`.
 
 use crf::logistic::{Dataset, LogisticObjective};
+use crf::newton::{self, NewtonScratch};
 use crf::potentials::Weights;
-use crf::tron::{self, TronConfig, TronScratch};
 use crf::{IdRemap, VarId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -115,15 +115,10 @@ pub struct OnlineEmConfig {
     pub schedule: StepSchedule,
     /// L2 regularisation of the M-step.
     pub lambda: f64,
-    /// TRON settings (few iterations suffice with warm starts).
-    pub tron: TronConfig,
     /// Instances with effective weight below this floor are discarded.
     pub weight_floor: f64,
     /// Hard cap on retained instances (oldest dropped first).
     pub max_instances: usize,
-    /// Perform line-search-style halving of `γ_t` if the update would
-    /// decrease the blended likelihood (the safeguard of \[18\] in §7).
-    pub line_search: bool,
 }
 
 impl Default for OnlineEmConfig {
@@ -131,13 +126,8 @@ impl Default for OnlineEmConfig {
         OnlineEmConfig {
             schedule: StepSchedule::default(),
             lambda: 1.0,
-            tron: TronConfig {
-                max_iter: 10,
-                ..Default::default()
-            },
             weight_floor: 1e-4,
             max_instances: 4096,
-            line_search: true,
         }
     }
 }
@@ -145,14 +135,11 @@ impl Default for OnlineEmConfig {
 /// Statistics of one arrival update.
 #[derive(Debug, Clone)]
 pub struct ArrivalStats {
-    /// Step size used (after any line-search halvings).
+    /// Step size `γ_t` the arrival was blended in with.
     pub gamma: f64,
-    /// TRON outer iterations.
+    /// Newton iterations of the M-step (the name is the paper's solver,
+    /// TRON, which this one replaces).
     pub tron_iterations: usize,
-    /// Weight coordinates the M-step moved (TRON's active set; feeds the
-    /// incremental score-cache refresh when parameters are exchanged back
-    /// into the offline engine).
-    pub coords_moved: usize,
     /// Instances retained after the update.
     pub retained_instances: usize,
     /// Wall-clock time of the update.
@@ -204,13 +191,12 @@ pub struct OnlineEm {
     weights: Weights,
     instances: VecDeque<WeightedInstance>,
     t: u64,
-    /// Reused M-step buffers: every arrival triggers a TRON solve, and the
-    /// stream path has the same zero-steady-state-allocation contract as
-    /// the batch EM loop — the dataset, solver vectors, and candidate
-    /// weight vector keep their capacity across arrivals.
+    /// Reused M-step buffers: every arrival triggers a Newton solve, and
+    /// the stream path has the same zero-steady-state-allocation contract
+    /// as the batch EM loop — the dataset and solver vectors keep their
+    /// capacity across arrivals.
     data: Dataset,
-    tron_scratch: TronScratch,
-    w_buf: Vec<f64>,
+    newton: NewtonScratch,
 }
 
 impl OnlineEm {
@@ -225,8 +211,7 @@ impl OnlineEm {
             instances: VecDeque::new(),
             t: 0,
             data: Dataset::new(dim),
-            tron_scratch: TronScratch::new(),
-            w_buf: vec![0.0; dim],
+            newton: NewtonScratch::default(),
         })
     }
 
@@ -308,7 +293,6 @@ impl OnlineEm {
             return ArrivalStats {
                 gamma,
                 tron_iterations: 0,
-                coords_moved: 0,
                 retained_instances: 0,
                 elapsed: started.elapsed(),
                 retired_claims: 0,
@@ -317,31 +301,20 @@ impl OnlineEm {
             };
         }
 
-        // Eq. 30: maximise Q_t by TRON, warm-started from W_{t−1}. The
-        // warm start plays the role of the line-search safeguard of [18]:
-        // the solver only ever improves on the previous parameters, so the
-        // blended likelihood cannot degrade.
+        // Eq. 30: maximise Q_t by Newton, warm-started from W_{t−1}. The
+        // safeguard of [18] (the blended likelihood must not degrade) lives
+        // in the solver: `newton::solve` accepts only steps that do not
+        // raise the objective, so W_t is never worse than W_{t−1} on Q_t.
         self.data.clear();
         for inst in &self.instances {
             self.data.push(&inst.row, inst.target, inst.weight);
         }
         let obj = LogisticObjective::new(&self.data, self.config.lambda);
-        self.w_buf.copy_from_slice(self.weights.as_slice());
-        let res = tron::solve_with(
-            &obj,
-            &mut self.w_buf,
-            &self.config.tron,
-            &mut self.tron_scratch,
-        );
-        let accepted = !self.config.line_search || res.value <= res.start_value + 1e-12;
-        if accepted {
-            self.weights.as_mut_slice().copy_from_slice(&self.w_buf);
-        }
+        let res = newton::solve(&obj, self.weights.as_mut_slice(), &mut self.newton);
 
         ArrivalStats {
             gamma,
             tron_iterations: res.iterations,
-            coords_moved: if accepted { res.coords_moved } else { 0 },
             retained_instances: self.instances.len(),
             elapsed: started.elapsed(),
             retired_claims: 0,
