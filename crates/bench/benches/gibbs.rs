@@ -18,9 +18,6 @@
 //! class (same output, different intra-class width; ungated, because the
 //! dev container has too few cores to measure parallel speedup).
 //!
-//! A micro-measurement of [`ScoreCache::rebuild`] vs the incremental
-//! [`ScoreCache::update`] (two moved coordinates) rounds out the numbers.
-//!
 //! The run prints these numbers, writes
 //! `BENCH_gibbs.json` at the repository root and exits nonzero when a gate
 //! fails: `after_scheduled.speedup >= 3` and the per-topology
@@ -29,7 +26,7 @@
 use crf::gibbs::{GibbsConfig, GibbsSampler, GibbsScratch};
 use crf::graph::{synthetic_components_model, synthetic_model, CrfModel};
 use crf::partition::Partition;
-use crf::potentials::{ScoreCache, Weights};
+use crf::potentials::Weights;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -165,17 +162,6 @@ fn topology_json(name: &str, t: &TopologyNumbers, claims: usize, cliques: usize)
     )
 }
 
-/// Best-of-7 timing of one cache refresh strategy, in microseconds.
-fn time_us(mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..7 {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e6);
-    }
-    best
-}
-
 fn main() {
     let model = bench_model();
     let weights = bench_weights(&model);
@@ -199,23 +185,6 @@ fn main() {
         &few_giant_w,
         [Variant::Stripes(1), Variant::Stripes(4)],
     );
-
-    // Incremental score-cache refresh vs full rebuild (2 moved coords out
-    // of the 66-dimensional weight vector).
-    let mut cache = ScoreCache::build(&model, &weights);
-    let full_us = time_us(|| {
-        cache.rebuild(&model, &weights);
-        black_box(cache.len());
-    });
-    let mut w2 = weights.clone();
-    let mut step = 0u32;
-    let incr_us = time_us(|| {
-        step += 1;
-        w2.as_mut_slice()[1] += 1e-6 * step as f64;
-        w2.as_mut_slice()[40] -= 1e-6 * step as f64;
-        black_box(cache.update(&model, &w2));
-    });
-    let cache_speedup = full_us / incr_us;
 
     println!();
     println!(
@@ -244,16 +213,13 @@ fn main() {
         "few-giant stripes: t1 {:.1} | t4 {:.1} sweeps/s",
         t1.sweeps_per_sec, t4.sweeps_per_sec
     );
-    println!(
-        "score cache: full rebuild {full_us:.0} us | incremental (2 coords) {incr_us:.0} us  ({cache_speedup:.1}x)"
-    );
 
     let stripes_json = format!(
         "    \"few_giant_stripes\": {{ \"sweeps_per_sec_t1\": {:.1}, \"sweeps_per_sec_t4\": {:.1} }}",
         t1.sweeps_per_sec, t4.sweeps_per_sec,
     );
     let json = format!(
-        "{{\n  \"bench\": \"gibbs_sweep_throughput\",\n  \"graph\": {{ \"claims\": {}, \"cliques\": {}, \"sources\": {}, \"m_doc\": {}, \"m_source\": {} }},\n  \"config\": {{ \"burn_in\": 20, \"samples\": 100, \"thin\": 1 }},\n  \"threads\": {},\n  \"before\": {{ \"variant\": \"reference_scalar\", \"chains\": 1, \"sweeps_per_sec\": {:.1}, \"samples_per_sec\": {:.1} }},\n  \"after_scheduled\": {{ \"variant\": \"folded_color_major\", \"chains\": 1, \"sweeps_per_sec\": {:.1}, \"samples_per_sec\": {:.1}, \"speedup\": {:.2} }},\n  \"incremental_cache\": {{ \"full_rebuild_us\": {:.1}, \"incremental_us\": {:.1}, \"moved_coords\": 2, \"speedup\": {:.1} }},\n  \"topologies\": {{\n{},\n{},\n{}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"gibbs_sweep_throughput\",\n  \"graph\": {{ \"claims\": {}, \"cliques\": {}, \"sources\": {}, \"m_doc\": {}, \"m_source\": {} }},\n  \"config\": {{ \"burn_in\": 20, \"samples\": 100, \"thin\": 1 }},\n  \"threads\": {},\n  \"before\": {{ \"variant\": \"reference_scalar\", \"chains\": 1, \"sweeps_per_sec\": {:.1}, \"samples_per_sec\": {:.1} }},\n  \"after_scheduled\": {{ \"variant\": \"folded_color_major\", \"chains\": 1, \"sweeps_per_sec\": {:.1}, \"samples_per_sec\": {:.1}, \"speedup\": {:.2} }},\n  \"topologies\": {{\n{},\n{},\n{}\n  }}\n}}\n",
         model.n_claims(),
         model.cliques().len(),
         model.n_sources(),
@@ -265,9 +231,6 @@ fn main() {
         main.scheduled.sweeps_per_sec,
         main.scheduled.samples_per_sec,
         speedup,
-        full_us,
-        incr_us,
-        cache_speedup,
         topology_json(
             "many_small",
             &many,

@@ -2,26 +2,24 @@
 //! versioned mutable-model API.
 //!
 //! Before the redesign, a claim arriving at runtime forced a **full
-//! rebuild**: re-run `CrfModel::build` over every entity, recompute the
-//! connected-component `Partition`, and rebuild the Gibbs `ScoreCache` —
-//! all `O(model)` work, and the fresh `model_id` invalidated every other
-//! model-keyed cache too. With the delta API the same arrival is
-//! `CrfModel::apply` (splice the new rows into the CSR adjacency) +
-//! `Partition::of_model` (one union pass over the live source rows: the
-//! partition is computed per snapshot, not maintained) +
-//! `ScoreCache::update` (relocate cached scores, compute only the new
-//! cliques) — `O(n)` array traffic instead of `O(n · feature_dim)`
-//! recomputation, with the warm score cache kept.
+//! rebuild**: re-run `CrfModel::build` over every entity and recompute the
+//! connected-component `Partition` — all `O(model)` work, and the fresh
+//! `model_id` invalidated every model-keyed structure too. With the delta
+//! API the same arrival is `CrfModel::apply` (splice the new rows into the
+//! CSR adjacency) + `Partition::of_model` (one union pass over the live
+//! source rows: the partition is computed per snapshot, not maintained).
+//! The Gibbs E-step's per-claim evidence is, like the partition, computed
+//! per snapshot, but by the E-step itself, not on the arrival path, so
+//! neither variant measures it.
 //!
 //! Measured on the 10k-claim benchmark graph (30k cliques, 66-dimensional
-//! weights), one single-claim delta per arrival (1 claim, 3 documents,
+//! features), one single-claim delta per arrival (1 claim, 3 documents,
 //! 3 cliques — the §7 arrival shape). Writes `BENCH_stream.json` at the
 //! repository root; the acceptance gate requires the incremental path to
 //! beat the rebuild by ≥5× per arrival.
 
 use crf::graph::{synthetic_model, CrfModel, ModelDelta, RetireSet, Stance};
 use crf::partition::Partition;
-use crf::potentials::{ScoreCache, Weights};
 use crf::{ModelHandle, VarId};
 use durability::{DiskFs, FaultFs, MemFs, Storage, SyncPolicy};
 use std::collections::VecDeque;
@@ -37,14 +35,6 @@ const DOCS_PER_ARRIVAL: usize = 3;
 
 fn bench_model() -> CrfModel {
     synthetic_model(10_000, 500, 3, 32, 32, 0xB16_5EED)
-}
-
-fn bench_weights(model: &CrfModel) -> Weights {
-    Weights::from_vec(
-        (0..model.feature_dim())
-            .map(|i| 0.05 * (i as f64 + 1.0) * if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect(),
-    )
 }
 
 /// One synthetic arrival: a claim with `DOCS_PER_ARRIVAL` documents, each a
@@ -71,8 +61,8 @@ fn arrival(k: usize, n_sources: usize, m_doc: usize) -> Arrival {
 
 /// The pre-redesign cost of one arrival: rebuild the whole model from raw
 /// rows (base entities + every arrival so far), then recompute the
-/// partition and the score cache from scratch.
-fn rebuild_full(base: &CrfModel, arrivals: &[Arrival], weights: &Weights) -> usize {
+/// partition from scratch.
+fn rebuild_full(base: &CrfModel, arrivals: &[Arrival]) -> usize {
     let mut b = ModelDelta::new(base.m_source(), base.m_doc());
     for s in 0..base.n_sources() as u32 {
         b.add_source(base.source_feature_row(s)).unwrap();
@@ -94,20 +84,12 @@ fn rebuild_full(base: &CrfModel, arrivals: &[Arrival], weights: &Weights) -> usi
         }
     }
     let model = CrfModel::build(b).unwrap();
-    let partition = Partition::of_model(&model);
-    let cache = ScoreCache::build(&model, weights);
-    black_box(partition.len()) + black_box(cache.len())
+    black_box(Partition::of_model(&model).len())
 }
 
 /// The redesigned cost of one arrival: splice the delta into the live
-/// model, recompute the partition, patch the cache forward.
-fn apply_incremental(
-    model: &mut CrfModel,
-    partition: &mut Partition,
-    cache: &mut ScoreCache,
-    weights: &Weights,
-    a: &Arrival,
-) {
+/// model and recompute the partition.
+fn apply_incremental(model: &mut CrfModel, partition: &mut Partition, a: &Arrival) {
     let mut delta = ModelDelta::for_model(model);
     let c = delta.add_claim();
     for (row, &s) in a.doc_rows.iter().zip(&a.sources) {
@@ -116,7 +98,6 @@ fn apply_incremental(
     }
     model.apply(delta).unwrap();
     *partition = black_box(Partition::of_model(model));
-    black_box(cache.update(model, weights));
 }
 
 /// One windowed arrival: a self-contained story — one claim with its own
@@ -145,9 +126,9 @@ fn windowed_delta(
 }
 
 /// The no-lifecycle cost of one windowed arrival: a one-shot build of the
-/// current *surviving* subgraph (build + partition + score cache) — what
-/// every arrival would pay without retire/compact relocation.
-fn rebuild_survivors(model: &CrfModel, weights: &Weights) -> usize {
+/// current *surviving* subgraph (build + partition) — what every arrival
+/// would pay without retire/compact relocation.
+fn rebuild_survivors(model: &CrfModel) -> usize {
     let mut b = ModelDelta::new(model.m_source(), model.m_doc());
     let mut smap = vec![u32::MAX; model.n_sources()];
     for (s, slot) in smap.iter_mut().enumerate() {
@@ -173,9 +154,7 @@ fn rebuild_survivors(model: &CrfModel, weights: &Weights) -> usize {
         }
     }
     let m = CrfModel::build(b).unwrap();
-    let partition = Partition::of_model(&m);
-    let cache = ScoreCache::build(&m, weights);
-    black_box(partition.len()) + black_box(cache.len())
+    black_box(Partition::of_model(&m).len())
 }
 
 struct WindowedReport {
@@ -194,11 +173,9 @@ struct WindowedReport {
 
 /// Run the windowed lifecycle: every arrival grows the model, slides the
 /// retention window (tombstoning the oldest claim and its orphaned
-/// source), and compacts past `threshold` — the score cache relocated
-/// through every edit, never rebuilt, and the partition recomputed from
-/// each edited snapshot. Asserts the
-/// memory-plateau invariant; timing covers the full amortised lifecycle
-/// (grow + retire + compact).
+/// source), and compacts past `threshold` — the partition recomputed from
+/// each edited snapshot. Asserts the memory-plateau invariant; timing
+/// covers the full amortised lifecycle (grow + retire + compact).
 fn windowed_run(n_arrivals: usize, window: usize, threshold: f64) -> WindowedReport {
     let (m_source, m_doc) = (32, 32);
     let mut b = ModelDelta::new(m_source, m_doc);
@@ -207,9 +184,7 @@ fn windowed_run(n_arrivals: usize, window: usize, threshold: f64) -> WindowedRep
     let d0 = b.add_document(&vec![0.5; m_doc]).unwrap();
     b.add_clique(c0, d0, s0, Stance::Support);
     let mut model = CrfModel::build(b).unwrap();
-    let weights = bench_weights(&model);
     let mut partition = Partition::of_model(&model);
-    let mut cache = ScoreCache::build(&model, &weights);
     // Live arrivals, oldest first, with each claim's own source.
     let mut order: VecDeque<(u32, u32)> = VecDeque::new();
     order.push_back((c0.0, s0));
@@ -230,9 +205,8 @@ fn windowed_run(n_arrivals: usize, window: usize, threshold: f64) -> WindowedRep
         order.push_back((c, s));
 
         // ---- Retire: slide the window. Growth and retirement land as two
-        // revision bumps but pay **one** maintenance pass — the score cache
-        // folds a grow + retire jump into a single update, and the
-        // partition is computed once, on the retired snapshot.
+        // revision bumps but pay **one** maintenance pass: the partition is
+        // computed once, on the retired snapshot.
         if order.len() > window {
             let mut set = RetireSet::for_model(&model);
             while order.len() > window {
@@ -252,14 +226,11 @@ fn windowed_run(n_arrivals: usize, window: usize, threshold: f64) -> WindowedRep
             model.retire(set).unwrap();
         }
         partition = black_box(Partition::of_model(&model));
-        black_box(cache.update(&model, &weights));
 
-        // ---- Compact past the tombstone threshold; relocate the cache, not
-        // rebuild it.
+        // ---- Compact past the tombstone threshold.
         if model.dead_fraction() >= threshold {
             let remap = model.compact().unwrap();
             partition = black_box(Partition::of_model(&model));
-            black_box(cache.update(&model, &weights));
             for slot in order.iter_mut() {
                 slot.0 = remap.claim(VarId(slot.0)).expect("window claim live").0;
                 slot.1 = remap.source(slot.1).expect("window source live");
@@ -275,28 +246,18 @@ fn windowed_run(n_arrivals: usize, window: usize, threshold: f64) -> WindowedRep
         // Sampled baseline (outside the timed region).
         if k % rebuild_every == rebuild_every - 1 && order.len() >= window {
             let t = Instant::now();
-            rebuild_survivors(&model, &weights);
+            rebuild_survivors(&model);
             rebuild_us.push(t.elapsed().as_secs_f64() * 1e6);
         }
     }
 
-    // ---- Correctness backstop: the partition and the relocated cache
-    // equal a from-scratch recompute on the final model, and the lineage
-    // survived.
+    // ---- Correctness backstop: the partition equals a from-scratch
+    // recompute on the final model, and the lineage survived.
     assert_eq!(model.model_id(), lineage);
     let fresh = Partition::of_model(&model);
     assert_eq!(partition.len(), fresh.len());
     for i in 0..fresh.len() {
         assert_eq!(partition.component(i), fresh.component(i));
-    }
-    let fresh_cache = ScoreCache::build(&model, &weights);
-    assert_eq!(cache.len(), fresh_cache.len());
-    for kk in 0..fresh_cache.len() {
-        assert_eq!(
-            cache.contribution(kk, 0.4).to_bits(),
-            fresh_cache.contribution(kk, 0.4).to_bits(),
-            "cache diverged at incidence {kk}"
-        );
     }
 
     // ---- The memory-plateau invariant: live set bounded by the window,
@@ -821,7 +782,7 @@ fn quick_crash_matrix() {
 
 fn main() {
     // Quick mode (CI smoke): a tiny windowed run asserting the plateau and
-    // relocation invariants — no timing gate, no JSON, no 10k-claim graph.
+    // partition invariants — no timing gate, no JSON, no 10k-claim graph.
     if std::env::var("STREAM_BENCH_QUICK").is_ok() {
         let report = windowed_run(600, 150, 0.25);
         println!(
@@ -844,29 +805,26 @@ fn main() {
     }
 
     let base = bench_model();
-    let weights = bench_weights(&base);
     let n_sources = base.n_sources();
     let m_doc = base.m_doc();
 
     // ---- Incremental path: 40 consecutive single-claim arrivals against
-    // one live model with a warm cache.
+    // one live model.
     const ARRIVALS: usize = 40;
     let arrivals: Vec<Arrival> = (0..ARRIVALS)
         .map(|k| arrival(k, n_sources, m_doc))
         .collect();
     let mut model = base.clone();
     let mut partition = Partition::of_model(&model);
-    let mut cache = ScoreCache::build(&model, &weights);
     let mut incr_us = Vec::with_capacity(ARRIVALS);
     for a in &arrivals {
         let t = Instant::now();
-        apply_incremental(&mut model, &mut partition, &mut cache, &weights, a);
+        apply_incremental(&mut model, &mut partition, a);
         incr_us.push(t.elapsed().as_secs_f64() * 1e6);
     }
     // Sanity: the grown state matches a from-scratch recompute.
     assert_eq!(model.n_claims(), base.n_claims() + ARRIVALS);
     assert_eq!(partition.len(), Partition::of_model(&model).len());
-    assert_eq!(cache.len(), model.n_incidences());
 
     // ---- Public ingestion API: the same arrival shape through
     // `StreamingChecker::arrive_new` (handle apply + credibility estimate
@@ -891,12 +849,12 @@ fn main() {
     assert_eq!(checker.model().n_claims(), base.n_claims() + ARRIVALS);
 
     // ---- Rebuild path: the same arrivals, each paying a full rebuild of
-    // model + partition + cache (5 samples are plenty — each costs the
+    // model + partition (5 samples are plenty — each costs the
     // whole graph).
     let mut rebuild_us = Vec::new();
     for k in [0usize, 9, 19, 29, 39] {
         let t = Instant::now();
-        rebuild_full(&base, &arrivals[..=k], &weights);
+        rebuild_full(&base, &arrivals[..=k]);
         rebuild_us.push(t.elapsed().as_secs_f64() * 1e6);
     }
 
@@ -954,9 +912,11 @@ fn main() {
         base.feature_dim()
     );
     println!("arrival shape: 1 claim + {DOCS_PER_ARRIVAL} documents/cliques ({ARRIVALS} arrivals)");
-    println!("incremental (apply + partition + cache patch): mean {incr_mean:>9.1} us | worst {incr_worst:>9.1} us");
+    println!(
+        "incremental (apply + partition): mean {incr_mean:>9.1} us | worst {incr_worst:>9.1} us"
+    );
     println!("arrive_new (ingest + estimate + online EM): mean {arrive_mean:>9.1} us");
-    println!("full rebuild (build + partition + cache): mean {rebuild_mean:>9.1} us | best {rebuild_best:>9.1} us");
+    println!("full rebuild (build + partition): mean {rebuild_mean:>9.1} us | best {rebuild_best:>9.1} us");
     println!("speedup: {speedup:.1}x mean ({speedup_floor:.1}x worst-case-vs-best-case)");
     println!();
     println!(
@@ -1012,7 +972,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"stream_arrival_latency\",\n  \"graph\": {{ \"claims\": {}, \"cliques\": {}, \"sources\": {}, \"feature_dim\": {} }},\n  \"arrival\": {{ \"claims\": 1, \"documents\": {DOCS_PER_ARRIVAL}, \"cliques\": {DOCS_PER_ARRIVAL}, \"samples\": {ARRIVALS} }},\n  \"incremental\": {{ \"variant\": \"delta_apply_partition_rebuild_cache_patch\", \"mean_us\": {:.1}, \"worst_us\": {:.1} }},\n  \"arrive_new\": {{ \"variant\": \"streaming_checker_ingest_estimate_online_em\", \"mean_us\": {:.1} }},\n  \"rebuild\": {{ \"variant\": \"build_partition_scorecache_from_scratch\", \"mean_us\": {:.1}, \"best_us\": {:.1} }},\n  \"speedup\": {:.1},\n  \"speedup_worst_vs_best\": {:.1},\n  \"windowed\": {{ \"arrivals\": {}, \"window\": {}, \"compact_threshold\": 0.25, \"amortised_us\": {:.1}, \"survivor_rebuild_mean_us\": {:.1}, \"speedup\": {:.1}, \"retired\": {}, \"compactions\": {}, \"peak_claims\": {}, \"peak_docs\": {}, \"peak_cliques\": {}, \"final_live_claims\": {} }},\n  \"durability\": {{ \"samples\": {LOGGED_SAMPLES}, \"store\": \"DiskFs\", \"no_log_us\": {no_log_us:.1}, \"batched16_us\": {batched_us:.1}, \"per_record_us\": {per_record_us:.1}, \"group_commit_us\": {group_us:.1}, \"batched_overhead\": {batched_overhead:.3}, \"group_vs_batched\": {group_vs_batched:.3}, \"recovery\": [{recovery_json}], \"checkpoints\": {{ \"model_claims\": {}, \"window\": {}, \"cadence\": {}, \"full_bytes\": {:.0}, \"increment_bytes\": {:.0}, \"full_vs_increment\": {:.1}, \"chain_len\": {}, \"chain_recovery_ms\": {:.1} }} }},\n  \"gate\": \"incremental >= 5x rebuild per single-claim arrival; windowed amortised lifecycle >= 5x survivor rebuild; windowed arrays plateau; batched-fsync logged ingest <= 1.25x unlogged; group-commit logged ingest <= 1.10x batched(16); incremental checkpoint <= 1/4 the bytes of a full\"\n}}\n",
+        "{{\n  \"bench\": \"stream_arrival_latency\",\n  \"graph\": {{ \"claims\": {}, \"cliques\": {}, \"sources\": {}, \"feature_dim\": {} }},\n  \"arrival\": {{ \"claims\": 1, \"documents\": {DOCS_PER_ARRIVAL}, \"cliques\": {DOCS_PER_ARRIVAL}, \"samples\": {ARRIVALS} }},\n  \"incremental\": {{ \"variant\": \"delta_apply_partition\", \"mean_us\": {:.1}, \"worst_us\": {:.1} }},\n  \"arrive_new\": {{ \"variant\": \"streaming_checker_ingest_estimate_online_em\", \"mean_us\": {:.1} }},\n  \"rebuild\": {{ \"variant\": \"build_partition_from_scratch\", \"mean_us\": {:.1}, \"best_us\": {:.1} }},\n  \"speedup\": {:.1},\n  \"speedup_worst_vs_best\": {:.1},\n  \"windowed\": {{ \"arrivals\": {}, \"window\": {}, \"compact_threshold\": 0.25, \"amortised_us\": {:.1}, \"survivor_rebuild_mean_us\": {:.1}, \"speedup\": {:.1}, \"retired\": {}, \"compactions\": {}, \"peak_claims\": {}, \"peak_docs\": {}, \"peak_cliques\": {}, \"final_live_claims\": {} }},\n  \"durability\": {{ \"samples\": {LOGGED_SAMPLES}, \"store\": \"DiskFs\", \"no_log_us\": {no_log_us:.1}, \"batched16_us\": {batched_us:.1}, \"per_record_us\": {per_record_us:.1}, \"group_commit_us\": {group_us:.1}, \"batched_overhead\": {batched_overhead:.3}, \"group_vs_batched\": {group_vs_batched:.3}, \"recovery\": [{recovery_json}], \"checkpoints\": {{ \"model_claims\": {}, \"window\": {}, \"cadence\": {}, \"full_bytes\": {:.0}, \"increment_bytes\": {:.0}, \"full_vs_increment\": {:.1}, \"chain_len\": {}, \"chain_recovery_ms\": {:.1} }} }},\n  \"gate\": \"incremental >= 5x rebuild per single-claim arrival; windowed amortised lifecycle >= 5x survivor rebuild; windowed arrays plateau; batched-fsync logged ingest <= 1.25x unlogged; group-commit logged ingest <= 1.10x batched(16); incremental checkpoint <= 1/4 the bytes of a full\"\n}}\n",
         base.n_claims(),
         base.cliques().len(),
         base.n_sources(),

@@ -16,14 +16,13 @@
 //!
 //! The process owns one long-lived [`Icrf`] engine, which is what makes the
 //! per-iteration inference cheap: the engine's internal scratch — the Gibbs
-//! score cache, the CSR-sized sampler buffers, the per-clique training set,
-//! and the Newton solver vectors — is allocated on the first `step` and
-//! reused by every subsequent validation, batch, and confirmation-check
-//! inference for the lifetime of the session. Inference runs the
-//! component-aware E-step scheduler (chains × connected components, §5.1)
-//! with incremental score-cache refreshes; the per-component telemetry of
-//! the most recent inference is available via
-//! [`ValidationProcess::last_em_stats`].
+//! sampler's per-claim evidence and CSR-sized buffers, the per-clique
+//! training set, and the Newton solver vectors — is allocated on the first
+//! `step` and reused by every subsequent validation, batch, and
+//! confirmation-check inference for the lifetime of the session. Inference
+//! runs the component-aware E-step scheduler (chains × connected
+//! components, §5.1); the per-component telemetry of the most recent
+//! inference is available via [`ValidationProcess::last_em_stats`].
 
 use crate::config::ProcessConfig;
 use crate::grounding::{grounding_changes, instantiate_grounding};
@@ -151,8 +150,7 @@ impl<S: SelectionStrategy, U: User> ValidationProcess<S, U> {
     }
 
     /// Engine statistics of the most recent inference call: EM/Newton/Gibbs
-    /// effort, the component structure (count, largest), the E-step task
-    /// layout, and how often the score cache was refreshed incrementally.
+    /// effort and the component structure (count, largest).
     pub fn last_em_stats(&self) -> &IcrfStats {
         &self.last_em_stats
     }
@@ -565,18 +563,7 @@ mod tests {
         let initial = p.last_em_stats().clone();
         assert!(initial.components >= 1);
         assert!(initial.largest_component >= 1 && initial.largest_component <= n);
-        assert_eq!(
-            initial.cache_rebuilds
-                + initial.cache_incremental
-                + initial.cache_unchanged
-                + initial.cache_grown,
-            initial.em_iterations,
-            "every E-step refreshes the cache exactly once"
-        );
-        assert!(
-            initial.cache_rebuilds >= 1,
-            "the first E-step must build the cache"
-        );
+        assert!(initial.em_iterations >= 1);
         p.run();
         let after = p.last_em_stats();
         assert_eq!(after.components, initial.components);

@@ -156,7 +156,7 @@ impl Coloring {
 
         // Retirement: diff the source-liveness snapshot, then scan for
         // claims that died. O(n) scans, but retire ops are rare next to
-        // sweeps — the same trade the score cache's `zero_dead` makes.
+        // sweeps.
         if retired {
             let scanned = self.src_live.len().min(model.n_sources());
             for s in 0..scanned as u32 {

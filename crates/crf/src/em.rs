@@ -29,12 +29,12 @@
 //! state forward instead of rebuilding — the per-clique training set
 //! appends only the new cliques' static feature rows, new claims start at
 //! the maximum-entropy probability 0.5, and the weights, labels, and
-//! probabilities of pre-existing claims are untouched. The Gibbs score
-//! cache patches itself the same way on the next E-step (see
-//! [`crate::potentials::ScoreCache::update`]). The partition is the one
-//! piece computed afresh: [`Partition::of_model`] on the new snapshot, a
-//! single union pass over the live source rows (well under a millisecond
-//! at Snopes scale) once per changed model.
+//! probabilities of pre-existing claims are untouched. What the E-step
+//! reads of the model is computed afresh per snapshot: the partition
+//! ([`Partition::of_model`], a single union pass over the live source
+//! rows, well under a millisecond at Snopes scale) once per changed model
+//! here, and the per-claim evidence (`potentials::ClaimEvidence`, one pass
+//! over the live cliques) in the Gibbs scratch on the next E-step.
 
 use crate::bitset::Bitset;
 use crate::gibbs::{GibbsConfig, GibbsResult, GibbsSampler, GibbsScratch};
@@ -117,32 +117,24 @@ pub struct IcrfStats {
     pub components: usize,
     /// Claims in the largest connected component.
     pub largest_component: usize,
-    /// E-steps that rebuilt the score cache from scratch.
-    pub cache_rebuilds: usize,
-    /// E-steps that refreshed the score cache incrementally (only the
-    /// weight coordinates the M-step moved were re-applied).
+    /// Always 0. The E-step no longer keeps weight-keyed state it could
+    /// patch incrementally; the field stays only because the end-to-end
+    /// benchmark still reads it (`crf.cache_incremental_share`), and it
+    /// goes with that metric.
     pub cache_incremental: usize,
-    /// E-steps that found the score cache already up to date.
-    pub cache_unchanged: usize,
-    /// E-steps that patched the score cache forward after model growth
-    /// (relocated old scores, computed only the new cliques).
-    pub cache_grown: usize,
-    /// E-steps that zeroed tombstoned cliques' scores after retirement.
-    pub cache_retired: usize,
-    /// E-steps that relocated the score cache through a compaction remap.
-    pub cache_compacted: usize,
 }
 
 /// Long-lived hot-path buffers threaded through every E- and M-step.
 ///
 /// The engine is called once per validation iteration (hundreds of times per
 /// session) and each call runs several EM iterations; everything sized by
-/// the model — the Gibbs [`crate::potentials::ScoreCache`], the Newton solver
-/// vectors, the per-clique training set, and the per-source trust vector —
-/// is allocated once here and reused. The training set is special: its
-/// static feature prefix (`[1, f^D, f^S]` per clique) never changes, so it
-/// is filled exactly once and every subsequent M-step patches only the
-/// dynamic trust column and the per-instance targets in place.
+/// the model — the Gibbs scratch with its per-claim evidence, the Newton
+/// solver vectors, the per-clique training set, and the per-source trust
+/// vector — is allocated once here and reused. The training set is
+/// special: its static feature prefix (`[1, f^D, f^S]` per clique) never
+/// changes, so it is filled exactly once and every subsequent M-step
+/// patches only the dynamic trust column and the per-instance targets in
+/// place.
 #[derive(Debug, Default)]
 struct InferenceScratch {
     gibbs: GibbsScratch,
@@ -155,8 +147,8 @@ impl Clone for InferenceScratch {
     /// Only the dataset (its static feature prefix is expensive to
     /// recompute) is carried over; every other buffer is rebuilt before its
     /// first read. A cloned engine ([`Icrf::hypothetical`]) therefore starts
-    /// with a cold Gibbs score cache; the guidance hot path avoids both the
-    /// clone and the cold cache through [`Icrf::hypothetical_estep`].
+    /// with a cold Gibbs scratch; the guidance hot path avoids both the
+    /// clone and the cold scratch through [`Icrf::hypothetical_estep`].
     fn clone(&self) -> Self {
         InferenceScratch {
             gibbs: GibbsScratch::default(),
@@ -442,8 +434,8 @@ impl Icrf {
     /// Run EM to convergence (bounded by `max_em_iters`), warm-starting from
     /// the previous state. Returns aggregate statistics.
     ///
-    /// The hot path allocates nothing in steady state: the Gibbs score
-    /// cache, the Newton solver buffers, and the per-clique training set all
+    /// The hot path allocates nothing in steady state: the Gibbs scratch,
+    /// the Newton solver buffers, and the per-clique training set all
     /// live in the engine and are reused across EM iterations *and* across
     /// calls (see the `InferenceScratch` internals).
     pub fn run(&mut self) -> IcrfStats {
@@ -470,7 +462,6 @@ impl Icrf {
                 samples,
                 marginals,
                 sweeps,
-                cache,
             } = self.estep(
                 self.epoch,
                 l,
@@ -480,14 +471,6 @@ impl Icrf {
                 &mut gibbs,
             );
             stats.gibbs_sweeps += sweeps;
-            match cache {
-                crate::potentials::CacheRefresh::Rebuilt => stats.cache_rebuilds += 1,
-                crate::potentials::CacheRefresh::Incremental { .. } => stats.cache_incremental += 1,
-                crate::potentials::CacheRefresh::Unchanged => stats.cache_unchanged += 1,
-                crate::potentials::CacheRefresh::Grown { .. } => stats.cache_grown += 1,
-                crate::potentials::CacheRefresh::Retired { .. } => stats.cache_retired += 1,
-                crate::potentials::CacheRefresh::Compacted { .. } => stats.cache_compacted += 1,
-            }
 
             let max_prob_change = marginals
                 .iter()
@@ -557,9 +540,9 @@ impl Icrf {
     /// The E-step of EM iteration `l` of the inference call numbered
     /// `epoch`: component-scheduled Gibbs sampling under `weights`
     /// (Eq. 6–7, §5.1). The scheduler parallelises across chains *and*
-    /// across connected components within each chain, and refreshes the
-    /// score cache in `scratch` incrementally when only a few weight
-    /// coordinates moved since its last E-step. The seed rule lives here
+    /// across connected components within each chain; `scratch` keeps the
+    /// per-claim evidence until the model changes, and the weights enter
+    /// only as one dot product per claim. The seed rule lives here
     /// alone, so [`Self::run`] and [`Self::hypothetical_estep`] draw the
     /// same chains for the same `(epoch, l)`.
     fn estep(
@@ -594,11 +577,8 @@ impl Icrf {
     /// iteration run, bit for bit.
     ///
     /// `scratch` is the caller's: every hypothesis scored against one
-    /// engine state shares its `(model, weights)`, so after the first call
-    /// the score cache refresh is [`crate::potentials::CacheRefresh::Unchanged`]
-    /// instead of a rebuild. Bit-identity with the hypothetical run holds
-    /// when `scratch` is fresh or was last used at these same weights — an
-    /// incremental refresh from other weights rounds differently.
+    /// engine state shares its model, so after the first call the scratch
+    /// keeps its per-claim evidence instead of rebuilding it.
     ///
     /// An engine that has never run infers under zero weights, as
     /// [`Self::run`] does. An engine whose handle moved past its snapshot
@@ -710,7 +690,6 @@ pub fn source_trust_into(model: &CrfModel, probs: &[f64], prior: (f64, f64), out
 mod tests {
     use super::*;
     use crate::graph::{CrfModel, ModelDelta, Stance};
-    use crate::potentials::CacheRefresh;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -834,32 +813,37 @@ mod tests {
         assert_eq!(icrf.labels()[3], None);
     }
 
-    /// The borrowed E-step is the first E-step of the hypothetical run, and
-    /// a scratch shared across hypotheses keeps its score cache: every
-    /// call after the first finds it up to date.
+    /// The borrowed E-step is the first E-step of the hypothetical run,
+    /// bit for bit, on a scratch shared across hypotheses — including one
+    /// last warmed by an engine at other weights.
     #[test]
     fn hypothetical_estep_is_the_first_estep_of_a_hypothetical_run() {
         let (m, _) = signal_model(8, 4);
         let mut icrf = Icrf::new(m, small_config());
         icrf.run();
         let mut scratch = GibbsScratch::new();
-        for (i, (claim, value)) in [(VarId(3), true), (VarId(5), false)]
-            .into_iter()
-            .enumerate()
-        {
+        for (claim, value) in [(VarId(3), true), (VarId(5), false)] {
             let r = icrf.hypothetical_estep(claim, value, &mut scratch);
             let mut spec = icrf.hypothetical(claim, value);
             spec.config_mut().max_em_iters = 1;
             spec.run();
             assert_eq!(r.marginals, spec.probs());
             assert_eq!(r.samples, spec.last_samples());
-            let expect = if i == 0 {
-                CacheRefresh::Rebuilt
-            } else {
-                CacheRefresh::Unchanged
-            };
-            assert_eq!(r.cache, expect);
         }
+
+        // Warm the scratch on the same model at other weights (one
+        // coordinate moved), then score a hypothesis at the engine's own.
+        let mut moved = icrf.clone();
+        let mut w = icrf.weights().clone();
+        w.as_mut_slice()[1] += 0.37;
+        moved.set_weights(w);
+        moved.hypothetical_estep(VarId(2), true, &mut scratch);
+        let r = icrf.hypothetical_estep(VarId(6), false, &mut scratch);
+        let mut spec = icrf.hypothetical(VarId(6), false);
+        spec.config_mut().max_em_iters = 1;
+        spec.run();
+        assert_eq!(r.marginals, spec.probs());
+        assert_eq!(r.samples, spec.last_samples());
         assert_eq!(icrf.labels()[3], None, "the engine is only borrowed");
     }
 
@@ -901,8 +885,7 @@ mod tests {
 
     /// Streaming growth through the shared handle: `sync` resizes the
     /// engine without dropping warm state (weights, old probabilities,
-    /// labels), and the next E-step patches the score cache forward
-    /// instead of rebuilding it.
+    /// labels), and the next E-step samples the grown model.
     #[test]
     fn sync_grows_engine_without_dropping_warm_state() {
         let (m, truth) = signal_model(10, 8);
@@ -941,26 +924,15 @@ mod tests {
         );
 
         let stats = icrf.run();
-        // The cache either patches forward (`Grown`) or — when the last
-        // M-step moved more than dim/2 coordinates, which a 4-dimensional
-        // signal model often does — takes the cheaper full rebuild; both
-        // must account for every E-step.
-        assert_eq!(
-            stats.cache_rebuilds
-                + stats.cache_incremental
-                + stats.cache_unchanged
-                + stats.cache_grown,
-            stats.em_iterations,
-            "every E-step refreshes the cache exactly once"
-        );
+        assert!(stats.em_iterations >= 1);
         assert_eq!(icrf.probs()[0], if truth[0] { 1.0 } else { 0.0 });
         assert_eq!(icrf.last_samples()[0].len(), 11);
     }
 
     /// Retirement through the shared handle: `sync` drops the dead claim's
     /// label and probability, keeps every survivor's warm state, recomputes
-    /// the partition on the tombstoned model, and the next E-step patches
-    /// the score cache (`Retired`) instead of rebuilding.
+    /// the partition on the tombstoned model, and the next E-step samples
+    /// the tombstoned model.
     #[test]
     fn sync_retires_claims_without_dropping_survivor_state() {
         let (m, truth) = signal_model(10, 21);

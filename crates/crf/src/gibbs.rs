@@ -27,10 +27,11 @@
 //! The sampler dominates every `iCRF` iteration, so the inner loop is built
 //! around three ideas:
 //!
-//! 1. **Precomputed clique scores.** Weights are fixed within an E-step, so
-//!    each clique's `β·[1, f^D, f^S]` is a constant. A claim-major
-//!    [`ScoreCache`] holds it with the clique's signed trust weight, and is
-//!    refreshed incrementally when the M-step moves only a few weights.
+//! 1. **Per-claim evidence.** A claim's static logit is a sum over its
+//!    cliques, so it is `β·X_c` for the weight-independent row
+//!    `X_c = Σ_π sign_π·[1, f^D, f^S]` (`potentials::ClaimEvidence`,
+//!    rebuilt once per model snapshot). An E-step's weight-dependent work
+//!    is one short dot product per claim, not one per clique.
 //! 2. **CSR adjacency.** `claim → cliques` and `source → claims` are flat
 //!    offset+index arrays ([`CrfModel`] docs), so a single-site update reads
 //!    consecutive memory.
@@ -103,7 +104,7 @@ use crate::coloring::Coloring;
 use crate::graph::{CliqueId, CrfModel, Since, SyncPoint, VarId};
 use crate::numerics;
 use crate::partition::Partition;
-use crate::potentials::{clique_logit_contribution, CacheRefresh, ScoreCache, Weights};
+use crate::potentials::{clique_logit_contribution, ClaimEvidence, Weights};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -173,18 +174,20 @@ pub struct GibbsResult {
     pub marginals: Vec<f64>,
     /// Number of sweeps executed across all chains (burn-in + sampling).
     pub sweeps: usize,
-    /// How the score cache was refreshed for this E-step's weights.
-    pub cache: CacheRefresh,
 }
 
-/// Reusable buffers for [`GibbsSampler::run_scheduled`]: the score cache,
-/// the component schedule, the coloring, the color-major layout with its
-/// folded constants, and the per-task chain states survive across E-steps,
-/// so repeated inference calls (every EM iteration of every validation
-/// step) allocate little beyond their output samples.
+/// Reusable buffers for [`GibbsSampler::run_scheduled`]: the claim
+/// evidence, the component schedule, the coloring, the color-major layout
+/// with its folded constants, and the per-task chain states survive across
+/// E-steps, so repeated inference calls (every EM iteration of every
+/// validation step) allocate little beyond their output samples. Nothing
+/// in it depends on the weights, so a scratch may be reused at any weights
+/// and any labels without changing a bit of the output.
 #[derive(Debug, Clone, Default)]
 pub struct GibbsScratch {
-    cache: ScoreCache,
+    /// Per-claim evidence of the model snapshot last sampled, rebuilt
+    /// whenever the model changes.
+    evidence: ClaimEvidence,
     /// Per claim: the anchor contribution `anchor · ln(p/(1−p))` of Eq. 6,
     /// constant within an E-step (`prev_probs` is fixed), so the `ln` is
     /// paid once per claim instead of once per claim *per sweep*.
@@ -207,11 +210,6 @@ impl GibbsScratch {
     /// Fresh, empty scratch.
     pub fn new() -> Self {
         GibbsScratch::default()
-    }
-
-    /// The score cache of the most recent run (for inspection/tests).
-    pub fn cache(&self) -> &ScoreCache {
-        &self.cache
     }
 }
 
@@ -371,18 +369,19 @@ impl ChromLayout {
 /// fixed, so the per-visit conditional logit
 ///
 /// ```text
-/// Σ_k statics[k] + τw[k]·(τ_k − ½) + anchor,   τ_k = (a + cred(s_k) − v_c)·recip[s_k]
+/// β_s·X_c + Σ_k sign_k·β_τ·(τ_k − ½) + anchor,   τ_k = (a + cred(s_k) − v_c)·recip[s_k]
 /// ```
 ///
+/// ([`ClaimEvidence`]: `β_s` is every weight but the trust weight `β_τ`)
 /// refactors into `base_a[p] − v_c·t_sum[p] + Σ_k tw[k]·cred(s_k)` with
 /// everything but the per-source credible counts precomputed **once per
 /// run**: the hot visit is one gather and one multiply-add per incident
 /// clique — no divide, no live-count lookup, no exponential (see
 /// [`chromatic_logit`], whose summation order is part of the bit spec).
-/// Dead cliques carry exact zeros in the score cache, so their
-/// packed `tw` is `±0.0` and the product is `±0.0` for any finite
-/// credible count — dead evidence contributes nothing and cannot leak
-/// interference between color classes.
+/// Dead cliques carry a zero sign, so their packed `tw` is `±0.0` and the
+/// product is `±0.0` for any finite credible count — dead evidence
+/// contributes nothing and cannot leak interference between color
+/// classes.
 ///
 /// Everything except `recip` is laid out in **visit-position order** —
 /// index `p` is a position in [`ChromLayout::order`], the color-major
@@ -396,16 +395,19 @@ struct FoldedScores {
     /// of every component (other slots are stale and only ever multiplied
     /// by a `±0.0` trust weight).
     recip: Vec<f64>,
-    /// Per visit position: `anchor_term[c] + Σ_span (statics[k] −
-    /// ½·signed_τw[k]) + a·t_sum[p]` — the whole value-independent part of
-    /// the logit.
+    /// Per claim: `β_s·X_c` ([`ClaimEvidence::static_logits`]).
+    static_logit: Vec<f64>,
+    /// Per visit position: `anchor_term[c] + (β_s·X_c − ½·β_τ·X_c[0]) +
+    /// a·t_sum[p]`, added in that order — the whole value-independent
+    /// part of the logit (`X_c[0]` is the claim's signed live-clique
+    /// count).
     base_a: Vec<f64>,
     /// Per visit position: `Σ_span tw[k]`, subtracted once when the
     /// claim's current value is `true`.
     t_sum: Vec<f64>,
     /// CSR offsets (`positions + 1`) into the packed incidence lanes.
     csr: Vec<u32>,
-    /// Packed per-incidence `signed_τw[k] · recip[source_k]`, visit order.
+    /// Packed per-incidence `(sign_k·β_τ)·recip[source_k]`, visit order.
     tw: Vec<f64>,
     /// Packed per-incidence source ids, visit order.
     src: Vec<u32>,
@@ -418,15 +420,21 @@ struct FoldedScores {
 }
 
 impl FoldedScores {
+    #[allow(clippy::too_many_arguments)] // one argument per folded input
     fn build(
         &mut self,
         model: &CrfModel,
-        cache: &ScoreCache,
+        evidence: &ClaimEvidence,
+        beta: &[f64],
         sched: &CompSchedule,
         chrom: &ChromLayout,
         anchor_term: &[f64],
         prior: (f64, f64),
     ) {
+        let trust_w = beta[beta.len() - 1];
+        let signs = evidence.signs();
+        let bias_sums = evidence.column(0);
+        evidence.static_logits(beta, &mut self.static_logit);
         self.recip.resize(model.n_sources(), 0.0);
         let positions = chrom.order.len();
         self.base_a.clear();
@@ -453,18 +461,16 @@ impl FoldedScores {
             for p in lo..hi {
                 let c = chrom.order[p] as usize;
                 let (clo, chi) = model.claim_clique_span(c);
-                let (statics, trust_ws) = cache.span(clo, chi);
                 let sources = model.clique_sources_of(VarId(c as u32));
-                let mut base = anchor_term[c];
                 let mut t = 0.0;
-                for k in 0..statics.len() {
-                    base += statics[k] - 0.5 * trust_ws[k];
-                    let tw = trust_ws[k] * self.recip[sources[k] as usize];
+                for (&sign, &s) in signs[clo..chi].iter().zip(sources) {
+                    let tw = sign * trust_w * self.recip[s as usize];
                     self.tw.push(tw);
-                    self.src.push(sources[k]);
+                    self.src.push(s);
                     t += tw;
                 }
-                self.base_a[p] = base + prior.0 * t;
+                let stat = self.static_logit[c] - 0.5 * trust_w * bias_sums[c];
+                self.base_a[p] = (anchor_term[c] + stat) + prior.0 * t;
                 self.t_sum[p] = t;
                 self.csr[p + 1] = self.tw.len() as u32;
                 self.flip_src
@@ -834,7 +840,6 @@ impl<'a> GibbsSampler<'a> {
             samples,
             marginals,
             sweeps,
-            cache: CacheRefresh::Rebuilt,
         }
     }
 
@@ -932,15 +937,19 @@ impl<'a> GibbsSampler<'a> {
             n,
             "partition does not cover this model's claims"
         );
+        assert_eq!(
+            weights.dim(),
+            model.feature_dim(),
+            "weights dimension mismatch"
+        );
 
-        // Per-run prep: refresh the score cache and the component schedule,
-        // sync the conflict-graph coloring, lay every component out
-        // color-major, and fold the per-run kernel constants.
-        let cache_refresh = scratch.cache.update(model, weights);
+        // Per-run prep: sync the claim evidence and the component schedule
+        // to the snapshot, sync the conflict-graph coloring, lay every
+        // component out color-major, and fold the per-run kernel constants.
         self.fill_anchor_terms(prev_probs, &mut scratch.anchor_term);
         {
             let GibbsScratch {
-                cache,
+                evidence,
                 anchor_term,
                 sched,
                 coloring,
@@ -948,13 +957,15 @@ impl<'a> GibbsSampler<'a> {
                 fold,
                 ..
             } = &mut *scratch;
+            evidence.sync(model);
             sched.refresh_static(model, partition);
             sched.refresh_labels(model, partition, labels);
             coloring.sync(model);
             chrom.build(sched, coloring);
             fold.build(
                 model,
-                cache,
+                evidence,
+                weights.as_slice(),
                 sched,
                 chrom,
                 anchor_term,
@@ -1084,7 +1095,6 @@ impl<'a> GibbsSampler<'a> {
             samples,
             marginals,
             sweeps,
-            cache: cache_refresh,
         }
     }
 
@@ -1423,6 +1433,68 @@ mod tests {
         }
     }
 
+    /// The kernel's folded constants equal the bit spec's bit for bit at
+    /// every visit position — `base_a`, `t_sum` and every packed `tw` — on
+    /// a model with tombstones and labels, on a fresh scratch and on one
+    /// warmed at other weights. (The sample comparison above cannot see
+    /// a rounding difference: a decision flips only when a uniform lands
+    /// within an ulp of the acceptance probability.)
+    #[test]
+    fn folded_constants_match_the_spec_bit_for_bit() {
+        use crate::graph::RetireSet;
+        for seed in [5u64, 23] {
+            let mut m = crate::graph::test_support::random_model(40, 12, 3, seed);
+            let mut set = RetireSet::for_model(&m);
+            set.retire_claim(VarId(4));
+            set.retire_source(3);
+            m.retire(set).unwrap();
+            let p = Partition::of_model(&m);
+            let w = Weights::from_vec(
+                (0..m.feature_dim())
+                    .map(|i| 0.37 * (i as f64 + 1.0) * if i % 3 == 0 { -1.0 } else { 1.0 })
+                    .collect(),
+            );
+            let mut labels = vec![None; 40];
+            labels[2] = Some(true);
+            labels[9] = Some(false);
+            let probs: Vec<f64> = (0..40).map(|i| 0.2 + 0.015 * i as f64).collect();
+            let cfg = GibbsConfig {
+                burn_in: 1,
+                samples: 1,
+                chains: 1,
+                ..Default::default()
+            };
+            let sampler = GibbsSampler::new(&m, cfg.clone());
+            let spec = spec_fold(&m, &w, &labels, &probs, &cfg);
+            let mut warmed = GibbsScratch::new();
+            let mut other = w.clone();
+            other.as_mut_slice()[2] -= 0.5;
+            sampler.run_scheduled(&other, &labels, &probs, &p, &mut warmed);
+            for mut scratch in [GibbsScratch::new(), warmed] {
+                sampler.run_scheduled(&w, &labels, &probs, &p, &mut scratch);
+                let fold = &scratch.fold;
+                assert!(!scratch.chrom.order.is_empty());
+                for (pos, &c) in scratch.chrom.order.iter().enumerate() {
+                    let c = c as usize;
+                    assert_eq!(
+                        fold.base_a[pos].to_bits(),
+                        spec.base_a[c].to_bits(),
+                        "seed {seed} claim {c}"
+                    );
+                    assert_eq!(fold.t_sum[pos].to_bits(), spec.t_sum[c].to_bits());
+                    let (lo, hi) = m.claim_clique_span(c);
+                    let packed = &fold.tw[fold.csr[pos] as usize..fold.csr[pos + 1] as usize];
+                    let expect = &spec.tw_recip[lo..hi];
+                    assert_eq!(
+                        packed.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        "seed {seed} claim {c}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Multi-chain pooling agrees with the single chain within Monte-Carlo
     /// tolerance, is deterministic, and is independent of how many worker
     /// threads actually ran the chains.
@@ -1682,7 +1754,7 @@ mod tests {
 
     /// Regression: one scratch reused across *different* models built in a
     /// loop (same shape, same weights, likely the same heap address) must
-    /// never serve stale cached scores or a stale component schedule — the
+    /// never serve stale claim evidence or a stale component schedule — the
     /// model's build-lineage id forces a rebuild.
     #[test]
     fn scratch_reuse_across_models_forces_rebuild() {
@@ -1704,19 +1776,14 @@ mod tests {
             let probs = vec![0.5; m.n_claims()];
             let sampler = GibbsSampler::new(&m, cfg.clone());
             let reused = sampler.run_scheduled(&w, &labels, &probs, &p, &mut scratch);
-            assert_eq!(
-                reused.cache,
-                crate::potentials::CacheRefresh::Rebuilt,
-                "seed {seed}: a new model must rebuild the cache"
-            );
             let fresh = sampler.run_scheduled(&w, &labels, &probs, &p, &mut GibbsScratch::new());
             assert_eq!(reused.samples, fresh.samples, "seed {seed}");
             assert_eq!(reused.marginals, fresh.marginals, "seed {seed}");
         }
     }
 
-    /// Reusing one scratch across E-steps (changed labels, same weights —
-    /// the `Unchanged` cache path) yields exactly what fresh scratch does.
+    /// Reusing one scratch across E-steps (changed labels, same weights)
+    /// yields exactly what fresh scratch does.
     #[test]
     fn scheduled_scratch_reuse_is_transparent() {
         let m = crate::graph::synthetic_components_model(3, 6, 2, 2, 2, 2, 21);
@@ -1734,12 +1801,10 @@ mod tests {
         let sampler = GibbsSampler::new(&m, cfg);
         let probs = vec![0.5; n];
         let mut reused = GibbsScratch::new();
-        let first = sampler.run_scheduled(&w, &vec![None; n], &probs, &p, &mut reused);
-        assert_eq!(first.cache, crate::potentials::CacheRefresh::Rebuilt);
+        sampler.run_scheduled(&w, &vec![None; n], &probs, &p, &mut reused);
         let mut labels = vec![None; n];
         labels[2] = Some(false);
         let second = sampler.run_scheduled(&w, &labels, &probs, &p, &mut reused);
-        assert_eq!(second.cache, crate::potentials::CacheRefresh::Unchanged);
         let mut fresh = GibbsScratch::new();
         let expect = sampler.run_scheduled(&w, &labels, &probs, &p, &mut fresh);
         assert_eq!(second.samples, expect.samples);
@@ -1924,14 +1989,13 @@ mod tests {
 
     /// The acceptance spec of the versioned-model redesign: growing a model
     /// delta-by-delta — with a **warm** scratch carried through every
-    /// growth step, so the score cache is patched ([`CacheRefresh::Grown`])
-    /// and the component schedule re-packed rather than rebuilt — yields a
+    /// growth step, so the claim evidence and the component schedule are
+    /// refreshed from a stale sync point rather than built cold — yields a
     /// `run_scheduled` sample stream bit-identical to building the final
     /// model in one shot and sampling with fresh scratch.
     #[test]
     fn scheduled_on_grown_model_matches_batch_build() {
         use crate::graph::test_support as ts;
-        let mut saw_grown_cache = false;
         for seed in 0..12u64 {
             let chunks = ts::random_growth_script(seed.wrapping_mul(131) ^ 0x9A0, 4);
             let batch = ts::build_batch(&chunks);
@@ -1981,22 +2045,6 @@ mod tests {
                 &partition,
                 &mut scratch,
             );
-            if grown.cliques().len() > chunks[0].docs.len() {
-                // Cliques were appended after the warm-up run: the cache
-                // must have patched, never rebuilt (weights are unchanged).
-                assert!(
-                    matches!(
-                        r_grown.cache,
-                        CacheRefresh::Grown { moved: 0, .. } | CacheRefresh::Unchanged
-                    ),
-                    "seed {seed}: {:?}",
-                    r_grown.cache
-                );
-                if matches!(r_grown.cache, CacheRefresh::Grown { .. }) {
-                    saw_grown_cache = true;
-                }
-            }
-
             let fresh_partition = Partition::of_model(&batch);
             let r_batch = GibbsSampler::new(&batch, cfg).run_scheduled(
                 &w,
@@ -2009,10 +2057,6 @@ mod tests {
             assert_eq!(r_grown.marginals, r_batch.marginals, "seed {seed}");
             assert_eq!(r_grown.sweeps, r_batch.sweeps, "seed {seed}");
         }
-        assert!(
-            saw_grown_cache,
-            "no seed exercised the grown-cache path — scripts too small"
-        );
     }
 
     /// The lifecycle acceptance spec (shared by the deterministic
@@ -2181,34 +2225,33 @@ mod tests {
         CrfModel::build(b).unwrap()
     }
 
-    /// The **bit spec** of [`GibbsSampler::run_scheduled`]
-    /// (`docs/sampling.md`): a **from-scratch** greedy coloring, the
-    /// color-major claim-id-minor visit order, the folded kernel constants
-    /// recomputed here term for term in the kernel's exact summation
-    /// order, the sigmoid-table decision rule, and the `(chain, component)`
-    /// seed scheme — all derived independently of the sampler's
-    /// incremental scratch ([`ChromLayout`], [`FoldedScores`],
-    /// [`Coloring::sync`]) and executed as one scalar loop. Returns
-    /// `(samples, marginals, sweeps)`.
-    pub(super) fn chromatic_reference(
+    /// The bit spec's folded constants, per claim (full width): the
+    /// packed `tw` of every incidence, and `base_a` and `t_sum` of every
+    /// live unlabelled claim.
+    pub(super) struct SpecFold {
+        pub(super) tw_recip: Vec<f64>,
+        pub(super) base_a: Vec<f64>,
+        pub(super) t_sum: Vec<f64>,
+    }
+
+    /// The folded per-run constants of [`chromatic_reference`], recomputed
+    /// from scratch in the kernel's summation order: `X_c` and the signs
+    /// summed from the model's own clique and feature rows (full width;
+    /// slots of dead cliques only ever meet a ±0.0 trust weight).
+    pub(super) fn spec_fold(
         m: &CrfModel,
         w: &Weights,
         labels: &[Option<bool>],
         probs: &[f64],
         cfg: &GibbsConfig,
-    ) -> (Vec<Bitset>, Vec<f64>, usize) {
-        let coloring = Coloring::of_model(m);
-        let partition = Partition::of_model(m);
-        let mut cache = ScoreCache::new();
-        cache.update(m, w);
-        let sampler = GibbsSampler::new(m, cfg.clone());
+    ) -> SpecFold {
         let mut anchor_term = Vec::new();
-        sampler.fill_anchor_terms(probs, &mut anchor_term);
-
+        GibbsSampler::new(m, cfg.clone()).fill_anchor_terms(probs, &mut anchor_term);
         let n = m.n_claims();
         let (pa, pb) = cfg.trust_prior;
-        // Folded per-run constants, recomputed from scratch (full width;
-        // slots of dead cliques only ever meet a ±0.0 trust weight).
+        let beta = w.as_slice();
+        let trust_w = beta[beta.len() - 1];
+        let md = m.m_doc();
         let mut recip = vec![0.0; m.n_sources()];
         for (s, r) in recip.iter_mut().enumerate() {
             let nl = m.n_live_claims_of_source(s as u32) as f64;
@@ -2221,20 +2264,70 @@ mod tests {
             if !m.claim_live(c) || labels[c].is_some() {
                 continue;
             }
-            let (lo, hi) = m.claim_clique_span(c);
-            let (statics, trust_ws) = cache.span(lo, hi);
-            let sources = m.clique_sources_of(VarId(c as u32));
-            let mut base = anchor_term[c];
+            // X_c: the live cliques' `[1, f^D, f^S]` rows, signed and
+            // summed in `cliques_of` order; a dead clique's sign is 0.
+            let (lo, _) = m.claim_clique_span(c);
+            let mut x = vec![0.0; beta.len() - 1];
             let mut t = 0.0;
-            for k in 0..statics.len() {
-                base += statics[k] - 0.5 * trust_ws[k];
-                let tw = trust_ws[k] * recip[sources[k] as usize];
+            for (k, &ci) in m.cliques_of(VarId(c as u32)).iter().enumerate() {
+                let cl = m.clique(CliqueId(ci));
+                let sign = match (m.clique_live(ci as usize), cl.stance) {
+                    (false, _) => 0.0,
+                    (true, Stance::Support) => 1.0,
+                    (true, Stance::Refute) => -1.0,
+                };
+                if sign != 0.0 {
+                    x[0] += sign;
+                    for (j, f) in m.doc_feature_row(cl.doc).iter().enumerate() {
+                        x[1 + j] += sign * f;
+                    }
+                    for (j, f) in m.source_feature_row(cl.source).iter().enumerate() {
+                        x[1 + md + j] += sign * f;
+                    }
+                }
+                let tw = sign * trust_w * recip[cl.source as usize];
                 tw_recip[lo + k] = tw;
                 t += tw;
             }
-            base_a[c] = base + pa * t;
+            let mut dot = 0.0;
+            for j in 0..x.len() {
+                dot += beta[j] * x[j];
+            }
+            base_a[c] = (anchor_term[c] + (dot - 0.5 * trust_w * x[0])) + pa * t;
             t_sum[c] = t;
         }
+        SpecFold {
+            tw_recip,
+            base_a,
+            t_sum,
+        }
+    }
+
+    /// The **bit spec** of [`GibbsSampler::run_scheduled`]
+    /// (`docs/sampling.md`): a **from-scratch** greedy coloring, the
+    /// color-major claim-id-minor visit order, the folded kernel constants
+    /// recomputed here term for term in the kernel's exact summation
+    /// order (the per-claim evidence `X_c` and the incidence signs summed
+    /// from the model's own clique and feature rows), the sigmoid-table
+    /// decision rule, and the `(chain, component)` seed scheme — all
+    /// derived independently of the sampler's scratch ([`ClaimEvidence`],
+    /// [`ChromLayout`], [`FoldedScores`], [`Coloring::sync`]) and executed
+    /// as one scalar loop. Returns `(samples, marginals, sweeps)`.
+    pub(super) fn chromatic_reference(
+        m: &CrfModel,
+        w: &Weights,
+        labels: &[Option<bool>],
+        probs: &[f64],
+        cfg: &GibbsConfig,
+    ) -> (Vec<Bitset>, Vec<f64>, usize) {
+        let coloring = Coloring::of_model(m);
+        let partition = Partition::of_model(m);
+        let n = m.n_claims();
+        let SpecFold {
+            tw_recip,
+            base_a,
+            t_sum,
+        } = spec_fold(m, w, labels, probs, cfg);
 
         let k = cfg.effective_chains();
         let (per_chain, rem) = (cfg.samples / k, cfg.samples % k);
@@ -2911,12 +3004,12 @@ mod prop_tests {
         }
 
         /// Incremental-vs-batch equivalence over *any* random split of a
-        /// model into deltas: the grown model (warm scratch, patched score
-        /// cache, the grown model's partition) produces a
-        /// `run_scheduled` sample stream and marginals bit-identical to the
-        /// one-shot build with fresh scratch, for one and for several
-        /// chains. (The companion partition and score-cache proptests live
-        /// in `partition.rs` / `potentials.rs`.)
+        /// model into deltas: the grown model (warm scratch, the grown
+        /// model's partition) produces a `run_scheduled` sample stream and
+        /// marginals bit-identical to the one-shot build with fresh
+        /// scratch, for one and for several chains. (The companion
+        /// partition and coloring specs live in `partition.rs` /
+        /// `graph.rs`.)
         #[test]
         fn prop_grown_inference_equals_batch(
             seed in 0u64..60,

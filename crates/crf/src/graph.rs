@@ -75,14 +75,14 @@
 //!   *surviving* entities in their original insertion order (the
 //!   [`IdRemap`] is exactly that order-preserving renumbering). Claim-major
 //!   spans shift only when a claim gains cliques, and the claim-major
-//!   position of every old clique is recoverable from its id, which is what
-//!   lets [`crate::potentials::ScoreCache`] relocate cached scores instead
-//!   of recomputing them. ([`crate::partition::Partition`] needs no such
-//!   contract: it is recomputed from each snapshot in one union pass over
-//!   the live source rows.) Inference on a grown,
-//!   retired-then-compacted model is therefore bit-identical — modulo the
-//!   published [`IdRemap`] — to inference on a one-shot build of the
-//!   surviving subgraph.
+//!   position of every old clique is recoverable from its id. Structures
+//!   computed from one snapshot ([`crate::partition::Partition`], the
+//!   E-step's `potentials::ClaimEvidence`) read the live cliques in this
+//!   canonical order, so they come out the same, bit for bit, on a
+//!   lifecycle model and on a one-shot build of its survivors. Inference
+//!   on a grown, retired-then-compacted model is therefore bit-identical
+//!   — modulo the published [`IdRemap`] — to inference on a one-shot build
+//!   of the surviving subgraph.
 //! * **Remap availability** — the model keeps only the **latest**
 //!   compaction's [`IdRemap`]. A structure that syncs at least once per
 //!   compaction gets [`Since::Relocate`] — even when the model grew in the
@@ -535,8 +535,8 @@ impl CrfModel {
     }
 
     /// Half-open CSR span of `claim`'s cliques: positions into the
-    /// claim-major clique arrays (and into a claim-major
-    /// [`crate::potentials::ScoreCache`], which shares this layout).
+    /// claim-major clique arrays (and into the incidence signs of the
+    /// E-step's `potentials::ClaimEvidence`, which share this layout).
     #[inline]
     pub fn claim_clique_span(&self, claim: usize) -> (usize, usize) {
         (
@@ -1726,8 +1726,8 @@ impl RetireSet {
 /// The order-preserving renumbering a [`CrfModel::compact`] publishes: for
 /// each entity kind, old id → new id, with dropped entities mapping to
 /// `None`. Survivors keep their relative order, which is what lets every
-/// model-keyed structure (score cache, partition, per-claim state,
-/// upstream sync maps) *relocate* its state instead of rebuilding it.
+/// model-keyed structure (per-claim state, the coloring, upstream sync
+/// maps) *relocate* its state instead of rebuilding it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IdRemap {
     /// The revision whose ids form the domain of the maps.
@@ -3431,8 +3431,7 @@ mod tests {
         /// several accumulated edits, growth before a compaction, a retire
         /// on either side of it, or two compactions that outrun the single
         /// retained remap — always lands on exactly the from-scratch
-        /// state on the new snapshot: the scores of `ScoreCache::build` bit
-        /// for bit, and the coloring of `Coloring::of_model`.
+        /// state on the new snapshot: the coloring of `Coloring::of_model`.
         #[test]
         fn prop_since_catch_up_matches_batch(
             seed in 0u64..300,
@@ -3440,7 +3439,6 @@ mod tests {
             stride in 1usize..7,
         ) {
             use crate::coloring::Coloring;
-            use crate::potentials::{ScoreCache, Weights};
 
             // Edits are generated against the *current* model (ids stay
             // valid across mid-script compactions), xorshift-driven.
@@ -3461,10 +3459,6 @@ mod tests {
                 b.add_clique(c, d, if i % 2 == 0 { s0 } else { s1 }, Stance::Support);
             }
             let mut model = CrfModel::build(b).unwrap();
-            let w = Weights::from_vec(
-                (0..model.feature_dim()).map(|i| 0.3 - 0.17 * i as f64).collect(),
-            );
-            let mut cache = ScoreCache::build(&model, &w);
             let mut coloring = Coloring::of_model(&model);
 
             for i in 0..n_ops {
@@ -3528,17 +3522,7 @@ mod tests {
                     }
                 }
                 if i % stride == stride - 1 || i == n_ops - 1 {
-                    cache.update(&model, &w);
                     coloring.sync(&model);
-                    let fresh = ScoreCache::build(&model, &w);
-                    proptest::prop_assert_eq!(cache.len(), fresh.len());
-                    for k in 0..fresh.len() {
-                        proptest::prop_assert_eq!(
-                            cache.contribution(k, 0.37).to_bits(),
-                            fresh.contribution(k, 0.37).to_bits(),
-                            "incidence {} score diverged", k
-                        );
-                    }
                     let fresh = Coloring::of_model(&model);
                     proptest::prop_assert_eq!(coloring.colors(), fresh.colors());
                     proptest::prop_assert_eq!(coloring.n_colors(), fresh.n_colors());

@@ -18,8 +18,9 @@
 //!   once so the old snapshot stays valid — readers are never torn.
 //! * **revision-keyed cache patching** — holders compare
 //!   [`ModelHandle::revision`] against the revision they last synced and
-//!   patch their state (score cache, scratch, probability vectors)
-//!   forward instead of rebuilding, and recompute the cheap partition; see
+//!   patch their state (training set, probability vectors) forward
+//!   instead of rebuilding, and recompute the cheap per-snapshot
+//!   structures (partition, claim evidence); see
 //!   the contract in the [`crate::graph`] module docs.
 //!
 //! Locking discipline: the internal `RwLock` is held only for the duration

@@ -54,4 +54,4 @@ pub use graph::{
 };
 pub use handle::{EditObserver, ModelHandle};
 pub use partition::Partition;
-pub use potentials::{CacheRefresh, ScoreCache, Weights};
+pub use potentials::Weights;

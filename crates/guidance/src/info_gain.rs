@@ -20,8 +20,8 @@
 //!   iteration's E-step; its trailing M-step only re-estimates weights,
 //!   which neither entropy reads. Such candidates are scored through
 //!   [`Icrf::hypothetical_estep`]: no engine clone, no M-step, and one
-//!   Gibbs scratch per worker whose score cache every hypothesis after
-//!   the first finds already up to date. The exact entropy reads the
+//!   Gibbs scratch per worker whose per-claim evidence every hypothesis
+//!   after the first finds already built. The exact entropy reads the
 //!   re-estimated weights, and several iterations need M-steps between
 //!   E-steps, so both keep running the full hypothetical engine
 //!   ([`hypothetical_run`]), which is also the spec the borrowed path is

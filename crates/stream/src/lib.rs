@@ -4,9 +4,9 @@
 //! factor graph **grows in place** as they do: each arrival carries a
 //! [`crf::ModelDelta`] that [`stream::StreamingChecker::arrive_new`]
 //! splices into the live model through a shared [`crf::ModelHandle`] — no
-//! rebuild, no cache invalidation; the partition, score cache, component
-//! schedule, and EM scratch of every holder of the handle patch themselves
-//! forward. Each of them — and the checker's own per-claim state — asks
+//! rebuild of the model; every holder of the handle brings its partition,
+//! Gibbs scratch and EM state up to the new snapshot. Each of them — and
+//! the checker's own per-claim state — asks
 //! [`crf::CrfModel::since`], from the [`crf::SyncPoint`] it last synced
 //! at, whether to patch, relocate or rebuild (the contract in
 //! `crf::graph`). The model parameters are maintained by an online EM algorithm with stochastic

@@ -7,9 +7,10 @@
 //!   carries a [`ModelDelta`] and the factor graph **grows in place**
 //!   through the shared [`ModelHandle`]: new sources, documents, claims,
 //!   and cliques are spliced into the live CSR adjacency
-//!   ([`crf::CrfModel::apply`]), and every model-keyed cache — the
-//!   partition, the Gibbs score cache, the component schedule, the EM
-//!   training set — patches itself forward instead of rebuilding. An
+//!   ([`crf::CrfModel::apply`]), and every model-keyed structure catches
+//!   up: the EM training set and per-claim state patch forward, and the
+//!   partition, the Gibbs claim evidence and the component schedule are
+//!   recomputed from the new snapshot. An
 //!   offline validation process holding a clone of the same handle picks
 //!   the growth up on its next inference (Alg. 2 line 10 hands the online
 //!   parameters back the same way as before).

@@ -147,6 +147,7 @@ impl Config {
         Config {
             d1_paths: s(&[
                 "crates/crf/src/gibbs.rs",
+                "crates/crf/src/potentials.rs",
                 "crates/crf/src/coloring.rs",
                 "crates/crf/src/partition.rs",
                 "crates/crf/src/graph.rs",
