@@ -211,6 +211,13 @@ impl GibbsScratch {
     pub fn new() -> Self {
         GibbsScratch::default()
     }
+
+    /// Sync the coloring to `model` as the next E-step would, reporting
+    /// how: the specs read whether a scratch arrived warm.
+    #[cfg(test)]
+    pub(crate) fn sync_coloring(&mut self, model: &CrfModel) -> crate::coloring::ColorRefresh {
+        self.coloring.sync(model)
+    }
 }
 
 /// Precomputed component metadata for the scheduled sweep. The

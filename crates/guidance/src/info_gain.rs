@@ -20,12 +20,13 @@
 //!   iteration's E-step; its trailing M-step only re-estimates weights,
 //!   which neither entropy reads. Such candidates are scored through
 //!   [`Icrf::hypothetical_estep`]: no engine clone, no M-step, and one
-//!   Gibbs scratch per worker whose per-claim evidence every hypothesis
-//!   after the first finds already built. The exact entropy reads the
+//!   Gibbs scratch per worker, copied from the engine's own
+//!   ([`Icrf::estep_scratch`]), so every hypothesis finds the coloring and
+//!   the per-claim evidence already built. The exact entropy reads the
 //!   re-estimated weights, and several iterations need M-steps between
 //!   E-steps, so both keep running the full hypothetical engine
-//!   ([`hypothetical_run`]), which is also the spec the borrowed path is
-//!   tested against.
+//!   ([`hypothetical_run`]), a clone that carries the same warm scratch;
+//!   it is also the spec the borrowed path is tested against.
 //!
 //! Opposing claims need no separate ranking: confirming `c` and refuting
 //! `¬c` induce the same conditional entropies (§4.2), which our single-bit
@@ -114,13 +115,18 @@ pub(crate) fn expected_over_estep(
 
 /// Score every candidate with `score`, in the candidates' order, on up to
 /// `threads` scoped worker threads (§5.1). Each worker lends one Gibbs
-/// scratch to all of its score calls.
-pub(crate) fn score_candidates<F>(candidates: &[VarId], threads: usize, score: F) -> Vec<f64>
+/// scratch, a copy of `icrf`'s synced one, to all of its score calls.
+pub(crate) fn score_candidates<F>(
+    icrf: &Icrf,
+    candidates: &[VarId],
+    threads: usize,
+    score: F,
+) -> Vec<f64>
 where
     F: Fn(VarId, &mut GibbsScratch) -> f64 + Sync,
 {
     let score_chunk = |chunk: &[VarId]| {
-        let mut scratch = GibbsScratch::new();
+        let mut scratch = icrf.estep_scratch();
         chunk
             .iter()
             .map(|&c| score(c, &mut scratch))
@@ -156,11 +162,11 @@ pub fn info_gains(
 ) -> Vec<f64> {
     let h_base = database_entropy_of(icrf, mode);
     if mode == EntropyMode::Approximate && borrows_estep(icrf, em_iters) {
-        score_candidates(candidates, threads, |c, scratch| {
+        score_candidates(icrf, candidates, threads, |c, scratch| {
             h_base - expected_over_estep(icrf, c, scratch, |r| entropy::claim_entropy(&r.marginals))
         })
     } else {
-        score_candidates(candidates, threads, |c, _| {
+        score_candidates(icrf, candidates, threads, |c, _| {
             h_base - conditional_entropy(icrf, c, mode, em_iters)
         })
     }

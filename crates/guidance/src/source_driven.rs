@@ -44,7 +44,7 @@ pub fn source_gains(
 ) -> Vec<f64> {
     let h_base = source_trust_entropy(icrf.model(), grounding);
     if borrows_estep(icrf, em_iters) {
-        score_candidates(candidates, threads, |c, scratch| {
+        score_candidates(icrf, candidates, threads, |c, scratch| {
             h_base
                 - expected_over_estep(icrf, c, scratch, |r| {
                     let grounding = mode_configuration(&r.samples, icrf.partition());
@@ -52,7 +52,7 @@ pub fn source_gains(
                 })
         })
     } else {
-        score_candidates(candidates, threads, |c, _| {
+        score_candidates(icrf, candidates, threads, |c, _| {
             h_base - conditional_source_entropy(icrf, c, em_iters)
         })
     }

@@ -1,7 +1,8 @@
 //! The borrowed E-step is an optimisation, not a new estimator: scored
 //! through [`Icrf::hypothetical_estep`], the information gains must equal
 //! the per-candidate hypothetical-engine spec bit for bit, at any thread
-//! count, on warm, never-run, and stale-snapshot engines alike.
+//! count, on warm, never-run, and stale-snapshot engines alike, whether
+//! the Gibbs scratch is copied from the engine or brand new.
 
 use crf::bitset::Bitset;
 use crf::entropy::{source_trust_entropy, EntropyMode};
@@ -122,22 +123,28 @@ fn check(seed: u64, label_share: f64, size: usize, threads: usize, kind: Engine)
     let fast = source_gains(&icrf, &grounding, &candidates, 1, threads);
     assert_eq!(bits(&fast), bits(&spec), "source_gains, {ctx}");
 
-    // The E-step itself, through one scratch shared by every hypothesis.
-    let mut scratch = GibbsScratch::new();
+    // The E-step itself, through one scratch seeded from the engine's and
+    // shared by every hypothesis, and on a brand-new scratch per
+    // hypothesis: the spec's clone starts warm too, so the cold leg is the
+    // reference that the warm start changes nothing.
+    let mut scratch = icrf.estep_scratch();
     for &c in &candidates {
         for value in [true, false] {
             let spec = hypothetical_run(&icrf, c, value, 1);
-            let r = icrf.hypothetical_estep(c, value, &mut scratch);
-            assert_eq!(
-                bits(&r.marginals),
-                bits(spec.probs()),
-                "marginals of {c:?}={value}, {ctx}"
-            );
-            assert_eq!(
-                r.samples,
-                spec.last_samples(),
-                "samples of {c:?}={value}, {ctx}"
-            );
+            let warm = icrf.hypothetical_estep(c, value, &mut scratch);
+            let cold = icrf.hypothetical_estep(c, value, &mut GibbsScratch::new());
+            for (r, leg) in [(warm, "warm"), (cold, "cold")] {
+                assert_eq!(
+                    bits(&r.marginals),
+                    bits(spec.probs()),
+                    "{leg} marginals of {c:?}={value}, {ctx}"
+                );
+                assert_eq!(
+                    r.samples,
+                    spec.last_samples(),
+                    "{leg} samples of {c:?}={value}, {ctx}"
+                );
+            }
         }
     }
 }
