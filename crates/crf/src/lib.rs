@@ -17,12 +17,15 @@
 //! * exact (per connected component) and linear-time approximate entropy of
 //!   the probabilistic fact database ([`entropy`]),
 //! * connected-component partitioning of the claim graph ([`partition`]),
-//!   maintained incrementally under streaming growth, and
+//!   computed from one model snapshot, and
 //! * versioned shared access to a growable model ([`handle`]): a
 //!   [`handle::ModelHandle`] lets streaming arrivals splice new claims,
 //!   documents, sources, and cliques into the live factor graph
-//!   ([`graph::ModelDelta`] / [`graph::CrfModel::apply`]) while every
-//!   model-keyed cache patches forward instead of rebuilding.
+//!   ([`graph::ModelDelta`] / [`graph::CrfModel::apply`]). Per-claim state
+//!   (probabilities, labels) is carried forward or relocated through the
+//!   compaction remap; structures derived from the model (the partition,
+//!   the E-step's claim evidence, the M-step's training set) are rebuilt
+//!   from the new snapshot.
 //!
 //! The crate is deliberately self-contained: it knows nothing about how
 //! sources, documents, and claims are produced (see the `factdb` crate) nor
@@ -32,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod bitset;
-pub mod coloring;
 pub mod em;
 pub mod entropy;
 pub mod gibbs;
@@ -45,7 +47,6 @@ pub mod partition;
 pub mod potentials;
 
 pub use bitset::Bitset;
-pub use coloring::{ColorRefresh, Coloring, NO_COLOR};
 pub use em::{Icrf, IcrfConfig, IcrfState, IcrfStats};
 pub use gibbs::{GibbsConfig, GibbsResult, GibbsSampler};
 pub use graph::{

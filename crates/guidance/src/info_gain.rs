@@ -21,8 +21,8 @@
 //!   which neither entropy reads. Such candidates are scored through
 //!   [`Icrf::hypothetical_estep`]: no engine clone, no M-step, and one
 //!   Gibbs scratch per worker, copied from the engine's own
-//!   ([`Icrf::estep_scratch`]), so every hypothesis finds the coloring and
-//!   the per-claim evidence already built. The exact entropy reads the
+//!   ([`Icrf::estep_scratch`]), so every hypothesis finds the per-claim
+//!   evidence already built. The exact entropy reads the
 //!   re-estimated weights, and several iterations need M-steps between
 //!   E-steps, so both keep running the full hypothetical engine
 //!   ([`hypothetical_run`]), a clone that carries the same warm scratch;

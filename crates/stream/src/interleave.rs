@@ -222,7 +222,7 @@ mod tests {
     }
 
     /// The streaming arrival path is reproducible end to end under the
-    /// color-major (chromatic) schedule that every E-step runs.
+    /// component-scheduled E-step.
     #[test]
     fn streaming_sequence_is_deterministic_under_chromatic_schedule() {
         let ds = factdb::DatasetPreset::WikiMini.generate();
@@ -239,7 +239,7 @@ mod tests {
         };
         let a = mk();
         assert!(!a.is_empty());
-        assert_eq!(a, mk(), "chromatic streaming run must be reproducible");
+        assert_eq!(a, mk(), "streaming run must be reproducible");
     }
 
     #[test]

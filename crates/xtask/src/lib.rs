@@ -148,7 +148,6 @@ impl Config {
             d1_paths: s(&[
                 "crates/crf/src/gibbs.rs",
                 "crates/crf/src/potentials.rs",
-                "crates/crf/src/coloring.rs",
                 "crates/crf/src/partition.rs",
                 "crates/crf/src/graph.rs",
                 "crates/crf/src/handle.rs",

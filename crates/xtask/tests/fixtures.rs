@@ -33,16 +33,6 @@ fn d1_is_silent_outside_the_determinism_critical_scope() {
     assert_eq!(spans(&f), vec![]);
 }
 
-/// The chromatic schedule's coloring module is determinism-critical: its
-/// greedy assignment is part of the sampler's executable spec, so a hash
-/// container sneaking in there must be flagged exactly like in gibbs.rs.
-#[test]
-fn d1_covers_the_coloring_module() {
-    let src = fixture("d1_bad.rs");
-    let f = analyze_source("crates/crf/src/coloring.rs", &src, &Config::workspace());
-    assert_eq!(spans(&f), vec![("D1", 6), ("D1", 14), ("D1", 25)]);
-}
-
 #[test]
 fn d1_markers_suppress_only_with_a_justification() {
     let src = fixture("d1_justified.rs");
