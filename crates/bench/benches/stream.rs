@@ -334,7 +334,6 @@ fn quick_recovery_smoke() {
     let policy = || RetentionPolicy {
         window: Some(window),
         compact_threshold: 0.25,
-        ..RetentionPolicy::unbounded()
     };
     let seed = || -> CrfModel { serde_json::from_str(&json).unwrap() };
 
@@ -505,7 +504,6 @@ fn recovery_ms(json: &str, records: usize) -> f64 {
         RetentionPolicy {
             window: Some(40),
             compact_threshold: 0.25,
-            ..RetentionPolicy::unbounded()
         },
         config.clone(),
     )
@@ -586,7 +584,6 @@ fn checkpoint_economy() -> CheckpointEconomy {
         RetentionPolicy {
             window: Some(window),
             compact_threshold: 0.25,
-            ..RetentionPolicy::unbounded()
         },
         config.clone(),
     )
@@ -649,7 +646,6 @@ fn quick_crash_matrix() {
     let policy = || RetentionPolicy {
         window: Some(4),
         compact_threshold: 0.25,
-        ..RetentionPolicy::unbounded()
     };
     let snap = |c: &StreamingChecker| {
         (

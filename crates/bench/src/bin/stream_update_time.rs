@@ -7,7 +7,7 @@
 //! order as one offline iteration (Prop. 2 vs Prop. 3).
 
 use evalkit::Table;
-use streamcheck::{OnlineEmConfig, StreamingChecker};
+use streamcheck::{OnlineEmConfig, Replay, StreamingChecker};
 
 fn main() {
     let scale = bench::scale_from_args();
@@ -18,10 +18,12 @@ fn main() {
     for preset in bench::presets(scale) {
         let (_ds, model) = bench::load(preset);
         let n = model.n_claims();
-        let mut checker = StreamingChecker::try_new(model, OnlineEmConfig::default()).unwrap();
+        let order = (0..n as u32).map(crf::VarId).collect();
+        let (mut replay, seed) = Replay::start(model, order).unwrap();
+        let mut checker = StreamingChecker::try_new(seed, OnlineEmConfig::default()).unwrap();
         let mut times = Vec::with_capacity(n);
-        for c in 0..n {
-            let stats = checker.arrive(crf::VarId(c as u32));
+        while let Some(delta) = replay.next_delta(checker.model()) {
+            let stats = checker.arrive_new(delta).unwrap();
             times.push(stats.elapsed.as_secs_f64() * 1000.0);
         }
         times.sort_by(|a, b| a.partial_cmp(b).unwrap());

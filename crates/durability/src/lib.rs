@@ -85,7 +85,7 @@
 //!
 //! # Recovery and the bit-identity contract
 //!
-//! Recovery (`StreamingChecker::recover` in the `stream` crate) assembles
+//! Recovery (`DurableChecker::recover` in the `stream` crate) assembles
 //! the newest **intact chain** — newest valid full checkpoint, then each
 //! increment whose stored parent LSN links it to the chain, skipping
 //! corrupt or unlinked files — opens the log, trims its torn tail

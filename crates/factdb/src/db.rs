@@ -204,21 +204,21 @@ impl FactDatabase {
     }
 
     /// Emit a [`ModelDelta`] covering every record added to this database
-    /// since `model` was last synchronised from it — the streaming bridge
-    /// between the record store and the live factor graph. The model's
-    /// **lifetime** ingestion counters ([`CrfModel::ingested_claims`] &
-    /// co.) define the sync point, so retirement — which shrinks the live
-    /// counts but not the lifetime ones — never causes records to be
-    /// re-emitted; a model *ahead* of the database is rejected with
-    /// [`ModelError::OutOfSync`].
+    /// since `map` was last committed — the streaming bridge between the
+    /// record store and the live factor graph. `map` carries the db-id →
+    /// model-id correspondence across the renumberings of a lineage that
+    /// retires and compacts. Returns the delta plus the successor map;
+    /// commit the successor only after the delta applied. A map *ahead* of
+    /// the database (it covers records the database does not hold) is
+    /// rejected with [`ModelError::OutOfSync`], and a map that slept
+    /// through two compactions with [`ModelError::Remapped`] (only the
+    /// latest remap is retained).
     ///
-    /// Retirement symmetry: document–claim links pointing at claims the
-    /// model has retired are dropped (the model no longer accepts evidence
-    /// for them), as are documents whose source retired. This keeps db ids
-    /// aligned with model ids, which only holds while the model has never
-    /// **compacted** — after a compaction the ids are renumbered and this
-    /// method refuses with [`ModelError::Remapped`]; sync through a
-    /// [`SyncMap`] instead ([`Self::sync_delta_mapped`]).
+    /// Retirement symmetry: links to retired or dropped claims are
+    /// dropped, as are documents whose source retired, and documents with
+    /// no surviving links are skipped entirely — their feature rows never
+    /// enter the model, which is the memory-respecting behaviour a
+    /// windowed stream wants. Retired records are never re-emitted.
     ///
     /// Feature rows for the new records are standardised against the
     /// statistics of the **current** corpus; rows already in the model keep
@@ -226,65 +226,6 @@ impl FactDatabase {
     /// growing corpus would require rewriting history — the drift vanishes
     /// as the corpus grows and is irrelevant to the graph structure, which
     /// is identical to a one-shot build.
-    pub fn sync_delta(&self, model: &CrfModel) -> Result<ModelDelta, ModelError> {
-        if model.compactions() > 0 {
-            return Err(ModelError::Remapped {
-                model: model.compactions(),
-                synced: 0,
-            });
-        }
-        for (entity, in_model, upstream) in [
-            ("source", model.ingested_sources(), self.n_sources()),
-            ("claim", model.ingested_claims(), self.n_claims()),
-            ("document", model.ingested_docs(), self.n_documents()),
-        ] {
-            if in_model > upstream {
-                return Err(ModelError::OutOfSync {
-                    entity,
-                    model: in_model,
-                    upstream,
-                });
-            }
-        }
-        let sf = features::source_features(self);
-        let df = features::doc_features(self);
-        let mut delta = ModelDelta::for_model(model);
-        for i in model.ingested_sources()..self.n_sources() {
-            delta.add_source(
-                &sf[i * features::N_SOURCE_FEATURES..(i + 1) * features::N_SOURCE_FEATURES],
-            )?;
-        }
-        for _ in model.ingested_claims()..self.n_claims() {
-            delta.add_claim();
-        }
-        for i in model.ingested_docs()..self.n_documents() {
-            let doc = &self.documents[i];
-            // The document row is always added (the sync point counts it);
-            // links to retired claims — and all links of a retired source —
-            // are dropped: expired evidence stays expired.
-            let d = delta.add_document(
-                &df[i * features::N_DOC_FEATURES..(i + 1) * features::N_DOC_FEATURES],
-            )?;
-            if (doc.source.idx()) < model.n_sources() && !model.source_live(doc.source.idx()) {
-                continue;
-            }
-            for (c, stance) in &doc.claims {
-                if c.idx() < model.n_claims() && !model.claim_live(c.idx()) {
-                    continue;
-                }
-                delta.add_clique(crf::VarId(c.0), d, doc.source.0, *stance);
-            }
-        }
-        Ok(delta)
-    }
-
-    /// Like [`Self::sync_delta`], but for a model lineage that retires
-    /// *and compacts*: `map` carries the db-id → model-id correspondence
-    /// across renumberings. Returns the delta plus the successor map;
-    /// commit the successor only after the delta applied. Links to retired or
-    /// dropped claims are dropped, and documents with no surviving links
-    /// are skipped entirely — their feature rows never enter the model,
-    /// which is the memory-respecting behaviour a windowed stream wants.
     pub fn sync_delta_mapped(
         &self,
         model: &CrfModel,
@@ -292,15 +233,18 @@ impl FactDatabase {
     ) -> Result<(ModelDelta, SyncMap), ModelError> {
         let mut next = map.clone();
         next.catch_up(model)?;
-        if next.claims.len() > self.n_claims()
-            || next.sources.len() > self.n_sources()
-            || next.docs_synced > self.n_documents()
-        {
-            return Err(ModelError::OutOfSync {
-                entity: "record",
-                model: next.docs_synced,
-                upstream: self.n_documents(),
-            });
+        for (entity, in_map, upstream) in [
+            ("source", next.sources.len(), self.n_sources()),
+            ("claim", next.claims.len(), self.n_claims()),
+            ("document", next.docs_synced, self.n_documents()),
+        ] {
+            if in_map > upstream {
+                return Err(ModelError::OutOfSync {
+                    entity,
+                    model: in_map,
+                    upstream,
+                });
+            }
         }
         let sf = features::source_features(self);
         let df = features::doc_features(self);
@@ -574,15 +518,16 @@ mod tests {
         assert!(matches!(db.to_crf_model(), Err(ModelError::Empty)));
     }
 
-    /// `sync_delta` grafts the records added since the model was built:
+    /// The sync grafts the records added since the model was built:
     /// identical graph structure to rebuilding from the full database, and
     /// the model's revision advances while its lineage id stays.
     #[test]
     fn sync_into_grafts_new_records() {
         let mut db = sample_db();
         let mut model = db.to_crf_model().unwrap();
+        let map = SyncMap::for_built_model(&db, &model).unwrap();
         let id = model.model_id();
-        let delta = db.sync_delta(&model).unwrap();
+        let (delta, map) = db.sync_delta_mapped(&model, &map).unwrap();
         assert_eq!(model.apply(delta).unwrap(), Revision(0), "no-op sync");
 
         let s2 = db.add_source(source("c.org"));
@@ -594,7 +539,7 @@ mod tests {
         })
         .unwrap();
 
-        let delta = db.sync_delta(&model).unwrap();
+        let (delta, _) = db.sync_delta_mapped(&model, &map).unwrap();
         assert_eq!(model.apply(delta).unwrap(), Revision(1));
         assert_eq!(model.model_id(), id);
         let fresh = db.to_crf_model().unwrap();
@@ -622,17 +567,17 @@ mod tests {
         assert_eq!(model.doc_feature_row(2), fresh.doc_feature_row(2));
     }
 
-    /// A model ahead of the database (e.g. synced from a different store)
+    /// A map ahead of the database (e.g. built against a different store)
     /// is rejected instead of silently duplicating records.
     #[test]
-    fn sync_rejects_model_ahead_of_database() {
+    fn sync_rejects_map_ahead_of_database() {
         let db = sample_db();
-        let mut model = db.to_crf_model().unwrap();
-        let mut delta = ModelDelta::for_model(&model);
-        delta.add_claim();
-        model.apply(delta).unwrap();
+        let mut other = db.clone();
+        other.add_claim(claim("claim two", true));
+        let model = other.to_crf_model().unwrap();
+        let map = SyncMap::for_built_model(&other, &model).unwrap();
         assert!(matches!(
-            db.sync_delta(&model),
+            db.sync_delta_mapped(&model, &map),
             Err(ModelError::OutOfSync {
                 entity: "claim",
                 model: 3,
@@ -641,13 +586,14 @@ mod tests {
         ));
     }
 
-    /// Retirement symmetry of the plain sync: lifetime counters keep the
-    /// sync point, so retired records are never re-emitted, and new
-    /// evidence for retired claims is dropped instead of rejected.
+    /// Retirement symmetry: the map keeps the sync point, so retired
+    /// records are never re-emitted, and new evidence for retired claims
+    /// is dropped instead of rejected.
     #[test]
     fn sync_survives_retirement_without_reemitting() {
         let mut db = sample_db();
         let mut model = db.to_crf_model().unwrap();
+        let map = SyncMap::for_built_model(&db, &model).unwrap();
         let mut set = crf::RetireSet::for_model(&model);
         set.retire_claim(crf::VarId(1));
         model.retire(set).unwrap();
@@ -655,7 +601,8 @@ mod tests {
         // No new records: the sync is a no-op even though the live counts
         // now lag the database's.
         let rev = model.revision();
-        assert_eq!(model.apply(db.sync_delta(&model).unwrap()).unwrap(), rev);
+        let (delta, map) = db.sync_delta_mapped(&model, &map).unwrap();
+        assert_eq!(model.apply(delta).unwrap(), rev);
         assert_eq!(model.n_live_claims(), 1);
 
         // A new document citing both the retired claim and a live one:
@@ -668,16 +615,18 @@ mod tests {
         })
         .unwrap();
         let before = model.cliques().len();
-        model.apply(db.sync_delta(&model).unwrap()).unwrap();
+        let (delta, map) = db.sync_delta_mapped(&model, &map).unwrap();
+        model.apply(delta).unwrap();
         assert_eq!(model.cliques().len(), before + 1, "retired link dropped");
         assert_eq!(model.ingested_docs(), 3);
         // Syncing again re-emits nothing.
         let rev = model.revision();
-        assert_eq!(model.apply(db.sync_delta(&model).unwrap()).unwrap(), rev);
+        let (delta, _) = db.sync_delta_mapped(&model, &map).unwrap();
+        assert_eq!(model.apply(delta).unwrap(), rev);
     }
 
-    /// After a compaction the raw-id sync refuses; the mapped sync keeps
-    /// the correspondence across the renumbering.
+    /// The map keeps the correspondence across a compaction's
+    /// renumbering.
     #[test]
     fn mapped_sync_tracks_ids_across_compaction() {
         let mut db = sample_db();
@@ -688,13 +637,6 @@ mod tests {
         set.retire_claim(crf::VarId(0));
         model.retire(set).unwrap();
         model.compact().unwrap();
-        assert!(matches!(
-            db.sync_delta(&model),
-            Err(ModelError::Remapped {
-                model: 1,
-                synced: 0
-            })
-        ));
 
         // New records: a document about the surviving claim and a new one.
         let s2 = db.add_source(source("c.org"));
@@ -829,6 +771,7 @@ mod tests {
     fn standardisation_log_matches_full_refeaturise_per_epoch() {
         let mut db = sample_db();
         let mut model = db.to_crf_model().unwrap();
+        let mut map = SyncMap::for_built_model(&db, &model).unwrap();
         let mut snapshots = vec![db.clone()]; // db state per sync epoch
         let mut source_epoch = vec![0; db.n_sources()];
         let mut doc_epoch = vec![0; db.n_documents()];
@@ -842,7 +785,9 @@ mod tests {
                 tokens: vec!["because".into(), "therefore".into(), format!("w{step}")],
             })
             .unwrap();
-            model.apply(db.sync_delta(&model).unwrap()).unwrap();
+            let (delta, next) = db.sync_delta_mapped(&model, &map).unwrap();
+            model.apply(delta).unwrap();
+            map = next;
             source_epoch.resize(db.n_sources(), snapshots.len());
             doc_epoch.resize(db.n_documents(), snapshots.len());
             snapshots.push(db.clone());

@@ -19,7 +19,7 @@ use crate::publish::{PublishCell, Published};
 use crate::query::QueryHandle;
 use crf::graph::{ModelDelta, ModelError};
 use std::sync::Arc;
-use streamcheck::{ArrivalStats, DurableChecker, DurableError, ExpiryStats, StreamingChecker};
+use streamcheck::{ArrivalStats, DurableChecker, DurableError, StreamingChecker};
 
 /// An ingest error surfaced through the serving layer.
 #[derive(Debug)]
@@ -58,10 +58,9 @@ impl From<DurableError> for ServeError {
 /// derived from. Implemented by the volatile checker and the durable
 /// (WAL-backed) one, so a server is generic over crash safety.
 pub trait IngestBackend {
-    /// Ingest one arrival batch (see [`StreamingChecker::arrive_new`]).
+    /// Ingest one arrival batch and run the retention sweep riding on it
+    /// (see [`StreamingChecker::arrive_new`]).
     fn arrive_new(&mut self, delta: ModelDelta) -> Result<ArrivalStats, ServeError>;
-    /// Run one retention sweep (see [`StreamingChecker::expire_old`]).
-    fn expire_old(&mut self) -> Result<ExpiryStats, ServeError>;
     /// The checker whose state gets published.
     fn checker(&self) -> &StreamingChecker;
 }
@@ -69,9 +68,6 @@ pub trait IngestBackend {
 impl IngestBackend for StreamingChecker {
     fn arrive_new(&mut self, delta: ModelDelta) -> Result<ArrivalStats, ServeError> {
         StreamingChecker::arrive_new(self, delta).map_err(ServeError::from)
-    }
-    fn expire_old(&mut self) -> Result<ExpiryStats, ServeError> {
-        StreamingChecker::expire_old(self).map_err(ServeError::from)
     }
     fn checker(&self) -> &StreamingChecker {
         self
@@ -81,9 +77,6 @@ impl IngestBackend for StreamingChecker {
 impl IngestBackend for DurableChecker {
     fn arrive_new(&mut self, delta: ModelDelta) -> Result<ArrivalStats, ServeError> {
         DurableChecker::arrive_new(self, delta).map_err(ServeError::from)
-    }
-    fn expire_old(&mut self) -> Result<ExpiryStats, ServeError> {
-        DurableChecker::expire_old(self).map_err(ServeError::from)
     }
     fn checker(&self) -> &StreamingChecker {
         DurableChecker::checker(self)
@@ -164,19 +157,6 @@ impl<B: IngestBackend> TruthServer<B> {
         Ok(stats)
     }
 
-    /// Run one retention sweep through the backend, republishing if the
-    /// sweep changed the model (retirement or compaction bump the
-    /// revision; readers must not keep seeing retired claims as live
-    /// longer than the publication cadence implies).
-    pub fn expire_old(&mut self) -> Result<ExpiryStats, ServeError> {
-        let before = self.backend.checker().model().revision();
-        let stats = self.backend.expire_old()?;
-        if self.backend.checker().model().revision() != before {
-            self.publish();
-        }
-        Ok(stats)
-    }
-
     /// Derive and swap in a fresh [`Published`] state right now,
     /// regardless of cadence.
     // rev-ok: publish copies the checker's pinned model and its revision
@@ -225,19 +205,14 @@ impl<B: IngestBackend> TruthServer<B> {
     }
 
     /// Mutable access to the ingest backend — for maintenance outside the
-    /// serving loop (checkpointing a durable backend, tuning retention).
-    /// Edits made here are not auto-published; the revision readers see
-    /// advances on the next [`TruthServer::publish`] / cadence point.
+    /// serving loop (checkpointing a durable backend, tuning retention,
+    /// exchanging parameters). Changes made here are not auto-published;
+    /// readers see them at the next [`TruthServer::publish`] / cadence
+    /// point.
     // rev-ok: deliberately defers the revision swap to publish(), which
     // copies the checker's pinned model and its revision into the state.
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.backend
-    }
-
-    /// Tear down into the backend (e.g. to checkpoint and close a durable
-    /// lineage after serving stops).
-    pub fn into_backend(self) -> B {
-        self.backend
     }
 }
 
@@ -332,7 +307,6 @@ mod tests {
         srv.backend_mut().set_retention(RetentionPolicy {
             window: Some(3),
             compact_threshold: 0.0,
-            ..RetentionPolicy::unbounded()
         });
         for k in 0..10 {
             ingest_one(&mut srv, k);
@@ -345,38 +319,19 @@ mod tests {
     }
 
     #[test]
-    fn expire_old_republishes_only_on_change() {
-        let mut srv = server();
-        let before = srv.cell.epoch();
-        srv.expire_old().unwrap();
-        assert_eq!(srv.cell.epoch(), before, "no-op sweep must not republish");
-        for k in 0..5 {
-            ingest_one(&mut srv, k);
-        }
-        srv.backend_mut()
-            .set_retention(RetentionPolicy::sliding_window(2));
-        let epoch = srv.cell.epoch();
-        let stats = srv.expire_old().unwrap();
-        assert!(stats.retired_claims > 0);
-        assert_eq!(srv.cell.epoch(), epoch + 1);
-        assert_published_consistent(&srv.published());
-    }
-
-    #[test]
     fn reader_queries_match_offline_recomputation() {
         let mut srv = server();
         for k in 0..6 {
             ingest_one(&mut srv, k);
         }
-        // Retire the oldest claims but keep their tombstones: a threshold of
-        // 1.0 defers compaction, so retired ids stay in range and dead.
+        // Retire the oldest claims at the next arrival but keep their
+        // tombstones: a threshold of 1.0 defers compaction, so retired ids
+        // stay in range and dead.
         srv.backend_mut().set_retention(RetentionPolicy {
             window: Some(3),
-            retire_orphan_sources: false,
             compact_threshold: 1.0,
-            ..RetentionPolicy::unbounded()
         });
-        srv.expire_old().unwrap();
+        ingest_one(&mut srv, 6);
         let reader = srv.reader();
         let p = srv.published();
         assert_eq!(p.compactions, 0, "threshold 1.0 must defer compaction");
@@ -451,13 +406,13 @@ mod tests {
             assert_eq!(step.at.compactions, 0);
         }
 
-        // Force exactly one retire+compact cycle.
+        // Force exactly one retire+compact cycle: the sweep of the next
+        // arrival.
         srv.backend_mut().set_retention(RetentionPolicy {
             window: Some(3),
             compact_threshold: 0.0,
-            ..RetentionPolicy::unbounded()
         });
-        srv.expire_old().unwrap();
+        ingest_one(&mut srv, 6);
         let after = reader.snapshot();
         assert_eq!(after.compactions, 1);
         let remap = after.model.remap_since(0).unwrap().unwrap();
@@ -478,7 +433,7 @@ mod tests {
         // Two more compactions without revalidating: the remap chain is
         // gone, so the cursor must refuse rather than guess.
         let mut stale = reader.cursor(vec![VarId(0)]);
-        for k in 6..14 {
+        for k in 7..15 {
             ingest_one(&mut srv, k);
         }
         let now = reader.snapshot();
@@ -513,9 +468,8 @@ mod tests {
         srv.backend_mut().set_retention(RetentionPolicy {
             window: Some(3),
             compact_threshold: 0.0,
-            ..RetentionPolicy::unbounded()
         });
-        srv.expire_old().unwrap();
+        ingest_one(&mut srv, 6);
         let after = reader.snapshot();
         assert_eq!(after.compactions, 1);
         let remap = after.model.remap_since(0).unwrap().unwrap();

@@ -43,7 +43,6 @@ fn seed_server(seed: u64) -> TruthServer<StreamingChecker> {
         .with_retention(RetentionPolicy {
             window: Some(4),
             compact_threshold: 0.0, // compact after every sweep
-            ..RetentionPolicy::unbounded()
         });
     TruthServer::new(checker)
 }

@@ -34,8 +34,7 @@
 //!
 //! # Recovery
 //!
-//! [`DurableChecker::recover`] (or the [`StreamingChecker::recover`]
-//! convenience over a directory) assembles the newest **intact chain**:
+//! [`DurableChecker::recover`] assembles the newest **intact chain**:
 //! the newest full checkpoint that passes its integrity check, plus each
 //! later increment whose stored `parent_lsn` links it to the chain —
 //! corrupt files ([`durability::CorruptCheckpoint`]) and stale or
@@ -52,9 +51,8 @@
 //! * the retire/compact records that sweep regenerated are recognised by
 //!   their base revision already being behind the replayed model and
 //!   skipped;
-//! * everything else (an on-demand [`StreamingChecker::expire_old`]
-//!   sweep, an edit by another holder of the handle) replays through
-//!   [`ModelHandle::edit`].
+//! * everything else (an edit by another holder of the handle) replays
+//!   through [`ModelHandle::edit`].
 //!
 //! The result is **bit-identical** to the uninterrupted run: same model
 //! arrays, same probabilities, same online weights (see the crash tests
@@ -62,10 +60,9 @@
 //! log records the newer (corrupt) checkpoint's rotation already deleted
 //! may be unreachable; recovery then lands on the newest per-arrival
 //! state the intact files cover, discards the unreplayable log suffix,
-//! and reports what it skipped — it never guesses. Only the
-//! true-streaming ingest path is logged — the prebuilt-replay paths
-//! ([`StreamingChecker::arrive`] / [`StreamingChecker::arrive_labelled`])
-//! edit no model and are covered by checkpoints alone.
+//! and reports what it skipped — it never guesses. Every change of the
+//! checker's state is an arrival or the sweep riding on it, so the log
+//! covers the whole lifecycle.
 //!
 //! [`verify_store`] is the offline scrub: it walks every retained
 //! segment and checkpoint, validates frames, CRCs, and the lineage
@@ -73,17 +70,16 @@
 //! the store.
 
 use crate::online_em::{ArrivalStats, OnlineEmConfig, OnlineEmError};
-use crate::stream::{CheckerState, ExpiryStats, RetentionPolicy, StreamingChecker};
+use crate::stream::{CheckerState, RetentionPolicy, StreamingChecker};
 use crf::{
     CrfModel, EditObserver, IdRemap, ModelDelta, ModelEdit, ModelError, ModelHandle, RetireSet,
     Revision,
 };
 use durability::{
-    checkpoint, scrub, CheckpointKind, CorruptCheckpoint, DiskFs, EditLog, LogRecord, Storage,
-    SyncPolicy, WalError,
+    checkpoint, scrub, CheckpointKind, CorruptCheckpoint, EditLog, LogRecord, Storage, SyncPolicy,
+    WalError,
 };
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -542,18 +538,6 @@ impl DurableChecker {
         Ok(stats)
     }
 
-    /// Run an on-demand retention sweep; its edits are logged like any
-    /// others, and a resulting compaction triggers a checkpoint when
-    /// configured.
-    pub fn expire_old(&mut self) -> Result<ExpiryStats, DurableError> {
-        let stats = self.checker.expire_old()?;
-        self.take_log_error()?;
-        if self.config.checkpoint_on_compact && stats.compacted {
-            self.checkpoint()?;
-        }
-        Ok(stats)
-    }
-
     /// Publish a **full** checkpoint of the complete current state,
     /// rotate the log behind it, and prune every superseded checkpoint
     /// file (older fulls, all increments). Returns the LSN the checkpoint
@@ -679,15 +663,6 @@ impl DurableChecker {
         &self.checker
     }
 
-    /// Mutable access to the wrapped checker. Model edits made through it
-    /// (its handle) are still logged — the observer hangs off the handle,
-    /// not off this wrapper. The prebuilt-replay arrival paths, however,
-    /// edit no model and are therefore only as durable as the last
-    /// checkpoint.
-    pub fn checker_mut(&mut self) -> &mut StreamingChecker {
-        &mut self.checker
-    }
-
     /// The backing store.
     pub fn storage(&self) -> &Arc<dyn Storage> {
         &self.storage
@@ -787,20 +762,6 @@ pub fn verify_store(storage: &Arc<dyn Storage>) -> Result<StoreReport, DurableEr
     Ok(report)
 }
 
-impl StreamingChecker {
-    /// Recover a crashed durable checker from the files under `dir` —
-    /// the directory-backed convenience over [`DurableChecker::recover`]
-    /// with a [`DiskFs`] store.
-    pub fn recover(
-        dir: impl AsRef<Path>,
-        online: OnlineEmConfig,
-        config: DurabilityConfig,
-    ) -> Result<DurableChecker, DurableError> {
-        let storage: Arc<dyn Storage> = Arc::new(DiskFs::open(dir.as_ref())?);
-        DurableChecker::recover(storage, online, config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,7 +831,6 @@ mod tests {
         let policy = || RetentionPolicy {
             window: Some(4),
             compact_threshold: 0.2,
-            ..RetentionPolicy::unbounded()
         };
         let total = 17;
 
@@ -1017,6 +977,95 @@ mod tests {
         assert_bit_identical(recovered.checker(), &reference);
     }
 
+    /// The fields of the object stored under `name` among `fields`.
+    fn object_field<'a>(
+        fields: &'a mut [(String, serde::Value)],
+        name: &str,
+    ) -> &'a mut Vec<(String, serde::Value)> {
+        match fields.iter_mut().find(|(k, _)| k == name) {
+            Some((_, serde::Value::Object(inner))) => inner,
+            _ => panic!("no object field `{name}`"),
+        }
+    }
+
+    /// A checkpoint written while the checker state still carried its
+    /// `visible` mirror, and the retention policy its live-claim cap and
+    /// orphan-source switch, still recovers: fields are read by name and
+    /// unknown ones are ignored.
+    #[test]
+    fn checkpoint_with_retired_fields_still_recovers() {
+        let json = seed_json();
+        let policy = RetentionPolicy {
+            window: Some(4),
+            compact_threshold: 0.2,
+        };
+        let total = 9;
+        let mut reference = StreamingChecker::try_new(seed(&json), OnlineEmConfig::default())
+            .unwrap()
+            .with_retention(policy.clone());
+        for k in 0..total {
+            let delta = arrival_delta(&reference, k);
+            reference.arrive_new(delta).unwrap();
+        }
+
+        let mem = MemFs::new();
+        let config = DurabilityConfig {
+            sync_policy: SyncPolicy::PerRecord,
+            checkpoint_every: None,
+            checkpoint_on_compact: false,
+            full_every: 1,
+        };
+        let mut durable = DurableChecker::create(
+            Arc::new(mem.clone()),
+            seed(&json),
+            OnlineEmConfig::default(),
+            policy,
+            config.clone(),
+        )
+        .unwrap();
+        for k in 0..5 {
+            let delta = arrival_delta(durable.checker(), k);
+            durable.arrive_new(delta).unwrap();
+        }
+        let lsn = durable.checkpoint().unwrap();
+        let n_claims = durable.checker().model().n_claims();
+        drop(durable);
+
+        // Rewrite the checkpoint with the fields the state used to carry.
+        let storage: Arc<dyn Storage> = Arc::new(mem.survivor(true));
+        let full = checkpoint::entries(&storage)
+            .unwrap()
+            .into_iter()
+            .find(|e| e.kind == CheckpointKind::Full && e.lsn == lsn)
+            .unwrap();
+        let mut state: serde::Value = checkpoint::read(&storage, &full.name).unwrap();
+        let serde::Value::Object(top) = &mut state else {
+            panic!("checkpoint payload is not an object")
+        };
+        let checker = object_field(top, "checker");
+        checker.push((
+            "visible".to_string(),
+            serde::Value::Array(vec![serde::Value::Bool(true); n_claims]),
+        ));
+        let policy = object_field(checker, "policy");
+        policy.push(("max_live_claims".to_string(), serde::Value::Null));
+        policy.push((
+            "retire_orphan_sources".to_string(),
+            serde::Value::Bool(true),
+        ));
+        checkpoint::write(&storage, lsn, &state).unwrap();
+
+        let mut recovered =
+            DurableChecker::recover(storage, OnlineEmConfig::default(), config).unwrap();
+        assert!(recovered.corrupt_checkpoints().is_empty());
+        assert_eq!(recovered.checker().arrivals(), 5);
+        for k in 5..total {
+            let delta = arrival_delta(recovered.checker(), k);
+            recovered.arrive_new(delta).unwrap();
+        }
+        assert_bit_identical(recovered.checker(), &reference);
+    }
+
     /// Recovery from a store that was never initialised refuses cleanly.
     #[test]
     fn recover_without_checkpoint_is_refused() {
@@ -1081,7 +1130,6 @@ mod tests {
             RetentionPolicy {
                 window: Some(3),
                 compact_threshold: 0.2,
-                ..RetentionPolicy::unbounded()
             },
             DurabilityConfig {
                 sync_policy: SyncPolicy::PerRecord,

@@ -9,6 +9,7 @@
 //! produces. This module computes both sequences.
 
 use crate::online_em::OnlineEmConfig;
+use crate::replay::Replay;
 use crate::stream::StreamingChecker;
 use crf::{Icrf, IcrfConfig, ModelHandle, VarId};
 use factcheck::instantiate_grounding;
@@ -86,48 +87,56 @@ pub fn offline_sequence(
     sequence
 }
 
-/// The streaming validation sequence: claims arrive in index order; after
-/// every period, the validation process is invoked on the claims seen so
-/// far, with model parameters provided by the streaming algorithm.
+/// The streaming validation sequence: claims arrive in
+/// [`InterleaveConfig::arrival_order`]; after every period, the validation
+/// process is invoked on the claims arrived so far, with model parameters
+/// provided by the streaming algorithm.
+///
+/// The checker grows its own lineage from a [`Replay`] of the corpus, while
+/// the validation process infers over the whole corpus and selects only
+/// among arrived claims. The two exchange parameters only (Alg. 2 lines 7
+/// and 10).
 pub fn streaming_sequence(
     model: impl Into<ModelHandle>,
     truth: &[bool],
     n_validations: usize,
     config: &InterleaveConfig,
 ) -> Vec<VarId> {
-    // One growable lineage shared by both sides: the checker and the
-    // offline engine hold clones of the same handle, the redesigned
-    // equivalent of the old two-`Arc` plumbing.
-    let handle = model.into();
-    let n = handle.snapshot().n_claims();
-    let mut checker = StreamingChecker::try_new(handle.clone(), config.online.clone())
-        .expect("interleave config validated by caller");
-    let mut icrf = Icrf::new(handle, config.icrf.clone());
-    let mut strategy = HybridStrategy::new(config.ig.clone(), config.seed);
-    let mut user = GroundTruthUser::new(truth.to_vec());
-    let mut sequence = Vec::new();
-
+    let corpus = model.into();
+    let n = corpus.snapshot().n_claims();
     let order: Vec<VarId> = config
         .arrival_order
         .clone()
         .unwrap_or_else(|| (0..n as u32).map(VarId).collect());
-    assert_eq!(order.len(), n, "arrival order must cover every claim");
+    let (mut replay, seed) =
+        Replay::start(corpus.snapshot(), order).expect("a corpus publishes a document");
+    let mut checker = StreamingChecker::try_new(seed, config.online.clone())
+        .expect("interleave config validated by caller");
+    let mut icrf = Icrf::new(corpus, config.icrf.clone());
+    let mut strategy = HybridStrategy::new(config.ig.clone(), config.seed);
+    let mut user = GroundTruthUser::new(truth.to_vec());
+    let mut sequence = Vec::new();
 
     let period = ((n as f64 * config.period_fraction).round() as usize).max(1);
-    for (c, &arriving) in order.iter().enumerate() {
-        checker.arrive(arriving);
-        let arrived = c + 1;
+    for arrived in 1..=n {
+        // The seed model already holds the first arrivals.
+        if arrived > replay.arrived().len() {
+            let delta = replay
+                .next_delta(checker.model())
+                .expect("the order covers every claim");
+            checker
+                .arrive_new(delta)
+                .expect("a replayed arrival applies");
+        }
         if arrived % period != 0 && arrived != n {
             continue;
         }
         // Parameter hand-off from the streaming side (Alg. 2 line 10), then
-        // run the offline inference restricted to what has arrived: claims
-        // not yet seen are pinned away from selection by labelling them as
-        // "invisible" in a scratch view — here we simply restrict the
-        // strategy's choices to visible claims by filtering its ranking.
+        // run the offline inference and restrict the strategy's choices to
+        // the arrived claims by filtering its ranking.
         checker.feed_into(&mut icrf);
         icrf.run();
-        let visible = checker.visible_claims();
+        let visible = &replay.arrived()[..arrived];
         for _ in 0..config.validations_per_period {
             if sequence.len() >= n_validations {
                 break;
@@ -139,7 +148,7 @@ pub fn streaming_sequence(
                     grounding: &grounding,
                     entropy_mode: crf::entropy::EntropyMode::Approximate,
                 };
-                strategy.rank(&ctx, visible.len().max(1))
+                strategy.rank(&ctx, visible.len())
             };
             let Some(claim) = ranked.into_iter().find(|c| visible.contains(c)) else {
                 break;

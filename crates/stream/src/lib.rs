@@ -2,10 +2,11 @@
 //!
 //! Instead of validating a fixed corpus, claims arrive continuously and the
 //! factor graph **grows in place** as they do: each arrival carries a
-//! [`crf::ModelDelta`] that [`stream::StreamingChecker::arrive_new`]
-//! splices into the live model through a shared [`crf::ModelHandle`] — no
-//! rebuild of the model; every holder of the handle brings its partition,
-//! Gibbs scratch and EM state up to the new snapshot. Each of them — and
+//! [`crf::ModelDelta`] that [`stream::StreamingChecker::arrive_new`], the
+//! checker's one way in, splices into the live model through a shared
+//! [`crf::ModelHandle`]. Nothing is rebuilt; every holder of the handle
+//! brings its partition, Gibbs scratch and EM state up to the new
+//! snapshot. Each of them — and
 //! the checker's own per-claim state — asks
 //! [`crf::CrfModel::since`], from the [`crf::SyncPoint`] it last synced
 //! at, whether to patch, relocate or rebuild (the contract in
@@ -22,8 +23,8 @@
 //! Growth alone rules out long-running deployments — every claim ever
 //! ingested would stay hot forever. Retention is therefore a first-class
 //! concern of this crate: a [`stream::RetentionPolicy`] bounds the live
-//! set by arrival recency (a sliding window over the arrival index), by
-//! size (a cap on live claims, oldest first), or both. An expired claim is
+//! set by arrival recency (a sliding window over the arrival index),
+//! swept at every arrival. An expired claim is
 //! *retired* — `O(touched)` tombstoning through [`crf::CrfModel::retire`];
 //! its evidence immediately stops contributing to inference and to the
 //! dynamic source-trust statistic, and sources left serving no live claim
@@ -42,14 +43,14 @@
 //!   (its instance buffer has always been retention-bounded: old arrivals
 //!   decay geometrically and are dropped below a weight floor),
 //! * [`stream`] — [`stream::StreamingChecker`], the Alg. 2 loop that
-//!   ingests arrivals (growing the graph, or replaying a prebuilt corpus
-//!   in posting-time order as §8.8 does — the executable spec of the
-//!   growth path), estimates the credibility of each new claim, runs the
-//!   retention sweep, and exchanges parameters with the offline validation
-//!   process (Alg. 1 / the `factcheck` crate), and
-//! * [`interleave`] — running both algorithms side by side over one shared
-//!   model lineage, producing the validation sequences compared in Table 2,
-//!   and
+//!   ingests arrivals (growing the graph), estimates the credibility of
+//!   each new claim, runs the retention sweep, and exchanges parameters
+//!   with the offline validation process (Alg. 1 / the `factcheck` crate),
+//! * [`replay`] — [`replay::Replay`], a prebuilt corpus cut into arrival
+//!   deltas in posting-time order, as §8.8 replays its corpora,
+//! * [`interleave`] — running both algorithms side by side, the checker on
+//!   a replayed lineage and the validation process on the corpus,
+//!   producing the validation sequences compared in Table 2, and
 //! * [`durable`] — the crash-recoverable wrapper
 //!   ([`durable::DurableChecker`]): every edit ahead-logged through the
 //!   `durability` crate's WAL (per-record, batched, or group-commit fsync
@@ -67,6 +68,7 @@
 pub mod durable;
 pub mod interleave;
 pub mod online_em;
+pub mod replay;
 pub mod stream;
 
 pub use durable::{verify_store, DurabilityConfig, DurableChecker, DurableError, StoreReport};
@@ -74,4 +76,5 @@ pub use interleave::{offline_sequence, streaming_sequence, InterleaveConfig};
 pub use online_em::{
     ArrivalStats, OnlineEm, OnlineEmConfig, OnlineEmError, OnlineEmState, StepSchedule,
 };
-pub use stream::{ExpiryStats, RetentionPolicy, StreamingChecker};
+pub use replay::Replay;
+pub use stream::{RetentionPolicy, StreamingChecker};

@@ -171,7 +171,7 @@ struct WeightedInstance {
 /// counter, and the retained instance set with claim tags and blend
 /// weights. Round-tripping through [`OnlineEm::export_state`] /
 /// [`OnlineEm::restore_state`] resumes the estimator bit-identically: the
-/// next [`OnlineEm::observe`] rebuilds its solver buffers from the
+/// next [`OnlineEm::observe_for_claims`] rebuilds its solver buffers from the
 /// restored instances, and every weight is carried as an exact `f64`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnlineEmState {
@@ -236,30 +236,13 @@ impl OnlineEm {
         self.instances.len()
     }
 
-    /// Incorporate a new arrival: `rows` holds one `(features, soft target)`
-    /// pair per clique of the new claim (Eq. 29's expectation term), then
-    /// re-estimate `W_t` (Eq. 30). Instances ingested this way carry no
-    /// claim tag — they expire only by decay; the streaming checker uses
-    /// [`Self::observe_for_claims`] so retirement can reclaim them early.
-    pub fn observe(&mut self, rows: &[(Vec<f64>, f64)]) -> ArrivalStats {
-        self.ingest(rows.iter().map(|(row, target)| (None, row, *target)))
-    }
-
-    /// [`Self::observe`] with each row tagged by the claim its clique
-    /// belongs to, so a later [`Self::prune_dead_claims`] can drop the
-    /// instances of retired claims instead of waiting for geometric decay
-    /// to push them under the weight floor.
+    /// Incorporate a new arrival: `rows` holds one `(claim, features, soft
+    /// target)` triple per clique of the arrival (Eq. 29's expectation
+    /// term), then re-estimate `W_t` (Eq. 30). The claim tag lets a later
+    /// [`Self::prune_dead_claims`] drop the instances of retired claims
+    /// instead of waiting for geometric decay to push them under the
+    /// weight floor.
     pub fn observe_for_claims(&mut self, rows: &[(u32, Vec<f64>, f64)]) -> ArrivalStats {
-        self.ingest(
-            rows.iter()
-                .map(|(claim, row, target)| (Some(*claim), row, *target)),
-        )
-    }
-
-    fn ingest<'a>(
-        &mut self,
-        rows: impl Iterator<Item = (Option<u32>, &'a Vec<f64>, f64)>,
-    ) -> ArrivalStats {
         // det-ok: feeds elapsed-time telemetry only; no sampled or logged
         // byte depends on it.
         let started = Instant::now();
@@ -275,7 +258,7 @@ impl OnlineEm {
         for (claim, row, target) in rows {
             assert_eq!(row.len(), self.dim, "feature row width mismatch");
             self.instances.push_back(WeightedInstance {
-                claim,
+                claim: Some(*claim),
                 row: row.clone(),
                 target: target.clamp(0.0, 1.0),
                 weight: gamma,
@@ -467,7 +450,7 @@ mod tests {
         for i in 0..300 {
             let x = if i % 2 == 0 { 1.0 } else { -1.0 };
             let y = if x > 0.0 { 1.0 } else { 0.0 };
-            em.observe(&[(vec![1.0, x], y)]);
+            em.observe_for_claims(&[(i, vec![1.0, x], y)]);
         }
         let w = em.weights().as_slice();
         // The L2 regulariser shrinks the decayed-weight objective, so the
@@ -479,9 +462,9 @@ mod tests {
     fn later_updates_move_weights_less() {
         let mut em = OnlineEm::try_new(1, OnlineEmConfig::default()).unwrap();
         let mut deltas = Vec::new();
-        for _ in 0..60 {
+        for i in 0..60 {
             let before = em.weights().clone();
-            em.observe(&[(vec![1.0], 1.0)]);
+            em.observe_for_claims(&[(i, vec![1.0], 1.0)]);
             deltas.push(em.weights().distance(&before));
         }
         let early: f64 = deltas[..10].iter().sum();
@@ -502,8 +485,8 @@ mod tests {
             },
         )
         .unwrap();
-        for _ in 0..500 {
-            em.observe(&[(vec![1.0], 1.0), (vec![-1.0], 0.0)]);
+        for i in 0..500 {
+            em.observe_for_claims(&[(i, vec![1.0], 1.0), (i, vec![-1.0], 0.0)]);
         }
         assert!(em.retained() <= 50);
         assert_eq!(em.arrivals(), 500);
@@ -512,7 +495,7 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         let mut em = OnlineEm::try_new(1, OnlineEmConfig::default()).unwrap();
-        let stats = em.observe(&[(vec![1.0], 0.8)]);
+        let stats = em.observe_for_claims(&[(0, vec![1.0], 0.8)]);
         assert!(stats.gamma > 0.0 && stats.gamma < 1.0);
         assert_eq!(stats.retained_instances, 1);
     }
@@ -527,7 +510,7 @@ mod tests {
     #[test]
     fn empty_arrival_is_safe() {
         let mut em = OnlineEm::try_new(3, OnlineEmConfig::default()).unwrap();
-        let stats = em.observe(&[]);
+        let stats = em.observe_for_claims(&[]);
         assert_eq!(stats.retained_instances, 0);
     }
 
@@ -536,8 +519,9 @@ mod tests {
     #[test]
     fn dead_claims_instances_are_pruned() {
         let mut em = OnlineEm::try_new(1, OnlineEmConfig::default()).unwrap();
+        em.observe_for_claims(&[(3, vec![0.5], 1.0)]);
+        em.clear_claim_tags(); // untagged: decay-only lifetime
         em.observe_for_claims(&[(3, vec![1.0], 1.0), (4, vec![-1.0], 0.0)]);
-        em.observe(&[(vec![0.5], 1.0)]); // untagged: decay-only lifetime
         assert_eq!(em.retained(), 3);
         let dropped = em.prune_dead_claims(|c| c != 3);
         assert_eq!(dropped, 1);

@@ -1,43 +1,36 @@
 //! The streaming checker — the main loop of Alg. 2.
 //!
-//! Claims arrive one at a time with their documents and sources. Two
-//! ingestion paths are supported:
-//!
-//! * **True streaming** ([`StreamingChecker::arrive_new`]) — the arrival
-//!   carries a [`ModelDelta`] and the factor graph **grows in place**
-//!   through the shared [`ModelHandle`]: new sources, documents, claims,
-//!   and cliques are spliced into the live CSR adjacency
-//!   ([`crf::CrfModel::apply`]), and every model-keyed structure catches
-//!   up: the EM training set and per-claim state patch forward, and the
-//!   partition, the Gibbs claim evidence and the component schedule are
-//!   recomputed from the new snapshot. An
-//!   offline validation process holding a clone of the same handle picks
-//!   the growth up on its next inference (Alg. 2 line 10 hands the online
-//!   parameters back the same way as before).
-//! * **Prebuilt replay** ([`StreamingChecker::arrive`]) — the arrival
-//!   order exposes progressively more of an already-built factor graph,
-//!   mirroring how the paper replays corpora "in the order of their
-//!   posting time" (§8.8). Table 2's [`crate::interleave`] runs, the
-//!   `stream_update_time` experiment and the `streaming_news` example
-//!   drive this path; no test holds the growth path against it.
+//! Claims arrive one at a time with their documents and sources, and
+//! [`StreamingChecker::arrive_new`] is the one way in: the arrival carries
+//! a [`ModelDelta`] and the factor graph **grows in place** through the
+//! shared [`ModelHandle`] — new sources, documents, claims, and cliques
+//! are spliced into the live CSR adjacency ([`crf::CrfModel::apply`]),
+//! and every model-keyed structure catches up: the EM training set and
+//! per-claim state patch forward, and the partition, the Gibbs claim
+//! evidence and the component schedule are recomputed from the new
+//! snapshot. An offline validation process holding a clone of the same
+//! handle picks the growth up on its next inference. A prebuilt corpus
+//! replayed in the order of its posting time (§8.8) comes in through
+//! the same door, as deltas cut by [`crate::replay::Replay`].
 //!
 //! For each arrival the checker:
 //!
-//! 1. marks the claim(s) visible (lines 2–6),
-//! 2. receives the current model parameters (line 7 — see
-//!    [`StreamingChecker::exchange_from`]),
-//! 3. estimates each new claim's credibility under the current parameters
+//! 1. splices the claim and its evidence into the model (lines 2–6),
+//! 2. estimates each new claim's credibility under the current parameters
 //!    (the expectation of Eq. 29) and performs the stochastic-approximation
 //!    update of the parameters (lines 8–9), and
-//! 4. can feed the updated parameters back into Alg. 1
-//!    ([`StreamingChecker::feed_into`], line 10).
+//! 3. runs the retention sweep of its [`RetentionPolicy`].
+//!
+//! Parameters move between the checker and the offline process through
+//! [`StreamingChecker::exchange_from`] (line 7) and
+//! [`StreamingChecker::feed_into`] (line 10).
 
 use crate::online_em::{ArrivalStats, OnlineEm, OnlineEmConfig, OnlineEmError, OnlineEmState};
 use crf::em::source_trust_from_probs;
 use crf::potentials::{claim_probability, clique_features};
 use crf::{
-    Clique, CliqueId, CrfModel, Icrf, ModelDelta, ModelError, ModelHandle, RetireSet, Since,
-    Stance, SyncPoint, VarId,
+    Clique, CrfModel, Icrf, ModelDelta, ModelError, ModelHandle, RetireSet, Since, Stance,
+    SyncPoint, VarId,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -49,27 +42,20 @@ use std::sync::Arc;
 /// Without a policy the factor graph grows without bound — every claim,
 /// document, and clique ever ingested stays hot forever. A policy bounds
 /// the live set by **arrival recency** ([`RetentionPolicy::window`]: a
-/// sliding window over the arrival index) and/or by **size**
-/// ([`RetentionPolicy::max_live_claims`]), retiring the oldest arrivals
-/// first. Retirement is `O(touched)` tombstoning
-/// ([`crf::CrfModel::retire`]); the memory comes back when the dead
-/// fraction crosses [`RetentionPolicy::compact_threshold`] and the checker
-/// triggers a [`crf::CrfModel::compact`], which also drops every document
-/// whose evidence died with its claims. Together they give a memory
-/// *plateau*: array sizes are bounded by
-/// `live set / (1 − compact_threshold)` regardless of stream length.
+/// sliding window over the arrival index), retiring the oldest arrivals
+/// together with every source left serving no live claim. Retirement is
+/// `O(touched)` tombstoning ([`crf::CrfModel::retire`]); the memory comes
+/// back when the dead fraction crosses
+/// [`RetentionPolicy::compact_threshold`] and the checker triggers a
+/// [`crf::CrfModel::compact`], which also drops every document whose
+/// evidence died with its claims. Together they give a memory *plateau*:
+/// array sizes are bounded by `live set / (1 − compact_threshold)`
+/// regardless of stream length.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RetentionPolicy {
     /// Retire a claim once `window` further arrivals have landed after it
-    /// (`None` = no recency bound). Claims prebuilt into the model count
-    /// from the arrival that exposed them.
+    /// (`None` = keep everything).
     pub window: Option<u64>,
-    /// Cap on the model's live claims; the oldest arrivals are retired
-    /// first to get back under it (`None` = no size bound).
-    pub max_live_claims: Option<usize>,
-    /// Also retire a source when every live claim it serves expires in the
-    /// same sweep (a directory entry kept alive only by expired stories).
-    pub retire_orphan_sources: bool,
     /// Compact when [`crf::CrfModel::dead_fraction`] reaches this value.
     /// `1.0` effectively defers compaction forever; `0.0` compacts after
     /// every retirement sweep. The default `0.25` bounds tombstone bloat
@@ -86,12 +72,10 @@ impl Default for RetentionPolicy {
 }
 
 impl RetentionPolicy {
-    /// Keep everything forever (no window, no cap).
+    /// Keep everything forever (no window).
     pub fn unbounded() -> Self {
         RetentionPolicy {
             window: None,
-            max_live_claims: None,
-            retire_orphan_sources: true,
             compact_threshold: 0.25,
         }
     }
@@ -104,30 +88,6 @@ impl RetentionPolicy {
             ..RetentionPolicy::unbounded()
         }
     }
-
-    /// A hard cap on live claims, oldest arrivals retired first.
-    pub fn max_claims(cap: usize) -> Self {
-        RetentionPolicy {
-            max_live_claims: Some(cap),
-            ..RetentionPolicy::unbounded()
-        }
-    }
-
-    /// Whether the policy can ever retire anything.
-    pub fn is_unbounded(&self) -> bool {
-        self.window.is_none() && self.max_live_claims.is_none()
-    }
-}
-
-/// What one retention sweep ([`StreamingChecker::expire_old`]) did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExpiryStats {
-    /// Claims tombstoned by this sweep.
-    pub retired_claims: usize,
-    /// Sources tombstoned by this sweep (orphaned by their claims).
-    pub retired_sources: usize,
-    /// Whether the sweep ended in a compaction.
-    pub compacted: bool,
 }
 
 /// Claims that never arrived carry this sentinel in the arrival log.
@@ -137,15 +97,15 @@ const NEVER: u64 = u64::MAX;
 pub struct StreamingChecker {
     /// The shared, growable model lineage; cloned by the offline process.
     handle: ModelHandle,
-    /// Snapshot pinned at the revision `visible`/`probs` are sized for.
+    /// Snapshot pinned at the revision the per-claim state is sized for.
     /// `None` only transiently inside [`Self::arrive_new`], which releases
     /// the pin so an in-place growth does not have to copy the model on
     /// the checker's account.
     model: Option<Arc<CrfModel>>,
-    visible: Vec<bool>,
     probs: Vec<f64>,
     /// Arrival index per claim ([`NEVER`] = not yet arrived); what the
-    /// retention window slides over. Relocated across compactions.
+    /// retention window slides over and what makes a claim visible.
+    /// Relocated across compactions.
     arrival_seq: Vec<u64>,
     /// The model state the per-claim state is sized for.
     synced: SyncPoint,
@@ -157,8 +117,9 @@ pub struct StreamingChecker {
 impl StreamingChecker {
     /// A checker over the model behind `model` (a bare [`CrfModel`], a
     /// shared `Arc<CrfModel>`, or a clone of a live [`ModelHandle`]).
-    /// Claims already in the model count as not-yet-arrived until
-    /// [`Self::arrive`] exposes them; claims ingested through
+    /// Claims already in the model have not arrived: they stay at
+    /// probability 0.5, out of [`Self::visible_claims`] and out of the
+    /// retention window's reach. Claims ingested through
     /// [`Self::arrive_new`] become visible as they land. Validates the
     /// online-EM configuration up front.
     ///
@@ -178,7 +139,6 @@ impl StreamingChecker {
             handle,
             synced: model.sync_point(),
             model: Some(model),
-            visible: vec![false; n],
             probs: vec![0.5; n],
             arrival_seq: vec![NEVER; n],
             policy: RetentionPolicy::unbounded(),
@@ -189,14 +149,14 @@ impl StreamingChecker {
 
     /// Builder-style retention configuration: bound the live set (and
     /// therefore the memory of a long-running stream) by the given policy.
-    /// [`Self::arrive_new`] runs a retention sweep after every ingest;
-    /// [`Self::expire_old`] runs one on demand.
+    /// [`Self::arrive_new`] runs a retention sweep after every ingest.
     pub fn with_retention(mut self, policy: RetentionPolicy) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Replace the retention policy of a live checker.
+    /// Replace the retention policy of a live checker; it takes effect in
+    /// the sweep of the next arrival.
     pub fn set_retention(&mut self, policy: RetentionPolicy) {
         self.policy = policy;
     }
@@ -227,11 +187,10 @@ impl StreamingChecker {
 
     /// Catch the per-claim state up with the current handle revision (the
     /// model may have been grown, retired, or compacted by another holder
-    /// of the handle). New claims start invisible at probability 0.5;
-    /// tombstoned claims drop out of the visible set; a compaction
-    /// relocates the per-claim state through the published remap (or, when
-    /// two compactions elapsed unseen, resets it). Also re-pins the
-    /// snapshot after [`Self::arrive_new`] released it.
+    /// of the handle). New claims start not-arrived at probability 0.5; a
+    /// compaction relocates the per-claim state through the published
+    /// remap (or, when two compactions elapsed unseen, resets it). Also
+    /// re-pins the snapshot after [`Self::arrive_new`] released it.
     pub(crate) fn sync(&mut self) {
         let model = self.handle.snapshot();
         let n = model.n_claims();
@@ -242,17 +201,14 @@ impl StreamingChecker {
             }
             Since::Patch { .. } => {}
             Since::Relocate { remap, .. } => {
-                let mut visible = vec![false; n];
                 let mut probs = vec![0.5; n];
                 let mut seq = vec![NEVER; n];
-                for c in 0..self.visible.len() {
+                for c in 0..self.probs.len() {
                     if let Some(nc) = remap.claim(VarId(c as u32)) {
-                        visible[nc.idx()] = self.visible[c];
                         probs[nc.idx()] = self.probs[c];
                         seq[nc.idx()] = self.arrival_seq[c];
                     }
                 }
-                self.visible = visible;
                 self.probs = probs;
                 self.arrival_seq = seq;
                 // The online buffer relocates with us: surviving claims'
@@ -262,33 +218,29 @@ impl StreamingChecker {
             }
             Since::Rebuild => {
                 // Outran the single retained remap: provenance is lost and
-                // the per-claim state resets. Visibility cannot be
-                // reconstructed, but retention must keep working — treat
-                // every live claim as having arrived *now*, so nothing
-                // becomes immortal under the window or the live-claim cap.
-                self.visible = vec![false; n];
+                // the per-claim state resets. Retention must keep working —
+                // treat every live claim as having arrived *now*, so
+                // nothing becomes immortal under the window (and every
+                // live claim is visible).
                 self.probs = vec![0.5; n];
-                self.arrival_seq = vec![NEVER; n];
-                for (c, slot) in self.arrival_seq.iter_mut().enumerate() {
-                    if model.claim_live(c) {
-                        *slot = self.arrivals as u64;
-                    }
-                }
+                self.arrival_seq = (0..n)
+                    .map(|c| {
+                        if model.claim_live(c) {
+                            self.arrivals as u64
+                        } else {
+                            NEVER
+                        }
+                    })
+                    .collect();
                 // Claim-id provenance is lost with the remap: stale tags
                 // must not get a live claim's instances pruned as dead, so
                 // the buffered instances fall back to decay-only lifetime.
                 self.online.clear_claim_tags();
             }
         }
-        self.visible.resize(n, false);
         self.probs.resize(n, 0.5);
         self.arrival_seq.resize(n, NEVER);
         if model.has_tombstones() {
-            for (c, v) in self.visible.iter_mut().enumerate() {
-                if *v && !model.claim_live(c) {
-                    *v = false; // expired: out of the visible working set
-                }
-            }
             // A retired claim's buffered training instances are reclaimed
             // with the claim — the point of tagging them — instead of
             // accumulating until decay pushes them under the weight floor.
@@ -300,13 +252,15 @@ impl StreamingChecker {
     }
 
     /// Claims that have arrived and are still in service (retired claims
-    /// drop out of the visible set).
+    /// drop out).
     pub fn visible_claims(&self) -> Vec<VarId> {
         let model = self.model();
-        self.visible
+        self.arrival_seq
             .iter()
             .enumerate()
-            .filter_map(|(i, &v)| (v && model.claim_live(i)).then_some(VarId(i as u32)))
+            .filter_map(|(c, &seq)| {
+                (seq != NEVER && model.claim_live(c)).then_some(VarId(c as u32))
+            })
             .collect()
     }
 
@@ -350,20 +304,20 @@ impl StreamingChecker {
         icrf.set_weights(self.online.weights().clone());
     }
 
-    /// Ingest a genuinely new arrival: grow the factor graph in place by
-    /// `delta` (Alg. 2 lines 1–6 — the claim arrives *with* its documents
-    /// and sources), estimate the credibility of every claim the delta
-    /// added, and blend the new cliques' expected log-likelihood into the
-    /// online objective (lines 8–9). Returns the update statistics — the
-    /// `∆t` measured in §8.8 — or the [`ModelError`] when the delta does
-    /// not apply (stale revision, dangling reference); on error nothing
+    /// Ingest an arrival: grow the factor graph in place by `delta`
+    /// (Alg. 2 lines 1–6 — the claim arrives *with* its documents and
+    /// sources), estimate the credibility of every claim the delta added,
+    /// and blend the new cliques' expected log-likelihood into the online
+    /// objective (lines 8–9). Returns the update statistics — the `∆t`
+    /// measured in §8.8 — or the [`ModelError`] when the delta does not
+    /// apply (stale revision, dangling reference); on error nothing
     /// changes.
     ///
     /// Cliques the delta attaches to *old* claims (a newly arrived document
     /// discussing an already-seen claim) contribute training rows too,
     /// targeted at the claim's current estimate.
     ///
-    /// Under a bounded [`RetentionPolicy`] a retention sweep rides on every
+    /// Under a [`RetentionPolicy`] window a retention sweep rides on every
     /// successful ingest; the sweep's outcome lands in the returned stats
     /// (`retired_claims`/`retired_sources`/`compacted`). An error from this
     /// method always means the arrival itself was **not** ingested — a
@@ -391,12 +345,12 @@ impl StreamingChecker {
 
         let model = self.model().clone();
         // Trust statistics of the neighbourhood *before* the new claims'
-        // own estimates land, mirroring the prebuilt path: the arriving
-        // claim itself sits at the maximum-entropy 0.5 while its
-        // probability is computed.
+        // own estimates land: the arriving claim itself sits at the
+        // maximum-entropy 0.5 while its probability is computed.
         let trust = source_trust_from_probs(&model, &self.probs, (1.0, 1.0));
         for c in first_new_claim..first_new_claim + n_new_claims {
-            self.mark_arrived(c);
+            self.arrivals += 1;
+            self.arrival_seq[c] = self.arrivals as u64;
             self.probs[c] =
                 claim_probability(&model, self.online.weights(), VarId(c as u32), |s| {
                     trust[s as usize]
@@ -407,7 +361,7 @@ impl StreamingChecker {
         let rows = self.training_rows(
             &model,
             &trust,
-            model.cliques()[first_new_clique..first_new_clique + n_new_cliques].iter(),
+            &model.cliques()[first_new_clique..first_new_clique + n_new_cliques],
         );
         let mut stats = self.online.observe_for_claims(&rows);
 
@@ -417,110 +371,70 @@ impl StreamingChecker {
         // itself is already committed at this point (model grown, online
         // update done), so a sweep losing the revision race to another
         // handle holder must NOT fail the call — the loser's sweep simply
-        // re-runs on the next arrival (or via [`Self::expire_old`]). Any
-        // other sweep error would be an internal invariant violation and
-        // still surfaces.
-        if !self.policy.is_unbounded() {
-            match self.run_retention() {
-                Ok(expiry) => {
-                    stats.retired_claims = expiry.retired_claims;
-                    stats.retired_sources = expiry.retired_sources;
-                    stats.compacted = expiry.compacted;
-                }
-                Err(ModelError::StaleDelta { .. }) => {}
+        // re-runs on the next arrival. Any other sweep error would be an
+        // internal invariant violation and still surfaces.
+        if let Some(window) = self.policy.window {
+            match self.run_retention(window, &mut stats) {
+                Ok(()) | Err(ModelError::StaleDelta { .. }) => {}
                 Err(e) => return Err(e),
             }
         }
         Ok(stats)
     }
 
-    /// Run one retention sweep on demand: retire every claim the policy
-    /// says has expired (plus orphaned sources), and compact when the dead
-    /// fraction crosses the policy threshold. A no-op returning zeroed
-    /// stats under an unbounded policy or when nothing has expired.
-    /// [`Self::arrive_new`] calls this automatically after every ingest.
-    ///
-    /// Retirement is revision-checked like every other edit: if another
-    /// holder of the handle edits the model concurrently, the sweep
-    /// surfaces [`ModelError::StaleDelta`] and can simply be retried.
-    pub fn expire_old(&mut self) -> Result<ExpiryStats, ModelError> {
-        self.sync();
-        self.run_retention()
-    }
-
-    /// The retention sweep proper; expects a fresh snapshot pin.
-    fn run_retention(&mut self) -> Result<ExpiryStats, ModelError> {
-        let mut out = ExpiryStats::default();
+    /// The retention sweep proper: retire every arrived claim `window`
+    /// arrivals old (plus the sources it orphans), then compact once the
+    /// dead fraction crosses the policy threshold, recording both in
+    /// `stats`. Expects a fresh snapshot pin.
+    fn run_retention(&mut self, window: u64, stats: &mut ArrivalStats) -> Result<(), ModelError> {
         let model = self.model().clone();
 
         // ---- Which claims expire. Only arrived, still-live claims are
         // candidates; prebuilt claims that never arrived are not the
         // stream's to retire.
-        let mut expire: Vec<u32> = Vec::new();
-        let mut expiring = vec![false; model.n_claims()];
-        if let Some(window) = self.policy.window {
-            for (c, flag) in expiring.iter_mut().enumerate() {
-                if self.arrival_seq[c] != NEVER
+        let expiring: Vec<bool> = (0..model.n_claims())
+            .map(|c| {
+                self.arrival_seq[c] != NEVER
                     && self.arrival_seq[c] + window <= self.arrivals as u64
                     && model.claim_live(c)
-                {
-                    expire.push(c as u32);
-                    *flag = true;
-                }
-            }
-        }
-        if let Some(cap) = self.policy.max_live_claims {
-            let live_after_window = model.n_live_claims() - expire.len();
-            if live_after_window > cap {
-                // Oldest arrivals first.
-                let mut candidates: Vec<(u64, u32)> = (0..model.n_claims())
-                    .filter(|&c| {
-                        self.arrival_seq[c] != NEVER && model.claim_live(c) && !expiring[c]
-                    })
-                    .map(|c| (self.arrival_seq[c], c as u32))
-                    .collect();
-                candidates.sort_unstable();
-                for &(_, c) in candidates.iter().take(live_after_window - cap) {
-                    expire.push(c);
-                    expiring[c as usize] = true;
-                }
-            }
-        }
+            })
+            .collect();
+        let expire: Vec<u32> = (0..model.n_claims() as u32)
+            .filter(|&c| expiring[c as usize])
+            .collect();
 
         if !expire.is_empty() {
             let mut set = RetireSet::for_model(&model);
-            let mut retired_sources = 0;
             for &c in &expire {
                 set.retire_claim(VarId(c));
             }
-            if self.policy.retire_orphan_sources {
-                // A source orphaned by this sweep: every live claim it
-                // serves is expiring.
-                let mut touched: Vec<u32> = expire
-                    .iter()
-                    .flat_map(|&c| model.sources_of_claim(VarId(c)).iter().copied())
-                    .collect();
-                touched.sort_unstable();
-                touched.dedup();
-                for s in touched {
-                    if model.source_live(s as usize)
-                        && model
-                            .claims_of_source(s)
-                            .iter()
-                            .filter(|&&c| model.claim_live(c as usize))
-                            .all(|&c| expiring[c as usize])
-                    {
-                        set.retire_source(s);
-                        retired_sources += 1;
-                    }
+            // A source orphaned by this sweep: every live claim it serves
+            // is expiring.
+            let mut touched: Vec<u32> = expire
+                .iter()
+                .flat_map(|&c| model.sources_of_claim(VarId(c)).iter().copied())
+                .collect();
+            touched.sort_unstable();
+            touched.dedup();
+            let mut retired_sources = 0;
+            for s in touched {
+                if model.source_live(s as usize)
+                    && model
+                        .claims_of_source(s)
+                        .iter()
+                        .filter(|&&c| model.claim_live(c as usize))
+                        .all(|&c| expiring[c as usize])
+                {
+                    set.retire_source(s);
+                    retired_sources += 1;
                 }
             }
             self.model = None; // release the pin: tombstone in place
             let retired = self.handle.retire(set);
             self.sync();
             retired?;
-            out.retired_claims = expire.len();
-            out.retired_sources = retired_sources;
+            stats.retired_claims = expire.len();
+            stats.retired_sources = retired_sources;
         }
 
         // ---- Deferred compaction: reclaim the memory once tombstones are
@@ -531,67 +445,25 @@ impl StreamingChecker {
             let compacted = self.handle.compact();
             self.sync();
             match compacted {
-                Ok(remap) => out.compacted = !remap.is_identity(),
+                Ok(remap) => stats.compacted = !remap.is_identity(),
                 Err(ModelError::Empty) => {}
                 Err(e) => return Err(e),
             }
         }
-        Ok(out)
-    }
-
-    /// Process the arrival of `claim` by exposing it from a prebuilt model
-    /// (Alg. 2 lines 1–9; the replay path of §8.8). Returns the update
-    /// statistics — the `∆t` measured in §8.8.
-    pub fn arrive(&mut self, claim: VarId) -> ArrivalStats {
-        self.sync();
-        self.mark_arrived(claim.idx());
-
-        // Estimate the new claim's credibility under current parameters
-        // using the trust statistics of the visible neighbourhood.
-        let model = self.model().clone();
-        let trust = source_trust_from_probs(&model, &self.probs, (1.0, 1.0));
-        self.probs[claim.idx()] =
-            claim_probability(&model, self.online.weights(), claim, |s| trust[s as usize]);
-        self.observe_claim(&model, &trust, claim)
-    }
-
-    /// Process a labelled arrival: the claim comes with user input already
-    /// attached (e.g. from a parallel validation process), which pins the
-    /// expectation instead of self-estimating it.
-    pub fn arrive_labelled(&mut self, claim: VarId, credible: bool) -> ArrivalStats {
-        self.sync();
-        self.mark_arrived(claim.idx());
-        self.probs[claim.idx()] = if credible { 1.0 } else { 0.0 };
-        // Unlike `arrive`, trust is taken after the label is pinned.
-        let model = self.model().clone();
-        let trust = source_trust_from_probs(&model, &self.probs, (1.0, 1.0));
-        self.observe_claim(&model, &trust, claim)
-    }
-
-    /// Expose `claim` as the next arrival (Alg. 2 lines 2–6).
-    fn mark_arrived(&mut self, claim: usize) {
-        self.visible[claim] = true;
-        self.arrivals += 1;
-        self.arrival_seq[claim] = self.arrivals as u64;
-    }
-
-    /// Feed the online estimator one training row per clique of `claim`.
-    fn observe_claim(&mut self, model: &CrfModel, trust: &[f64], claim: VarId) -> ArrivalStats {
-        let cliques = model.cliques_of(claim).iter();
-        let rows = self.training_rows(model, trust, cliques.map(|&ci| model.clique(CliqueId(ci))));
-        self.online.observe_for_claims(&rows)
+        Ok(())
     }
 
     /// One claim-tagged `(features, soft target)` row per clique: the
     /// target is the clique's claim's current probability, flipped for a
     /// refuting stance. The tag lets retirement reclaim the instance early.
-    fn training_rows<'a>(
+    fn training_rows(
         &self,
         model: &CrfModel,
         trust: &[f64],
-        cliques: impl Iterator<Item = &'a Clique>,
+        cliques: &[Clique],
     ) -> Vec<(u32, Vec<f64>, f64)> {
         cliques
+            .iter()
             .map(|cl| {
                 let mut row = vec![0.0; model.feature_dim()];
                 clique_features(model, cl, trust[cl.source as usize], &mut row);
@@ -616,7 +488,6 @@ impl StreamingChecker {
         CheckerState {
             model_id: model.model_id(),
             revision: model.revision().0,
-            visible: self.visible.clone(),
             probs: self.probs.clone(),
             arrival_seq: self.arrival_seq.clone(),
             compactions: model.compactions(),
@@ -644,7 +515,6 @@ impl StreamingChecker {
         }
         debug_assert_eq!(state.probs.len(), model.n_claims());
         debug_assert_eq!(state.compactions, model.compactions());
-        self.visible = state.visible;
         self.probs = state.probs;
         self.arrival_seq = state.arrival_seq;
         self.synced = model.sync_point();
@@ -661,12 +531,12 @@ impl StreamingChecker {
 /// ([`StreamingChecker::export_state`] /
 /// [`StreamingChecker::restore_state`]) — everything the checker holds
 /// besides the model itself, keyed to the exact lineage position it is
-/// sized for.
+/// sized for. Fields are read by name, so a payload written when the
+/// state carried more fields still restores.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct CheckerState {
     pub model_id: u64,
     pub revision: u64,
-    pub visible: Vec<bool>,
     pub probs: Vec<f64>,
     pub arrival_seq: Vec<u64>,
     pub compactions: u64,
@@ -678,11 +548,12 @@ pub(crate) struct CheckerState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::Replay;
     use crf::graph::{CrfModel, ModelDelta, Stance};
 
-    fn model() -> (Arc<CrfModel>, Vec<bool>) {
+    fn model() -> Arc<CrfModel> {
         let ds = factdb::DatasetPreset::WikiMini.generate();
-        (Arc::new(ds.db.to_crf_model().unwrap()), ds.truth)
+        Arc::new(ds.db.to_crf_model().unwrap())
     }
 
     fn checker(m: Arc<CrfModel>) -> StreamingChecker {
@@ -691,26 +562,66 @@ mod tests {
 
     #[test]
     fn arrivals_become_visible_in_order() {
-        let (m, _) = model();
-        let mut s = checker(m);
-        assert!(s.visible_claims().is_empty());
-        s.arrive(VarId(3));
-        s.arrive(VarId(0));
-        assert_eq!(s.visible_claims(), vec![VarId(0), VarId(3)]);
+        let mut s = StreamingChecker::try_new(seed_handle(), OnlineEmConfig::default()).unwrap();
+        assert!(
+            s.visible_claims().is_empty(),
+            "the seed claim never arrived"
+        );
+        ingest_one(&mut s, 0);
+        ingest_one(&mut s, 1);
+        assert_eq!(s.visible_claims(), vec![VarId(1), VarId(2)]);
         assert_eq!(s.arrivals(), 2);
+    }
+
+    /// One arrival into a corpus model: a fresh claim, discussed by a copy
+    /// of document 0 from source 0.
+    fn arrive_beside_corpus(s: &mut StreamingChecker) -> ArrivalStats {
+        let mut delta = s.delta();
+        let c = delta.add_claim();
+        let d = delta.add_document(s.model().doc_feature_row(0)).unwrap();
+        delta.add_clique(c, d, 0, Stance::Support);
+        s.arrive_new(delta).unwrap()
     }
 
     #[test]
     fn unseen_claims_stay_at_half() {
-        let (m, _) = model();
+        let m = model();
         let mut s = checker(m.clone());
-        s.arrive(VarId(0));
-        for c in 1..m.n_claims() {
+        arrive_beside_corpus(&mut s);
+        for c in 0..m.n_claims() {
             assert_eq!(s.probs()[c], 0.5, "claim {c} should be untouched");
         }
     }
 
-    /// Streaming over labelled arrivals learns parameters that classify
+    /// Replay `corpus` in id order into a fresh lineage; label the first
+    /// `split` arrivals through an offline engine on the same handle, hand
+    /// its weights to the checker (Alg. 2 line 7), and let the rest arrive
+    /// unlabelled.
+    fn replay_with_labelled_prefix(
+        corpus: Arc<CrfModel>,
+        truth: &[bool],
+        split: usize,
+    ) -> StreamingChecker {
+        let order = (0..corpus.n_claims() as u32).map(VarId).collect();
+        let (mut replay, seed) = Replay::start(corpus, order).unwrap();
+        let mut s = checker(Arc::new(seed));
+        while replay.arrived().len() < split {
+            let delta = replay.next_delta(s.model()).unwrap();
+            s.arrive_new(delta).unwrap();
+        }
+        let mut icrf = Icrf::new(s.handle().clone(), crf::IcrfConfig::default());
+        for (c, &t) in truth.iter().enumerate().take(split) {
+            icrf.set_label(VarId(c as u32), t);
+        }
+        icrf.run();
+        s.exchange_from(&icrf);
+        while let Some(delta) = replay.next_delta(s.model()) {
+            s.arrive_new(delta).unwrap();
+        }
+        s
+    }
+
+    /// A stream whose parameters come from labelled arrivals classifies
     /// later claims better than chance. Uses the healthcare preset, whose
     /// source features carry the strongest signal — a label *prefix*
     /// (rather than guided label placement) is enough there.
@@ -719,19 +630,12 @@ mod tests {
         let ds = factdb::DatasetPreset::HealthMini.generate();
         let (m, truth) = (Arc::new(ds.db.to_crf_model().unwrap()), ds.truth);
         let n = m.n_claims();
-        let mut s = checker(m.clone());
         // First 60% arrive labelled; the rest self-estimated.
         let split = n * 6 / 10;
-        for (c, &t) in truth.iter().enumerate().take(split) {
-            s.arrive_labelled(VarId(c as u32), t);
-        }
-        let mut correct = 0;
-        for (c, &t) in truth.iter().enumerate().take(n).skip(split) {
-            s.arrive(VarId(c as u32));
-            if (s.probs()[c] >= 0.5) == t {
-                correct += 1;
-            }
-        }
+        let s = replay_with_labelled_prefix(m, &truth, split);
+        let correct = (split..n)
+            .filter(|&c| (s.probs()[c] >= 0.5) == truth[c])
+            .count();
         let acc = correct as f64 / (n - split) as f64;
         // The stream sees each claim exactly once and never revisits it —
         // §7 calls these one-shot estimates "educated guesses"; better than
@@ -741,13 +645,13 @@ mod tests {
 
     #[test]
     fn parameter_exchange_roundtrip() {
-        let (m, _) = model();
+        let m = model();
         let mut s = checker(m.clone());
         let mut icrf = Icrf::new(m, crf::IcrfConfig::default());
         icrf.run();
         s.exchange_from(&icrf);
         assert_eq!(s.weights().as_slice(), icrf.weights().as_slice());
-        s.arrive(VarId(0));
+        arrive_beside_corpus(&mut s);
         s.feed_into(&mut icrf);
         assert_eq!(icrf.weights().as_slice(), s.weights().as_slice());
     }
@@ -756,7 +660,6 @@ mod tests {
     /// instead of a panic on the first arrival.
     #[test]
     fn invalid_schedule_propagates_as_config_error() {
-        let (m, _) = model();
         let config = OnlineEmConfig {
             schedule: crate::online_em::StepSchedule {
                 kappa: 0.1,
@@ -765,16 +668,15 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            StreamingChecker::try_new(m, config),
+            StreamingChecker::try_new(model(), config),
             Err(crate::online_em::OnlineEmError::InvalidKappa(_))
         ));
     }
 
     #[test]
     fn update_stats_have_positive_gamma() {
-        let (m, _) = model();
-        let mut s = checker(m);
-        let st = s.arrive(VarId(1));
+        let mut s = checker(model());
+        let st = arrive_beside_corpus(&mut s);
         assert!(st.gamma > 0.0);
         assert!(st.retained_instances > 0);
     }
@@ -939,61 +841,40 @@ mod tests {
         assert!(s.weights().as_slice().iter().all(|w| w.is_finite()));
     }
 
-    /// A live-claim cap retires the oldest arrivals first.
+    /// A window set on a live checker takes effect at the next arrival:
+    /// its sweep retires every claim the window has passed together with
+    /// the sources it orphans, and compacts past the threshold —
+    /// relocating the checker's own per-claim state through the remap.
     #[test]
-    fn max_claims_cap_retires_oldest_first() {
-        let handle = seed_handle();
-        let mut s = StreamingChecker::try_new(handle, OnlineEmConfig::default())
-            .unwrap()
-            .with_retention(RetentionPolicy {
-                max_live_claims: Some(4),
-                compact_threshold: 1.0, // never compact: ids stay stable
-                ..RetentionPolicy::unbounded()
-            });
-        for k in 0..6 {
-            ingest_one(&mut s, k);
-        }
-        let m = s.model().clone();
-        assert_eq!(m.n_live_claims(), 4);
-        // The sweep runs per arrival, so the three oldest arrivals (claims
-        // 1–3) have expired; the seed claim 0 never arrived and is not the
-        // stream's to retire.
-        assert!(m.claim_live(0));
-        assert!((1..4).all(|c| !m.claim_live(c)));
-        assert!((4..7).all(|c| m.claim_live(c)));
-        assert_eq!(s.visible_claims(), vec![VarId(4), VarId(5), VarId(6)]);
-    }
-
-    /// `expire_old` works on demand, retires orphaned sources with their
-    /// claims, and compacts past the threshold — relocating the checker's
-    /// own per-claim state through the remap.
-    #[test]
-    fn expire_old_retires_compacts_and_relocates() {
+    fn window_sweep_retires_compacts_and_relocates() {
         let handle = seed_handle();
         let mut s = StreamingChecker::try_new(handle.clone(), OnlineEmConfig::default()).unwrap();
         for k in 0..6 {
-            ingest_one(&mut s, k);
+            let stats = ingest_one(&mut s, k);
+            assert_eq!(
+                (stats.retired_claims, stats.retired_sources, stats.compacted),
+                (0, 0, false),
+                "an unbounded policy never sweeps"
+            );
         }
         assert_eq!(s.model().n_claims(), 7);
-        let nothing = s.expire_old().unwrap();
-        assert_eq!(
-            nothing,
-            ExpiryStats::default(),
-            "unbounded policy is a no-op"
-        );
 
         s.set_retention(RetentionPolicy {
             window: Some(2),
             compact_threshold: 0.1,
-            ..RetentionPolicy::unbounded()
         });
-        let stats = s.expire_old().unwrap();
         assert_eq!(
-            stats.retired_claims, 4,
-            "arrivals 1-4 of 6 are outside the window"
+            s.model().n_live_claims(),
+            7,
+            "nothing retires before the next arrival"
+        );
+        let stats = ingest_one(&mut s, 6);
+        assert_eq!(
+            stats.retired_claims, 5,
+            "arrivals 1-5 of 7 are outside the window"
         );
         assert_eq!(
-            stats.retired_sources, 4,
+            stats.retired_sources, 5,
             "their sources served nothing else"
         );
         assert!(stats.compacted);
@@ -1001,8 +882,8 @@ mod tests {
         assert!(!m.has_tombstones(), "compaction reclaimed the tombstones");
         assert_eq!(m.n_claims(), 3, "seed claim + the last two arrivals");
         assert_eq!(m.compactions(), 1);
-        // The survivors' visibility and probabilities relocated.
-        assert_eq!(s.visible_claims().len(), 2);
+        // The survivors' arrival indices and probabilities relocated.
+        assert_eq!(s.visible_claims(), vec![VarId(1), VarId(2)]);
         assert!(s.probs().iter().all(|p| (0.0..=1.0).contains(p)));
         // The stream keeps flowing on the compacted model (the sweep rides
         // on the ingest, so the window keeps sliding).
@@ -1034,17 +915,48 @@ mod tests {
             handle.compact().unwrap();
         }
         assert_eq!(handle.snapshot().compactions(), 2);
+        // The reset counts the four survivors as arriving at arrival 5; a
+        // window of two retires them once two more arrivals landed.
         s.set_retention(RetentionPolicy {
-            max_live_claims: Some(2),
+            window: Some(2),
             compact_threshold: 1.0,
-            ..RetentionPolicy::unbounded()
         });
-        let stats = s.expire_old().unwrap();
+        let first = ingest_one(&mut s, 5);
+        assert_eq!(first.retired_claims, 0, "arrival 6 is inside the window");
+        let second = ingest_one(&mut s, 6);
         assert_eq!(
-            stats.retired_claims, 2,
-            "post-reset live claims must remain cap-evictable"
+            second.retired_claims, 4,
+            "post-reset live claims must remain window-evictable"
         );
         assert_eq!(s.model().n_live_claims(), 2);
+    }
+
+    /// After a reset (two compactions unseen), every live claim counts as
+    /// arrived: all of them are visible, the never-arrived seed claim
+    /// included.
+    #[test]
+    fn rebuild_reset_makes_every_live_claim_visible() {
+        let handle = seed_handle();
+        let mut s = StreamingChecker::try_new(handle.clone(), OnlineEmConfig::default()).unwrap();
+        for k in 0..4 {
+            ingest_one(&mut s, k);
+        }
+        assert_eq!(s.visible_claims().len(), 4, "the seed claim never arrived");
+        for _ in 0..2 {
+            let mut set = handle.retire_set();
+            set.retire_claim(VarId(1));
+            handle.retire(set).unwrap();
+            handle.compact().unwrap();
+        }
+        // The next arrival syncs through the reset.
+        ingest_one(&mut s, 4);
+        let m = s.model().clone();
+        let live: Vec<VarId> = (0..m.n_claims() as u32)
+            .map(VarId)
+            .filter(|c| m.claim_live(c.idx()))
+            .collect();
+        assert_eq!(live.len(), 4, "seed + two survivors + the new arrival");
+        assert_eq!(s.visible_claims(), live);
     }
 
     /// Retirement done by the checker is visible to an offline engine
@@ -1058,7 +970,6 @@ mod tests {
             .with_retention(RetentionPolicy {
                 window: Some(3),
                 compact_threshold: 0.3,
-                ..RetentionPolicy::unbounded()
             });
         let mut icrf = Icrf::new(handle.clone(), crf::IcrfConfig::default());
         icrf.run();

