@@ -160,11 +160,7 @@ fn quick_smoke() {
         ingest_one(&mut srv, k);
         let p = reader.snapshot();
         assert_eq!(p.revision, p.model.revision());
-        let trust = crf::em::source_trust_from_probs(
-            &p.model,
-            &p.probs,
-            TruthServer::<StreamingChecker>::TRUST_PRIOR,
-        );
+        let trust = crf::em::source_trust_from_probs(&p.model, &p.probs);
         assert_eq!(p.trust, trust, "published trust diverged");
         let top = reader.top_k_uncertain(5).value;
         for w in top.windows(2) {

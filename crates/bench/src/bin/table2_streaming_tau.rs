@@ -55,7 +55,6 @@ fn main() {
                     ig: fast_ig(),
                     seed: 0x7ab2e,
                     arrival_order: Some(order),
-                    ..Default::default()
                 };
                 let streaming =
                     streaming_sequence(model.clone(), &ds.truth, n_validations, &config);

@@ -339,11 +339,6 @@ impl<S: SelectionStrategy, U: User> ValidationProcess<S, U> {
         while self.step().is_some() {}
         self.history.len() - before
     }
-
-    /// Decompose into the engine and history (for post-hoc analysis).
-    pub fn into_parts(self) -> (Icrf, Vec<IterationRecord>) {
-        (self.icrf, self.history)
-    }
 }
 
 #[cfg(test)]

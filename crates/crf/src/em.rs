@@ -47,7 +47,7 @@ use crate::handle::ModelHandle;
 use crate::logistic::{Dataset, LogisticObjective};
 use crate::newton::{self, NewtonScratch};
 use crate::partition::Partition;
-use crate::potentials::{clique_features, Weights};
+use crate::potentials::{clique_features, Weights, TRUST_PRIOR};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -76,16 +76,18 @@ pub struct IcrfState {
     pub epoch: u64,
 }
 
+/// EM has converged when the M-step moves the weight vector less than
+/// this (Euclidean) and no claim probability moved more than [`PROB_TOL`].
+const WEIGHT_TOL: f64 = 1e-3;
+/// See [`WEIGHT_TOL`].
+const PROB_TOL: f64 = 5e-3;
+
 /// Configuration of the EM loop.
 #[derive(Debug, Clone)]
 pub struct IcrfConfig {
     /// Maximum EM iterations per inference call. The incremental design
     /// means small values suffice after the first call.
     pub max_em_iters: usize,
-    /// Converged when the weight vector moves less than this (Euclidean).
-    pub weight_tol: f64,
-    /// Converged when no claim probability moves more than this.
-    pub prob_tol: f64,
     /// L2 regularisation strength of the M-step.
     pub lambda: f64,
     /// E-step sampler settings.
@@ -96,8 +98,6 @@ impl Default for IcrfConfig {
     fn default() -> Self {
         IcrfConfig {
             max_em_iters: 4,
-            weight_tol: 1e-3,
-            prob_tol: 5e-3,
             lambda: 1.0,
             gibbs: GibbsConfig::default(),
         }
@@ -409,7 +409,7 @@ impl Icrf {
     /// Smoothed per-source trust values derived from the current claim
     /// probabilities, used for the M-step feature assembly.
     pub fn source_trust(&self) -> Vec<f64> {
-        source_trust_from_probs(&self.model, &self.probs, self.config.gibbs.trust_prior)
+        source_trust_from_probs(&self.model, &self.probs)
     }
 
     /// Run EM to convergence (bounded by `max_em_iters`), warm-starting from
@@ -465,12 +465,7 @@ impl Icrf {
             // Only the dynamic trust column and the per-instance targets
             // change between iterations; the static feature prefix was
             // written for this snapshot by `ensure_dataset`.
-            source_trust_into(
-                &self.model,
-                &self.probs,
-                self.config.gibbs.trust_prior,
-                &mut self.scratch.trust,
-            );
+            source_trust_into(&self.model, &self.probs, &mut self.scratch.trust);
             let trust_col = dim - 1;
             for (i, clique) in self.model.cliques().iter().enumerate() {
                 self.scratch.dataset.row_mut(i)[trust_col] =
@@ -509,7 +504,7 @@ impl Icrf {
             let res = newton::solve(&obj, self.weights.as_mut_slice(), &mut self.scratch.newton);
             stats.tron_iterations += res.iterations;
 
-            if res.step_norm < self.config.weight_tol && max_prob_change < self.config.prob_tol {
+            if res.step_norm < WEIGHT_TOL && max_prob_change < PROB_TOL {
                 stats.converged = true;
                 break;
             }
@@ -630,9 +625,9 @@ impl Icrf {
 
 /// Smoothed fraction of each source's claims currently believed credible:
 /// `τ(s) = (a + Σ_{c∈C_s} P(c)) / (a + b + |C_s|)`.
-pub fn source_trust_from_probs(model: &CrfModel, probs: &[f64], prior: (f64, f64)) -> Vec<f64> {
+pub fn source_trust_from_probs(model: &CrfModel, probs: &[f64]) -> Vec<f64> {
     let mut out = Vec::new();
-    source_trust_into(model, probs, prior, &mut out);
+    source_trust_into(model, probs, &mut out);
     out
 }
 
@@ -640,13 +635,14 @@ pub fn source_trust_from_probs(model: &CrfModel, probs: &[f64], prior: (f64, f64
 /// value per source into `out` (cleared first, allocation reused).
 /// Tombstoned claims are excluded from both the numerator and the
 /// denominator, so a source's trust reflects only its in-service claims.
-pub fn source_trust_into(model: &CrfModel, probs: &[f64], prior: (f64, f64), out: &mut Vec<f64>) {
+pub fn source_trust_into(model: &CrfModel, probs: &[f64], out: &mut Vec<f64>) {
+    let (a, b) = TRUST_PRIOR;
     out.clear();
     if !model.has_tombstones() {
         out.extend((0..model.n_sources() as u32).map(|s| {
             let claims = model.claims_of_source(s);
             let sum: f64 = claims.iter().map(|&c| probs[c as usize]).sum();
-            (prior.0 + sum) / (prior.0 + prior.1 + claims.len() as f64)
+            (a + sum) / (a + b + claims.len() as f64)
         }));
         return;
     }
@@ -657,7 +653,7 @@ pub fn source_trust_into(model: &CrfModel, probs: &[f64], prior: (f64, f64), out
             .filter(|&&c| model.claim_live(c as usize))
             .map(|&c| probs[c as usize])
             .sum();
-        (prior.0 + sum) / (prior.0 + prior.1 + model.n_live_claims_of_source(s) as f64)
+        (a + sum) / (a + b + model.n_live_claims_of_source(s) as f64)
     }));
 }
 

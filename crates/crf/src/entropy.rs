@@ -20,7 +20,7 @@ use crate::bitset::Bitset;
 use crate::graph::{CliqueId, CrfModel, VarId};
 use crate::numerics::{binary_entropy, logsumexp};
 use crate::partition::Partition;
-use crate::potentials::{clique_score, Weights};
+use crate::potentials::{clique_score, Weights, TRUST_PRIOR};
 
 /// How to estimate the database entropy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +88,6 @@ pub fn database_entropy(
     labels: &[Option<bool>],
     probs: &[f64],
     partition: &Partition,
-    trust_prior: (f64, f64),
     mode: EntropyMode,
 ) -> f64 {
     match mode {
@@ -105,7 +104,7 @@ pub fn database_entropy(
                     continue;
                 }
                 if unlabelled.len() <= max_component {
-                    h += exact_component_entropy(model, weights, labels, comp, trust_prior);
+                    h += exact_component_entropy(model, weights, labels, comp);
                 } else {
                     h += comp.iter().map(|&c| binary_entropy(probs[c])).sum::<f64>();
                 }
@@ -127,7 +126,6 @@ pub fn exact_component_entropy(
     weights: &Weights,
     labels: &[Option<bool>],
     component: &[usize],
-    trust_prior: (f64, f64),
 ) -> f64 {
     let unlabelled: Vec<usize> = component
         .iter()
@@ -168,9 +166,10 @@ pub fn exact_component_entropy(
         }
         // Trust per source under this configuration.
         let trust_of = |s: u32| -> f64 {
+            let (a, b) = TRUST_PRIOR;
             let claims = model.claims_of_source(s);
             let credible = claims.iter().filter(|&&c| value[c as usize]).count() as f64;
-            (trust_prior.0 + credible) / (trust_prior.0 + trust_prior.1 + claims.len() as f64)
+            (a + credible) / (a + b + claims.len() as f64)
         };
         let mut lw = 0.0;
         for &ci in &clique_ids {
@@ -234,7 +233,7 @@ mod tests {
         let w = Weights::zeros(m.feature_dim());
         let labels = vec![None; 4];
         let comp: Vec<usize> = (0..4).collect();
-        let h = exact_component_entropy(&m, &w, &labels, &comp, (1.0, 1.0));
+        let h = exact_component_entropy(&m, &w, &labels, &comp);
         assert!((h - 4.0 * 2.0f64.ln()).abs() < 1e-9, "h={h}");
     }
 
@@ -246,7 +245,7 @@ mod tests {
         let labels = vec![None; 4];
         let comp: Vec<usize> = (0..4).collect();
         let w = Weights::from_vec(vec![4.0, 0.0, 0.0, 0.0]);
-        let h = exact_component_entropy(&m, &w, &labels, &comp, (1.0, 1.0));
+        let h = exact_component_entropy(&m, &w, &labels, &comp);
         assert!(h < 0.5, "h={h} should be far below {}", 4.0 * 2.0f64.ln());
     }
 
@@ -256,11 +255,11 @@ mod tests {
         let m = chain_model(4);
         let w = Weights::zeros(m.feature_dim());
         let comp: Vec<usize> = (0..4).collect();
-        let h_full = exact_component_entropy(&m, &w, &[None; 4], &comp, (1.0, 1.0));
+        let h_full = exact_component_entropy(&m, &w, &[None; 4], &comp);
         let mut labels = vec![None; 4];
         labels[0] = Some(true);
         labels[1] = Some(false);
-        let h_half = exact_component_entropy(&m, &w, &labels, &comp, (1.0, 1.0));
+        let h_half = exact_component_entropy(&m, &w, &labels, &comp);
         assert!((h_full - 4.0 * 2.0f64.ln()).abs() < 1e-9);
         assert!((h_half - 2.0 * 2.0f64.ln()).abs() < 1e-9);
     }
@@ -272,22 +271,13 @@ mod tests {
         let labels = vec![None; 5];
         let probs = vec![0.5; 5];
         let p = Partition::of_model(&m);
-        let ha = database_entropy(
-            &m,
-            &w,
-            &labels,
-            &probs,
-            &p,
-            (1.0, 1.0),
-            EntropyMode::Approximate,
-        );
+        let ha = database_entropy(&m, &w, &labels, &probs, &p, EntropyMode::Approximate);
         let he = database_entropy(
             &m,
             &w,
             &labels,
             &probs,
             &p,
-            (1.0, 1.0),
             EntropyMode::Exact { max_component: 10 },
         );
         assert!((ha - he).abs() < 1e-9, "approx={ha} exact={he}");
@@ -306,7 +296,6 @@ mod tests {
             &labels,
             &probs,
             &p,
-            (1.0, 1.0),
             EntropyMode::Exact { max_component: 2 }, // component has 6 > 2
         );
         assert!((h - claim_entropy(&probs)).abs() < 1e-12);
@@ -343,7 +332,7 @@ mod tests {
             let w = Weights::from_vec(vec![bias, 0.0, 0.0, 0.0]);
             let labels = vec![None; n];
             let comp: Vec<usize> = (0..n).collect();
-            let h = exact_component_entropy(&m, &w, &labels, &comp, (1.0, 1.0));
+            let h = exact_component_entropy(&m, &w, &labels, &comp);
             prop_assert!(h >= -1e-12);
             prop_assert!(h <= n as f64 * 2.0f64.ln() + 1e-9);
         }
@@ -357,7 +346,7 @@ mod tests {
             let w = Weights::from_vec(vec![bias, 0.0, 0.0, trustw]);
             let labels = vec![None; 3];
             let comp: Vec<usize> = (0..3).collect();
-            let h_exact = exact_component_entropy(&m, &w, &labels, &comp, (1.0, 1.0));
+            let h_exact = exact_component_entropy(&m, &w, &labels, &comp);
             // Enumerate to get true marginals.
             let mut marginals = [0.0f64; 3];
             let mut lws = Vec::new();

@@ -94,7 +94,7 @@ use crate::bitset::Bitset;
 use crate::graph::{CliqueId, CrfModel, Since, SyncPoint, VarId};
 use crate::numerics;
 use crate::partition::Partition;
-use crate::potentials::{clique_logit_contribution, ClaimEvidence, Weights};
+use crate::potentials::{clique_logit_contribution, ClaimEvidence, Weights, TRUST_PRIOR};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -113,9 +113,6 @@ pub struct GibbsConfig {
     /// RNG seed; runs are fully deterministic given the seed (and the chain
     /// count — chain `k` derives its stream from `seed ⊕ mix(k)`).
     pub seed: u64,
-    /// Beta pseudo-counts `(a, b)` smoothing the dynamic source trust
-    /// `τ(s) = (a + #credible) / (a + b + #claims)`.
-    pub trust_prior: (f64, f64),
     /// Weight of the previous-round probability factor `Pr^{l−1}(c)` of
     /// Eq. 6; `0` disables anchoring.
     pub anchor: f64,
@@ -131,7 +128,6 @@ impl Default for GibbsConfig {
             samples: 60,
             thin: 2,
             seed: 0x5eed,
-            trust_prior: (1.0, 1.0),
             anchor: 0.5,
             chains: 1,
         }
@@ -373,8 +369,8 @@ impl FoldedScores {
         beta: &[f64],
         sched: &CompSchedule,
         anchor_term: &[f64],
-        prior: (f64, f64),
     ) {
+        let (a, b) = TRUST_PRIOR;
         let trust_w = beta[beta.len() - 1];
         let signs = evidence.signs();
         let bias_sums = evidence.column(0);
@@ -397,7 +393,7 @@ impl FoldedScores {
         for comp in 0..sched.comp_work.len() {
             for &s in sched.sources_of(comp) {
                 let n = model.n_live_claims_of_source(s) as f64;
-                self.recip[s as usize] = 1.0 / (prior.0 + prior.1 + n - 1.0);
+                self.recip[s as usize] = 1.0 / (a + b + n - 1.0);
             }
             for p in sched.positions_of(comp) {
                 let c = sched.comp_unlabelled[p] as usize;
@@ -411,7 +407,7 @@ impl FoldedScores {
                     t += tw;
                 }
                 let stat = self.static_logit[c] - 0.5 * trust_w * bias_sums[c];
-                self.base_a[p] = (anchor_term[c] + stat) + prior.0 * t;
+                self.base_a[p] = (anchor_term[c] + stat) + a * t;
                 self.t_sum[p] = t;
                 self.csr[p + 1] = self.tw.len() as u32;
                 self.flip_src
@@ -590,13 +586,7 @@ impl ChainState {
     /// `excl` is always one of the source's claims here (the sweep only
     /// asks about sources of `excl`'s own cliques), so no membership test
     /// is needed.
-    fn trust_excluding(
-        &self,
-        model: &CrfModel,
-        prior: (f64, f64),
-        source: u32,
-        excl: usize,
-    ) -> f64 {
+    fn trust_excluding(&self, model: &CrfModel, source: u32, excl: usize) -> f64 {
         let mut credible = self.credible_per_source[source as usize] as f64;
         // Live count: tombstoned claims neither support nor dilute a
         // source's trust (their values are pinned `false` and excluded
@@ -606,7 +596,8 @@ impl ChainState {
             credible -= 1.0;
         }
         n -= 1.0;
-        (prior.0 + credible) / (prior.0 + prior.1 + n)
+        let (a, b) = TRUST_PRIOR;
+        (a + credible) / (a + b + n)
     }
 
     /// Set `claim` to `new_value`, maintaining the per-source credible
@@ -719,7 +710,7 @@ impl<'a> GibbsSampler<'a> {
                     continue; // retired evidence contributes nothing
                 }
                 let cl = model.clique(CliqueId(ci));
-                let trust = state.trust_excluding(model, self.config.trust_prior, cl.source, claim);
+                let trust = state.trust_excluding(model, cl.source, claim);
                 logit += clique_logit_contribution(model, weights, cl, trust);
             }
             if self.config.anchor > 0.0 {
@@ -866,14 +857,7 @@ impl<'a> GibbsSampler<'a> {
             evidence.sync(model);
             sched.refresh_static(model, partition);
             sched.refresh_labels(model, partition, labels);
-            fold.build(
-                model,
-                evidence,
-                weights.as_slice(),
-                sched,
-                anchor_term,
-                self.config.trust_prior,
-            );
+            fold.build(model, evidence, weights.as_slice(), sched, anchor_term);
         }
 
         let k = self.config.effective_chains();
@@ -1499,7 +1483,7 @@ mod tests {
     /// spec for one chain and for several (component 0 reuses the chain
     /// seed).
     #[test]
-    fn scheduled_single_component_matches_chromatic_reference() {
+    fn scheduled_single_component_matches_bit_spec() {
         let m = crate::graph::synthetic_components_model(1, 40, 10, 3, 2, 2, 7);
         let p = Partition::of_model(&m);
         assert_eq!(p.len(), 1);
@@ -2083,7 +2067,7 @@ mod tests {
         let mut anchor_term = Vec::new();
         GibbsSampler::new(m, cfg.clone()).fill_anchor_terms(probs, &mut anchor_term);
         let n = m.n_claims();
-        let (pa, pb) = cfg.trust_prior;
+        let (pa, pb) = TRUST_PRIOR;
         let beta = w.as_slice();
         let trust_w = beta[beta.len() - 1];
         let md = m.m_doc();
@@ -2263,7 +2247,7 @@ mod tests {
     /// graph and on a multi-component synthetic topology, for one and two
     /// chains.
     #[test]
-    fn chromatic_matches_scalar_spec() {
+    fn scheduled_matches_scalar_spec() {
         let models = [
             chained_components_model(&[2100]),
             crate::graph::synthetic_components_model(3, 8, 3, 2, 2, 2, 4),
@@ -2382,7 +2366,7 @@ mod tests {
 
     /// Deterministic multi-seed form of the scratch lifecycle spec.
     #[test]
-    fn chromatic_lifecycle_reused_scratch_is_bit_identical() {
+    fn scheduled_lifecycle_reused_scratch_is_bit_identical() {
         for seed in 0..8u64 {
             scratch_lifecycle_spec(seed.wrapping_mul(113) ^ 0xC4A0, 2 + (seed as usize % 5));
         }
@@ -2426,7 +2410,7 @@ mod tests {
         let k = order.len();
         assert!(k <= 10, "exact oracle enumerates 2^k states; k = {k}");
         let states = 1usize << k;
-        let (a, b) = cfg.trust_prior;
+        let (a, b) = TRUST_PRIOR;
 
         // cond[x·k + i]: P(order[i] = 1 | state x). The conditional leaves
         // the claim out, so it is the same at both values of bit i.
@@ -2576,7 +2560,7 @@ mod tests {
     /// law of their shared claim-id visit order. Prints the sigmoid
     /// table's bias on that law.
     #[test]
-    fn exact_oracle_bounds_reference_and_color_major_marginals() {
+    fn exact_oracle_bounds_reference_and_folded_marginals() {
         const CHAINS: usize = 6_000;
         for (mi, (m, labels)) in oracle_models().iter().enumerate() {
             let n = m.n_claims();
@@ -2812,7 +2796,7 @@ mod prop_tests {
         /// masks, the E-step under several forced layouts is bit-identical
         /// to the scalar bit spec.
         #[test]
-        fn prop_chromatic_equals_scalar_spec(
+        fn prop_scheduled_equals_scalar_spec(
             seed in 0u64..40,
             label_mask in proptest::collection::vec(proptest::option::of(any::<bool>()), 14),
             chains in 1usize..3,
@@ -2844,7 +2828,7 @@ mod prop_tests {
         /// op with a reused scratch bit-identical to fresh scratch, through
         /// the final compaction.
         #[test]
-        fn prop_chromatic_lifecycle_reused_scratch(
+        fn prop_scheduled_lifecycle_reused_scratch(
             seed in 0u64..40,
             n_ops in 2usize..7,
         ) {

@@ -430,11 +430,6 @@ impl CrfModel {
         self.n_claims - self.n_dead_claims
     }
 
-    /// Number of live sources.
-    pub fn n_live_sources(&self) -> usize {
-        self.n_sources - self.n_dead_sources
-    }
-
     /// Number of live cliques.
     pub fn n_live_cliques(&self) -> usize {
         self.cliques.len() - self.n_dead_cliques
@@ -580,21 +575,6 @@ impl CrfModel {
     #[inline]
     pub fn feature_dim(&self) -> usize {
         1 + self.m_doc + self.m_source + 1
-    }
-
-    /// Number of claims that share at least one source with `claim`
-    /// (excluding itself). A proxy for how strongly user input on this claim
-    /// propagates.
-    pub fn neighbourhood_size(&self, claim: VarId) -> usize {
-        let mut seen = std::collections::BTreeSet::new();
-        for &s in self.sources_of_claim(claim) {
-            for &c in self.claims_of_source(s) {
-                if c as usize != claim.idx() {
-                    seen.insert(c);
-                }
-            }
-        }
-        seen.len()
     }
 }
 
@@ -1805,16 +1785,6 @@ impl IdRemap {
         self.claims.len()
     }
 
-    /// Source count of the pre-compaction model.
-    pub fn n_old_sources(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Document count of the pre-compaction model.
-    pub fn n_old_docs(&self) -> usize {
-        self.docs.len()
-    }
-
     /// Clique count of the pre-compaction model.
     pub fn n_old_cliques(&self) -> usize {
         self.cliques.len()
@@ -2628,14 +2598,6 @@ mod tests {
     #[test]
     fn csr_adjacency_round_trips_nested_reference() {
         test_support::assert_matches_nested_reference(&test_support::random_model(60, 12, 3, 21));
-    }
-
-    #[test]
-    fn neighbourhood_excludes_self() {
-        let m = tiny_model();
-        // c0 shares source 0 with c1.
-        assert_eq!(m.neighbourhood_size(VarId(0)), 1);
-        assert_eq!(m.neighbourhood_size(VarId(1)), 1);
     }
 
     #[test]

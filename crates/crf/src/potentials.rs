@@ -26,6 +26,11 @@ use crate::graph::{Clique, CliqueId, CrfModel, Since, Stance, SyncPoint, VarId};
 use crate::numerics;
 use serde::{Deserialize, Serialize};
 
+/// Beta pseudo-counts `(a, b)` smoothing the dynamic source trust
+/// `τ(s) = (a + #credible) / (a + b + #claims)` everywhere it is computed:
+/// the sampler, the M-step, the exact entropy and the served trust table.
+pub const TRUST_PRIOR: (f64, f64) = (1.0, 1.0);
+
 /// The learned model parameters: one weight per clique-feature dimension.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Weights {

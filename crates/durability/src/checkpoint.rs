@@ -236,23 +236,6 @@ pub fn verify(storage: &Arc<dyn Storage>, name: &str) -> Result<(), CorruptCheck
         .map_err(|_| corrupt("payload is not UTF-8".to_string()))
 }
 
-/// Load the newest valid **full** checkpoint: its covered LSN and
-/// deserialised state. Invalid or unreadable files are skipped silently
-/// (next-newest wins); `None` when no full checkpoint exists. Chain-aware
-/// recovery wants [`entries`] + [`read`] instead, which also report what
-/// was skipped.
-pub fn latest<T: Deserialize>(storage: &Arc<dyn Storage>) -> Result<Option<(u64, T)>, WalError> {
-    for entry in entries(storage)?.into_iter().rev() {
-        if entry.kind != CheckpointKind::Full {
-            continue;
-        }
-        if let Ok(state) = read::<T>(storage, &entry.name) {
-            return Ok(Some((entry.lsn, state)));
-        }
-    }
-    Ok(None)
-}
-
 /// GC by coverage, run right after the full checkpoint at `keep_lsn`
 /// landed: that file supersedes every older chain and every increment
 /// (including increments an abandoned chain left *above* it), so delete
@@ -276,6 +259,21 @@ mod tests {
 
     fn full_name(lsn: u64) -> String {
         checkpoint_name(CheckpointKind::Full, lsn)
+    }
+
+    /// The newest valid **full** checkpoint: its covered LSN and state.
+    /// Invalid or unreadable files are skipped (next-newest wins); `None`
+    /// when no full checkpoint survives.
+    fn latest<T: Deserialize>(storage: &Arc<dyn Storage>) -> Result<Option<(u64, T)>, WalError> {
+        for entry in entries(storage)?.into_iter().rev() {
+            if entry.kind != CheckpointKind::Full {
+                continue;
+            }
+            if let Ok(state) = read::<T>(storage, &entry.name) {
+                return Ok(Some((entry.lsn, state)));
+            }
+        }
+        Ok(None)
     }
 
     /// Truncated envelopes — shorter than a frame header, or cut between

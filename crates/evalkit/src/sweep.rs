@@ -120,7 +120,6 @@ pub fn fast_icrf() -> IcrfConfig {
             thin: 1,
             ..Default::default()
         },
-        ..Default::default()
     }
 }
 

@@ -67,7 +67,6 @@ pub fn database_entropy_of(icrf: &Icrf, mode: EntropyMode) -> f64 {
         icrf.labels(),
         icrf.probs(),
         icrf.partition(),
-        icrf.config().gibbs.trust_prior,
         mode,
     )
 }

@@ -47,8 +47,7 @@ pub struct Published {
     /// exactly the ingest checker's state at publication.
     pub probs: Vec<f64>,
     /// Per-source trust under `probs` — bit-identical to
-    /// `crf::em::source_trust_from_probs(&model, &probs, prior)` with the
-    /// publishing server's prior.
+    /// `crf::em::source_trust_from_probs(&model, &probs)`.
     pub trust: Vec<f64>,
     /// The revision of `model` — the staleness tag's identity.
     pub revision: Revision,

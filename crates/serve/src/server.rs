@@ -172,7 +172,7 @@ impl<B: IngestBackend> TruthServer<B> {
     fn derive(checker: &StreamingChecker) -> Published {
         let model = checker.model().clone();
         let mut trust = Vec::new();
-        checker.source_trust_into(Self::TRUST_PRIOR, &mut trust);
+        checker.source_trust_into(&mut trust);
         Published {
             probs: checker.probs().to_vec(),
             trust,
@@ -182,11 +182,6 @@ impl<B: IngestBackend> TruthServer<B> {
             model,
         }
     }
-
-    /// The Beta prior published trust is computed under — the ingest
-    /// loop's own `(1, 1)` (uniform), so published trust matches the
-    /// trust the checker trains against.
-    pub const TRUST_PRIOR: (f64, f64) = (1.0, 1.0);
 
     /// A cloneable reader over this server's published state. Readers are
     /// `Send + Sync` and never block the ingest path.
@@ -268,11 +263,7 @@ mod tests {
         assert_eq!(p.revision, p.model.revision());
         assert_eq!(p.compactions, p.model.compactions());
         assert_eq!(p.probs.len(), p.model.n_claims());
-        let trust = crf::em::source_trust_from_probs(
-            &p.model,
-            &p.probs,
-            TruthServer::<StreamingChecker>::TRUST_PRIOR,
-        );
+        let trust = crf::em::source_trust_from_probs(&p.model, &p.probs);
         assert_eq!(
             p.trust, trust,
             "trust table not derived from published pair"

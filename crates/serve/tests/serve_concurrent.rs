@@ -113,11 +113,7 @@ struct Offline {
 }
 
 fn offline(p: &Published) -> Offline {
-    let trust = crf::em::source_trust_from_probs(
-        &p.model,
-        &p.probs,
-        TruthServer::<StreamingChecker>::TRUST_PRIOR,
-    );
+    let trust = crf::em::source_trust_from_probs(&p.model, &p.probs);
     Offline { trust }
 }
 

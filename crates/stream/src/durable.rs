@@ -125,7 +125,9 @@ pub enum DurableError {
     Wal(WalError),
     /// A model edit failed (during ingest or replay).
     Model(ModelError),
-    /// The online-EM configuration was rejected.
+    /// The online-EM configuration was rejected. Unreachable: the
+    /// estimator has no settings, and [`StreamingChecker::try_new`] keeps
+    /// its `Result` only for source compatibility.
     Online(OnlineEmError),
     /// Recovery found no checkpoint at all (the store was never
     /// initialised).
@@ -642,11 +644,6 @@ impl DurableChecker {
     /// [`Self::create`] or a clean recovery).
     pub fn corrupt_checkpoints(&self) -> &[CorruptCheckpoint] {
         &self.corrupt_seen
-    }
-
-    /// Scrub this checker's own store — see [`verify_store`].
-    pub fn verify(&self) -> Result<StoreReport, DurableError> {
-        verify_store(&self.storage)
     }
 
     /// The LSN the next logged edit will carry.

@@ -28,8 +28,6 @@ pub struct InterleaveConfig {
     pub icrf: IcrfConfig,
     /// Guidance settings (hybrid strategy, like Table 2).
     pub ig: InfoGainConfig,
-    /// Online EM settings.
-    pub online: OnlineEmConfig,
     /// RNG seed for the hybrid roulette.
     pub seed: u64,
     /// Arrival order of the claims ("posting time", §8.8). Defaults to
@@ -44,7 +42,6 @@ impl Default for InterleaveConfig {
             validations_per_period: 2,
             icrf: IcrfConfig::default(),
             ig: InfoGainConfig::default(),
-            online: OnlineEmConfig::default(),
             seed: 0x17ea,
             arrival_order: None,
         }
@@ -110,8 +107,8 @@ pub fn streaming_sequence(
         .unwrap_or_else(|| (0..n as u32).map(VarId).collect());
     let (mut replay, seed) =
         Replay::start(corpus.snapshot(), order).expect("a corpus publishes a document");
-    let mut checker = StreamingChecker::try_new(seed, config.online.clone())
-        .expect("interleave config validated by caller");
+    let mut checker = StreamingChecker::try_new(seed, OnlineEmConfig::default())
+        .expect("the online estimator has no settings to reject");
     let mut icrf = Icrf::new(corpus, config.icrf.clone());
     let mut strategy = HybridStrategy::new(config.ig.clone(), config.seed);
     let mut user = GroundTruthUser::new(truth.to_vec());
@@ -233,7 +230,7 @@ mod tests {
     /// The streaming arrival path is reproducible end to end under the
     /// component-scheduled E-step.
     #[test]
-    fn streaming_sequence_is_deterministic_under_chromatic_schedule() {
+    fn streaming_sequence_is_deterministic_under_component_schedule() {
         let ds = factdb::DatasetPreset::WikiMini.generate();
         let model = Arc::new(ds.db.to_crf_model().unwrap());
         let mk = || {

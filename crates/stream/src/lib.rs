@@ -73,8 +73,6 @@ pub mod stream;
 
 pub use durable::{verify_store, DurabilityConfig, DurableChecker, DurableError, StoreReport};
 pub use interleave::{offline_sequence, streaming_sequence, InterleaveConfig};
-pub use online_em::{
-    ArrivalStats, OnlineEm, OnlineEmConfig, OnlineEmError, OnlineEmState, StepSchedule,
-};
+pub use online_em::{ArrivalStats, OnlineEm, OnlineEmConfig, OnlineEmError, OnlineEmState};
 pub use replay::Replay;
 pub use stream::{RetentionPolicy, StreamingChecker};

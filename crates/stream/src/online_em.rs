@@ -18,37 +18,28 @@ use crf::potentials::Weights;
 use crf::{IdRemap, VarId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
-/// Robbins–Monro step sizes `γ_t = (t0 + t)^{−κ}` with `κ ∈ (0.5, 1]`,
-/// which satisfy `Σγ_t = ∞` and `Σγ_t² < ∞` as Eq. 29 requires.
-#[derive(Debug, Clone, Copy)]
-pub struct StepSchedule {
-    /// Decay exponent `κ`.
-    pub kappa: f64,
-    /// Offset `t0` damping the earliest steps.
-    pub t0: f64,
+/// Robbins–Monro decay exponent `κ ∈ (0.5, 1]` of the step sizes
+/// `γ_t = (t0 + t)^{−κ}`, which then satisfy `Σγ_t = ∞` and `Σγ_t² < ∞` as
+/// Eq. 29 requires.
+const KAPPA: f64 = 0.7;
+/// Offset `t0` damping the earliest steps.
+const T0: f64 = 2.0;
+/// L2 regularisation of the M-step.
+const LAMBDA: f64 = 1.0;
+/// Instances whose decayed weight falls below this floor are discarded.
+const WEIGHT_FLOOR: f64 = 1e-4;
+/// Hard cap on retained instances (oldest dropped first).
+const MAX_INSTANCES: usize = 4096;
+
+/// The step size `γ_t` at arrival `t` (1-based).
+fn gamma(t: u64) -> f64 {
+    (T0 + t as f64).powf(-KAPPA)
 }
 
-impl Default for StepSchedule {
-    fn default() -> Self {
-        StepSchedule {
-            kappa: 0.7,
-            t0: 2.0,
-        }
-    }
-}
-
-/// Configuration errors of the online estimator, raised at construction
-/// time ([`OnlineEm::try_new`]) instead of deep inside the stream loop.
+/// Errors of the online estimator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OnlineEmError {
-    /// `κ` outside `(0.5, 1]`: the Robbins–Monro conditions
-    /// `Σγ_t = ∞`, `Σγ_t² < ∞` would be violated.
-    InvalidKappa(f64),
-    /// `t0` negative or non-finite: the earliest step sizes would be
-    /// undefined or larger than 1.
-    InvalidT0(f64),
     /// A restored [`OnlineEmState`] was built for a different feature
     /// dimension than the estimator it is being restored into.
     DimMismatch {
@@ -62,13 +53,6 @@ pub enum OnlineEmError {
 impl std::fmt::Display for OnlineEmError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            OnlineEmError::InvalidKappa(k) => write!(
-                f,
-                "kappa = {k} outside (0.5, 1]; Robbins–Monro convergence requires kappa in (0.5, 1]"
-            ),
-            OnlineEmError::InvalidT0(t0) => {
-                write!(f, "t0 = {t0} must be finite and non-negative")
-            }
             OnlineEmError::DimMismatch { expected, got } => {
                 write!(
                     f,
@@ -81,56 +65,11 @@ impl std::fmt::Display for OnlineEmError {
 
 impl std::error::Error for OnlineEmError {}
 
-impl StepSchedule {
-    /// Check the Robbins–Monro conditions once, up front. Called by
-    /// [`OnlineEm::try_new`] so an invalid schedule surfaces as a
-    /// configuration error at construction instead of a panic on the
-    /// millionth arrival.
-    pub fn validate(&self) -> Result<(), OnlineEmError> {
-        if !(self.kappa > 0.5 && self.kappa <= 1.0) {
-            return Err(OnlineEmError::InvalidKappa(self.kappa));
-        }
-        if !self.t0.is_finite() || self.t0 < 0.0 {
-            return Err(OnlineEmError::InvalidT0(self.t0));
-        }
-        Ok(())
-    }
-
-    /// The step size at arrival `t` (1-based). The κ-range is enforced at
-    /// [`OnlineEm::try_new`]; the hot path only keeps a debug check.
-    pub fn gamma(&self, t: u64) -> f64 {
-        debug_assert!(
-            self.validate().is_ok(),
-            "invalid StepSchedule reached the hot path: {:?}",
-            self.validate()
-        );
-        (self.t0 + t as f64).powf(-self.kappa)
-    }
-}
-
-/// Configuration of the online estimator.
-#[derive(Debug, Clone)]
-pub struct OnlineEmConfig {
-    /// Step-size schedule.
-    pub schedule: StepSchedule,
-    /// L2 regularisation of the M-step.
-    pub lambda: f64,
-    /// Instances with effective weight below this floor are discarded.
-    pub weight_floor: f64,
-    /// Hard cap on retained instances (oldest dropped first).
-    pub max_instances: usize,
-}
-
-impl Default for OnlineEmConfig {
-    fn default() -> Self {
-        OnlineEmConfig {
-            schedule: StepSchedule::default(),
-            lambda: 1.0,
-            weight_floor: 1e-4,
-            max_instances: 4096,
-        }
-    }
-}
+/// Configuration of the online estimator. It has no fields: the
+/// step schedule, the regularisation and the instance bounds are the
+/// constants above.
+#[derive(Debug, Clone, Default)]
+pub struct OnlineEmConfig {}
 
 /// Statistics of one arrival update.
 #[derive(Debug, Clone)]
@@ -142,8 +81,6 @@ pub struct ArrivalStats {
     pub tron_iterations: usize,
     /// Instances retained after the update.
     pub retained_instances: usize,
-    /// Wall-clock time of the update.
-    pub elapsed: Duration,
     /// Claims the retention sweep riding on this arrival tombstoned
     /// (always 0 under an unbounded [`crate::stream::RetentionPolicy`]).
     pub retired_claims: usize,
@@ -187,7 +124,6 @@ pub struct OnlineEmState {
 /// The online parameter estimator.
 pub struct OnlineEm {
     dim: usize,
-    config: OnlineEmConfig,
     weights: Weights,
     instances: VecDeque<WeightedInstance>,
     t: u64,
@@ -200,19 +136,16 @@ pub struct OnlineEm {
 }
 
 impl OnlineEm {
-    /// Fresh estimator over `dim`-dimensional clique features, validating
-    /// the configuration (step schedule) up front.
-    pub fn try_new(dim: usize, config: OnlineEmConfig) -> Result<Self, OnlineEmError> {
-        config.schedule.validate()?;
-        Ok(OnlineEm {
+    /// Fresh estimator over `dim`-dimensional clique features.
+    pub fn new(dim: usize) -> Self {
+        OnlineEm {
             dim,
-            config,
             weights: Weights::zeros(dim),
             instances: VecDeque::new(),
             t: 0,
             data: Dataset::new(dim),
             newton: NewtonScratch::default(),
-        })
+        }
     }
 
     /// Current parameters `W_t`.
@@ -243,11 +176,8 @@ impl OnlineEm {
     /// instead of waiting for geometric decay to push them under the
     /// weight floor.
     pub fn observe_for_claims(&mut self, rows: &[(u32, Vec<f64>, f64)]) -> ArrivalStats {
-        // det-ok: feeds elapsed-time telemetry only; no sampled or logged
-        // byte depends on it.
-        let started = Instant::now();
         self.t += 1;
-        let gamma = self.config.schedule.gamma(self.t);
+        let gamma = gamma(self.t);
 
         // Decay the running objective: (1−γ)·Q_{t−1}.
         let decay = 1.0 - gamma;
@@ -266,9 +196,8 @@ impl OnlineEm {
         }
         // Bound memory: apply the weight floor and the hard cap (this is
         // the "discard after validation" policy of §7 made concrete).
-        let floor = self.config.weight_floor;
-        self.instances.retain(|i| i.weight >= floor);
-        while self.instances.len() > self.config.max_instances {
+        self.instances.retain(|i| i.weight >= WEIGHT_FLOOR);
+        while self.instances.len() > MAX_INSTANCES {
             self.instances.pop_front();
         }
 
@@ -277,7 +206,6 @@ impl OnlineEm {
                 gamma,
                 tron_iterations: 0,
                 retained_instances: 0,
-                elapsed: started.elapsed(),
                 retired_claims: 0,
                 retired_sources: 0,
                 compacted: false,
@@ -292,14 +220,13 @@ impl OnlineEm {
         for inst in &self.instances {
             self.data.push(&inst.row, inst.target, inst.weight);
         }
-        let obj = LogisticObjective::new(&self.data, self.config.lambda);
+        let obj = LogisticObjective::new(&self.data, LAMBDA);
         let res = newton::solve(&obj, self.weights.as_mut_slice(), &mut self.newton);
 
         ArrivalStats {
             gamma,
             tron_iterations: res.iterations,
             retained_instances: self.instances.len(),
-            elapsed: started.elapsed(),
             retired_claims: 0,
             retired_sources: 0,
             compacted: false,
@@ -385,68 +312,22 @@ mod tests {
 
     #[test]
     fn schedule_satisfies_robbins_monro_shape() {
-        let s = StepSchedule::default();
         // Decreasing.
-        assert!(s.gamma(1) > s.gamma(2));
-        assert!(s.gamma(10) > s.gamma(100));
+        assert!(gamma(1) > gamma(2));
+        assert!(gamma(10) > gamma(100));
         // Partial sums of γ grow without bound while Σγ² converges: check
         // numerically over a horizon.
-        let sum: f64 = (1..10_000).map(|t| s.gamma(t)).sum();
-        let sum_sq: f64 = (1..10_000).map(|t| s.gamma(t).powi(2)).sum();
+        let sum: f64 = (1..10_000).map(gamma).sum();
+        let sum_sq: f64 = (1..10_000).map(|t| gamma(t).powi(2)).sum();
         assert!(sum > 30.0, "Σγ too small: {sum}");
         assert!(sum_sq < 3.0, "Σγ² too large: {sum_sq}");
-    }
-
-    /// Invalid schedules are rejected at construction — a config error from
-    /// `try_new`, not a panic on the first (or millionth) arrival.
-    #[test]
-    fn invalid_kappa_is_a_construction_error() {
-        for kappa in [0.3, 0.5, 1.5, -1.0, f64::NAN] {
-            let schedule = StepSchedule { kappa, t0: 1.0 };
-            assert!(
-                matches!(schedule.validate(), Err(OnlineEmError::InvalidKappa(_))),
-                "kappa {kappa}"
-            );
-            let config = OnlineEmConfig {
-                schedule,
-                ..Default::default()
-            };
-            assert!(
-                matches!(
-                    OnlineEm::try_new(2, config),
-                    Err(OnlineEmError::InvalidKappa(_))
-                ),
-                "kappa {kappa}"
-            );
-        }
-        assert_eq!(
-            StepSchedule {
-                kappa: 0.7,
-                t0: -1.0
-            }
-            .validate(),
-            Err(OnlineEmError::InvalidT0(-1.0))
-        );
-        // Boundary values of the open/closed interval.
-        assert!(StepSchedule {
-            kappa: 1.0,
-            t0: 0.0
-        }
-        .validate()
-        .is_ok());
-        assert!(StepSchedule {
-            kappa: 0.51,
-            t0: 2.0
-        }
-        .validate()
-        .is_ok());
     }
 
     /// Feeding consistent data drives the weights towards the batch
     /// solution: positive bias for target-1 instances.
     #[test]
     fn converges_on_stationary_stream() {
-        let mut em = OnlineEm::try_new(2, OnlineEmConfig::default()).unwrap();
+        let mut em = OnlineEm::new(2);
         for i in 0..300 {
             let x = if i % 2 == 0 { 1.0 } else { -1.0 };
             let y = if x > 0.0 { 1.0 } else { 0.0 };
@@ -460,7 +341,7 @@ mod tests {
 
     #[test]
     fn later_updates_move_weights_less() {
-        let mut em = OnlineEm::try_new(1, OnlineEmConfig::default()).unwrap();
+        let mut em = OnlineEm::new(1);
         let mut deltas = Vec::new();
         for i in 0..60 {
             let before = em.weights().clone();
@@ -477,24 +358,20 @@ mod tests {
 
     #[test]
     fn memory_is_bounded() {
-        let mut em = OnlineEm::try_new(
-            1,
-            OnlineEmConfig {
-                max_instances: 50,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for i in 0..500 {
-            em.observe_for_claims(&[(i, vec![1.0], 1.0), (i, vec![-1.0], 0.0)]);
+        let mut em = OnlineEm::new(1);
+        // Wide arrivals fill the buffer before decay reaches the floor, so
+        // the hard cap is what binds.
+        let rows: Vec<_> = (0..1000).map(|i| (i, vec![1.0], 1.0)).collect();
+        for _ in 0..5 {
+            em.observe_for_claims(&rows);
         }
-        assert!(em.retained() <= 50);
-        assert_eq!(em.arrivals(), 500);
+        assert_eq!(em.retained(), MAX_INSTANCES);
+        assert_eq!(em.arrivals(), 5);
     }
 
     #[test]
     fn stats_are_populated() {
-        let mut em = OnlineEm::try_new(1, OnlineEmConfig::default()).unwrap();
+        let mut em = OnlineEm::new(1);
         let stats = em.observe_for_claims(&[(0, vec![1.0], 0.8)]);
         assert!(stats.gamma > 0.0 && stats.gamma < 1.0);
         assert_eq!(stats.retained_instances, 1);
@@ -502,14 +379,14 @@ mod tests {
 
     #[test]
     fn set_weights_exchanges_parameters() {
-        let mut em = OnlineEm::try_new(2, OnlineEmConfig::default()).unwrap();
+        let mut em = OnlineEm::new(2);
         em.set_weights(Weights::from_vec(vec![0.5, -0.5]));
         assert_eq!(em.weights().as_slice(), &[0.5, -0.5]);
     }
 
     #[test]
     fn empty_arrival_is_safe() {
-        let mut em = OnlineEm::try_new(3, OnlineEmConfig::default()).unwrap();
+        let mut em = OnlineEm::new(3);
         let stats = em.observe_for_claims(&[]);
         assert_eq!(stats.retained_instances, 0);
     }
@@ -518,7 +395,7 @@ mod tests {
     /// untagged instances and instances of live claims are untouched.
     #[test]
     fn dead_claims_instances_are_pruned() {
-        let mut em = OnlineEm::try_new(1, OnlineEmConfig::default()).unwrap();
+        let mut em = OnlineEm::new(1);
         em.observe_for_claims(&[(3, vec![0.5], 1.0)]);
         em.clear_claim_tags(); // untagged: decay-only lifetime
         em.observe_for_claims(&[(3, vec![1.0], 1.0), (4, vec![-1.0], 0.0)]);
@@ -551,7 +428,7 @@ mod tests {
         let remap = m.compact().unwrap();
         assert!(remap.claim(VarId(0)).is_none());
 
-        let mut em = OnlineEm::try_new(1, OnlineEmConfig::default()).unwrap();
+        let mut em = OnlineEm::new(1);
         em.observe_for_claims(&[(0, vec![1.0], 1.0), (1, vec![-1.0], 0.0)]);
         let dropped = em.remap_claims(&remap);
         assert_eq!(dropped, 1, "claim 0's instance dies with the claim");
@@ -570,7 +447,7 @@ mod tests {
     /// weights as the uninterrupted one.
     #[test]
     fn state_round_trip_resumes_bit_identically() {
-        let mut em = OnlineEm::try_new(2, OnlineEmConfig::default()).unwrap();
+        let mut em = OnlineEm::new(2);
         for i in 0..20 {
             let x = if i % 2 == 0 { 1.0 } else { -1.0 };
             em.observe_for_claims(&[(i as u32, vec![1.0, x], f64::from(u8::from(x > 0.0)))]);
@@ -578,7 +455,7 @@ mod tests {
         let json = serde_json::to_string(&em.export_state()).unwrap();
         let state: OnlineEmState = serde_json::from_str(&json).unwrap();
 
-        let mut restored = OnlineEm::try_new(2, OnlineEmConfig::default()).unwrap();
+        let mut restored = OnlineEm::new(2);
         restored.restore_state(state).unwrap();
         assert_eq!(restored.arrivals(), em.arrivals());
         assert_eq!(restored.retained(), em.retained());
@@ -595,7 +472,7 @@ mod tests {
         }
 
         // Dimension mismatch is refused.
-        let mut other = OnlineEm::try_new(3, OnlineEmConfig::default()).unwrap();
+        let mut other = OnlineEm::new(3);
         let state: OnlineEmState = serde_json::from_str(&json).unwrap();
         assert!(matches!(
             other.restore_state(state),

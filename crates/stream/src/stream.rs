@@ -120,8 +120,9 @@ impl StreamingChecker {
     /// Claims already in the model have not arrived: they stay at
     /// probability 0.5, out of [`Self::visible_claims`] and out of the
     /// retention window's reach. Claims ingested through
-    /// [`Self::arrive_new`] become visible as they land. Validates the
-    /// online-EM configuration up front.
+    /// [`Self::arrive_new`] become visible as they land. The online
+    /// estimator has no settings, so this cannot fail; the configuration
+    /// argument and the `Result` stay for source compatibility.
     ///
     /// To share one growable lineage with other components (the offline
     /// engine, a validation process), pass **clones of one
@@ -129,7 +130,7 @@ impl StreamingChecker {
     /// two *independent* handles that do not observe each other's growth.
     pub fn try_new(
         model: impl Into<ModelHandle>,
-        config: OnlineEmConfig,
+        _config: OnlineEmConfig,
     ) -> Result<Self, OnlineEmError> {
         let handle = model.into();
         let model = handle.snapshot();
@@ -142,7 +143,7 @@ impl StreamingChecker {
             probs: vec![0.5; n],
             arrival_seq: vec![NEVER; n],
             policy: RetentionPolicy::unbounded(),
-            online: OnlineEm::try_new(dim, config)?,
+            online: OnlineEm::new(dim),
             arrivals: 0,
         })
     }
@@ -278,11 +279,10 @@ impl StreamingChecker {
     /// into `out` (resized to the model's source count) — the serving-layer
     /// accessor: a query front end republishes trust from the same
     /// `(model, probs)` pair it pins, so answers stay bit-reproducible from
-    /// the published state. Uses the same Beta `prior` convention as
-    /// [`crf::em::source_trust_from_probs`]; the ingest loop's internal
-    /// estimate uses `(1.0, 1.0)`.
-    pub fn source_trust_into(&self, prior: (f64, f64), out: &mut Vec<f64>) {
-        crf::em::source_trust_into(self.model(), &self.probs, prior, out);
+    /// the published state. Bit-identical to
+    /// [`crf::em::source_trust_from_probs`] on the same pair.
+    pub fn source_trust_into(&self, out: &mut Vec<f64>) {
+        crf::em::source_trust_into(self.model(), &self.probs, out);
     }
 
     /// Current online parameters.
@@ -347,7 +347,7 @@ impl StreamingChecker {
         // Trust statistics of the neighbourhood *before* the new claims'
         // own estimates land: the arriving claim itself sits at the
         // maximum-entropy 0.5 while its probability is computed.
-        let trust = source_trust_from_probs(&model, &self.probs, (1.0, 1.0));
+        let trust = source_trust_from_probs(&model, &self.probs);
         for c in first_new_claim..first_new_claim + n_new_claims {
             self.arrivals += 1;
             self.arrival_seq[c] = self.arrivals as u64;
@@ -364,6 +364,9 @@ impl StreamingChecker {
             &model.cliques()[first_new_clique..first_new_clique + n_new_cliques],
         );
         let mut stats = self.online.observe_for_claims(&rows);
+        // Release the snapshot clone before the sweep: held across it, it
+        // would make every retiring arrival copy the model.
+        drop(model);
 
         // Retention rides on the ingest path: expired claims are tombstoned
         // and, past the dead-fraction threshold, compacted away — this is
@@ -385,9 +388,11 @@ impl StreamingChecker {
     /// The retention sweep proper: retire every arrived claim `window`
     /// arrivals old (plus the sources it orphans), then compact once the
     /// dead fraction crosses the policy threshold, recording both in
-    /// `stats`. Expects a fresh snapshot pin.
+    /// `stats`. Expects a fresh snapshot pin. The model is only borrowed
+    /// from that pin, so nothing but the pin itself keeps it alive when the
+    /// sweep releases it to tombstone in place.
     fn run_retention(&mut self, window: u64, stats: &mut ArrivalStats) -> Result<(), ModelError> {
-        let model = self.model().clone();
+        let model = self.model();
 
         // ---- Which claims expire. Only arrived, still-live claims are
         // candidates; prebuilt claims that never arrived are not the
@@ -404,7 +409,7 @@ impl StreamingChecker {
             .collect();
 
         if !expire.is_empty() {
-            let mut set = RetireSet::for_model(&model);
+            let mut set = RetireSet::for_model(model);
             for &c in &expire {
                 set.retire_claim(VarId(c));
             }
@@ -656,23 +661,6 @@ mod tests {
         assert_eq!(icrf.weights().as_slice(), s.weights().as_slice());
     }
 
-    /// An invalid step schedule surfaces as a config error from `try_new`
-    /// instead of a panic on the first arrival.
-    #[test]
-    fn invalid_schedule_propagates_as_config_error() {
-        let config = OnlineEmConfig {
-            schedule: crate::online_em::StepSchedule {
-                kappa: 0.1,
-                t0: 1.0,
-            },
-            ..Default::default()
-        };
-        assert!(matches!(
-            StreamingChecker::try_new(model(), config),
-            Err(crate::online_em::OnlineEmError::InvalidKappa(_))
-        ));
-    }
-
     #[test]
     fn update_stats_have_positive_gamma() {
         let mut s = checker(model());
@@ -740,6 +728,31 @@ mod tests {
             "checker-only growth must splice in place, not copy the model"
         );
         assert_eq!(s.model().n_claims(), 2);
+    }
+
+    /// A retiring arrival tombstones in place too: neither the arrival nor
+    /// its retention sweep still holds a snapshot when the sweep edits the
+    /// handle, so `Arc::make_mut` never copies the model.
+    #[test]
+    fn retiring_arrival_tombstones_in_place_without_copy() {
+        let mut s = StreamingChecker::try_new(seed_handle(), OnlineEmConfig::default())
+            .unwrap()
+            .with_retention(RetentionPolicy {
+                window: Some(3),
+                compact_threshold: 1.0,
+            });
+        for k in 0..3 {
+            ingest_one(&mut s, k);
+        }
+        let ptr = Arc::as_ptr(s.model());
+        let stats = ingest_one(&mut s, 3);
+        assert_eq!(stats.retired_claims, 1);
+        assert!(!stats.compacted);
+        assert_eq!(
+            Arc::as_ptr(s.model()),
+            ptr,
+            "a retiring sweep must tombstone in place, not copy the model"
+        );
     }
 
     /// A stale delta (prepared before another delta landed) is rejected

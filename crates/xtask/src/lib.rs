@@ -184,7 +184,6 @@ impl Config {
                     fns: Some(vec![
                         "recover".into(),
                         "assemble_chain".into(),
-                        "verify".into(),
                         "verify_store".into(),
                     ]),
                 },

@@ -108,7 +108,6 @@ fn tau_increases_with_validation_period() {
                 ig: fast_ig(),
                 seed: 3,
                 arrival_order: Some(order),
-                ..Default::default()
             };
             let seq: Vec<u32> =
                 streaming_sequence(model.clone(), &ds.truth, n_validations, &config)
