@@ -77,7 +77,7 @@ struct LoadReport {
 /// One query round against `handle`: a truth batch, a top-k scan, and a
 /// trust lookup, each individually timed into `out` (µs).
 fn query_round(handle: &serve::QueryHandle, k: usize, out: &mut Vec<f64>) {
-    let width = handle.snapshot().model.n_claims().max(1) as u32;
+    let width = handle.snapshot().probs.len().max(1) as u32;
     let ids: Vec<VarId> = (0..8)
         .map(|i| VarId((k * 131 + i * 17) as u32 % width))
         .collect();
@@ -152,15 +152,24 @@ fn run_under_load(arrivals: usize, readers: usize, pace_us: u64) -> LoadReport {
 }
 
 /// Correctness smoke: a small served run whose every published state is
-/// verified bit-identical against offline recomputation.
+/// verified bit-identical against offline recomputation from the writer's
+/// model at publication.
 fn quick_smoke() {
     let mut srv = bench_server(200, 60);
     let reader = srv.reader();
     for k in 0..250 {
         ingest_one(&mut srv, k);
         let p = reader.snapshot();
-        assert_eq!(p.revision, p.model.revision());
-        let trust = crf::em::source_trust_from_probs(&p.model, &p.probs);
+        let model = srv.backend().checker().model();
+        assert_eq!(p.revision, model.revision());
+        for c in 0..model.n_claims() {
+            assert_eq!(
+                p.claim_live(c),
+                model.claim_live(c),
+                "published liveness diverged"
+            );
+        }
+        let trust = crf::em::source_trust_from_probs(model, &p.probs);
         assert_eq!(p.trust, trust, "published trust diverged");
         let top = reader.top_k_uncertain(5).value;
         for w in top.windows(2) {
@@ -168,6 +177,7 @@ fn quick_smoke() {
         }
     }
     let p = reader.snapshot();
+    let live_claims = srv.backend().checker().model().n_live_claims();
     assert!(
         p.compactions > 0,
         "quick smoke never compacted (window too wide)"
@@ -175,8 +185,7 @@ fn quick_smoke() {
     println!(
         "quick serve smoke: 250 arrivals, {} compactions, {} live claims, all published states \
          bit-identical to offline recomputation",
-        p.compactions,
-        p.model.n_live_claims()
+        p.compactions, live_claims
     );
 }
 

@@ -44,7 +44,7 @@ impl ClaimCursor {
     /// A cursor over `claims`, whose ids live in `state`'s id space.
     pub fn new(state: &Published, claims: Vec<VarId>) -> Self {
         ClaimCursor {
-            model_id: state.model.model_id(),
+            model_id: state.model_id,
             compactions: state.compactions,
             claims,
             pos: 0,
@@ -60,10 +60,10 @@ impl ClaimCursor {
     /// served with `live: false`, not skipped — the caller asked about
     /// them and deserves the truthful answer.
     pub fn next(&mut self, state: &Published) -> Result<Option<CursorAnswer>, QueryError> {
-        if state.model.model_id() != self.model_id {
+        if state.model_id != self.model_id {
             return Err(QueryError::WrongLineage {
                 expected: self.model_id,
-                found: state.model.model_id(),
+                found: state.model_id,
             });
         }
         if state.compactions != self.compactions {
@@ -103,7 +103,6 @@ impl ClaimCursor {
         // chain is not retained, and a *smaller* count means the caller
         // fed an older snapshot than the cursor already validated against.
         let Some(remap) = state
-            .model
             .remap_since(self.compactions)
             .map_err(|_| refuse.clone())?
         else {

@@ -4,10 +4,12 @@
 //! never tear the readers**. Both follow from two decisions:
 //!
 //! * A published state is **one** immutable [`Published`] value behind one
-//!   `Arc`: the model snapshot and every table derived from it (marginals,
-//!   trust) travel together, so a reader can no more see a
-//!   `(model, probs)` pair from different revisions than it can see half a
-//!   pointer.
+//!   `Arc`: every table readers query (liveness, marginals, trust, the
+//!   latest remap) travels together, copied from one model revision, so a
+//!   reader can no more see a `(liveness, probs)` pair from different
+//!   revisions than it can see half a pointer. The state does not pin the
+//!   model itself, so a published revision never makes the writer copy
+//!   the model to grow it.
 //! * Publication swaps an `Arc`, not data. The cell keeps a small ring of
 //!   slots plus an epoch counter: the writer installs the next state into
 //!   slot `(epoch + 1) % N` — a slot no reader is directed at — and only
@@ -26,8 +28,7 @@
 //! The cell supports **one** writer; [`crate::server::TruthServer`]
 //! enforces that structurally (publication requires `&mut self`).
 
-use crf::graph::Revision;
-use crf::CrfModel;
+use crf::graph::{IdRemap, ModelError, Revision};
 #[cfg(loom)]
 use loom::sync::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,23 +36,31 @@ use std::sync::Arc;
 #[cfg(not(loom))]
 use std::sync::RwLock;
 
-/// One immutable published serving state: a pinned model snapshot plus
-/// every query-side table derived from exactly that snapshot. Readers
-/// receive the whole value behind one `Arc`, so the pairing is atomic by
-/// construction.
+/// One immutable published serving state: every query-side table, copied
+/// from exactly one model revision. Readers receive the whole value behind
+/// one `Arc`, so the pairing is atomic by construction.
 #[derive(Debug)]
 pub struct Published {
-    /// The pinned model snapshot all tables below are derived from.
-    pub model: Arc<CrfModel>,
+    /// Per-claim liveness of the published revision, one entry per claim
+    /// slot (`true` = in service).
+    pub claim_liveness: Vec<bool>,
+    /// Per-source liveness of the published revision.
+    pub source_liveness: Vec<bool>,
+    /// The build lineage of the published revision; cursors refuse another.
+    pub model_id: u64,
+    /// The remap of the revision's latest compaction (`None` before the
+    /// first); cursors relocate through it.
+    pub remap: Option<Arc<IdRemap>>,
     /// Per-claim credibility estimates (0.5 for claims not yet arrived),
     /// exactly the ingest checker's state at publication.
     pub probs: Vec<f64>,
     /// Per-source trust under `probs` — bit-identical to
-    /// `crf::em::source_trust_from_probs(&model, &probs)`.
+    /// `crf::em::source_trust_from_probs` on the published revision.
     pub trust: Vec<f64>,
-    /// The revision of `model` — the staleness tag's identity.
+    /// The published model revision — the staleness tag's identity.
     pub revision: Revision,
-    /// Compaction count of `model`; cursors compare it to relocate.
+    /// Compaction count of the published revision; cursors compare it to
+    /// relocate.
     pub compactions: u64,
     /// Arrivals the ingest checker had processed at publication; together
     /// with `revision` this is the staleness bound a reader observes.
@@ -61,7 +70,30 @@ pub struct Published {
 impl Published {
     /// Whether `claim` is in range and live in this state.
     pub fn claim_live(&self, claim: usize) -> bool {
-        claim < self.model.n_claims() && self.model.claim_live(claim)
+        self.claim_liveness.get(claim) == Some(&true)
+    }
+
+    /// Whether `source` is in range and live in this state.
+    pub fn source_live(&self, source: usize) -> bool {
+        self.source_liveness.get(source) == Some(&true)
+    }
+
+    /// The remap that carries ids valid after `compactions` compactions
+    /// into this state's numbering, under the rules of
+    /// [`crf::CrfModel::remap_since`]: `None` when no compaction
+    /// intervened, the retained remap across exactly one, and
+    /// [`ModelError::Remapped`] otherwise.
+    pub fn remap_since(&self, compactions: u64) -> Result<Option<&IdRemap>, ModelError> {
+        if compactions == self.compactions {
+            return Ok(None);
+        }
+        match &self.remap {
+            Some(remap) if self.compactions.checked_sub(compactions) == Some(1) => Ok(Some(remap)),
+            _ => Err(ModelError::Remapped {
+                model: self.compactions,
+                synced: compactions,
+            }),
+        }
     }
 }
 
@@ -130,22 +162,18 @@ impl std::fmt::Debug for PublishCell {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crf::graph::{CrfModel, ModelDelta, Stance};
 
     fn published(rev: u64, arrivals: usize) -> Arc<Published> {
-        let mut b = ModelDelta::new(1, 1);
-        let s = b.add_source(&[0.5]).unwrap();
-        let c = b.add_claim();
-        let d = b.add_document(&[0.5]).unwrap();
-        b.add_clique(c, d, s, Stance::Support);
-        let model = Arc::new(CrfModel::build(b).unwrap());
         Arc::new(Published {
+            claim_liveness: vec![true],
+            source_liveness: vec![true],
+            model_id: 1,
+            remap: None,
             probs: vec![0.5],
             trust: vec![0.5],
             revision: Revision(rev),
             compactions: 0,
             arrivals,
-            model,
         })
     }
 

@@ -6,14 +6,16 @@
 //! [`streamcheck::DurableChecker`]) and is the **single writer** of its
 //! [`PublishCell`]. Arrivals flow through [`TruthServer::ingest`]; after
 //! every [`PublishPolicy::every`]-th arrival the server derives a fresh
-//! [`Published`] state — pinned model snapshot, credibility table, trust
-//! table — and swaps it in. Readers ([`TruthServer::reader`]) never block
-//! the ingest path and never see a torn state; the cost is bounded
-//! staleness, explicitly tagged on every answer.
+//! [`Published`] state — liveness, credibility and trust tables — and
+//! swaps it in. Readers ([`TruthServer::reader`]) never block the ingest
+//! path and never see a torn state; the cost is bounded staleness,
+//! explicitly tagged on every answer.
 //!
-//! A publication is a copy of exactly what readers query: the `Arc` of
-//! the checker's pinned model, its `probs`, and the trust table derived
-//! from them. Nothing else is maintained per publish.
+//! A publication is a copy of exactly what readers query: claim and
+//! source liveness, the checker's `probs`, the trust table derived from
+//! them, the lineage id and the latest compaction's remap. It does not
+//! pin the model, so the next arrival still grows the graph in place.
+//! Nothing else is maintained per publish.
 
 use crate::publish::{PublishCell, Published};
 use crate::query::QueryHandle;
@@ -84,8 +86,8 @@ impl IngestBackend for DurableChecker {
 }
 
 /// When the server republishes. Publication costs O(n_claims + n_sources)
-/// per swap (one copy of `probs` plus the trust table), so the cadence
-/// trades write-path overhead against reader staleness: with
+/// per swap (copies of the liveness and `probs` plus the trust table), so
+/// the cadence trades write-path overhead against reader staleness: with
 /// `every = k`, an answer's tag lags ingest by at most `k - 1` arrivals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PublishPolicy {
@@ -128,7 +130,7 @@ impl<B: IngestBackend> TruthServer<B> {
     /// never observe an unpublished server) under the default
     /// [`PublishPolicy::every_arrival`].
     pub fn new(backend: B) -> Self {
-        let initial = Self::derive(backend.checker());
+        let initial = Self::derive(backend.checker(), None);
         TruthServer {
             backend,
             cell: Arc::new(PublishCell::new(Arc::new(initial))),
@@ -147,7 +149,7 @@ impl<B: IngestBackend> TruthServer<B> {
     /// the policy's cadence is due. The returned stats are the backend's;
     /// the published revision advances with the model on each publication.
     // rev-ok: the revision bookkeeping lives in publish(), which copies the
-    // checker's pinned model and its revision into the state it swaps in.
+    // checker's revision into the state it swaps in.
     pub fn ingest(&mut self, delta: ModelDelta) -> Result<ArrivalStats, ServeError> {
         let stats = self.backend.arrive_new(delta)?;
         self.unpublished += 1;
@@ -159,27 +161,45 @@ impl<B: IngestBackend> TruthServer<B> {
 
     /// Derive and swap in a fresh [`Published`] state right now,
     /// regardless of cadence.
-    // rev-ok: publish copies the checker's pinned model and its revision
-    // into the state, so the swapped-in tag always names the tables' model.
+    // rev-ok: publish copies the checker's revision into the state with
+    // the tables, so the swapped-in tag always names the tables' revision.
     pub fn publish(&mut self) {
-        let state = Self::derive(self.backend.checker());
+        let state = Self::derive(self.backend.checker(), Some(&self.cell.load()));
         self.cell.publish(Arc::new(state));
         self.unpublished = 0;
     }
 
-    /// Build the published tables from one checker state: the pinned
-    /// model, a copy of `probs`, and the trust table under them.
-    fn derive(checker: &StreamingChecker) -> Published {
-        let model = checker.model().clone();
+    /// Build the published tables from one checker state: claim and
+    /// source liveness, a copy of `probs`, the trust table under them, and
+    /// the latest remap. The remap is shared with `prev` (the state this
+    /// one replaces) while no compaction intervened, so the model's remap
+    /// is copied once per compaction, not once per publish.
+    fn derive(checker: &StreamingChecker, prev: Option<&Published>) -> Published {
+        let model = checker.model();
+        let compactions = model.compactions();
+        let remap = match prev {
+            Some(p) if p.model_id == model.model_id() && p.compactions == compactions => {
+                p.remap.clone()
+            }
+            _ => compactions
+                .checked_sub(1)
+                .and_then(|c| model.remap_since(c).ok().flatten())
+                .map(|r| Arc::new(r.clone())),
+        };
         let mut trust = Vec::new();
         checker.source_trust_into(&mut trust);
         Published {
+            claim_liveness: (0..model.n_claims()).map(|c| model.claim_live(c)).collect(),
+            source_liveness: (0..model.n_sources())
+                .map(|s| model.source_live(s))
+                .collect(),
+            model_id: model.model_id(),
+            remap,
             probs: checker.probs().to_vec(),
             trust,
             revision: model.revision(),
-            compactions: model.compactions(),
+            compactions,
             arrivals: checker.arrivals(),
-            model,
         }
     }
 
@@ -205,7 +225,7 @@ impl<B: IngestBackend> TruthServer<B> {
     /// readers see them at the next [`TruthServer::publish`] / cadence
     /// point.
     // rev-ok: deliberately defers the revision swap to publish(), which
-    // copies the checker's pinned model and its revision into the state.
+    // copies the checker's revision into the state with the tables.
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.backend
     }
@@ -217,7 +237,7 @@ impl<B: IngestBackend> std::fmt::Debug for TruthServer<B> {
         f.debug_struct("TruthServer")
             .field("revision", &p.revision)
             .field("arrivals", &p.arrivals)
-            .field("n_claims", &p.model.n_claims())
+            .field("n_claims", &p.claim_liveness.len())
             .finish()
     }
 }
@@ -247,23 +267,108 @@ mod tests {
 
     /// One synthetic arrival: a fresh claim with one document from a fresh
     /// source (mirrors the stream crate's ingest helper).
-    fn ingest_one(srv: &mut TruthServer<StreamingChecker>, k: usize) {
+    fn ingest_one<B: IngestBackend>(srv: &mut TruthServer<B>, k: usize) -> ArrivalStats {
         let mut delta = srv.backend().checker().delta();
         let src = delta.add_source(&[0.1 + (k % 7) as f64 * 0.1]).unwrap();
         let c = delta.add_claim();
         let d = delta.add_document(&[0.2 + (k % 5) as f64 * 0.1]).unwrap();
         delta.add_clique(c, d, src, Stance::Support);
-        srv.ingest(delta).unwrap();
+        srv.ingest(delta).unwrap()
+    }
+
+    /// Serving does not make an arrival copy the model: a server that
+    /// publishes every arrival, with a reader holding a published state
+    /// across the ingest, still grows and tombstones the writer's model in
+    /// place, because a published state does not pin the model.
+    fn assert_served_arrival_grows_in_place<B: IngestBackend>(mut srv: TruthServer<B>) {
+        for k in 0..3 {
+            ingest_one(&mut srv, k);
+        }
+        let pinned = srv.reader().snapshot();
+        let ptr = Arc::as_ptr(srv.backend().checker().model());
+        let stats = ingest_one(&mut srv, 3);
+        assert_eq!(stats.retired_claims, 1);
+        assert!(!stats.compacted);
+        assert_eq!(
+            Arc::as_ptr(srv.backend().checker().model()),
+            ptr,
+            "a served arrival must grow and tombstone in place, not copy the model"
+        );
+        assert_eq!(pinned.arrivals, 3, "the reader's state must not move");
+    }
+
+    fn retiring_no_compaction() -> RetentionPolicy {
+        RetentionPolicy {
+            window: Some(3),
+            compact_threshold: 1.0,
+        }
+    }
+
+    #[test]
+    fn served_volatile_arrival_grows_in_place_without_copy() {
+        let mut srv = server();
+        srv.backend_mut().set_retention(retiring_no_compaction());
+        assert_served_arrival_grows_in_place(srv);
+    }
+
+    #[test]
+    fn served_durable_arrival_grows_in_place_without_copy() {
+        use durability::MemFs;
+        use streamcheck::DurabilityConfig;
+
+        let backend = DurableChecker::create(
+            Arc::new(MemFs::new()) as Arc<dyn durability::Storage>,
+            seed_handle(),
+            OnlineEmConfig::default(),
+            retiring_no_compaction(),
+            DurabilityConfig::default(),
+        )
+        .unwrap();
+        assert_served_arrival_grows_in_place(TruthServer::new(backend));
+    }
+
+    /// The current published state next to the writer's model at
+    /// publication: the test-side oracle every published table is checked
+    /// against, never the published tables themselves.
+    fn published_with_model<B: IngestBackend>(
+        srv: &TruthServer<B>,
+    ) -> (Arc<Published>, Arc<CrfModel>) {
+        (srv.published(), srv.backend().checker().model().clone())
     }
 
     /// The published tables must be bit-identical to an offline
-    /// recomputation from the published snapshot — the serving contract's
-    /// foundation.
-    fn assert_published_consistent(p: &Published) {
-        assert_eq!(p.revision, p.model.revision());
-        assert_eq!(p.compactions, p.model.compactions());
-        assert_eq!(p.probs.len(), p.model.n_claims());
-        let trust = crf::em::source_trust_from_probs(&p.model, &p.probs);
+    /// recomputation from the model revision they were published from —
+    /// the serving contract's foundation.
+    fn assert_published_consistent(p: &Published, model: &CrfModel) {
+        assert_eq!(p.revision, model.revision());
+        assert_eq!(p.compactions, model.compactions());
+        assert_eq!(p.model_id, model.model_id());
+        assert_eq!(p.probs.len(), model.n_claims());
+        for c in 0..model.n_claims() + 2 {
+            let live = c < model.n_claims() && model.claim_live(c);
+            assert_eq!(p.claim_live(c), live, "claim {c} liveness");
+        }
+        for s in 0..model.n_sources() + 2 {
+            let live = s < model.n_sources() && model.source_live(s);
+            assert_eq!(p.source_live(s), live, "source {s} liveness");
+        }
+        let now = model.compactions();
+        for synced in [
+            now.checked_sub(2),
+            now.checked_sub(1),
+            Some(now),
+            Some(now + 1),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            assert_eq!(
+                p.remap_since(synced),
+                model.remap_since(synced),
+                "remap since compaction {synced}"
+            );
+        }
+        let trust = crf::em::source_trust_from_probs(model, &p.probs);
         assert_eq!(
             p.trust, trust,
             "trust table not derived from published pair"
@@ -273,10 +378,10 @@ mod tests {
     #[test]
     fn new_server_publishes_initial_state() {
         let srv = server();
-        let p = srv.published();
+        let (p, model) = published_with_model(&srv);
         assert_eq!(p.revision, crf::Revision(0));
         assert_eq!(p.arrivals, 0);
-        assert_published_consistent(&p);
+        assert_published_consistent(&p, &model);
     }
 
     #[test]
@@ -286,10 +391,9 @@ mod tests {
         let p = srv.published();
         assert_eq!(p.revision, crf::Revision(0), "one arrival: cadence not due");
         ingest_one(&mut srv, 1);
-        let p = srv.published();
-        assert_eq!(p.revision, srv.backend().checker().model().revision());
+        let (p, model) = published_with_model(&srv);
         assert_eq!(p.arrivals, 2);
-        assert_published_consistent(&p);
+        assert_published_consistent(&p, &model);
     }
 
     #[test]
@@ -301,7 +405,8 @@ mod tests {
         });
         for k in 0..10 {
             ingest_one(&mut srv, k);
-            assert_published_consistent(&srv.published());
+            let (p, model) = published_with_model(&srv);
+            assert_published_consistent(&p, &model);
         }
         assert!(
             srv.published().compactions > 0,
@@ -324,11 +429,11 @@ mod tests {
         });
         ingest_one(&mut srv, 6);
         let reader = srv.reader();
-        let p = srv.published();
+        let (p, model) = published_with_model(&srv);
         assert_eq!(p.compactions, 0, "threshold 1.0 must defer compaction");
-        let (retired, live): (Vec<VarId>, Vec<VarId>) = (0..p.model.n_claims() as u32)
+        let (retired, live): (Vec<VarId>, Vec<VarId>) = (0..model.n_claims() as u32)
             .map(VarId)
-            .partition(|c| !p.claim_live(c.idx()));
+            .partition(|c| !model.claim_live(c.idx()));
         assert!(!retired.is_empty() && !live.is_empty());
 
         // Point lookups and the batch path agree with raw table reads.
@@ -356,7 +461,7 @@ mod tests {
         assert!(answers[1].live && answers[2].live);
 
         // Top-k over every id never surfaces a retired claim.
-        let every = reader.top_k_uncertain(p.model.n_claims()).value;
+        let every = reader.top_k_uncertain(model.n_claims()).value;
         assert_eq!(every.len(), live.len());
         assert!(every.iter().all(|(c, _)| !retired.contains(c)));
 
@@ -387,7 +492,8 @@ mod tests {
         let reader = srv.reader();
         let before = reader.snapshot();
         assert_eq!(before.compactions, 0);
-        let all: Vec<VarId> = (0..before.model.n_claims() as u32).map(VarId).collect();
+        let n_claims = srv.backend().checker().model().n_claims();
+        let all: Vec<VarId> = (0..n_claims as u32).map(VarId).collect();
         let mut cursor = reader.cursor(all.clone());
 
         // Serve two answers pre-compaction.
@@ -406,7 +512,8 @@ mod tests {
         ingest_one(&mut srv, 6);
         let after = reader.snapshot();
         assert_eq!(after.compactions, 1);
-        let remap = after.model.remap_since(0).unwrap().unwrap();
+        let model = srv.backend().checker().model().clone();
+        let remap = model.remap_since(0).unwrap().unwrap();
 
         // The cursor relocates its *remaining* ids through the published
         // remap: survivors are served under their new ids, compacted-away
@@ -463,7 +570,8 @@ mod tests {
         ingest_one(&mut srv, 6);
         let after = reader.snapshot();
         assert_eq!(after.compactions, 1);
-        let remap = after.model.remap_since(0).unwrap().unwrap();
+        let model = srv.backend().checker().model().clone();
+        let remap = model.remap_since(0).unwrap().unwrap();
         let left = cursor.remaining().to_vec();
         assert_eq!(left, [VarId(1), VarId(2)]);
         assert!(
@@ -499,9 +607,10 @@ mod tests {
         delta.add_clique(c, d, src, Stance::Support);
         srv.ingest(delta).unwrap();
 
-        let p = srv.published();
-        assert_eq!(p.model.n_claims(), 2);
-        assert_published_consistent(&p);
+        let (p, model) = published_with_model(&srv);
+        assert_eq!(model.n_claims(), 2);
+        assert_published_consistent(&p, &model);
+        drop(model);
 
         // The durable lineage replays to the same model the server served.
         drop(srv);
@@ -509,7 +618,9 @@ mod tests {
             DurableChecker::recover(fs, OnlineEmConfig::default(), DurabilityConfig::default())
                 .unwrap();
         let srv2 = TruthServer::new(reopened);
-        assert_eq!(srv2.published().model.n_claims(), 2);
-        assert_eq!(srv2.published().revision, p.revision);
+        let (p2, model2) = published_with_model(&srv2);
+        assert_eq!(model2.n_claims(), 2);
+        assert_eq!(p2.revision, p.revision);
+        assert_published_consistent(&p2, &model2);
     }
 }

@@ -19,7 +19,7 @@
 //!   and the pinned state keeps its pre-wrap content.
 #![cfg(loom)]
 
-use crf::graph::{CrfModel, ModelDelta, Revision, Stance};
+use crf::graph::Revision;
 use loom::thread;
 use serve::{PublishCell, Published};
 use std::sync::Arc;
@@ -27,13 +27,11 @@ use std::sync::Arc;
 /// A published state whose `revision` and `arrivals` must travel as a
 /// couple: any interleaving that shows `arrivals != revision` tore a pair.
 fn published(rev: u64) -> Arc<Published> {
-    let mut b = ModelDelta::new(1, 1);
-    let s = b.add_source(&[0.5]).unwrap();
-    let c = b.add_claim();
-    let d = b.add_document(&[0.5]).unwrap();
-    b.add_clique(c, d, s, Stance::Support);
     Arc::new(Published {
-        model: Arc::new(CrfModel::build(b).unwrap()),
+        claim_liveness: vec![true],
+        source_liveness: vec![true],
+        model_id: 1,
+        remap: None,
         probs: vec![rev as f64],
         trust: vec![rev as f64],
         revision: Revision(rev),

@@ -9,9 +9,11 @@
 //! steps them across compactions. After the threads join, every recorded
 //! answer is checked **bit-identical** against an offline recomputation
 //! from the logged state its tag names — probabilities from the published
-//! table, liveness from the snapshot model, trust against
-//! `source_trust_from_probs`, top-k against an independent sort.
-//! Cursors must relocate exactly through the published remap or refuse
+//! table; liveness, trust (`source_trust_from_probs`) and remaps from the
+//! writer's model, logged next to each publication; top-k against an
+//! independent sort. The oracle never reads the published liveness or
+//! remap, so the spec does not check a published state against itself.
+//! Cursors must relocate exactly through the model's remap or refuse
 //! with [`QueryError::Remapped`] — never serve an id the creator didn't
 //! name.
 
@@ -96,7 +98,11 @@ enum Recorded {
     },
 }
 
-/// The logged published state whose tag matches `tag` — publications are
+/// One publication as the writer logged it: the published state and the
+/// writer's model at that moment, the revision the state was derived from.
+type Logged = (Arc<Published>, Arc<CrfModel>);
+
+/// The logged publication whose tag matches `tag` — publications are
 /// strictly revision-ordered, so the revision is a unique key.
 fn state_for<'a>(
     log: &'a [(Arc<Published>, Offline)],
@@ -107,14 +113,35 @@ fn state_for<'a>(
         .unwrap_or_else(|| panic!("answer tagged with unlogged revision {:?}", tag.revision))
 }
 
+/// The writer's model at the revision `state` was published from. The
+/// writer logs each publication right after making it, so a reader that
+/// already holds the state waits at most for that one log entry.
+fn model_for(log: &Mutex<Vec<Logged>>, state: &Published) -> Arc<CrfModel> {
+    loop {
+        if let Some((_, model)) = log
+            .lock()
+            .unwrap()
+            .iter()
+            .find(|(p, _)| p.revision == state.revision)
+        {
+            return model.clone();
+        }
+        std::thread::yield_now();
+    }
+}
+
 /// Offline tables recomputed from scratch for one published state.
 struct Offline {
+    model: Arc<CrfModel>,
     trust: Vec<f64>,
 }
 
-fn offline(p: &Published) -> Offline {
-    let trust = crf::em::source_trust_from_probs(&p.model, &p.probs);
-    Offline { trust }
+fn offline(p: &Published, model: &Arc<CrfModel>) -> Offline {
+    let trust = crf::em::source_trust_from_probs(model, &p.probs);
+    Offline {
+        model: model.clone(),
+        trust,
+    }
 }
 
 fn verify_tag(p: &Published, tag: &serve::Staleness) {
@@ -129,11 +156,11 @@ fn verify(rec: &Recorded, log: &[(Arc<Published>, Offline)]) {
             inputs,
             answers,
         } => {
-            let (p, _) = state_for(log, tag);
+            let (p, off) = state_for(log, tag);
             verify_tag(p, tag);
             assert_eq!(answers.len(), inputs.len());
             for (&claim, got) in inputs.iter().zip(answers) {
-                let live = claim.idx() < p.model.n_claims() && p.model.claim_live(claim.idx());
+                let live = claim.idx() < off.model.n_claims() && off.model.claim_live(claim.idx());
                 assert_eq!(got.claim, claim);
                 assert_eq!(got.live, live, "liveness diverges at {claim:?}");
                 if live {
@@ -144,10 +171,10 @@ fn verify(rec: &Recorded, log: &[(Arc<Published>, Offline)]) {
             }
         }
         Recorded::TopK { tag, k, ranking } => {
-            let (p, _) = state_for(log, tag);
+            let (p, off) = state_for(log, tag);
             verify_tag(p, tag);
-            let mut want: Vec<(VarId, f64)> = (0..p.model.n_claims())
-                .filter(|&c| p.model.claim_live(c))
+            let mut want: Vec<(VarId, f64)> = (0..off.model.n_claims())
+                .filter(|&c| off.model.claim_live(c))
                 .map(|c| (VarId(c as u32), binary_entropy(p.probs[c])))
                 .collect();
             want.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0)));
@@ -157,8 +184,8 @@ fn verify(rec: &Recorded, log: &[(Arc<Published>, Offline)]) {
         Recorded::Trust { tag, source, value } => {
             let (p, off) = state_for(log, tag);
             verify_tag(p, tag);
-            let want = ((*source as usize) < p.model.n_sources()
-                && p.model.source_live(*source as usize))
+            let want = ((*source as usize) < off.model.n_sources()
+                && off.model.source_live(*source as usize))
             .then(|| off.trust[*source as usize]);
             assert_eq!(*value, want, "trust not bit-equal for source {source}");
         }
@@ -166,10 +193,11 @@ fn verify(rec: &Recorded, log: &[(Arc<Published>, Offline)]) {
 }
 
 /// The cursor oracle's relocation: when `state` is one compaction past
-/// `compactions`, apply the same published remap to `expected` offline,
-/// counting the ids it drops.
+/// `compactions`, apply the remap of `model` (the writer's model `state`
+/// was published from) to `expected` offline, counting the ids it drops.
 fn relocate(
     state: &Published,
+    model: &CrfModel,
     expected: &mut Vec<VarId>,
     compactions: &mut u64,
     dropped: &mut usize,
@@ -178,7 +206,7 @@ fn relocate(
         return;
     }
     assert_eq!(state.compactions, *compactions + 1);
-    let remap = state.model.remap_since(*compactions).unwrap().unwrap();
+    let remap = model.remap_since(*compactions).unwrap().unwrap();
     let before = expected.len();
     expected.retain_mut(|c| match remap.claim(*c) {
         Some(nc) => {
@@ -206,7 +234,8 @@ proptest::proptest! {
         readers in 2usize..4,
     ) {
         let mut srv = seed_server(seed);
-        let log = Arc::new(Mutex::new(vec![srv.published()]));
+        let log: Mutex<Vec<Logged>> =
+            Mutex::new(vec![(srv.published(), srv.backend().checker().model().clone())]);
         let stop = Arc::new(AtomicBool::new(false));
         let recordings: Mutex<Vec<Vec<Recorded>>> = Mutex::new(Vec::new());
 
@@ -246,17 +275,18 @@ proptest::proptest! {
             }
 
             // Cursor thread: open a cursor, step it against fresh
-            // snapshots, verifying relocation inline against the remap the
-            // published state carries.
+            // snapshots, verifying relocation inline against the remap of
+            // the writer's model each snapshot was published from.
             {
                 let handle = srv.reader();
                 let stop = stop.clone();
+                let log = &log;
                 let mut rng = seed.wrapping_mul(0xA076_1D64_78BD_642F).wrapping_add(99);
                 scope.spawn(move || {
                     let mut steps = 0usize;
                     while steps < 40 || (!stop.load(Ordering::Relaxed) && steps < 5000) {
                         let opened = handle.snapshot();
-                        let n_claims = opened.model.n_claims() as u32;
+                        let n_claims = opened.probs.len() as u32;
                         if n_claims == 0 {
                             steps += 1;
                             continue;
@@ -276,12 +306,13 @@ proptest::proptest! {
                         loop {
                             steps += 1;
                             let state = handle.snapshot();
+                            let model = model_for(log, &state);
                             match cursor.next(&state) {
                                 Err(QueryError::Remapped { synced, current }) => {
                                     assert_eq!(synced, compactions);
                                     assert_eq!(current, state.compactions);
                                     assert!(
-                                        current != synced + 1 || state.model.remap_since(synced).is_err(),
+                                        current != synced + 1 || model.remap_since(synced).is_err(),
                                         "refused a translatable relocation"
                                     );
                                     break;
@@ -291,13 +322,13 @@ proptest::proptest! {
                                     // The cursor relocates before it finds
                                     // itself exhausted: a compaction may
                                     // have dropped everything left.
-                                    relocate(&state, &mut expected, &mut compactions, &mut dropped);
+                                    relocate(&state, &model, &mut expected, &mut compactions, &mut dropped);
                                     assert!(expected.is_empty(), "cursor ended early");
                                     assert_eq!(cursor.dropped(), dropped);
                                     break;
                                 }
                                 Ok(Some(step)) => {
-                                    relocate(&state, &mut expected, &mut compactions, &mut dropped);
+                                    relocate(&state, &model, &mut expected, &mut compactions, &mut dropped);
                                     assert!(
                                         !expected.is_empty(),
                                         "cursor served {:?} with nothing left to serve",
@@ -318,11 +349,13 @@ proptest::proptest! {
             }
 
             // The single writer: run the script, logging each published
-            // state (cadence 1 publication per ingest).
+            // state next to the model it was derived from (cadence 1
+            // publication per ingest).
             let mut rng = seed.wrapping_add(1);
             for _ in 0..n_ops {
                 random_ingest(&mut srv, &mut rng);
-                log.lock().unwrap().push(srv.published());
+                let model = srv.backend().checker().model().clone();
+                log.lock().unwrap().push((srv.published(), model));
             }
             stop.store(true, Ordering::Relaxed);
         });
@@ -334,7 +367,7 @@ proptest::proptest! {
             .lock()
             .unwrap()
             .iter()
-            .map(|p| (p.clone(), offline(p)))
+            .map(|(p, model)| (p.clone(), offline(p, model)))
             .collect();
         let mut total = 0usize;
         for local in recordings.lock().unwrap().iter() {
@@ -355,7 +388,7 @@ proptest::proptest! {
 /// Random batch of claim ids against the current published width, with a
 /// deliberate chance of out-of-range and duplicate ids.
 fn srv_batch_ids(rng: &mut u64, handle: &serve::QueryHandle) -> Vec<VarId> {
-    let width = handle.snapshot().model.n_claims() as u64 + 3;
+    let width = handle.snapshot().probs.len() as u64 + 3;
     (0..1 + xorshift(rng) % 8)
         .map(|_| VarId((xorshift(rng) % width.max(1)) as u32))
         .collect()

@@ -136,6 +136,21 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
+/// Shared pointers serialise as their pointee, like real serde's `rc`
+/// feature: serialising through an `Arc` borrows the value instead of
+/// copying it.
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        T::from_value(v).map(std::sync::Arc::new)
+    }
+}
+
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
@@ -346,6 +361,16 @@ mod tests {
         assert_eq!(Vec::<u32>::from_value(&xs.to_value()), Ok(xs));
         let t = (1u32, 0.5f64);
         assert_eq!(<(u32, f64)>::from_value(&t.to_value()), Ok(t));
+    }
+
+    #[test]
+    fn arc_is_transparent() {
+        let shared = std::sync::Arc::new(vec![1u32, 2]);
+        assert_eq!(shared.to_value(), vec![1u32, 2].to_value());
+        assert_eq!(
+            std::sync::Arc::<Vec<u32>>::from_value(&shared.to_value()),
+            Ok(shared)
+        );
     }
 
     #[test]

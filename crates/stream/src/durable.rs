@@ -188,10 +188,12 @@ impl From<std::io::Error> for DurableError {
 }
 
 /// The **full**-checkpoint payload: the model itself plus the checker's
-/// volatile state, both keyed to the same `(model_id, revision)`.
+/// volatile state, both keyed to the same `(model_id, revision)`. The
+/// model is the checker's shared snapshot, serialised where it lies
+/// rather than copied first.
 #[derive(Serialize, Deserialize)]
 struct DurableState {
-    model: CrfModel,
+    model: Arc<CrfModel>,
     checker: CheckerState,
 }
 
@@ -373,7 +375,7 @@ impl DurableChecker {
     ) -> Result<Self, DurableError> {
         let mut checker = StreamingChecker::try_new(model, online)?.with_retention(retention);
         let state = DurableState {
-            model: (**checker.model()).clone(),
+            model: checker.model().clone(),
             checker: checker.export_state(),
         };
         checkpoint::write(&storage, 0, &state)?;
@@ -415,7 +417,7 @@ impl DurableChecker {
             increments,
             corrupt,
         } = plan;
-        let handle = ModelHandle::new(full.model);
+        let handle = ModelHandle::from(full.model);
         let mut checker = StreamingChecker::try_new(handle.clone(), online)?;
 
         // Walk the chain: each increment's edits advance the model; only
@@ -548,7 +550,7 @@ impl DurableChecker {
         self.take_log_error()?;
         let state = DurableState {
             checker: self.checker.export_state(),
-            model: (**self.checker.model()).clone(),
+            model: self.checker.model().clone(),
         };
         let lsn = self.log_lock().next_lsn() - 1;
         checkpoint::write(&self.storage, lsn, &state)?;
@@ -1151,5 +1153,58 @@ mod tests {
             "store should stay at one checkpoint + one or two segments, saw {peak} files"
         );
         assert!(durable.next_lsn() > 1, "edits were logged");
+    }
+
+    /// A full checkpoint serialises the checker's shared model where it
+    /// lies; its file is byte-identical to the same state written with an
+    /// owned copy of the model, so stores on either side read the same.
+    #[test]
+    fn full_checkpoint_bytes_match_an_owned_model_payload() {
+        #[derive(Serialize)]
+        struct OwnedState {
+            model: CrfModel,
+            checker: CheckerState,
+        }
+        let json = seed_json();
+        let storage: Arc<dyn Storage> = Arc::new(MemFs::new());
+        let mut durable = DurableChecker::create(
+            storage.clone(),
+            seed(&json),
+            OnlineEmConfig::default(),
+            RetentionPolicy {
+                window: Some(3),
+                compact_threshold: 0.5,
+            },
+            DurabilityConfig {
+                checkpoint_every: None,
+                checkpoint_on_compact: false,
+                ..DurabilityConfig::default()
+            },
+        )
+        .unwrap();
+        for k in 0..8 {
+            let delta = arrival_delta(durable.checker(), k);
+            durable.arrive_new(delta).unwrap();
+        }
+        assert!(durable.checker().model().compactions() > 0);
+        let lsn = durable.checkpoint().unwrap();
+        let name = checkpoint::entries(&storage)
+            .unwrap()
+            .into_iter()
+            .find(|e| e.lsn == lsn && e.kind == CheckpointKind::Full)
+            .expect("the full checkpoint just written")
+            .name;
+
+        let owned = OwnedState {
+            model: (**durable.checker.model()).clone(),
+            checker: durable.checker.export_state(),
+        };
+        let other: Arc<dyn Storage> = Arc::new(MemFs::new());
+        checkpoint::write(&other, lsn, &owned).unwrap();
+        assert_eq!(
+            storage.read(&name).unwrap(),
+            other.read(&name).unwrap(),
+            "checkpoint bytes moved"
+        );
     }
 }

@@ -13,13 +13,14 @@
 //!   top-k-most-uncertain queries *during* ingest. Every answer carries a
 //!   staleness tag; after the stream drains, each recorded answer is
 //!   checked bit-identical against a post-hoc recomputation from the
-//!   published snapshot its tag names.
+//!   published probabilities its tag names and the model they were
+//!   published from.
 //!
 //! ```sh
 //! cargo run --release -p repro-examples --example streaming_news
 //! ```
 
-use crf::{Icrf, IcrfConfig, ModelHandle, VarId};
+use crf::{CrfModel, Icrf, IcrfConfig, ModelHandle, VarId};
 use factcheck::instantiate_grounding;
 use factdb::{ClaimId, DatasetPreset, FactDatabase, SyncMap};
 use guidance::{GuidanceContext, HybridStrategy, InfoGainConfig, SelectionStrategy};
@@ -76,11 +77,14 @@ fn main() {
     let mut editor = GroundTruthUser::new(ds.truth.clone());
     let period = (n as f64 * 0.2).round() as usize;
 
-    // Every state the server publishes, in order — the post-hoc record the
-    // query thread's staleness tags are verified against once the stream
-    // drains.
+    // Every state the server publishes, in order, next to the writer's
+    // model at that moment — the post-hoc record the query thread's
+    // staleness tags are verified against once the stream drains.
     type TaggedTopK = (Staleness, Vec<(VarId, f64)>);
-    let log: Mutex<Vec<Arc<Published>>> = Mutex::new(vec![server.published()]);
+    let logged = |server: &TruthServer<StreamingChecker>| {
+        (server.published(), server.backend().model().clone())
+    };
+    let log: Mutex<Vec<(Arc<Published>, Arc<CrfModel>)>> = Mutex::new(vec![logged(&server)]);
     let stop = Arc::new(AtomicBool::new(false));
     let samples: Mutex<Vec<TaggedTopK>> = Mutex::new(Vec::new());
 
@@ -118,7 +122,7 @@ fn main() {
             server.ingest(delta).expect("fresh delta applies");
             total_update_ms += t.elapsed().as_secs_f64() * 1000.0;
             map = next;
-            log.lock().unwrap().push(server.published());
+            log.lock().unwrap().push(logged(&server));
 
             if (c + 1) % period == 0 || c + 1 == n {
                 // Parameter hand-off (Alg. 2 line 10) and a validation
@@ -154,7 +158,7 @@ fn main() {
                 }
                 // Expose the validated parameters to the query side.
                 server.publish();
-                log.lock().unwrap().push(server.published());
+                log.lock().unwrap().push(logged(&server));
                 println!(
                     "after {:>3} arrivals (model {}): {} validations so far, avg update {:.2} ms",
                     c + 1,
@@ -168,19 +172,19 @@ fn main() {
     });
 
     // Post-hoc check: every staleness-tagged answer the query thread saw
-    // must be bit-identical to a recomputation from the published snapshot
-    // its tag names.
+    // must be bit-identical to a recomputation from the published
+    // probabilities and the liveness of the model revision its tag names.
     let log = log.lock().unwrap();
     let samples = samples.lock().unwrap();
     for (tag, ranking) in samples.iter() {
-        let state = log
+        let (state, model) = log
             .iter()
-            .find(|p| p.revision == tag.revision)
+            .find(|(p, _)| p.revision == tag.revision)
             .expect("tag names an unpublished state");
         assert_eq!(tag.compactions, state.compactions);
         assert_eq!(tag.arrivals, state.arrivals);
-        let mut want: Vec<(VarId, f64)> = (0..state.model.n_claims())
-            .filter(|&i| state.claim_live(i))
+        let mut want: Vec<(VarId, f64)> = (0..model.n_claims())
+            .filter(|&i| model.claim_live(i))
             .map(|i| (VarId(i as u32), binary_entropy(state.probs[i])))
             .collect();
         want.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.idx().cmp(&b.0.idx())));
