@@ -124,6 +124,7 @@
 //! inference engine and the streaming checker.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Index of a claim variable in the CRF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -255,8 +256,8 @@ pub struct CrfModel {
     live_claims_per_source: Vec<u32>,
     /// The latest compaction's renumbering, kept so model-keyed structures
     /// can relocate instead of rebuilding ([`Self::since`],
-    /// [`Self::remap_since`]).
-    last_compaction: Option<IdRemap>,
+    /// [`Self::remap_since`]). Shared, so copies of it are pointer copies.
+    last_compaction: Option<Arc<IdRemap>>,
     n_claims: usize,
     n_sources: usize,
     n_docs: usize,
@@ -344,7 +345,10 @@ impl CrfModel {
             return Since::Rebuild;
         }
         let retired = at.retire_ops != self.retire_ops;
-        match (self.compactions - at.compactions, &self.last_compaction) {
+        match (
+            self.compactions - at.compactions,
+            self.last_compaction.as_deref(),
+        ) {
             (0, _) if at.n_claims <= self.n_claims && at.n_cliques <= self.cliques.len() => {
                 Since::Patch { retired }
             }
@@ -365,16 +369,17 @@ impl CrfModel {
     /// bridge the gap (two or more compactions, or a count from the
     /// future).
     pub fn remap_since(&self, compactions: u64) -> Result<Option<&IdRemap>, ModelError> {
-        if compactions == self.compactions {
-            return Ok(None);
-        }
-        match &self.last_compaction {
-            Some(remap) if self.compactions.checked_sub(compactions) == Some(1) => Ok(Some(remap)),
-            _ => Err(ModelError::Remapped {
-                model: self.compactions,
-                synced: compactions,
-            }),
-        }
+        remap_across(
+            self.compactions,
+            self.last_compaction.as_deref(),
+            compactions,
+        )
+    }
+
+    /// The latest compaction's remap (`None` before the first), shared:
+    /// a holder that outlives this revision clones the `Arc`, not the maps.
+    pub fn last_compaction(&self) -> Option<&Arc<IdRemap>> {
+        self.last_compaction.as_ref()
     }
 
     /// Lifetime count of claims ever ingested into this lineage (monotone;
@@ -1486,7 +1491,7 @@ impl CrfModel {
             ingested_sources: self.ingested_sources,
             ingested_docs: self.ingested_docs,
             ingested_cliques: self.ingested_cliques,
-            last_compaction: Some(remap.clone()),
+            last_compaction: Some(Arc::new(remap.clone())),
             ..built
         };
         Ok(remap)
@@ -1685,6 +1690,26 @@ impl RetireSet {
     /// The `(model_id, revision)` pair this set can be applied to.
     pub fn base_revision(&self) -> (u64, Revision) {
         (self.base_model_id, Revision(self.base_revision))
+    }
+}
+
+/// The bridging rule of [`CrfModel::remap_since`] for any holder of a
+/// state's compaction count (`now`) and its latest remap (`last`): ids
+/// valid after `synced` compactions need no remap when no compaction
+/// intervened, go through `last` across exactly one, and are refused with
+/// [`ModelError::Remapped`] otherwise (two or more compactions, or a count
+/// from the future).
+pub fn remap_across(
+    now: u64,
+    last: Option<&IdRemap>,
+    synced: u64,
+) -> Result<Option<&IdRemap>, ModelError> {
+    if synced == now {
+        return Ok(None);
+    }
+    match last {
+        Some(remap) if now.checked_sub(synced) == Some(1) => Ok(Some(remap)),
+        _ => Err(ModelError::Remapped { model: now, synced }),
     }
 }
 

@@ -28,7 +28,7 @@
 //! The cell supports **one** writer; [`crate::server::TruthServer`]
 //! enforces that structurally (publication requires `&mut self`).
 
-use crf::graph::{IdRemap, ModelError, Revision};
+use crf::graph::{remap_across, IdRemap, ModelError, Revision};
 #[cfg(loom)]
 use loom::sync::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,20 +80,10 @@ impl Published {
 
     /// The remap that carries ids valid after `compactions` compactions
     /// into this state's numbering, under the rules of
-    /// [`crf::CrfModel::remap_since`]: `None` when no compaction
-    /// intervened, the retained remap across exactly one, and
-    /// [`ModelError::Remapped`] otherwise.
+    /// [`crf::CrfModel::remap_since`] (one bridging rule for both,
+    /// [`remap_across`]).
     pub fn remap_since(&self, compactions: u64) -> Result<Option<&IdRemap>, ModelError> {
-        if compactions == self.compactions {
-            return Ok(None);
-        }
-        match &self.remap {
-            Some(remap) if self.compactions.checked_sub(compactions) == Some(1) => Ok(Some(remap)),
-            _ => Err(ModelError::Remapped {
-                model: self.compactions,
-                synced: compactions,
-            }),
-        }
+        remap_across(self.compactions, self.remap.as_deref(), compactions)
     }
 }
 

@@ -159,16 +159,8 @@ impl QueryHandle {
             .filter(|&c| state.claim_live(c))
             .map(|c| (VarId(c as u32), binary_entropy(state.probs[c])))
             .collect();
-        // The order is total (ids are unique), so selecting the first `k`
-        // and sorting only them gives exactly the first `k` of a full sort.
-        let order = |a: &(VarId, f64), b: &(VarId, f64)| {
-            b.1.total_cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0))
-        };
-        if k < scored.len() {
-            scored.select_nth_unstable_by(k, order);
-            scored.truncate(k);
-        }
-        scored.sort_unstable_by(order);
+        scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0)));
+        scored.truncate(k);
         Answer {
             value: scored,
             at: Staleness::of(&state),
@@ -228,49 +220,4 @@ pub fn binary_entropy(p: f64) -> f64 {
         return 0.0;
     }
     -(p * p.log2() + (1.0 - p) * (1.0 - p).log2())
-}
-
-#[cfg(all(test, not(loom)))]
-mod tests {
-    use super::*;
-    use crf::graph::Revision;
-
-    /// Probabilities drawn from five values: 0.25/0.75 and 0/1 share an
-    /// entropy, so rankings are full of ties the id must break.
-    const GRID: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
-
-        /// Selecting the first `k` and sorting only them answers exactly
-        /// the first `k` of a full sort of every live claim, for `k = 0`,
-        /// `k` inside the live count and `k` at or past it.
-        #[test]
-        fn prop_top_k_matches_the_full_sort(
-            claims in proptest::collection::vec((0usize..5, proptest::any::<bool>()), 0..60),
-        ) {
-            let state = Published {
-                claim_liveness: claims.iter().map(|&(_, live)| live).collect(),
-                source_liveness: Vec::new(),
-                model_id: 1,
-                remap: None,
-                probs: claims.iter().map(|&(p, _)| GRID[p]).collect(),
-                trust: Vec::new(),
-                revision: Revision(0),
-                compactions: 0,
-                arrivals: 0,
-            };
-            let mut full: Vec<(VarId, f64)> = (0..state.probs.len())
-                .filter(|&c| state.claim_live(c))
-                .map(|c| (VarId(c as u32), binary_entropy(state.probs[c])))
-                .collect();
-            full.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0)));
-            let reader = QueryHandle::new(Arc::new(PublishCell::new(Arc::new(state))));
-            let n = full.len();
-            for k in [0, 1, n / 2, n.saturating_sub(1), n, n + 3] {
-                let got = reader.top_k_uncertain(k).value;
-                proptest::prop_assert_eq!(&got[..], &full[..k.min(n)], "k = {}", k);
-            }
-        }
-    }
 }

@@ -130,7 +130,7 @@ impl<B: IngestBackend> TruthServer<B> {
     /// never observe an unpublished server) under the default
     /// [`PublishPolicy::every_arrival`].
     pub fn new(backend: B) -> Self {
-        let initial = Self::derive(backend.checker(), None);
+        let initial = Self::derive(backend.checker());
         TruthServer {
             backend,
             cell: Arc::new(PublishCell::new(Arc::new(initial))),
@@ -164,28 +164,17 @@ impl<B: IngestBackend> TruthServer<B> {
     // rev-ok: publish copies the checker's revision into the state with
     // the tables, so the swapped-in tag always names the tables' revision.
     pub fn publish(&mut self) {
-        let state = Self::derive(self.backend.checker(), Some(&self.cell.load()));
+        let state = Self::derive(self.backend.checker());
         self.cell.publish(Arc::new(state));
         self.unpublished = 0;
     }
 
     /// Build the published tables from one checker state: claim and
     /// source liveness, a copy of `probs`, the trust table under them, and
-    /// the latest remap. The remap is shared with `prev` (the state this
-    /// one replaces) while no compaction intervened, so the model's remap
-    /// is copied once per compaction, not once per publish.
-    fn derive(checker: &StreamingChecker, prev: Option<&Published>) -> Published {
+    /// the latest remap (the model's shared `Arc`, so a publish copies no
+    /// remap).
+    fn derive(checker: &StreamingChecker) -> Published {
         let model = checker.model();
-        let compactions = model.compactions();
-        let remap = match prev {
-            Some(p) if p.model_id == model.model_id() && p.compactions == compactions => {
-                p.remap.clone()
-            }
-            _ => compactions
-                .checked_sub(1)
-                .and_then(|c| model.remap_since(c).ok().flatten())
-                .map(|r| Arc::new(r.clone())),
-        };
         let mut trust = Vec::new();
         checker.source_trust_into(&mut trust);
         Published {
@@ -194,11 +183,11 @@ impl<B: IngestBackend> TruthServer<B> {
                 .map(|s| model.source_live(s))
                 .collect(),
             model_id: model.model_id(),
-            remap,
+            remap: model.last_compaction().cloned(),
             probs: checker.probs().to_vec(),
             trust,
             revision: model.revision(),
-            compactions,
+            compactions: model.compactions(),
             arrivals: checker.arrivals(),
         }
     }
@@ -367,6 +356,14 @@ mod tests {
                 model.remap_since(synced),
                 "remap since compaction {synced}"
             );
+        }
+        match (&p.remap, model.last_compaction()) {
+            (None, None) => {}
+            (Some(published), Some(own)) => assert!(
+                Arc::ptr_eq(published, own),
+                "published remap copied instead of shared"
+            ),
+            (published, own) => panic!("published remap {published:?}, model's {own:?}"),
         }
         let trust = crf::em::source_trust_from_probs(model, &p.probs);
         assert_eq!(
