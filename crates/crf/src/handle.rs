@@ -27,21 +27,6 @@
 //! of a pointer clone (reads) or one `CrfModel::apply` (writes) — never
 //! across an inference call — so handle users cannot deadlock against the
 //! sampler.
-//!
-//! # Edit observation (the WAL hook)
-//!
-//! The handle is the single chokepoint every committing edit flows
-//! through — arrivals, retention sweeps, compactions — so it is also where
-//! the `durability` crate taps the edit stream: an [`EditObserver`]
-//! registered with [`ModelHandle::set_observer`] is invoked **inside the
-//! write lock, in commit order**, once per revision-bumping edit, with the
-//! exact payload that committed. No-op edits (an empty delta or retire
-//! set, a compaction with nothing dead) do not bump the revision and are
-//! not observed, preserving the one-record-per-revision invariant of the
-//! log (see the LSN ↔ lineage mapping in [`crate::graph`]). Payloads are
-//! cloned only while an observer is registered; the unobserved handle pays
-//! nothing. Observer callbacks run under the model write lock and must not
-//! reacquire the handle.
 
 use crate::graph::{CrfModel, IdRemap, ModelDelta, ModelEdit, ModelError, RetireSet, Revision};
 #[cfg(loom)]
@@ -50,37 +35,13 @@ use std::sync::Arc;
 #[cfg(not(loom))]
 use std::sync::RwLock;
 
-/// A sink for the committed edit stream of one [`ModelHandle`] lineage —
-/// the write-ahead-log hook. Callbacks fire inside the handle's write
-/// lock, in commit order, once per revision-bumping edit; `rev` is the
-/// revision the edit produced (its base is `rev - 1`). Implementations
-/// must not call back into the handle.
-pub trait EditObserver: Send + Sync {
-    /// A [`ModelDelta`] committed ([`CrfModel::apply`]).
-    fn grown(&self, delta: &ModelDelta, rev: Revision);
-    /// A [`RetireSet`] committed ([`CrfModel::retire`]).
-    fn retired(&self, set: &RetireSet, rev: Revision);
-    /// A non-identity [`CrfModel::compact`] committed against revision
-    /// `base`, publishing `remap`. Loggers persist only the base pair
-    /// (compaction is deterministic — replay regenerates the remap).
-    fn compacted(&self, base: Revision, remap: &IdRemap, rev: Revision);
-}
-
-/// Shared state behind every clone of one handle: the model slot plus the
-/// (optional) edit observer, so an observer registered through any clone
-/// sees edits committed through every clone.
-struct HandleInner {
-    model: RwLock<Arc<CrfModel>>,
-    observer: RwLock<Option<Arc<dyn EditObserver>>>,
-}
-
 /// A cloneable, versioned handle to one growable model lineage.
 ///
 /// Obtain read views with [`Self::snapshot`], grow the model with
 /// [`Self::apply`], and key caches on `(model_id, revision)`.
 #[derive(Clone)]
 pub struct ModelHandle {
-    inner: Arc<HandleInner>,
+    model: Arc<RwLock<Arc<CrfModel>>>,
 }
 
 impl std::fmt::Debug for ModelHandle {
@@ -102,41 +63,19 @@ impl ModelHandle {
 
     fn adopt(model: Arc<CrfModel>) -> Self {
         ModelHandle {
-            inner: Arc::new(HandleInner {
-                model: RwLock::new(model),
-                observer: RwLock::new(None),
-            }),
+            model: Arc::new(RwLock::new(model)),
         }
     }
 
-    /// Register (or, with `None`, remove) the edit observer of this
-    /// lineage. Shared by every clone of the handle; at most one observer
-    /// is active at a time — registering replaces the previous one. See
-    /// the module docs for the callback contract.
-    pub fn set_observer(&self, observer: Option<Arc<dyn EditObserver>>) {
-        *self
-            .inner
-            .observer
-            .write()
-            .unwrap_or_else(|e| e.into_inner()) = observer;
-    }
-
-    fn observer(&self) -> Option<Arc<dyn EditObserver>> {
-        self.inner
-            .observer
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+    /// The model slot, write-locked for one edit.
+    fn write(&self) -> impl std::ops::DerefMut<Target = Arc<CrfModel>> + '_ {
+        self.model.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The current model state, pinned: the returned `Arc` keeps pointing
     /// at this revision even while the handle grows past it.
     pub fn snapshot(&self) -> Arc<CrfModel> {
-        self.inner
-            .model
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.model.read().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// The lineage id shared by every revision of this handle's model.
@@ -162,15 +101,7 @@ impl ModelHandle {
     /// rules. Snapshots taken before the call keep observing the old
     /// revision.
     pub fn apply(&self, delta: ModelDelta) -> Result<Revision, ModelError> {
-        let observer = self.observer();
-        let mut guard = self.inner.model.write().unwrap_or_else(|e| e.into_inner());
-        let logged = observer.as_ref().map(|_| delta.clone());
-        let base = guard.revision();
-        let rev = Arc::make_mut(&mut guard).apply(delta)?;
-        if let (Some(obs), true) = (observer, rev != base) {
-            obs.grown(&logged.expect("cloned when observed"), rev);
-        }
-        Ok(rev)
+        Arc::make_mut(&mut self.write()).apply(delta)
     }
 
     /// Start an empty [`RetireSet`] against the current revision. Like
@@ -187,23 +118,15 @@ impl ModelHandle {
     /// observing the old revision (the model is cloned once when pinned
     /// snapshots are outstanding, exactly like [`Self::apply`]).
     pub fn retire(&self, set: RetireSet) -> Result<Revision, ModelError> {
-        let observer = self.observer();
-        let mut guard = self.inner.model.write().unwrap_or_else(|e| e.into_inner());
-        let logged = observer.as_ref().map(|_| set.clone());
-        let base = guard.revision();
-        let rev = Arc::make_mut(&mut guard).retire(set)?;
-        if let (Some(obs), true) = (observer, rev != base) {
-            obs.retired(&logged.expect("cloned when observed"), rev);
-        }
-        Ok(rev)
+        Arc::make_mut(&mut self.write()).retire(set)
     }
 
     /// Apply one lifecycle edit ([`ModelEdit`]) — the uniform,
     /// revision-checked entry point over [`Self::apply`],
     /// [`Self::retire`], and (via the compact marker) [`Self::compact`].
-    /// Every arm routes through the observing paths, so a registered
-    /// [`EditObserver`] sees the edit exactly as if it had been applied
-    /// through the specific method.
+    /// Unlike [`Self::compact`], the compact marker is revision-checked:
+    /// it is refused with [`ModelError::StaleDelta`] unless the model sits
+    /// at exactly its base.
     pub fn edit(&self, edit: impl Into<ModelEdit>) -> Result<Revision, ModelError> {
         match edit.into() {
             ModelEdit::Grow(delta) => self.apply(delta),
@@ -226,16 +149,13 @@ impl ModelHandle {
         self.compact_checked(None).map(|(remap, _)| remap)
     }
 
-    /// The shared compact path: optionally revision-checked (the
-    /// [`ModelEdit::Compact`] marker), observer-notified when the
-    /// compaction actually committed (an identity compaction bumps no
-    /// revision and is not a log record).
+    /// The shared compact path, optionally revision-checked (the
+    /// [`ModelEdit::Compact`] marker).
     fn compact_checked(
         &self,
         check: Option<(u64, u64)>,
     ) -> Result<(IdRemap, Revision), ModelError> {
-        let observer = self.observer();
-        let mut guard = self.inner.model.write().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.write();
         if let Some((base_model_id, base_revision)) = check {
             if base_model_id != guard.model_id() || base_revision != guard.revision().0 {
                 return Err(ModelError::StaleDelta {
@@ -246,13 +166,8 @@ impl ModelHandle {
                 });
             }
         }
-        let base = guard.revision();
         let remap = Arc::make_mut(&mut guard).compact()?;
-        let rev = guard.revision();
-        if let (Some(obs), true) = (observer, rev != base) {
-            obs.compacted(base, &remap, rev);
-        }
-        Ok((remap, rev))
+        Ok((remap, guard.revision()))
     }
 }
 
@@ -359,82 +274,6 @@ mod tests {
             h.retire(stale),
             Err(ModelError::StaleDelta { .. })
         ));
-    }
-
-    /// Records every observed edit as a compact tag — the executable spec
-    /// of the observer contract (fires once per revision bump, in commit
-    /// order, never for no-ops or identity compactions).
-    struct Recorder(std::sync::Mutex<Vec<String>>);
-
-    impl EditObserver for Recorder {
-        fn grown(&self, delta: &ModelDelta, rev: Revision) {
-            let (_, base) = delta.base_revision();
-            self.0.lock().unwrap().push(format!("grow {base}->{rev}"));
-        }
-        fn retired(&self, set: &RetireSet, rev: Revision) {
-            let (_, base) = set.base_revision();
-            self.0.lock().unwrap().push(format!("retire {base}->{rev}"));
-        }
-        fn compacted(&self, base: Revision, remap: &IdRemap, rev: Revision) {
-            assert!(remap.n_new_claims() > 0);
-            self.0
-                .lock()
-                .unwrap()
-                .push(format!("compact {base}->{rev}"));
-        }
-    }
-
-    #[test]
-    fn observer_sees_committing_edits_only() {
-        let h: ModelHandle = crate::graph::test_support::random_model(8, 3, 2, 9).into();
-        let rec = Arc::new(Recorder(std::sync::Mutex::new(Vec::new())));
-        h.set_observer(Some(rec.clone()));
-
-        // An identity compaction (nothing dead) bumps no revision: silent.
-        h.compact().unwrap();
-        // So is an empty retire set.
-        h.retire(h.retire_set()).unwrap();
-        assert!(rec.0.lock().unwrap().is_empty());
-
-        let mut d = h.delta();
-        let c = d.add_claim();
-        let doc = d.add_document(&[0.1, 0.9]).unwrap();
-        d.add_clique(c, doc, 0, Stance::Support);
-        h.apply(d).unwrap();
-        let mut set = h.retire_set();
-        set.retire_claim(VarId(1));
-        h.edit(set).unwrap();
-        h.edit(ModelEdit::compact_marker(&h.snapshot())).unwrap();
-        // A losing edit is rejected, not observed.
-        let stale = {
-            let mut s = h.retire_set();
-            s.retire_claim(VarId(0));
-            s
-        };
-        let mut d2 = h.delta();
-        d2.add_claim();
-        h.apply(d2).unwrap();
-        assert!(matches!(
-            h.retire(stale),
-            Err(ModelError::StaleDelta { .. })
-        ));
-
-        assert_eq!(
-            *rec.0.lock().unwrap(),
-            vec![
-                "grow r0->r1",
-                "retire r1->r2",
-                "compact r2->r3",
-                "grow r3->r4"
-            ]
-        );
-
-        // Detaching stops the stream.
-        h.set_observer(None);
-        let mut d3 = h.delta();
-        d3.add_claim();
-        h.apply(d3).unwrap();
-        assert_eq!(rec.0.lock().unwrap().len(), 4);
     }
 
     /// Structural invariants a torn write would violate; checked by the

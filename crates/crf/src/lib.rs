@@ -53,6 +53,6 @@ pub use graph::{
     Clique, CliqueId, CrfModel, IdRemap, ModelDelta, ModelEdit, ModelError, RetireSet, Revision,
     Since, Stance, SyncPoint, VarId,
 };
-pub use handle::{EditObserver, ModelHandle};
+pub use handle::ModelHandle;
 pub use partition::Partition;
 pub use potentials::Weights;

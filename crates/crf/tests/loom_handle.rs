@@ -9,12 +9,8 @@
 //! fails with the schedule that broke them.
 #![cfg(loom)]
 
-use crf::{
-    CrfModel, EditObserver, IdRemap, ModelDelta, ModelError, ModelHandle, RetireSet, Revision,
-    Stance,
-};
+use crf::{CrfModel, ModelDelta, ModelError, ModelHandle, Revision, Stance};
 use loom::thread;
-use std::sync::{Arc, Mutex};
 
 fn base_handle() -> ModelHandle {
     let mut b = ModelDelta::new(1, 1);
@@ -96,51 +92,5 @@ fn reader_never_observes_a_torn_snapshot() {
             assert_eq!(snap.n_claims(), base_claims + 1);
         }
         w.join().unwrap();
-    });
-}
-
-#[derive(Default)]
-struct CountingObserver {
-    grown: Mutex<Vec<Revision>>,
-}
-
-impl EditObserver for CountingObserver {
-    fn grown(&self, _delta: &ModelDelta, rev: Revision) {
-        self.grown
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(rev);
-    }
-    fn retired(&self, _set: &RetireSet, _rev: Revision) {}
-    fn compacted(&self, _base: Revision, _remap: &IdRemap, _rev: Revision) {}
-}
-
-/// With an observer registered, two racing writers produce exactly one
-/// observation (the winner's), carrying the committed revision — the
-/// losing apply must not fire the WAL hook under any interleaving.
-#[test]
-fn observer_fires_once_per_committed_edit() {
-    loom::model(|| {
-        let h = base_handle();
-        let obs = Arc::new(CountingObserver::default());
-        h.set_observer(Some(obs.clone()));
-
-        let deltas: Vec<ModelDelta> = (0..2).map(|_| grow_delta(&h)).collect();
-        let writers: Vec<_> = deltas
-            .into_iter()
-            .map(|d| {
-                let h = h.clone();
-                thread::spawn(move || h.apply(d))
-            })
-            .collect();
-        let wins = writers
-            .into_iter()
-            .map(|t| t.join().unwrap())
-            .filter(Result::is_ok)
-            .count();
-        assert_eq!(wins, 1);
-
-        let seen = obs.grown.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        assert_eq!(seen, vec![Revision(1)], "one commit, one observation");
     });
 }

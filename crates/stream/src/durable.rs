@@ -1,14 +1,27 @@
 //! Crash-recoverable streaming: the checker wired to the durability
 //! layer.
 //!
-//! [`DurableChecker`] wraps a [`StreamingChecker`] so that every model
-//! edit — the grow delta of an arrival, the retire set and compact marker
-//! of a retention sweep — is appended to a write-ahead
-//! [`durability::EditLog`] *as it commits*, via the
-//! [`crf::EditObserver`] chokepoint of the shared [`ModelHandle`]. The
-//! observer fires inside the handle's write lock in commit order, so the
-//! log's LSN sequence is exactly the lineage's revision sequence: record
-//! at LSN `L` carries the edit that produced revision `R₀ + (L − L₀)`.
+//! [`DurableChecker`] wraps a [`StreamingChecker`] and owns its
+//! write-ahead [`durability::EditLog`]. It is the lineage's **one
+//! writer**: [`DurableChecker::arrive_new`] is the only way its state
+//! changes, and once the checker has ingested the arrival, every model
+//! edit it reports committed is appended to the log in commit order — the
+//! arrival's grow delta (tagged as the arrival), then its retention
+//! sweep's retire set, then the sweep's compact marker. The checker
+//! reports exactly the edits that bumped the revision (an empty sweep, an
+//! identity compaction and a rejected delta report nothing), so the log's
+//! LSN sequence is exactly the lineage's revision sequence: record at LSN
+//! `L` carries the edit that produced revision `R₀ + (L − L₀)`.
+//!
+//! An edit committed through another clone of the checker's
+//! [`ModelHandle`] cannot reach the log. So before it logs or writes a
+//! checkpoint, the durable checker compares the handle's revision with
+//! the revision its log covers, and refuses with
+//! [`DurableError::Unlogged`] once they differ: logging past the gap
+//! would leave a store that recovery cannot replay. A failed append
+//! leaves the same gap and is refused the same way from then on; the way
+//! forward is [`DurableChecker::recover`], which lands at the last logged
+//! state.
 //!
 //! Periodically (every [`DurabilityConfig::checkpoint_every`] arrivals,
 //! and at the natural trigger of a compaction) the state is published as
@@ -51,8 +64,8 @@
 //! * the retire/compact records that sweep regenerated are recognised by
 //!   their base revision already being behind the replayed model and
 //!   skipped;
-//! * everything else (an edit by another holder of the handle) replays
-//!   through [`ModelHandle::edit`].
+//! * any other record replays through [`ModelHandle::edit`] (the checker
+//!   writes none, but the log is outside input).
 //!
 //! The result is **bit-identical** to the uninterrupted run: same model
 //! arrays, same probabilities, same online weights (see the crash tests
@@ -71,17 +84,13 @@
 
 use crate::online_em::{ArrivalStats, OnlineEmConfig, OnlineEmError};
 use crate::stream::{CheckerState, RetentionPolicy, StreamingChecker};
-use crf::{
-    CrfModel, EditObserver, IdRemap, ModelDelta, ModelEdit, ModelError, ModelHandle, RetireSet,
-    Revision,
-};
+use crf::{CrfModel, ModelDelta, ModelEdit, ModelError, ModelHandle, Revision};
 use durability::{
     checkpoint, scrub, CheckpointKind, CorruptCheckpoint, EditLog, LogRecord, Storage, SyncPolicy,
     WalError,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// How the durable checker writes and snapshots.
 #[derive(Debug, Clone)]
@@ -125,9 +134,9 @@ pub enum DurableError {
     Wal(WalError),
     /// A model edit failed (during ingest or replay).
     Model(ModelError),
-    /// The online-EM configuration was rejected. Unreachable: the
-    /// estimator has no settings, and [`StreamingChecker::try_new`] keeps
-    /// its `Result` only for source compatibility.
+    /// A checkpoint's online-EM state does not fit the model's features:
+    /// its declared dimension, its weights or a buffered instance's row
+    /// has another width.
     Online(OnlineEmError),
     /// Recovery found no checkpoint at all (the store was never
     /// initialised).
@@ -139,11 +148,22 @@ pub enum DurableError {
         /// The newest checkpoint file that failed its integrity check.
         path: String,
     },
-    /// The log contradicts the checkpointed lineage — a record's base
-    /// `(model_id, revision)` neither matches the replayed model nor lies
-    /// behind it, and no corruption was observed that would explain the
-    /// gap. Recovery refuses to guess.
+    /// The store contradicts the checkpointed lineage — a log record's
+    /// base `(model_id, revision)` neither matches the replayed model nor
+    /// lies behind it, and no corruption was observed that would explain
+    /// the gap; or a checkpoint's checker state does not fit the model it
+    /// was saved with. Recovery refuses to guess.
     Diverged(String),
+    /// The lineage moved past what the log covers: an edit was committed
+    /// through another clone of the checker's handle, or an append
+    /// failed. The checker logs and checkpoints nothing more; recover
+    /// from the store instead.
+    Unlogged {
+        /// The revision the log covers.
+        logged: Revision,
+        /// The revision the model's handle is at.
+        model: Revision,
+    },
 }
 
 impl std::fmt::Display for DurableError {
@@ -157,6 +177,10 @@ impl std::fmt::Display for DurableError {
                 write!(f, "every full checkpoint is corrupt (newest: {path})")
             }
             DurableError::Diverged(why) => write!(f, "log diverged from checkpoint: {why}"),
+            DurableError::Unlogged { logged, model } => write!(
+                f,
+                "the model is at {model} but the log covers {logged}: an edit went unlogged"
+            ),
         }
     }
 }
@@ -210,82 +234,20 @@ struct IncrementState {
     checker: CheckerState,
 }
 
-/// The WAL hook: an [`EditObserver`] appending every committing edit as a
-/// [`LogRecord`]. Callbacks run inside the handle's write lock, so append
-/// order is commit order and LSNs track revisions exactly. Log failures
-/// cannot be returned from the callback; they are stashed and surfaced by
-/// the next [`DurableChecker`] operation.
-struct WalObserver {
-    log: Mutex<EditLog>,
-    model_id: u64,
-    /// Set by [`DurableChecker::arrive_new`] just before the ingest: the
-    /// first grow this observer sees is that arrival (the flag is
-    /// consumed), so the record replays through `arrive_new` instead of a
-    /// bare `apply`.
-    arrival: AtomicBool,
-    error: Mutex<Option<WalError>>,
-    /// Every edit committed since the last checkpoint, in commit order —
-    /// the body of the next incremental checkpoint. Cleared by
-    /// checkpoints of either kind.
-    pending: Mutex<Vec<ModelEdit>>,
-}
-
-impl WalObserver {
-    fn new(log: EditLog, model_id: u64) -> Arc<Self> {
-        Arc::new(WalObserver {
-            log: Mutex::new(log),
-            model_id,
-            arrival: AtomicBool::new(false),
-            error: Mutex::new(None),
-            pending: Mutex::new(Vec::new()),
-        })
-    }
-
-    fn append(&self, arrival: bool, edit: ModelEdit) {
-        {
-            let mut log = self.log.lock().unwrap_or_else(|e| e.into_inner());
-            if let Err(e) = log.append(arrival, &edit) {
-                *self.error.lock().unwrap_or_else(|e| e.into_inner()) = Some(e);
-            }
-        }
-        // Buffered even when the append failed: the edit committed to the
-        // in-memory model either way, and the stashed error will abort the
-        // next checkpoint before an inconsistent increment could land.
-        self.pending
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(edit);
-    }
-}
-
-impl EditObserver for WalObserver {
-    fn grown(&self, delta: &ModelDelta, _rev: Revision) {
-        let arrival = self.arrival.swap(false, Ordering::SeqCst);
-        self.append(arrival, ModelEdit::Grow(delta.clone()));
-    }
-
-    fn retired(&self, set: &RetireSet, _rev: Revision) {
-        self.append(false, ModelEdit::Retire(set.clone()));
-    }
-
-    fn compacted(&self, base: Revision, _remap: &IdRemap, _rev: Revision) {
-        self.append(
-            false,
-            ModelEdit::Compact {
-                base_model_id: self.model_id,
-                base_revision: base.0,
-            },
-        );
-    }
-}
-
 /// A [`StreamingChecker`] whose whole lifecycle is crash-recoverable:
 /// edits ahead-logged, state checkpointed, recovery bit-identical. See
 /// the module docs for the protocol.
 pub struct DurableChecker {
     checker: StreamingChecker,
     storage: Arc<dyn Storage>,
-    observer: Arc<WalObserver>,
+    log: EditLog,
+    /// The revision the log covers: the one its newest record produced
+    /// (or the newest checkpoint's, before any record).
+    logged: Revision,
+    /// Every edit committed since the last checkpoint, in commit order —
+    /// the body of the next incremental checkpoint. Cleared by
+    /// checkpoints of either kind.
+    pending: Vec<ModelEdit>,
     config: DurabilityConfig,
     arrivals_since_checkpoint: u64,
     /// LSN of the newest published checkpoint (of either kind) — the
@@ -363,9 +325,9 @@ fn assemble_chain(storage: &Arc<dyn Storage>) -> Result<ChainPlan, DurableError>
 
 impl DurableChecker {
     /// Initialise a fresh durable lineage in `storage`: build the checker,
-    /// publish checkpoint 0 (the pre-log state), start the edit log at
-    /// LSN 1, and attach the WAL observer. Any stale log segments in the
-    /// store are removed — use [`Self::recover`] to continue one instead.
+    /// publish checkpoint 0 (the pre-log state) and start the edit log at
+    /// LSN 1. Any stale log segments in the store are removed — use
+    /// [`Self::recover`] to continue one instead.
     pub fn create(
         storage: Arc<dyn Storage>,
         model: impl Into<ModelHandle>,
@@ -380,12 +342,12 @@ impl DurableChecker {
         };
         checkpoint::write(&storage, 0, &state)?;
         let log = EditLog::create(storage.clone(), 1, config.sync_policy)?;
-        let observer = WalObserver::new(log, checker.handle().model_id());
-        checker.handle().set_observer(Some(observer.clone()));
         Ok(DurableChecker {
+            logged: checker.model().revision(),
             checker,
             storage,
-            observer,
+            log,
+            pending: Vec::new(),
             config,
             arrivals_since_checkpoint: 0,
             last_checkpoint_lsn: 0,
@@ -434,9 +396,8 @@ impl DurableChecker {
         }
         checker.restore_state(tip_state)?;
 
-        // Replay the suffix with the observer *detached*: the records are
-        // already in the log, and an arrival's regenerated retention edits
-        // must not be logged twice.
+        // Replay the suffix through the volatile path: the records are
+        // already in the log.
         let (log, records) = match EditLog::open(storage.clone(), config.sync_policy)? {
             Some(opened) => opened,
             None => (
@@ -501,12 +462,12 @@ impl DurableChecker {
             log
         };
 
-        let observer = WalObserver::new(log, handle.model_id());
-        checker.handle().set_observer(Some(observer.clone()));
         let mut recovered = DurableChecker {
+            logged: handle.revision(),
             checker,
             storage,
-            observer,
+            log,
+            pending: Vec::new(),
             config,
             arrivals_since_checkpoint: 0,
             last_checkpoint_lsn: chain_tip,
@@ -517,17 +478,24 @@ impl DurableChecker {
         Ok(recovered)
     }
 
-    /// Ingest an arrival with ahead-logging: the grow delta (and any
-    /// retention edits its sweep commits) land in the edit log as they
-    /// commit, then the configured checkpoint triggers run.
+    /// Ingest an arrival with ahead-logging: the edits it commits — the
+    /// grow delta, then any retention edits its sweep commits — are
+    /// appended to the edit log, then the configured checkpoint triggers
+    /// run. Refused with [`DurableError::Unlogged`] when the lineage has
+    /// moved past the log.
     pub fn arrive_new(&mut self, delta: ModelDelta) -> Result<ArrivalStats, DurableError> {
-        self.observer.arrival.store(true, Ordering::SeqCst);
-        let result = self.checker.arrive_new(delta);
-        // A rejected delta never reached the observer; clear the flag so
-        // an unrelated later grow is not mis-tagged as this arrival.
-        self.observer.arrival.store(false, Ordering::SeqCst);
+        self.ensure_logged()?;
+        let mut edits = Vec::new();
+        let result = self.checker.arrive_journaled(delta, Some(&mut edits));
+        // Logged even when the call failed: whatever committed is in the
+        // model either way.
+        for edit in edits {
+            let arrival = matches!(edit, ModelEdit::Grow(_));
+            self.log.append(arrival, &edit)?;
+            self.logged = Revision(self.logged.0 + 1);
+            self.pending.push(edit);
+        }
         let stats = result?;
-        self.take_log_error()?;
         self.arrivals_since_checkpoint += 1;
         let on_compact = self.config.checkpoint_on_compact && stats.compacted;
         let on_count = self
@@ -547,20 +515,16 @@ impl DurableChecker {
     /// file (older fulls, all increments). Returns the LSN the checkpoint
     /// covers.
     pub fn checkpoint(&mut self) -> Result<u64, DurableError> {
-        self.take_log_error()?;
+        self.ensure_logged()?;
         let state = DurableState {
             checker: self.checker.export_state(),
             model: self.checker.model().clone(),
         };
-        let lsn = self.log_lock().next_lsn() - 1;
+        let lsn = self.log.next_lsn() - 1;
         checkpoint::write(&self.storage, lsn, &state)?;
-        self.log_lock().rotate(lsn)?;
+        self.log.rotate(lsn)?;
         checkpoint::prune(&self.storage, lsn)?;
-        self.observer
-            .pending
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        self.pending.clear();
         self.arrivals_since_checkpoint = 0;
         self.last_checkpoint_lsn = lsn;
         self.increments_since_full = 0;
@@ -573,34 +537,23 @@ impl DurableChecker {
     /// stay alive until the next full checkpoint supersedes it. A no-op
     /// (returning the parent's LSN) when nothing committed since.
     pub fn checkpoint_increment(&mut self) -> Result<u64, DurableError> {
-        self.take_log_error()?;
-        let lsn = self.log_lock().next_lsn() - 1;
+        self.ensure_logged()?;
+        let lsn = self.log.next_lsn() - 1;
         if lsn == self.last_checkpoint_lsn {
             return Ok(lsn);
         }
-        let edits = std::mem::take(
-            &mut *self
-                .observer
-                .pending
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        );
         let state = IncrementState {
             parent_lsn: self.last_checkpoint_lsn,
-            edits,
+            edits: std::mem::take(&mut self.pending),
             checker: self.checker.export_state(),
         };
         if let Err(e) = checkpoint::write_increment(&self.storage, lsn, &state) {
             // The edits are not covered by any checkpoint yet; put them
             // back so a later attempt still has the full delta.
-            *self
-                .observer
-                .pending
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = state.edits;
+            self.pending = state.edits;
             return Err(e.into());
         }
-        self.log_lock().rotate(lsn)?;
+        self.log.rotate(lsn)?;
         self.arrivals_since_checkpoint = 0;
         self.last_checkpoint_lsn = lsn;
         self.increments_since_full += 1;
@@ -620,8 +573,7 @@ impl DurableChecker {
     /// Force the log durable right now, regardless of the batched policy
     /// (e.g. before a planned shutdown).
     pub fn sync_log(&mut self) -> Result<(), DurableError> {
-        self.take_log_error()?;
-        self.log_lock().sync()?;
+        self.log.sync()?;
         Ok(())
     }
 
@@ -630,15 +582,14 @@ impl DurableChecker {
     /// durability acknowledgement for group commit (a no-op once the
     /// watermark has passed `lsn`).
     pub fn wait_durable(&mut self, lsn: u64) -> Result<(), DurableError> {
-        self.take_log_error()?;
-        self.log_lock().wait_durable(lsn)?;
+        self.log.wait_durable(lsn)?;
         Ok(())
     }
 
     /// The acknowledged-LSN watermark: every record at or below it has
     /// been fsynced and survives power loss.
     pub fn last_acked_lsn(&self) -> u64 {
-        self.log_lock().last_acked_lsn()
+        self.log.last_acked_lsn()
     }
 
     /// Corrupt checkpoint files the recovery that built this checker
@@ -650,14 +601,12 @@ impl DurableChecker {
 
     /// The LSN the next logged edit will carry.
     pub fn next_lsn(&self) -> u64 {
-        self.log_lock().next_lsn()
+        self.log.next_lsn()
     }
 
-    fn log_lock(&self) -> std::sync::MutexGuard<'_, EditLog> {
-        self.observer.log.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The wrapped checker.
+    /// The wrapped checker. An edit made through a clone of its handle
+    /// is not logged, and stops this checker with
+    /// [`DurableError::Unlogged`].
     pub fn checker(&self) -> &StreamingChecker {
         &self.checker
     }
@@ -667,23 +616,25 @@ impl DurableChecker {
         &self.storage
     }
 
-    /// Detach the observer and return the inner checker (the store stays
-    /// as it is; a later [`Self::recover`] resumes from it).
+    /// Return the inner checker. Its later arrivals are not logged; the
+    /// store stays as it is, and a later [`Self::recover`] resumes from
+    /// it.
     pub fn into_inner(self) -> StreamingChecker {
-        self.checker.handle().set_observer(None);
         self.checker
     }
 
-    fn take_log_error(&self) -> Result<(), DurableError> {
-        match self
-            .observer
-            .error
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
-            Some(e) => Err(e.into()),
-            None => Ok(()),
+    /// Refuse when the lineage has moved past the log (see the module
+    /// docs): an edit committed through another clone of the handle, or
+    /// one whose append failed.
+    fn ensure_logged(&self) -> Result<(), DurableError> {
+        let model = self.checker.handle().revision();
+        if model == self.logged {
+            Ok(())
+        } else {
+            Err(DurableError::Unlogged {
+                logged: self.logged,
+                model,
+            })
         }
     }
 }
@@ -976,13 +927,24 @@ mod tests {
         assert_bit_identical(recovered.checker(), &reference);
     }
 
+    /// The value stored under `name` among `fields`.
+    fn object_field_value<'a>(
+        fields: &'a mut [(String, serde::Value)],
+        name: &str,
+    ) -> &'a mut serde::Value {
+        match fields.iter_mut().find(|(k, _)| k == name) {
+            Some((_, value)) => value,
+            None => panic!("no field `{name}`"),
+        }
+    }
+
     /// The fields of the object stored under `name` among `fields`.
     fn object_field<'a>(
         fields: &'a mut [(String, serde::Value)],
         name: &str,
     ) -> &'a mut Vec<(String, serde::Value)> {
-        match fields.iter_mut().find(|(k, _)| k == name) {
-            Some((_, serde::Value::Object(inner))) => inner,
+        match object_field_value(fields, name) {
+            serde::Value::Object(inner) => inner,
             _ => panic!("no object field `{name}`"),
         }
     }
@@ -1065,6 +1027,173 @@ mod tests {
         assert_bit_identical(recovered.checker(), &reference);
     }
 
+    /// Rewrite the checker state of the checkpoint of `kind` at `lsn`
+    /// through `edit`, keeping everything else (and a valid envelope).
+    fn rewrite_checker_state(
+        storage: &Arc<dyn Storage>,
+        kind: CheckpointKind,
+        lsn: u64,
+        edit: impl FnOnce(&mut Vec<(String, serde::Value)>),
+    ) {
+        let name = checkpoint::entries(storage)
+            .unwrap()
+            .into_iter()
+            .find(|e| e.kind == kind && e.lsn == lsn)
+            .unwrap()
+            .name;
+        let mut state: serde::Value = checkpoint::read(storage, &name).unwrap();
+        let serde::Value::Object(top) = &mut state else {
+            panic!("checkpoint payload is not an object")
+        };
+        edit(object_field(top, "checker"));
+        match kind {
+            CheckpointKind::Full => checkpoint::write(storage, lsn, &state).unwrap(),
+            CheckpointKind::Increment => checkpoint::write_increment(storage, lsn, &state).unwrap(),
+        }
+    }
+
+    /// A checkpoint whose checker state does not fit the model it was
+    /// saved with is refused with a typed error, never a panic: per-claim
+    /// vectors of another length in a full checkpoint, online features of
+    /// another width in a full checkpoint or an increment.
+    #[test]
+    fn checkpoint_state_that_does_not_fit_the_model_is_refused() {
+        let json = seed_json();
+        let mem = MemFs::new();
+        let config = DurabilityConfig {
+            sync_policy: SyncPolicy::PerRecord,
+            checkpoint_every: None,
+            checkpoint_on_compact: false,
+            full_every: 1,
+        };
+        let mut durable = DurableChecker::create(
+            Arc::new(mem.clone()),
+            seed(&json),
+            OnlineEmConfig::default(),
+            RetentionPolicy::unbounded(),
+            config.clone(),
+        )
+        .unwrap();
+        for k in 0..3 {
+            let delta = arrival_delta(durable.checker(), k);
+            durable.arrive_new(delta).unwrap();
+        }
+        let full = durable.checkpoint().unwrap();
+        // A crash right here leaves the full checkpoint as the chain tip.
+        let at_full = mem.survivor(true);
+        for k in 3..5 {
+            let delta = arrival_delta(durable.checker(), k);
+            durable.arrive_new(delta).unwrap();
+        }
+        let inc = durable.checkpoint_increment().unwrap();
+        drop(durable);
+
+        let recover = |storage: Arc<dyn Storage>| {
+            DurableChecker::recover(storage, OnlineEmConfig::default(), config.clone())
+        };
+        assert_eq!(
+            recover(Arc::new(mem.survivor(true)))
+                .unwrap()
+                .checker()
+                .arrivals(),
+            5,
+            "the untouched store recovers"
+        );
+
+        let storage: Arc<dyn Storage> = Arc::new(at_full.survivor(true));
+        rewrite_checker_state(&storage, CheckpointKind::Full, full, |checker| {
+            let serde::Value::Array(probs) = &mut object_field_value(checker, "probs") else {
+                panic!("probs is not an array")
+            };
+            probs.pop();
+        });
+        assert!(matches!(recover(storage), Err(DurableError::Diverged(_))));
+
+        let storage: Arc<dyn Storage> = Arc::new(at_full.survivor(true));
+        rewrite_checker_state(&storage, CheckpointKind::Full, full, |checker| {
+            *object_field_value(object_field(checker, "online"), "dim") = serde::Value::I64(7);
+        });
+        assert!(matches!(recover(storage), Err(DurableError::Online(_))));
+
+        let storage: Arc<dyn Storage> = Arc::new(mem.survivor(true));
+        rewrite_checker_state(&storage, CheckpointKind::Increment, inc, |checker| {
+            let online = object_field(checker, "online");
+            let serde::Value::Array(instances) = object_field_value(online, "instances") else {
+                panic!("instances is not an array")
+            };
+            let Some(serde::Value::Object(first)) = instances.first_mut() else {
+                panic!("no buffered instance")
+            };
+            let serde::Value::Array(row) = object_field_value(first, "row") else {
+                panic!("row is not an array")
+            };
+            row.push(serde::Value::F64(0.5));
+        });
+        assert!(matches!(recover(storage), Err(DurableError::Online(_))));
+    }
+
+    /// An edit made through another clone of the checker's handle cannot
+    /// reach the log, so the durable checker refuses to log or checkpoint
+    /// past it; recovery lands at the last logged arrival.
+    #[test]
+    fn edits_outside_the_checker_are_refused() {
+        let json = seed_json();
+        let config = DurabilityConfig {
+            sync_policy: SyncPolicy::PerRecord,
+            checkpoint_every: None,
+            checkpoint_on_compact: false,
+            full_every: 1,
+        };
+        let mut reference = StreamingChecker::try_new(seed(&json), OnlineEmConfig::default())
+            .unwrap()
+            .with_retention(RetentionPolicy::sliding_window(2));
+        let handle = ModelHandle::new(seed(&json));
+        let mem = MemFs::new();
+        let mut durable = DurableChecker::create(
+            Arc::new(mem.clone()),
+            handle.clone(),
+            OnlineEmConfig::default(),
+            RetentionPolicy::sliding_window(2),
+            config.clone(),
+        )
+        .unwrap();
+        for k in 0..4 {
+            let delta = arrival_delta(&reference, k);
+            reference.arrive_new(delta).unwrap();
+            let delta = arrival_delta(durable.checker(), k);
+            durable.arrive_new(delta).unwrap();
+        }
+        let logged = durable.checker().model().revision();
+
+        // Grow through the kept handle.
+        let mut outside = handle.delta();
+        outside.add_claim();
+        let model = handle.apply(outside).unwrap();
+
+        let refused = |r: Result<u64, DurableError>| match r {
+            Err(DurableError::Unlogged {
+                logged: l,
+                model: m,
+            }) => (l, m) == (logged, model),
+            _ => false,
+        };
+        let delta = arrival_delta(durable.checker(), 4);
+        assert!(refused(durable.arrive_new(delta).map(|_| 0)));
+        assert!(refused(durable.checkpoint_increment()));
+        assert!(refused(durable.checkpoint()));
+        assert_eq!(durable.checker().arrivals(), 4, "the arrival was refused");
+        drop(durable);
+
+        let recovered = DurableChecker::recover(
+            Arc::new(mem.survivor(true)),
+            OnlineEmConfig::default(),
+            config,
+        )
+        .unwrap();
+        assert_eq!(recovered.checker().model().revision(), logged);
+        assert_bit_identical(recovered.checker(), &reference);
+    }
+
     /// Recovery from a store that was never initialised refuses cleanly.
     #[test]
     fn recover_without_checkpoint_is_refused() {
@@ -1080,8 +1209,9 @@ mod tests {
     }
 
     /// An immediate recovery (no arrivals after the checkpoint) and a
-    /// recovery with an empty log suffix both work, and `into_inner`
-    /// detaches the observer so later edits are no longer logged.
+    /// recovery with an empty log suffix both work, and the checker
+    /// `into_inner` hands back logs nothing: later arrivals leave the store
+    /// as it is.
     #[test]
     fn recover_fresh_store_and_detach() {
         let json = seed_json();

@@ -290,14 +290,21 @@ impl OnlineEm {
     /// Restore a checkpointed state. The estimator resumes bit-identically:
     /// the arrival counter continues the step schedule where it left off,
     /// and the instance buffer (tags, targets, decayed weights) is exact.
-    /// Fails with [`OnlineEmError::DimMismatch`] when the state was
-    /// exported at a different feature dimension.
+    /// Fails with [`OnlineEmError::DimMismatch`], leaving the estimator
+    /// untouched, when the state's declared dimension, its weights or any
+    /// buffered instance's row has a different width than the estimator's
+    /// features.
     pub fn restore_state(&mut self, state: OnlineEmState) -> Result<(), OnlineEmError> {
-        if state.dim as usize != self.dim {
-            return Err(OnlineEmError::DimMismatch {
-                expected: self.dim,
-                got: state.dim as usize,
-            });
+        let widths = std::iter::once(state.dim as usize)
+            .chain(std::iter::once(state.weights.dim()))
+            .chain(state.instances.iter().map(|i| i.row.len()));
+        for got in widths {
+            if got != self.dim {
+                return Err(OnlineEmError::DimMismatch {
+                    expected: self.dim,
+                    got,
+                });
+            }
         }
         self.weights = state.weights;
         self.t = state.arrivals;

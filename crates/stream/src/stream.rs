@@ -25,12 +25,13 @@
 //! [`StreamingChecker::exchange_from`] (line 7) and
 //! [`StreamingChecker::feed_into`] (line 10).
 
+use crate::durable::DurableError;
 use crate::online_em::{ArrivalStats, OnlineEm, OnlineEmConfig, OnlineEmError, OnlineEmState};
 use crf::em::source_trust_from_probs;
 use crf::potentials::{claim_probability, clique_features};
 use crf::{
-    Clique, CrfModel, Icrf, ModelDelta, ModelError, ModelHandle, RetireSet, Since, Stance,
-    SyncPoint, VarId,
+    Clique, CrfModel, Icrf, ModelDelta, ModelEdit, ModelError, ModelHandle, RetireSet, Since,
+    Stance, SyncPoint, VarId,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -324,6 +325,20 @@ impl StreamingChecker {
     /// sweep that loses a revision race to another handle holder does not
     /// fail the call (it re-runs on the next arrival).
     pub fn arrive_new(&mut self, delta: ModelDelta) -> Result<ArrivalStats, ModelError> {
+        self.arrive_journaled(delta, None)
+    }
+
+    /// The body of [`Self::arrive_new`]. When `journal` is given, a copy
+    /// of every edit this call commits lands in it, in commit order: the
+    /// arrival's grow delta, then the sweep's retire set, then its compact
+    /// marker. An edit is journaled only when it bumped the revision, so
+    /// the journal advances the lineage by exactly its length; without a
+    /// journal no payload is copied.
+    pub(crate) fn arrive_journaled(
+        &mut self,
+        delta: ModelDelta,
+        mut journal: Option<&mut Vec<ModelEdit>>,
+    ) -> Result<ArrivalStats, ModelError> {
         // The arrival window comes from the delta itself, not from a
         // snapshot diff: `apply` only succeeds against exactly the
         // revision the delta was prepared for, so its entities occupy
@@ -334,14 +349,7 @@ impl StreamingChecker {
         let n_new_claims = delta.n_new_claims();
         let first_new_clique = delta.base_cliques();
         let n_new_cliques = delta.n_new_cliques();
-
-        // Release our snapshot pin for the duration of the growth: when
-        // the checker is the only holder, `apply` then splices strictly in
-        // place instead of copying the whole model to keep our pin valid.
-        self.model = None;
-        let applied = self.handle.apply(delta);
-        self.sync(); // re-pin (the grown model, or the untouched one on error)
-        applied?;
+        self.commit(ModelEdit::Grow(delta), journal.as_deref_mut())?;
 
         let model = self.model().clone();
         // Trust statistics of the neighbourhood *before* the new claims'
@@ -377,7 +385,7 @@ impl StreamingChecker {
         // re-runs on the next arrival. Any other sweep error would be an
         // internal invariant violation and still surfaces.
         if let Some(window) = self.policy.window {
-            match self.run_retention(window, &mut stats) {
+            match self.run_retention(window, &mut stats, journal) {
                 Ok(()) | Err(ModelError::StaleDelta { .. }) => {}
                 Err(e) => return Err(e),
             }
@@ -385,13 +393,42 @@ impl StreamingChecker {
         Ok(stats)
     }
 
+    /// Commit one revision-checked edit through the handle and re-pin,
+    /// returning whether it bumped the revision (a copy of it then lands
+    /// in `journal`). The snapshot pin is released for the duration: when
+    /// the checker is the only holder, the edit then happens strictly in
+    /// place instead of copying the whole model to keep the pin valid. On
+    /// error the model is untouched and nothing is journaled.
+    fn commit(
+        &mut self,
+        edit: ModelEdit,
+        journal: Option<&mut Vec<ModelEdit>>,
+    ) -> Result<bool, ModelError> {
+        let (_, base) = edit.base_revision();
+        let copy = journal.as_ref().map(|_| edit.clone());
+        self.model = None;
+        let committed = self.handle.edit(edit);
+        self.sync(); // re-pin (the edited model, or the untouched one on error)
+        let bumped = committed? != base;
+        if let (Some(journal), Some(copy), true) = (journal, copy, bumped) {
+            journal.push(copy);
+        }
+        Ok(bumped)
+    }
+
     /// The retention sweep proper: retire every arrived claim `window`
     /// arrivals old (plus the sources it orphans), then compact once the
     /// dead fraction crosses the policy threshold, recording both in
-    /// `stats`. Expects a fresh snapshot pin. The model is only borrowed
-    /// from that pin, so nothing but the pin itself keeps it alive when the
-    /// sweep releases it to tombstone in place.
-    fn run_retention(&mut self, window: u64, stats: &mut ArrivalStats) -> Result<(), ModelError> {
+    /// `stats` (and the committed edits in `journal`). Expects a fresh
+    /// snapshot pin. The model is only borrowed from that pin, so nothing
+    /// but the pin itself keeps it alive when the sweep releases it to
+    /// tombstone in place.
+    fn run_retention(
+        &mut self,
+        window: u64,
+        stats: &mut ArrivalStats,
+        mut journal: Option<&mut Vec<ModelEdit>>,
+    ) -> Result<(), ModelError> {
         let model = self.model();
 
         // ---- Which claims expire. Only arrived, still-live claims are
@@ -434,23 +471,19 @@ impl StreamingChecker {
                     retired_sources += 1;
                 }
             }
-            self.model = None; // release the pin: tombstone in place
-            let retired = self.handle.retire(set);
-            self.sync();
-            retired?;
+            self.commit(ModelEdit::Retire(set), journal.as_deref_mut())?;
             stats.retired_claims = expire.len();
             stats.retired_sources = retired_sources;
         }
 
         // ---- Deferred compaction: reclaim the memory once tombstones are
         // worth the rebuild. `Empty` means the policy retired everything —
-        // keep the tombstoned model; the next arrival revives it.
+        // keep the tombstoned model; the next arrival revives it. An
+        // identity compaction (nothing dead) bumps no revision.
         if self.model().dead_fraction() >= self.policy.compact_threshold {
-            self.model = None;
-            let compacted = self.handle.compact();
-            self.sync();
-            match compacted {
-                Ok(remap) => stats.compacted = !remap.is_identity(),
+            let marker = ModelEdit::compact_marker(self.model());
+            match self.commit(marker, journal) {
+                Ok(bumped) => stats.compacted = bumped,
                 Err(ModelError::Empty) => {}
                 Err(e) => return Err(e),
             }
@@ -505,9 +538,11 @@ impl StreamingChecker {
     /// Restore a checkpointed state. The handle must already sit at
     /// exactly the `(model_id, revision)` the state was exported at —
     /// recovery rebuilds the model first, then restores the checker —
-    /// otherwise the restore is refused with [`ModelError::StaleDelta`]
-    /// and the checker is left untouched.
-    pub(crate) fn restore_state(&mut self, state: CheckerState) -> Result<(), ModelError> {
+    /// otherwise the restore is refused with [`ModelError::StaleDelta`].
+    /// A state that does not fit that model (per-claim vectors of another
+    /// length, another compaction count, online features of another width)
+    /// is refused too. A refused restore leaves the checker untouched.
+    pub(crate) fn restore_state(&mut self, state: CheckerState) -> Result<(), DurableError> {
         self.sync();
         let model = self.model().clone();
         if (model.model_id(), model.revision().0) != (state.model_id, state.revision) {
@@ -516,18 +551,31 @@ impl StreamingChecker {
                 delta_revision: state.revision,
                 model_id: model.model_id(),
                 model_revision: model.revision().0,
-            });
+            }
+            .into());
         }
-        debug_assert_eq!(state.probs.len(), model.n_claims());
-        debug_assert_eq!(state.compactions, model.compactions());
+        let n = model.n_claims();
+        if (
+            state.probs.len(),
+            state.arrival_seq.len(),
+            state.compactions,
+        ) != (n, n, model.compactions())
+        {
+            return Err(DurableError::Diverged(format!(
+                "checker state holds {} probabilities and {} arrival indices after {} \
+                 compactions; the model has {n} claims after {}",
+                state.probs.len(),
+                state.arrival_seq.len(),
+                state.compactions,
+                model.compactions()
+            )));
+        }
+        self.online.restore_state(state.online)?;
         self.probs = state.probs;
         self.arrival_seq = state.arrival_seq;
         self.synced = model.sync_point();
         self.arrivals = state.arrivals as usize;
         self.policy = state.policy;
-        self.online
-            .restore_state(state.online)
-            .expect("same lineage position implies same feature dim");
         Ok(())
     }
 }

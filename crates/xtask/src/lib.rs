@@ -187,6 +187,14 @@ impl Config {
                         "verify_store".into(),
                     ]),
                 },
+                R1Scope {
+                    path: "crates/stream/src/stream.rs".into(),
+                    fns: Some(vec!["restore_state".into()]),
+                },
+                R1Scope {
+                    path: "crates/stream/src/online_em.rs".into(),
+                    fns: Some(vec!["restore_state".into()]),
+                },
             ],
             r2: vec![
                 R2Scope {
