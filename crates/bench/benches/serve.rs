@@ -21,7 +21,7 @@
 //! timing, no JSON) for CI.
 
 use crf::graph::{synthetic_model, Stance};
-use crf::{ModelHandle, VarId};
+use crf::VarId;
 use serve::{IngestBackend, PublishPolicy, TruthServer};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -33,7 +33,7 @@ const DOCS_PER_ARRIVAL: usize = 3;
 
 fn bench_server(n_claims: usize, window: u64) -> TruthServer<StreamingChecker> {
     let base = synthetic_model(n_claims, n_claims / 20, 3, 16, 16, 0x5EE_D5EED);
-    let checker = StreamingChecker::try_new(ModelHandle::new(base), OnlineEmConfig::default())
+    let checker = StreamingChecker::try_new(base, OnlineEmConfig::default())
         .unwrap()
         .with_retention(RetentionPolicy::sliding_window(window));
     TruthServer::new(checker).with_policy(PublishPolicy::every_arrival())

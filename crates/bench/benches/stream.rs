@@ -20,7 +20,7 @@
 
 use crf::graph::{synthetic_model, CrfModel, ModelDelta, RetireSet, Stance};
 use crf::partition::Partition;
-use crf::{ModelHandle, VarId};
+use crf::VarId;
 use durability::{DiskFs, FaultFs, MemFs, Storage, SyncPolicy};
 use std::collections::VecDeque;
 use std::hint::black_box;
@@ -823,12 +823,10 @@ fn main() {
     assert_eq!(partition.len(), Partition::of_model(&model).len());
 
     // ---- Public ingestion API: the same arrival shape through
-    // `StreamingChecker::arrive_new` (handle apply + credibility estimate
-    // + online-EM Newton update — the full `∆t` of §8.8). The checker
-    // releases its snapshot pin around `apply`, so a sole holder grows the
-    // model in place with no copy.
-    let handle = ModelHandle::new(base.clone());
-    let mut checker = StreamingChecker::try_new(handle, OnlineEmConfig::default()).unwrap();
+    // `StreamingChecker::arrive_new` (apply + credibility estimate
+    // + online-EM Newton update — the full `∆t` of §8.8). The checker owns
+    // its copy of the model, so it grows it in place.
+    let mut checker = StreamingChecker::try_new(base.clone(), OnlineEmConfig::default()).unwrap();
     let mut arrive_us = Vec::with_capacity(ARRIVALS);
     for k in 0..ARRIVALS {
         let a = arrival(k, n_sources, m_doc);

@@ -29,9 +29,10 @@ use crate::grounding::{grounding_changes, instantiate_grounding};
 use crate::robust::confirmation_check;
 use crf::bitset::Bitset;
 use crf::entropy::source_trust_probs;
-use crf::{Icrf, IcrfStats, ModelHandle, VarId};
+use crf::{CrfModel, Icrf, IcrfStats, VarId};
 use guidance::{GuidanceContext, IterationFeedback, SelectionStrategy};
 use oracle::User;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Telemetry of one validation iteration; the early-termination indicators
@@ -80,12 +81,13 @@ impl<S: SelectionStrategy, U: User> ValidationProcess<S, U> {
     /// Initialise the process: runs the first inference (Alg. 1 line 2) and
     /// instantiates the initial grounding `g_0`.
     ///
-    /// Accepts anything convertible into a [`ModelHandle`] — a bare
-    /// `CrfModel`, a shared `Arc<CrfModel>`, or a clone of a live handle.
-    /// Passing a handle clone lets a streaming ingester grow the factor
-    /// graph while this process runs; growth is picked up at the start of
-    /// each [`Self::step`] (see [`Self::sync_model`]).
-    pub fn new(model: impl Into<ModelHandle>, strategy: S, user: U, config: ProcessConfig) -> Self {
+    /// Accepts a bare `CrfModel` or a shared `Arc<CrfModel>`.
+    pub fn new(
+        model: impl Into<Arc<CrfModel>>,
+        strategy: S,
+        user: U,
+        config: ProcessConfig,
+    ) -> Self {
         let mut icrf = Icrf::new(model, config.icrf.clone());
         let last_em_stats = icrf.run();
         let grounding = instantiate_grounding(&icrf);
@@ -105,27 +107,6 @@ impl<S: SelectionStrategy, U: User> ValidationProcess<S, U> {
     /// The inference engine (read-only).
     pub fn icrf(&self) -> &Icrf {
         &self.icrf
-    }
-
-    /// The shared handle of the model this process validates; clone it to
-    /// ingest streaming arrivals into the same lineage.
-    pub fn handle(&self) -> &ModelHandle {
-        self.icrf.handle()
-    }
-
-    /// Pick up model growth applied through the handle since the last
-    /// inference: syncs the engine (partition, probabilities, labels — all
-    /// patched, none rebuilt), re-runs inference so the sample set covers
-    /// the new claims, and refreshes the grounding. Returns `true` when the
-    /// model had grown. Called automatically at the start of every
-    /// [`Self::step`].
-    pub fn sync_model(&mut self) -> bool {
-        if !self.icrf.sync() {
-            return false;
-        }
-        self.last_em_stats = self.icrf.run();
-        self.grounding = instantiate_grounding(&self.icrf);
-        true
     }
 
     /// The current grounding `g_i`.
@@ -185,7 +166,6 @@ impl<S: SelectionStrategy, U: User> ValidationProcess<S, U> {
     /// One iteration of Alg. 1 (lines 6–19). Returns `None` when the goal
     /// is met, the budget is exhausted, or no claims remain.
     pub fn step(&mut self) -> Option<&IterationRecord> {
-        self.sync_model();
         if !self.can_continue() {
             return None;
         }
@@ -345,12 +325,10 @@ impl<S: SelectionStrategy, U: User> ValidationProcess<S, U> {
 mod tests {
     use super::*;
     use crate::config::Goal;
-    use crf::CrfModel;
     use crf::GibbsConfig;
     use crf::IcrfConfig;
     use guidance::{InfoGainConfig, InfoGainStrategy, RandomStrategy, UncertaintyStrategy};
     use oracle::{GroundTruthUser, SkippingUser};
-    use std::sync::Arc;
 
     fn quick_icrf_config() -> IcrfConfig {
         IcrfConfig {
@@ -582,57 +560,6 @@ mod tests {
             },
         );
         assert_eq!(p.run(), 4);
-    }
-
-    /// Streaming growth through the shared handle: new claims ingested
-    /// mid-session are picked up by the next `step`, become selectable,
-    /// and extend the grounding — the labels and telemetry already
-    /// accumulated survive.
-    #[test]
-    fn process_picks_up_streamed_growth() {
-        let (model, truth) = fixture();
-        let n = model.n_claims();
-        // The simulated editor already knows the verdict of the claim that
-        // will arrive mid-session (one extra truth entry).
-        let mut truth = truth;
-        truth.push(true);
-        let mut p = ValidationProcess::new(
-            model,
-            RandomStrategy::new(6),
-            GroundTruthUser::new(truth.clone()),
-            ProcessConfig {
-                budget: 3,
-                icrf: quick_icrf_config(),
-                ..Default::default()
-            },
-        );
-        assert_eq!(p.run(), 3);
-        let labelled_before = p.icrf().n_labelled();
-
-        // A new claim arrives with its own source and document.
-        let handle = p.handle().clone();
-        let mut delta = handle.delta();
-        let s = delta
-            .add_source(&vec![0.5; p.icrf().model().m_source()])
-            .unwrap();
-        let c = delta.add_claim();
-        let d = delta
-            .add_document(&vec![0.5; p.icrf().model().m_doc()])
-            .unwrap();
-        delta.add_clique(c, d, s, crf::Stance::Support);
-        handle.apply(delta).unwrap();
-
-        assert!(p.sync_model(), "growth must be detected");
-        assert!(!p.sync_model(), "sync is idempotent");
-        assert_eq!(p.icrf().model().n_claims(), n + 1);
-        assert_eq!(p.grounding().len(), n + 1);
-        assert_eq!(p.icrf().n_labelled(), labelled_before, "labels survive");
-        // The process keeps validating over the grown corpus.
-        let before = p.history().len();
-        // Raise the budget so the grown claim can still be validated.
-        p.config.budget += 2;
-        while p.step().is_some() {}
-        assert!(p.history().len() > before);
     }
 
     #[test]

@@ -28,22 +28,23 @@
 //!
 //! # Streaming growth
 //!
-//! The engine binds to a [`ModelHandle`] rather than a frozen model: when a
-//! streaming ingester grows the factor graph ([`crate::graph::ModelDelta`]),
-//! [`Icrf::sync`] (called implicitly by [`Icrf::run`]) carries the warm
-//! state forward — new claims start at the maximum-entropy probability
-//! 0.5, and the weights, labels, and probabilities of pre-existing claims
-//! are untouched. What EM reads of the model is computed afresh per
-//! snapshot: the partition ([`Partition::of_model`], a single union pass
-//! over the live source rows, well under a millisecond at Snopes scale)
-//! once per changed model here, the per-clique training set of the M-step
-//! on the next run, and the per-claim evidence (`potentials::ClaimEvidence`,
-//! one pass over the live cliques) in the Gibbs scratch on the next E-step.
+//! The engine pins one `Arc<CrfModel>` and edits nothing. When a streaming
+//! ingester that owns the lineage grows the factor graph
+//! ([`crate::graph::ModelDelta`]), the caller hands the engine the
+//! ingester's current model through [`Icrf::sync_to`], which carries the
+//! warm state forward — new claims start at the maximum-entropy
+//! probability 0.5, and the weights, labels, and probabilities of
+//! pre-existing claims are untouched. What EM reads of the model is
+//! computed afresh per snapshot: the partition ([`Partition::of_model`], a
+//! single union pass over the live source rows, well under a millisecond
+//! at Snopes scale) once per changed model here, the per-clique training
+//! set of the M-step on the next run, and the per-claim evidence
+//! (`potentials::ClaimEvidence`, one pass over the live cliques) in the
+//! Gibbs scratch on the next E-step.
 
 use crate::bitset::Bitset;
 use crate::gibbs::{GibbsConfig, GibbsResult, GibbsSampler, GibbsScratch};
 use crate::graph::{CrfModel, ModelError, Since, Stance, SyncPoint, VarId};
-use crate::handle::ModelHandle;
 use crate::logistic::{Dataset, LogisticObjective};
 use crate::newton::{self, NewtonScratch};
 use crate::partition::Partition;
@@ -157,10 +158,8 @@ struct InferenceScratch {
 /// (weights, probabilities, labels, last sample set).
 #[derive(Debug, Clone)]
 pub struct Icrf {
-    /// The shared, growable model lineage this engine infers over.
-    handle: ModelHandle,
     /// Snapshot pinned at the revision the engine state is sized for;
-    /// refreshed by [`Icrf::sync`].
+    /// moved forward by [`Icrf::sync_to`].
     model: Arc<CrfModel>,
     partition: Arc<Partition>,
     config: IcrfConfig,
@@ -178,17 +177,12 @@ impl Icrf {
     /// Fresh engine: weights zero, every claim at probability 0.5
     /// (the maximum-entropy initialisation of §8.1).
     ///
-    /// Accepts anything convertible into a [`ModelHandle`]: a bare
-    /// [`CrfModel`], a shared `Arc<CrfModel>` (the pre-redesign calling
-    /// convention), or a clone of an existing handle — the latter is how
-    /// the engine shares one growable lineage with a streaming ingester.
-    pub fn new(model: impl Into<ModelHandle>, config: IcrfConfig) -> Self {
-        let handle = model.into();
-        let model = handle.snapshot();
+    /// Accepts a bare [`CrfModel`] or a shared `Arc<CrfModel>`.
+    pub fn new(model: impl Into<Arc<CrfModel>>, config: IcrfConfig) -> Self {
+        let model = model.into();
         let n = model.n_claims();
         let partition = Arc::new(Partition::of_model(&model));
         Icrf {
-            handle,
             model,
             partition,
             config,
@@ -203,22 +197,23 @@ impl Icrf {
 
     /// The engine's snapshot of the model, pinned at the revision its
     /// probabilities, labels, and partition are sized for. Call
-    /// [`Self::sync`] (or [`Self::run`], which syncs implicitly) to pick up
-    /// growth applied through the handle.
+    /// [`Self::sync_to`] to move it to a later state of the lineage.
     pub fn model(&self) -> &Arc<CrfModel> {
         &self.model
     }
 
-    /// The shared handle this engine infers over; clone it to grow the
-    /// model from an ingester while the engine keeps its warm state.
-    pub fn handle(&self) -> &ModelHandle {
-        &self.handle
+    /// Always `false`: the engine edits nothing and follows no other
+    /// writer on its own, so there is never anything to pick up. Kept for
+    /// the end-to-end benchmark's replica of the validation step; use
+    /// [`Self::sync_to`] to follow a lineage another component edits.
+    pub fn sync(&mut self) -> bool {
+        false
     }
 
-    /// Catch the engine up with edits applied through the handle since its
-    /// snapshot. Returns `true` when the model changed. Per-claim state is
-    /// carried forward across the whole lifecycle ([`CrfModel::since`]
-    /// decides):
+    /// Move the engine to `model`, a later state of its lineage (the
+    /// current model of the streaming checker that owns it). Returns
+    /// `true` when the model changed. Per-claim state is carried forward
+    /// across the whole lifecycle ([`CrfModel::since`] decides):
     ///
     /// * **Growth** — new claims enter at probability 0.5 / unlabelled.
     /// * **Retirement** — tombstoned claims drop their label and
@@ -236,12 +231,12 @@ impl Icrf {
     ///
     /// The weights and all surviving per-claim state are untouched in every
     /// case. The stale sample set is dropped (its bitsets have the old
-    /// claim width) and regenerated by the next E-step. A handle that
+    /// claim width) and regenerated by the next E-step. A lineage that
     /// compacted twice between syncs outruns the single retained remap; the
     /// engine then rebuilds its per-claim state from scratch (weights
     /// kept).
-    pub fn sync(&mut self) -> bool {
-        let old = std::mem::replace(&mut self.model, self.handle.snapshot());
+    pub fn sync_to(&mut self, model: Arc<CrfModel>) -> bool {
+        let old = std::mem::replace(&mut self.model, model);
         let n = self.model.n_claims();
         let retired = match self.model.since(old.sync_point()) {
             Since::Unchanged => return false,
@@ -253,16 +248,8 @@ impl Icrf {
             Since::Relocate { remap, retired } => {
                 // Per-claim state through the remap; unseen claims enter
                 // fresh.
-                let mut probs = vec![0.5; n];
-                let mut labels = vec![None; n];
-                for c in 0..old.n_claims() {
-                    if let Some(nc) = remap.claim(VarId(c as u32)) {
-                        probs[nc.idx()] = self.probs[c];
-                        labels[nc.idx()] = self.labels[c];
-                    }
-                }
-                self.probs = probs;
-                self.labels = labels;
+                self.probs = remap.relocate(&self.probs, n, 0.5);
+                self.labels = remap.relocate(&self.labels, n, None);
                 retired
             }
             Since::Rebuild => {
@@ -364,11 +351,10 @@ impl Icrf {
         h
     }
 
-    /// Capture the checkpointable warm state (see [`IcrfState`]). The
-    /// engine syncs first so the captured arrays are sized for the
-    /// handle's current revision — the revision a checkpoint records.
-    pub fn export_state(&mut self) -> IcrfState {
-        self.sync();
+    /// Capture the checkpointable warm state (see [`IcrfState`]), sized
+    /// for the engine's model revision — the revision a checkpoint
+    /// records.
+    pub fn export_state(&self) -> IcrfState {
         IcrfState {
             model_id: self.model.model_id(),
             revision: self.model.revision().0,
@@ -379,16 +365,14 @@ impl Icrf {
         }
     }
 
-    /// Restore a previously exported warm state. The engine syncs to the
-    /// handle first and then requires `state` to have been captured
-    /// against exactly that `(model_id, revision)` — restoring into
-    /// different model content is refused with [`ModelError::StaleDelta`]
-    /// and leaves the engine untouched. After a successful restore the
-    /// next [`Self::run`] is bit-identical to the run the original engine
-    /// would have produced (same warm arrays, same epoch, regenerated
-    /// partition/samples — see [`IcrfState`]).
+    /// Restore a previously exported warm state. `state` must have been
+    /// captured against exactly the engine's `(model_id, revision)` —
+    /// restoring into different model content is refused with
+    /// [`ModelError::StaleDelta`] and leaves the engine untouched. After a
+    /// successful restore the next [`Self::run`] is bit-identical to the
+    /// run the original engine would have produced (same warm arrays, same
+    /// epoch, regenerated partition/samples — see [`IcrfState`]).
     pub fn restore_state(&mut self, state: IcrfState) -> Result<(), ModelError> {
-        self.sync();
         if state.model_id != self.model.model_id() || state.revision != self.model.revision().0 {
             return Err(ModelError::StaleDelta {
                 delta_model_id: state.model_id,
@@ -420,7 +404,6 @@ impl Icrf {
     /// live in the engine and are reused across EM iterations *and* across
     /// calls (see the `InferenceScratch` internals).
     pub fn run(&mut self) -> IcrfStats {
-        self.sync();
         let dim = self.model.feature_dim();
         if self.weights.dim() != dim {
             self.weights = Weights::zeros(dim);
@@ -559,23 +542,14 @@ impl Icrf {
     /// of the result.
     ///
     /// An engine that has never run infers under zero weights, as
-    /// [`Self::run`] does. An engine whose handle moved past its snapshot
-    /// cannot sync through `&self`; it takes the cloning path (a clone, a
-    /// sync, the E-step on the synced clone), so the result is in the id
-    /// space of the handle's current revision. It still samples on
-    /// `scratch`, which syncs forward from the snapshot it last saw
-    /// ([`CrfModel::since`]).
+    /// [`Self::run`] does. A scratch last used on an older snapshot syncs
+    /// forward from it ([`CrfModel::since`]).
     pub fn hypothetical_estep(
         &self,
         claim: VarId,
         value: bool,
         scratch: &mut GibbsScratch,
     ) -> GibbsResult {
-        if self.model.revision() != self.handle.revision() {
-            let mut h = self.hypothetical(claim, value);
-            h.sync();
-            return h.next_estep(&h.labels, &h.probs, scratch);
-        }
         let mut labels = self.labels.clone();
         let mut probs = self.probs.clone();
         labels[claim.idx()] = Some(value);
@@ -583,9 +557,9 @@ impl Icrf {
         self.next_estep(&labels, &probs, scratch)
     }
 
-    /// The first E-step the next [`Self::run`] of this (synced) engine
-    /// would run if it held `labels` and `probs`: seeded for the next
-    /// epoch, under zero weights if the engine has never run.
+    /// The first E-step the next [`Self::run`] of this engine would run
+    /// if it held `labels` and `probs`: seeded for the next epoch, under
+    /// zero weights if the engine has never run.
     fn next_estep(
         &self,
         labels: &[Option<bool>],
@@ -660,7 +634,7 @@ pub fn source_trust_into(model: &CrfModel, probs: &[f64], out: &mut Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{CrfModel, ModelDelta, Stance};
+    use crate::graph::{CrfModel, ModelDelta, RetireSet, Stance};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -825,13 +799,12 @@ mod tests {
     #[test]
     fn clone_runs_warm_and_matches_a_cold_restore() {
         let (m, truth) = signal_model(12, 10);
-        let handle = ModelHandle::from(m);
-        let mut icrf = Icrf::new(handle.clone(), small_config());
+        let mut icrf = Icrf::new(m.clone(), small_config());
         for i in 0..3 {
             icrf.set_label(VarId(i), truth[i as usize]);
         }
         icrf.run();
-        let mut cold = Icrf::new(handle, small_config());
+        let mut cold = Icrf::new(m, small_config());
         cold.restore_state(icrf.export_state()).unwrap();
         cold.set_label(VarId(5), true);
         let mut warm = icrf.hypothetical(VarId(5), true);
@@ -884,30 +857,29 @@ mod tests {
         assert!(!icrf.last_samples().is_empty());
     }
 
-    /// Streaming growth through the shared handle: `sync` resizes the
+    /// Streaming growth by the lineage's writer: `sync_to` resizes the
     /// engine without dropping warm state (weights, old probabilities,
     /// labels), and the next E-step samples the grown model.
     #[test]
     fn sync_grows_engine_without_dropping_warm_state() {
-        let (m, truth) = signal_model(10, 8);
-        let handle = ModelHandle::from(m);
-        let mut icrf = Icrf::new(handle.clone(), small_config());
+        let (mut m, truth) = signal_model(10, 8);
+        let mut icrf = Icrf::new(m.clone(), small_config());
         for i in 0..3 {
             icrf.set_label(VarId(i), truth[i as usize]);
         }
         icrf.run();
         let w_before = icrf.weights().clone();
         let probs_before = icrf.probs().to_vec();
-        assert!(!icrf.sync(), "nothing to sync before growth");
+        assert!(!icrf.sync_to(m.clone()), "nothing to sync before growth");
 
-        let mut delta = handle.delta();
+        let mut delta = ModelDelta::for_model(&m);
         let s = delta.add_source(&[1.0]).unwrap();
         let c = delta.add_claim();
         let d = delta.add_document(&[0.5]).unwrap();
         delta.add_clique(c, d, s, Stance::Support);
-        handle.apply(delta).unwrap();
+        Arc::make_mut(&mut m).apply(delta).unwrap();
 
-        assert!(icrf.sync(), "growth must be picked up");
+        assert!(icrf.sync_to(m.clone()), "growth must be picked up");
         assert_eq!(icrf.model().n_claims(), 11);
         assert_eq!(icrf.partition().n_claims(), 11);
         assert_eq!(icrf.probs().len(), 11);
@@ -930,15 +902,14 @@ mod tests {
         assert_eq!(icrf.last_samples()[0].len(), 11);
     }
 
-    /// Retirement through the shared handle: `sync` drops the dead claim's
+    /// Retirement by the lineage's writer: `sync_to` drops the dead claim's
     /// label and probability, keeps every survivor's warm state, recomputes
     /// the partition on the tombstoned model, and the next E-step samples
     /// the tombstoned model.
     #[test]
     fn sync_retires_claims_without_dropping_survivor_state() {
-        let (m, truth) = signal_model(10, 21);
-        let handle = ModelHandle::from(m);
-        let mut icrf = Icrf::new(handle.clone(), small_config());
+        let (mut m, truth) = signal_model(10, 21);
+        let mut icrf = Icrf::new(m.clone(), small_config());
         for i in 0..4 {
             icrf.set_label(VarId(i), truth[i as usize]);
         }
@@ -946,12 +917,12 @@ mod tests {
         let w_before = icrf.weights().clone();
         let probs_before = icrf.probs().to_vec();
 
-        let mut set = handle.retire_set();
+        let mut set = RetireSet::for_model(&m);
         set.retire_claim(VarId(0));
         set.retire_claim(VarId(7));
-        handle.retire(set).unwrap();
+        Arc::make_mut(&mut m).retire(set).unwrap();
 
-        assert!(icrf.sync());
+        assert!(icrf.sync_to(m.clone()));
         assert_eq!(icrf.probs().len(), 10);
         assert_eq!(icrf.probs()[0], 0.0, "retired claim is out of service");
         assert_eq!(icrf.labels()[0], None, "retired claim loses its label");
@@ -979,15 +950,14 @@ mod tests {
         assert_eq!(icrf.probs()[1], if truth[1] { 1.0 } else { 0.0 });
     }
 
-    /// Compaction through the shared handle: `sync` relocates
+    /// Compaction by the lineage's writer: `sync_to` relocates
     /// probabilities, labels, and the training set through the published
     /// remap — survivors keep their warm state at their new ids — and
     /// inference runs on the compacted model.
     #[test]
     fn sync_relocates_state_across_compaction() {
-        let (m, truth) = signal_model(12, 22);
-        let handle = ModelHandle::from(m);
-        let mut icrf = Icrf::new(handle.clone(), small_config());
+        let (mut m, truth) = signal_model(12, 22);
+        let mut icrf = Icrf::new(m.clone(), small_config());
         for i in 0..5 {
             icrf.set_label(VarId(i), truth[i as usize]);
         }
@@ -996,13 +966,13 @@ mod tests {
         let w_before = icrf.weights().clone();
 
         // Retire + compact in one revision gap (the streaming shape).
-        let mut set = handle.retire_set();
+        let mut set = RetireSet::for_model(&m);
         set.retire_claim(VarId(1));
         set.retire_claim(VarId(6));
-        handle.retire(set).unwrap();
-        let remap = handle.compact().unwrap();
+        Arc::make_mut(&mut m).retire(set).unwrap();
+        let remap = Arc::make_mut(&mut m).compact().unwrap();
 
-        assert!(icrf.sync());
+        assert!(icrf.sync_to(m.clone()));
         let n = icrf.model().n_claims();
         assert_eq!(n, 10);
         for c in 0..12u32 {
@@ -1029,11 +999,12 @@ mod tests {
         let nc = remap.claim(VarId(0)).unwrap();
         assert_eq!(icrf.probs()[nc.idx()], if truth[0] { 1.0 } else { 0.0 });
         // Growth keeps working after the relocation.
-        let mut delta = handle.delta();
+        let mut delta = ModelDelta::for_model(&m);
         let c = delta.add_claim();
         let d = delta.add_document(&[0.4]).unwrap();
         delta.add_clique(c, d, 0, Stance::Support);
-        handle.apply(delta).unwrap();
+        Arc::make_mut(&mut m).apply(delta).unwrap();
+        icrf.sync_to(m);
         icrf.run();
         assert_eq!(icrf.probs().len(), n + 1);
     }
@@ -1042,17 +1013,17 @@ mod tests {
     /// falls back to a clean rebuild instead of corrupt relocation.
     #[test]
     fn double_compaction_rebuilds_engine_state() {
-        let (m, _) = signal_model(10, 23);
-        let handle = ModelHandle::from(m);
-        let mut icrf = Icrf::new(handle.clone(), small_config());
+        let (mut m, _) = signal_model(10, 23);
+        let mut icrf = Icrf::new(m.clone(), small_config());
         icrf.run();
         for victim in [0u32, 1] {
-            let mut set = handle.retire_set();
+            let model = Arc::make_mut(&mut m);
+            let mut set = RetireSet::for_model(model);
             set.retire_claim(VarId(victim));
-            handle.retire(set).unwrap();
-            handle.compact().unwrap();
+            model.retire(set).unwrap();
+            model.compact().unwrap();
         }
-        assert!(icrf.sync());
+        assert!(icrf.sync_to(m));
         assert_eq!(icrf.probs().len(), 8);
         assert!(
             icrf.probs().iter().all(|&p| p == 0.5),
@@ -1068,16 +1039,15 @@ mod tests {
     /// captured against different model content is refused.
     #[test]
     fn restored_state_resumes_bit_identically() {
-        let (m, _) = signal_model(6, 9);
-        let handle = ModelHandle::from(m);
-        let mut icrf = Icrf::new(handle.clone(), small_config());
+        let (mut m, _) = signal_model(6, 9);
+        let mut icrf = Icrf::new(m.clone(), small_config());
         icrf.run();
         icrf.set_label(VarId(0), true);
         icrf.run();
 
         let json = serde_json::to_string(&icrf.export_state()).unwrap();
         let state: IcrfState = serde_json::from_str(&json).unwrap();
-        let mut fresh = Icrf::new(handle.clone(), small_config());
+        let mut fresh = Icrf::new(m.clone(), small_config());
         fresh.restore_state(state).unwrap();
 
         icrf.run();
@@ -1089,12 +1059,12 @@ mod tests {
         }
         assert_eq!(icrf.last_samples(), fresh.last_samples());
 
-        // The handle moves on; the stale capture is refused untouched.
-        let mut d = handle.delta();
+        // The lineage moves on; the stale capture is refused untouched.
+        let mut d = ModelDelta::for_model(&m);
         d.add_claim();
-        handle.apply(d).unwrap();
+        Arc::make_mut(&mut m).apply(d).unwrap();
         let stale: IcrfState = serde_json::from_str(&json).unwrap();
-        let mut late = Icrf::new(handle, small_config());
+        let mut late = Icrf::new(m, small_config());
         assert!(matches!(
             late.restore_state(stale),
             Err(ModelError::StaleDelta { .. })
@@ -1102,18 +1072,20 @@ mod tests {
     }
 
     /// A label landing on a freshly grown claim participates in inference
-    /// like any other label (run() syncs implicitly).
+    /// like any other label: the run after `sync_to` samples the grown
+    /// model, and the engine's own `sync` never has anything to pick up.
     #[test]
     fn run_syncs_implicitly_after_growth() {
-        let (m, _) = signal_model(6, 9);
-        let handle = ModelHandle::from(m);
-        let mut icrf = Icrf::new(handle.clone(), small_config());
+        let (mut m, _) = signal_model(6, 9);
+        let mut icrf = Icrf::new(m.clone(), small_config());
         icrf.run();
-        let mut delta = handle.delta();
+        let mut delta = ModelDelta::for_model(&m);
         let c = delta.add_claim();
         let d = delta.add_document(&[0.2]).unwrap();
         delta.add_clique(c, d, 0, Stance::Support);
-        handle.apply(delta).unwrap();
+        Arc::make_mut(&mut m).apply(delta).unwrap();
+        assert!(!icrf.sync(), "the engine follows no writer on its own");
+        icrf.sync_to(m);
         let stats = icrf.run();
         assert!(stats.em_iterations >= 1);
         assert_eq!(icrf.probs().len(), 7);

@@ -119,9 +119,15 @@
 //! deserialised edit applies to the same revision and produces the same
 //! canonical layout as the original.
 //!
-//! Concurrent readers hold consistent snapshots through
-//! [`crate::handle::ModelHandle`], the shared read view used by the
-//! inference engine and the streaming checker.
+//! # Ownership
+//!
+//! A lineage has one writer, which owns its `Arc<CrfModel>` and edits it
+//! through `Arc::make_mut`: in place while nobody else holds the `Arc`,
+//! on a private copy while a reader pins a clone. A pinned clone is
+//! therefore a consistent snapshot that never changes under its holder.
+//! Another component that follows the lineage (an offline engine beside
+//! a streaming checker) is handed the writer's current `Arc` and syncs to
+//! it through [`CrfModel::since`].
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -608,7 +614,7 @@ pub enum ModelError {
     Empty,
     /// A [`ModelDelta`] was applied to a model it was not built against:
     /// either another lineage entirely, or the same lineage after further
-    /// deltas landed in between (the revision-check of the handle API).
+    /// deltas landed in between (the revision check every edit runs).
     StaleDelta {
         /// Lineage id the delta was prepared for.
         delta_model_id: u64,
@@ -824,9 +830,8 @@ fn check_feature_block(
 /// and sources").
 ///
 /// A delta is prepared against a specific `(model_id, revision)` pair via
-/// [`ModelDelta::for_model`] (or [`crate::handle::ModelHandle::delta`]) and
-/// can only be applied to exactly that model state —
-/// [`CrfModel::apply`] rejects anything else with
+/// [`ModelDelta::for_model`] and can only be applied to exactly that
+/// model state — [`CrfModel::apply`] rejects anything else with
 /// [`ModelError::StaleDelta`]. A delta from [`ModelDelta::new`] is prepared
 /// against the empty model instead, and [`CrfModel::build`] turns it into a
 /// fresh lineage. Entity ids returned by the `add_*` methods are
@@ -1088,11 +1093,11 @@ impl CrfModel {
     /// clones *independently* therefore produces different content under
     /// equal `(model_id, revision)` pairs, which model-keyed caches use as
     /// the identity. Never share a cache or scratch buffer across
-    /// independently grown clones — within a single
-    /// [`crate::handle::ModelHandle`] lineage (the intended sharing
-    /// mechanism) this cannot arise, and [`Self::since`] answers the
-    /// detectable cases (one revision with two contents, fewer entities
-    /// than a sync point saw) with [`Since::Rebuild`].
+    /// independently grown clones — under a single writer (the intended
+    /// ownership, see the module docs) this cannot arise, and
+    /// [`Self::since`] answers the detectable cases (one revision with two
+    /// contents, fewer entities than a sync point saw) with
+    /// [`Since::Rebuild`].
     pub fn apply(&mut self, delta: ModelDelta) -> Result<Revision, ModelError> {
         self.check_base(delta.base_revision())?;
         if delta.is_empty() {
@@ -1501,9 +1506,9 @@ impl CrfModel {
 /// One edit of the versioned model lifecycle — the generalisation of the
 /// original grow-only [`ModelDelta`] API to both directions, plus the
 /// compact marker. Every variant is prepared against a specific
-/// `(model_id, revision)` pair and applied through [`CrfModel::edit`] (or
-/// `ModelHandle::edit`), which rejects a stale edit with
-/// [`ModelError::StaleDelta`] exactly like the underlying operations.
+/// `(model_id, revision)` pair and applied through [`CrfModel::edit`],
+/// which rejects a stale edit with [`ModelError::StaleDelta`] exactly like
+/// the underlying operations.
 ///
 /// `ModelEdit` is also the **log-record contract** of the `durability`
 /// crate's write-ahead edit log: it round-trips through `serde`
@@ -1637,11 +1642,11 @@ impl CrfModel {
 
 /// A batch of claims and sources to take out of service — the shrink-side
 /// dual of [`ModelDelta`]. Prepared against a specific
-/// `(model_id, revision)` pair via [`RetireSet::for_model`] (or
-/// `ModelHandle::retire_set`) and applied by [`CrfModel::retire`], which
-/// rejects anything else with [`ModelError::StaleDelta`]. Duplicates within
-/// the set are tolerated (deduplicated at apply time); naming an entity that
-/// is already dead is an error.
+/// `(model_id, revision)` pair via [`RetireSet::for_model`] and applied
+/// by [`CrfModel::retire`], which rejects anything else with
+/// [`ModelError::StaleDelta`]. Duplicates within the set are tolerated
+/// (deduplicated at apply time); naming an entity that is already dead is
+/// an error.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RetireSet {
     base_model_id: u64,
@@ -1833,6 +1838,20 @@ impl IdRemap {
     /// Clique count of the compacted model.
     pub fn n_new_cliques(&self) -> usize {
         self.new_cliques as usize
+    }
+
+    /// Relocate per-claim state indexed by old claim id into `n_new`
+    /// slots indexed by compacted id: each surviving claim's entry moves
+    /// to its new id, and every slot no old claim maps to (a dropped
+    /// claim's or one grown after the compaction) holds `fill`.
+    pub fn relocate<T: Copy>(&self, old: &[T], n_new: usize, fill: T) -> Vec<T> {
+        let mut out = vec![fill; n_new];
+        for (c, &value) in old.iter().enumerate() {
+            if let Some(nc) = self.claim(VarId(c as u32)) {
+                out[nc.idx()] = value;
+            }
+        }
+        out
     }
 }
 

@@ -18,11 +18,13 @@
 //!   the probabilistic fact database ([`entropy`]),
 //! * connected-component partitioning of the claim graph ([`partition`]),
 //!   computed from one model snapshot, and
-//! * versioned shared access to a growable model ([`handle`]): a
-//!   [`handle::ModelHandle`] lets streaming arrivals splice new claims,
-//!   documents, sources, and cliques into the live factor graph
-//!   ([`graph::ModelDelta`] / [`graph::CrfModel::apply`]). Per-claim state
-//!   (probabilities, labels) is carried forward or relocated through the
+//! * a growable model ([`graph::ModelDelta`] / [`graph::CrfModel::apply`]):
+//!   streaming arrivals splice new claims, documents, sources, and cliques
+//!   into the factor graph. A model has one owner, which edits it through
+//!   `Arc::make_mut`; readers pin an `Arc<CrfModel>` and keep their
+//!   revision while the owner moves on. An engine that follows another
+//!   owner's model ([`em::Icrf::sync_to`]) carries per-claim state
+//!   (probabilities, labels) forward or relocates it through the
 //!   compaction remap; structures derived from the model (the partition,
 //!   the E-step's claim evidence, the M-step's training set) are rebuilt
 //!   from the new snapshot.
@@ -39,7 +41,6 @@ pub mod em;
 pub mod entropy;
 pub mod gibbs;
 pub mod graph;
-pub mod handle;
 pub mod logistic;
 pub mod newton;
 pub mod numerics;
@@ -53,6 +54,10 @@ pub use graph::{
     Clique, CliqueId, CrfModel, IdRemap, ModelDelta, ModelEdit, ModelError, RetireSet, Revision,
     Since, Stance, SyncPoint, VarId,
 };
-pub use handle::ModelHandle;
 pub use partition::Partition;
 pub use potentials::Weights;
+
+/// A shared model, `Arc<CrfModel>`. The name stays for the end-to-end
+/// benchmark, which spells `Arc::new` through it; everything else takes
+/// `impl Into<Arc<CrfModel>>`.
+pub type ModelHandle = std::sync::Arc<CrfModel>;

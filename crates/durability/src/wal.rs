@@ -99,6 +99,25 @@ pub struct LogRecord {
     pub edit: ModelEdit,
 }
 
+/// A [`LogRecord`] that borrows its edit: [`EditLog::append`] serialises
+/// it to the same bytes as the owned record, without copying the edit.
+struct RecordRef<'a> {
+    lsn: u64,
+    arrival: bool,
+    edit: &'a ModelEdit,
+}
+
+impl Serialize for RecordRef<'_> {
+    /// The fields of [`LogRecord`], in its order.
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("lsn".to_string(), self.lsn.to_value()),
+            ("arrival".to_string(), self.arrival.to_value()),
+            ("edit".to_string(), self.edit.to_value()),
+        ])
+    }
+}
+
 /// Errors of the log layer: I/O from the [`Storage`], or a structurally
 /// invalid log (bad segment name, non-contiguous anchor).
 #[derive(Debug)]
@@ -552,11 +571,7 @@ impl EditLog {
     /// [`SyncPolicy`]; call [`Self::sync`] for an explicit barrier.
     pub fn append(&mut self, arrival: bool, edit: &ModelEdit) -> Result<u64, WalError> {
         let lsn = self.next_lsn;
-        let record = LogRecord {
-            lsn,
-            arrival,
-            edit: edit.clone(),
-        };
+        let record = RecordRef { lsn, arrival, edit };
         let payload = serde_json::to_string(&record)
             .map_err(|e| WalError::Corrupt(format!("unserialisable record: {e}")))?;
         self.storage
@@ -674,6 +689,35 @@ mod tests {
             assert_eq!(r.arrival, i % 2 == 0);
             assert_eq!(r.edit.base_revision().1 .0, i as u64);
         }
+    }
+
+    /// An appended frame carries exactly the bytes of the owned record,
+    /// for every edit kind.
+    #[test]
+    fn appended_payload_is_the_owned_record_byte_for_byte() {
+        let mut m = base_model();
+        let grow = grow_edit(&mut m);
+        let mut set = crf::RetireSet::for_model(&m);
+        set.retire_claim(crf::VarId(1));
+        m.retire(set.clone()).unwrap();
+        let retire = ModelEdit::Retire(set);
+        let compact = ModelEdit::compact_marker(&m);
+        let all = [(true, grow), (false, retire), (false, compact)];
+
+        let fs = MemFs::new();
+        let mut log = EditLog::create(Arc::new(fs.clone()), 7, SyncPolicy::PerRecord).unwrap();
+        for (arrival, edit) in &all {
+            log.append(*arrival, edit).unwrap();
+        }
+        let bytes = fs.read(&segment_name(7)).unwrap();
+        let mut rest = &bytes[..];
+        for (lsn, (arrival, edit)) in (7..).zip(all) {
+            let (payload, tail) = read_frame(rest).expect("a whole frame");
+            let owned = serde_json::to_string(&LogRecord { lsn, arrival, edit }).unwrap();
+            assert_eq!(payload, owned.as_bytes(), "record {lsn}");
+            rest = tail;
+        }
+        assert!(rest.is_empty());
     }
 
     #[test]

@@ -88,18 +88,11 @@ pub fn conditional_entropy(icrf: &Icrf, claim: VarId, mode: EntropyMode, em_iter
     p * h_plus + (1.0 - p) * h_minus
 }
 
-/// Whether a `em_iters`-iteration hypothetical inference on `icrf` can be
-/// replaced by [`Icrf::hypothetical_estep`] for an entropy that reads only
-/// marginals or samples: exactly one iteration (its trailing M-step is
-/// dead), on an engine whose snapshot is current (a stale one would score
-/// against its old model and partition, while the spec syncs).
-pub(crate) fn borrows_estep(icrf: &Icrf, em_iters: usize) -> bool {
-    em_iters == 1 && icrf.model().revision() == icrf.handle().revision()
-}
-
 /// `P(c)·f(E-step | c = 1) + (1 − P(c))·f(E-step | c = 0)` over borrowed
 /// hypothetical E-steps: the expectation of Eq. 14 and Eq. 19 when `f`
-/// reads only the E-step's marginals or samples (see [`borrows_estep`]).
+/// reads only the E-step's marginals or samples. It stands in for an
+/// `em_iters`-iteration hypothetical inference exactly when `em_iters` is
+/// 1: the trailing M-step of that one iteration is dead.
 pub(crate) fn expected_over_estep(
     icrf: &Icrf,
     claim: VarId,
@@ -160,7 +153,7 @@ pub fn info_gains(
     threads: usize,
 ) -> Vec<f64> {
     let h_base = database_entropy_of(icrf, mode);
-    if mode == EntropyMode::Approximate && borrows_estep(icrf, em_iters) {
+    if mode == EntropyMode::Approximate && em_iters == 1 {
         score_candidates(icrf, candidates, threads, |c, scratch| {
             h_base - expected_over_estep(icrf, c, scratch, |r| entropy::claim_entropy(&r.marginals))
         })

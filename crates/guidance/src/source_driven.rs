@@ -11,9 +11,7 @@
 //! borrowed E-step (see [`crate::info_gain`]).
 
 use crate::context::{GuidanceContext, SelectionStrategy};
-use crate::info_gain::{
-    borrows_estep, expected_over_estep, hypothetical_run, score_candidates, InfoGainConfig,
-};
+use crate::info_gain::{expected_over_estep, hypothetical_run, score_candidates, InfoGainConfig};
 use crate::strategies::rank_by_uncertainty;
 use crf::entropy::source_trust_entropy;
 use crf::gibbs::mode_configuration;
@@ -43,7 +41,7 @@ pub fn source_gains(
     threads: usize,
 ) -> Vec<f64> {
     let h_base = source_trust_entropy(icrf.model(), grounding);
-    if borrows_estep(icrf, em_iters) {
+    if em_iters == 1 {
         score_candidates(icrf, candidates, threads, |c, scratch| {
             h_base
                 - expected_over_estep(icrf, c, scratch, |r| {

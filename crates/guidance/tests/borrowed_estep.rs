@@ -1,19 +1,20 @@
 //! The borrowed E-step is an optimisation, not a new estimator: scored
 //! through [`Icrf::hypothetical_estep`], the information gains must equal
 //! the per-candidate hypothetical-engine spec bit for bit, at any thread
-//! count, on warm, never-run, and stale-snapshot engines alike, whether
+//! count, on warm, never-run, and grown-but-not-rerun engines alike, whether
 //! the Gibbs scratch is copied from the engine or brand new.
 
 use crf::bitset::Bitset;
 use crf::entropy::{source_trust_entropy, EntropyMode};
 use crf::gibbs::GibbsScratch;
-use crf::{GibbsConfig, Icrf, IcrfConfig, ModelHandle, Stance, VarId};
+use crf::{GibbsConfig, Icrf, IcrfConfig, ModelDelta, Stance, VarId};
 use factdb::{DatasetPreset, SynthConfig};
 use guidance::info_gain::{conditional_entropy, database_entropy_of, hypothetical_run, info_gains};
 use guidance::source_driven::{conditional_source_entropy, source_gains};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn config() -> IcrfConfig {
     IcrfConfig {
@@ -35,8 +36,8 @@ enum Engine {
     Warm,
     /// Labelled, never run: zero-dimensional weights.
     NeverRun,
-    /// Run, then the handle grew past the engine's snapshot.
-    Stale,
+    /// Run, then synced to a grown model and not run since.
+    Grown,
 }
 
 /// A mini-preset engine with a random label set, in the given state.
@@ -45,8 +46,8 @@ fn engine(seed: u64, label_share: f64, kind: Engine) -> Icrf {
         seed,
         ..DatasetPreset::WikiMini.config()
     });
-    let handle = ModelHandle::from(ds.db.to_crf_model().unwrap());
-    let mut icrf = Icrf::new(handle.clone(), config());
+    let mut model = Arc::new(ds.db.to_crf_model().unwrap());
+    let mut icrf = Icrf::new(model.clone(), config());
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
     for c in 0..icrf.model().n_claims() as u32 {
         if rng.gen_bool(label_share) {
@@ -58,17 +59,18 @@ fn engine(seed: u64, label_share: f64, kind: Engine) -> Icrf {
             icrf.run();
         }
         Engine::NeverRun => {}
-        Engine::Stale => {
+        Engine::Grown => {
             icrf.run();
             // The new claim joins source 0's component, so the synced
-            // partition differs from the stale one.
-            let mut delta = handle.delta();
+            // partition differs from the one the engine last ran on.
+            let mut delta = ModelDelta::for_model(&model);
             let c = delta.add_claim();
             let d = delta
                 .add_document(&vec![0.5; icrf.model().m_doc()])
                 .unwrap();
             delta.add_clique(c, d, 0, Stance::Support);
-            handle.apply(delta).unwrap();
+            Arc::make_mut(&mut model).apply(delta).unwrap();
+            icrf.sync_to(model);
         }
     }
     icrf
@@ -160,7 +162,7 @@ proptest! {
         threads in 1usize..4,
         kind in 0usize..3,
     ) {
-        let kind = [Engine::Warm, Engine::NeverRun, Engine::Stale][kind];
+        let kind = [Engine::Warm, Engine::NeverRun, Engine::Grown][kind];
         check(seed, label_share, size, threads, kind);
     }
 }
@@ -168,7 +170,7 @@ proptest! {
 /// Each engine kind at least once, whatever the proptest draws.
 #[test]
 fn every_engine_kind_matches_the_spec() {
-    for (i, kind) in [Engine::Warm, Engine::NeverRun, Engine::Stale]
+    for (i, kind) in [Engine::Warm, Engine::NeverRun, Engine::Grown]
         .into_iter()
         .enumerate()
     {

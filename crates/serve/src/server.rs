@@ -236,21 +236,21 @@ mod tests {
     use super::*;
     use crate::query::QueryError;
     use crf::graph::{CrfModel, ModelDelta, Stance};
-    use crf::{ModelHandle, VarId};
+    use crf::VarId;
     use streamcheck::{OnlineEmConfig, RetentionPolicy};
 
-    fn seed_handle() -> ModelHandle {
+    fn seed_model() -> CrfModel {
         let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.8]).unwrap();
         let c = b.add_claim();
         let d = b.add_document(&[0.6]).unwrap();
         b.add_clique(c, d, s, Stance::Support);
-        ModelHandle::new(CrfModel::build(b).unwrap())
+        CrfModel::build(b).unwrap()
     }
 
     fn server() -> TruthServer<StreamingChecker> {
         TruthServer::new(
-            StreamingChecker::try_new(seed_handle(), OnlineEmConfig::default()).unwrap(),
+            StreamingChecker::try_new(seed_model(), OnlineEmConfig::default()).unwrap(),
         )
     }
 
@@ -307,7 +307,7 @@ mod tests {
 
         let backend = DurableChecker::create(
             Arc::new(MemFs::new()) as Arc<dyn durability::Storage>,
-            seed_handle(),
+            seed_model(),
             OnlineEmConfig::default(),
             retiring_no_compaction(),
             DurabilityConfig::default(),
@@ -590,7 +590,7 @@ mod tests {
         let fs = Arc::new(MemFs::new());
         let backend = DurableChecker::create(
             fs.clone() as Arc<dyn durability::Storage>,
-            seed_handle(),
+            seed_model(),
             OnlineEmConfig::default(),
             RetentionPolicy::unbounded(),
             DurabilityConfig::default(),

@@ -18,7 +18,7 @@
 //! name.
 
 use crf::graph::{CrfModel, ModelDelta, Stance};
-use crf::{ModelHandle, VarId};
+use crf::VarId;
 use serve::{binary_entropy, IngestBackend, Published, QueryError, TruthServer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,8 +39,7 @@ fn seed_server(seed: u64) -> TruthServer<StreamingChecker> {
     let c = b.add_claim();
     let d = b.add_document(&[0.4]).unwrap();
     b.add_clique(c, d, s, Stance::Support);
-    let handle = ModelHandle::new(CrfModel::build(b).unwrap());
-    let checker = StreamingChecker::try_new(handle, OnlineEmConfig::default())
+    let checker = StreamingChecker::try_new(CrfModel::build(b).unwrap(), OnlineEmConfig::default())
         .unwrap()
         .with_retention(RetentionPolicy {
             window: Some(4),

@@ -13,15 +13,14 @@
 //! LSN sequence is exactly the lineage's revision sequence: record at LSN
 //! `L` carries the edit that produced revision `R₀ + (L − L₀)`.
 //!
-//! An edit committed through another clone of the checker's
-//! [`ModelHandle`] cannot reach the log. So before it logs or writes a
-//! checkpoint, the durable checker compares the handle's revision with
-//! the revision its log covers, and refuses with
-//! [`DurableError::Unlogged`] once they differ: logging past the gap
-//! would leave a store that recovery cannot replay. A failed append
-//! leaves the same gap and is refused the same way from then on; the way
-//! forward is [`DurableChecker::recover`], which lands at the last logged
-//! state.
+//! The checker owns its model, so no edit can bypass it; but an append
+//! that fails after the checker committed an edit leaves the model ahead
+//! of the log. So before it logs or writes a checkpoint, the durable
+//! checker compares its model's revision with the revision its log
+//! covers, and refuses with [`DurableError::Unlogged`] once they differ:
+//! logging past the gap would leave a store that recovery cannot replay.
+//! The way forward is [`DurableChecker::recover`], which lands at the
+//! last logged state.
 //!
 //! Periodically (every [`DurabilityConfig::checkpoint_every`] arrivals,
 //! and at the natural trigger of a compaction) the state is published as
@@ -64,8 +63,9 @@
 //! * the retire/compact records that sweep regenerated are recognised by
 //!   their base revision already being behind the replayed model and
 //!   skipped;
-//! * any other record replays through [`ModelHandle::edit`] (the checker
-//!   writes none, but the log is outside input).
+//! * any other record replays through the checker's own edit path, as a
+//!   checkpoint increment's edits do (the checker writes no such record,
+//!   but the log is outside input).
 //!
 //! The result is **bit-identical** to the uninterrupted run: same model
 //! arrays, same probabilities, same online weights (see the crash tests
@@ -84,7 +84,7 @@
 
 use crate::online_em::{ArrivalStats, OnlineEmConfig, OnlineEmError};
 use crate::stream::{CheckerState, RetentionPolicy, StreamingChecker};
-use crf::{CrfModel, ModelDelta, ModelEdit, ModelError, ModelHandle, Revision};
+use crf::{CrfModel, ModelDelta, ModelEdit, ModelError, Revision};
 use durability::{
     checkpoint, scrub, CheckpointKind, CorruptCheckpoint, EditLog, LogRecord, Storage, SyncPolicy,
     WalError,
@@ -154,14 +154,13 @@ pub enum DurableError {
     /// the gap; or a checkpoint's checker state does not fit the model it
     /// was saved with. Recovery refuses to guess.
     Diverged(String),
-    /// The lineage moved past what the log covers: an edit was committed
-    /// through another clone of the checker's handle, or an append
-    /// failed. The checker logs and checkpoints nothing more; recover
-    /// from the store instead.
+    /// The lineage moved past what the log covers: an append failed after
+    /// the checker had committed the edit. The checker logs and
+    /// checkpoints nothing more; recover from the store instead.
     Unlogged {
         /// The revision the log covers.
         logged: Revision,
-        /// The revision the model's handle is at.
+        /// The revision the checker's model is at.
         model: Revision,
     },
 }
@@ -330,12 +329,12 @@ impl DurableChecker {
     /// [`Self::recover`] to continue one instead.
     pub fn create(
         storage: Arc<dyn Storage>,
-        model: impl Into<ModelHandle>,
+        model: impl Into<Arc<CrfModel>>,
         online: OnlineEmConfig,
         retention: RetentionPolicy,
         config: DurabilityConfig,
     ) -> Result<Self, DurableError> {
-        let mut checker = StreamingChecker::try_new(model, online)?.with_retention(retention);
+        let checker = StreamingChecker::try_new(model, online)?.with_retention(retention);
         let state = DurableState {
             model: checker.model().clone(),
             checker: checker.export_state(),
@@ -379,17 +378,16 @@ impl DurableChecker {
             increments,
             corrupt,
         } = plan;
-        let handle = ModelHandle::from(full.model);
-        let mut checker = StreamingChecker::try_new(handle.clone(), online)?;
+        let mut checker = StreamingChecker::try_new(full.model, online)?;
 
         // Walk the chain: each increment's edits advance the model; only
         // the tip's volatile state matters (restore_state overwrites
-        // everything the intermediate syncs would have touched).
+        // everything the intermediate edits touched).
         let mut chain_tip = full_lsn;
         let mut tip_state = full.checker;
         for (lsn, inc) in increments {
             for edit in inc.edits {
-                handle.edit(edit)?;
+                checker.replay_edit(edit)?;
             }
             chain_tip = lsn;
             tip_state = inc.checker;
@@ -405,20 +403,20 @@ impl DurableChecker {
                 Vec::new(),
             ),
         };
-        let rev_at_tip = handle.revision().0;
+        let rev_at_tip = checker.model().revision().0;
         let mut unreachable_suffix = false;
         for LogRecord { lsn, arrival, edit } in records {
             if lsn <= chain_tip {
                 continue; // covered by the chain (log not yet rotated)
             }
             let (base_id, base_rev) = edit.base_revision();
-            if base_id != handle.model_id() {
+            let model_id = checker.model().model_id();
+            if base_id != model_id {
                 return Err(DurableError::Diverged(format!(
-                    "record {lsn} edits lineage {base_id}, checkpoint is lineage {}",
-                    handle.model_id()
+                    "record {lsn} edits lineage {base_id}, checkpoint is lineage {model_id}"
                 )));
             }
-            let current = handle.revision();
+            let current = checker.model().revision();
             if base_rev < current {
                 // Regenerated during replay: an arrival's retention sweep
                 // re-produced this retire/compact when its grow replayed.
@@ -442,13 +440,7 @@ impl DurableChecker {
                 ModelEdit::Grow(delta) if arrival => {
                     checker.arrive_new(delta)?;
                 }
-                other => {
-                    handle.edit(other)?;
-                    // Re-sync per record, as the original run did: two
-                    // compactions absorbed in one sync would take the
-                    // provenance-losing reset path and diverge.
-                    checker.sync();
-                }
+                other => checker.replay_edit(other)?,
             }
         }
         let log = if unreachable_suffix {
@@ -456,14 +448,14 @@ impl DurableChecker {
             // revisions replay advanced. Restart the log there; `create`
             // removes the unreplayable segments.
             drop(log);
-            let reached = chain_tip + (handle.revision().0 - rev_at_tip);
+            let reached = chain_tip + (checker.model().revision().0 - rev_at_tip);
             EditLog::create(storage.clone(), reached + 1, config.sync_policy)?
         } else {
             log
         };
 
         let mut recovered = DurableChecker {
-            logged: handle.revision(),
+            logged: checker.model().revision(),
             checker,
             storage,
             log,
@@ -604,9 +596,7 @@ impl DurableChecker {
         self.log.next_lsn()
     }
 
-    /// The wrapped checker. An edit made through a clone of its handle
-    /// is not logged, and stops this checker with
-    /// [`DurableError::Unlogged`].
+    /// The wrapped checker.
     pub fn checker(&self) -> &StreamingChecker {
         &self.checker
     }
@@ -624,10 +614,9 @@ impl DurableChecker {
     }
 
     /// Refuse when the lineage has moved past the log (see the module
-    /// docs): an edit committed through another clone of the handle, or
-    /// one whose append failed.
+    /// docs): an edit whose append failed.
     fn ensure_logged(&self) -> Result<(), DurableError> {
-        let model = self.checker.handle().revision();
+        let model = self.checker.model().revision();
         if model == self.logged {
             Ok(())
         } else {
@@ -716,7 +705,7 @@ pub fn verify_store(storage: &Arc<dyn Storage>) -> Result<StoreReport, DurableEr
 mod tests {
     use super::*;
     use crf::graph::{CrfModel, ModelDelta, Stance};
-    use durability::MemFs;
+    use durability::{FaultFs, MemFs};
 
     /// One seed model, serialised: deserialising per run keeps the
     /// `model_id`, so an interrupted and an uninterrupted run share the
@@ -1132,11 +1121,12 @@ mod tests {
         assert!(matches!(recover(storage), Err(DurableError::Online(_))));
     }
 
-    /// An edit made through another clone of the checker's handle cannot
-    /// reach the log, so the durable checker refuses to log or checkpoint
-    /// past it; recovery lands at the last logged arrival.
+    /// An append that fails after the checker committed an arrival leaves
+    /// the model ahead of the log: that arrival reports the storage error,
+    /// every later arrival and checkpoint is refused with the exact gap,
+    /// and recovery lands on the last logged arrival.
     #[test]
-    fn edits_outside_the_checker_are_refused() {
+    fn a_failed_append_stops_the_checker() {
         let json = seed_json();
         let config = DurabilityConfig {
             sync_policy: SyncPolicy::PerRecord,
@@ -1144,31 +1134,52 @@ mod tests {
             checkpoint_on_compact: false,
             full_every: 1,
         };
-        let mut reference = StreamingChecker::try_new(seed(&json), OnlineEmConfig::default())
-            .unwrap()
-            .with_retention(RetentionPolicy::sliding_window(2));
-        let handle = ModelHandle::new(seed(&json));
-        let mem = MemFs::new();
-        let mut durable = DurableChecker::create(
-            Arc::new(mem.clone()),
-            handle.clone(),
-            OnlineEmConfig::default(),
-            RetentionPolicy::sliding_window(2),
-            config.clone(),
-        )
-        .unwrap();
-        for k in 0..4 {
-            let delta = arrival_delta(&reference, k);
-            reference.arrive_new(delta).unwrap();
-            let delta = arrival_delta(durable.checker(), k);
-            durable.arrive_new(delta).unwrap();
-        }
-        let logged = durable.checker().model().revision();
+        let reference = |arrivals: usize| {
+            let mut s = StreamingChecker::try_new(seed(&json), OnlineEmConfig::default())
+                .unwrap()
+                .with_retention(RetentionPolicy::sliding_window(2));
+            for k in 0..arrivals {
+                let delta = arrival_delta(&s, k);
+                s.arrive_new(delta).unwrap();
+            }
+            s
+        };
+        // A durable run of `arrivals` arrivals on a store allowing
+        // `budget` bytes of writes.
+        let durable_run = |budget: u64, arrivals: usize| {
+            let fault = Arc::new(FaultFs::new(MemFs::new(), budget));
+            let mut durable = DurableChecker::create(
+                fault.clone(),
+                seed(&json),
+                OnlineEmConfig::default(),
+                RetentionPolicy::sliding_window(2),
+                config.clone(),
+            )
+            .unwrap();
+            for k in 0..arrivals {
+                let delta = arrival_delta(durable.checker(), k);
+                durable.arrive_new(delta).unwrap();
+            }
+            (fault, durable)
+        };
 
-        // Grow through the kept handle.
-        let mut outside = handle.delta();
-        outside.add_claim();
-        let model = handle.apply(outside).unwrap();
+        // What four logged arrivals write; the budget runs out 16 bytes
+        // into the fifth arrival's grow record.
+        let generous = 1 << 30;
+        let (fault, _) = durable_run(generous, 4);
+        let written = generous - fault.remaining().unwrap();
+        let (fault, mut durable) = durable_run(written + 16, 4);
+        let delta = arrival_delta(durable.checker(), 4);
+        assert!(matches!(
+            durable.arrive_new(delta),
+            Err(DurableError::Wal(_))
+        ));
+        assert!(fault.crashed());
+        let logged = reference(4).model().revision();
+        let model = reference(5).model().revision();
+        assert!(model.0 > logged.0 + 1, "the arrival swept too");
+        assert_eq!(durable.checker().model().revision(), model);
+        assert_eq!(durable.checker().arrivals(), 5, "the checker committed it");
 
         let refused = |r: Result<u64, DurableError>| match r {
             Err(DurableError::Unlogged {
@@ -1177,21 +1188,21 @@ mod tests {
             }) => (l, m) == (logged, model),
             _ => false,
         };
-        let delta = arrival_delta(durable.checker(), 4);
+        let delta = arrival_delta(durable.checker(), 5);
         assert!(refused(durable.arrive_new(delta).map(|_| 0)));
         assert!(refused(durable.checkpoint_increment()));
         assert!(refused(durable.checkpoint()));
-        assert_eq!(durable.checker().arrivals(), 4, "the arrival was refused");
+        assert_eq!(durable.checker().arrivals(), 5, "the arrival was refused");
         drop(durable);
 
         let recovered = DurableChecker::recover(
-            Arc::new(mem.survivor(true)),
+            Arc::new(fault.crash(true)),
             OnlineEmConfig::default(),
             config,
         )
         .unwrap();
         assert_eq!(recovered.checker().model().revision(), logged);
-        assert_bit_identical(recovered.checker(), &reference);
+        assert_bit_identical(recovered.checker(), &reference(4));
     }
 
     /// Recovery from a store that was never initialised refuses cleanly.

@@ -11,10 +11,11 @@
 use crate::online_em::OnlineEmConfig;
 use crate::replay::Replay;
 use crate::stream::StreamingChecker;
-use crf::{Icrf, IcrfConfig, ModelHandle, VarId};
+use crf::{CrfModel, Icrf, IcrfConfig, VarId};
 use factcheck::instantiate_grounding;
 use guidance::{GuidanceContext, HybridStrategy, InfoGainConfig, SelectionStrategy};
 use oracle::{GroundTruthUser, User};
+use std::sync::Arc;
 
 /// Configuration of the interleaved run.
 #[derive(Debug, Clone)]
@@ -51,7 +52,7 @@ impl Default for InterleaveConfig {
 /// The offline validation sequence: run the hybrid strategy over the full
 /// corpus for `n_validations` iterations and record the claim order.
 pub fn offline_sequence(
-    model: impl Into<ModelHandle>,
+    model: impl Into<Arc<CrfModel>>,
     truth: &[bool],
     n_validations: usize,
     icrf_config: IcrfConfig,
@@ -94,19 +95,19 @@ pub fn offline_sequence(
 /// among arrived claims. The two exchange parameters only (Alg. 2 lines 7
 /// and 10).
 pub fn streaming_sequence(
-    model: impl Into<ModelHandle>,
+    model: impl Into<Arc<CrfModel>>,
     truth: &[bool],
     n_validations: usize,
     config: &InterleaveConfig,
 ) -> Vec<VarId> {
-    let corpus = model.into();
-    let n = corpus.snapshot().n_claims();
+    let corpus: Arc<CrfModel> = model.into();
+    let n = corpus.n_claims();
     let order: Vec<VarId> = config
         .arrival_order
         .clone()
         .unwrap_or_else(|| (0..n as u32).map(VarId).collect());
     let (mut replay, seed) =
-        Replay::start(corpus.snapshot(), order).expect("a corpus publishes a document");
+        Replay::start(corpus.clone(), order).expect("a corpus publishes a document");
     let mut checker = StreamingChecker::try_new(seed, OnlineEmConfig::default())
         .expect("the online estimator has no settings to reject");
     let mut icrf = Icrf::new(corpus, config.icrf.clone());

@@ -3,20 +3,20 @@
 //! Instead of validating a fixed corpus, claims arrive continuously and the
 //! factor graph **grows in place** as they do: each arrival carries a
 //! [`crf::ModelDelta`] that [`stream::StreamingChecker::arrive_new`], the
-//! checker's one way in, splices into the live model through a shared
-//! [`crf::ModelHandle`]. Nothing is rebuilt; every holder of the handle
-//! brings its partition, Gibbs scratch and EM state up to the new
-//! snapshot. Each of them — and
-//! the checker's own per-claim state — asks
+//! checker's one way in, splices into the model the checker owns. Nothing
+//! is rebuilt. The checker's per-claim state follows each edit it
+//! commits; an offline engine that follows the lineage is handed the
+//! checker's current model ([`crf::Icrf::sync_to`]) and asks
 //! [`crf::CrfModel::since`], from the [`crf::SyncPoint`] it last synced
-//! at, whether to patch, relocate or rebuild (the contract in
-//! `crf::graph`). The model parameters are maintained by an online EM algorithm with stochastic
-//! approximation (Eq. 29–30): upon each arrival the expected complete-data
-//! likelihood is blended into a running objective with a decreasing
-//! Robbins–Monro step size, and the parameters are re-estimated by the same
-//! L2-regularised trust-region Newton method as the offline M-step — reusing
-//! the previous solution as a warm start, which is what makes each update
-//! linear-time (Prop. 3).
+//! at, whether to patch, relocate or rebuild its partition, Gibbs scratch
+//! and EM state (the contract in `crf::graph`). The model parameters are
+//! maintained by an online EM algorithm with stochastic approximation
+//! (Eq. 29–30): upon each arrival the expected complete-data likelihood is
+//! blended into a running objective with a decreasing Robbins–Monro step
+//! size, and the parameters are re-estimated by the same L2-regularised
+//! trust-region Newton method as the offline M-step — reusing the previous
+//! solution as a warm start, which is what makes each update linear-time
+//! (Prop. 3).
 //!
 //! # Retention: what a long-running stream lets go
 //!
@@ -34,10 +34,11 @@
 //! layout of the survivors (dropping the dead claims' documents — the bulk
 //! of the memory) and publishes a [`crf::IdRemap`] that the checker, the
 //! offline engine, and every model-keyed cache use to *relocate* their
-//! state instead of rebuilding it ([`crf::Since::Relocate`]; a holder
-//! that slept through two compactions rebuilds). Array sizes are then bounded by
-//! `live set / (1 − compact_threshold)` for any stream length — the
-//! windowed benchmark in `benches/stream.rs` shows the plateau.
+//! state instead of rebuilding it ([`crf::IdRemap::relocate`],
+//! [`crf::Since::Relocate`]; an engine that slept through two compactions
+//! rebuilds). Array sizes are then bounded by `live set / (1 −
+//! compact_threshold)` for any stream length — the windowed benchmark in
+//! `benches/stream.rs` shows the plateau.
 //!
 //! * [`online_em`] — the stochastic-approximation parameter maintenance
 //!   (its instance buffer has always been retention-bounded: old arrivals

@@ -267,16 +267,6 @@ impl OnlineEm {
         before - self.instances.len()
     }
 
-    /// Forget all claim tags (instances stay, expiring by decay only).
-    /// The reset path: when the checker outruns the single retained remap
-    /// its claim-id provenance is lost, and a stale tag must not cause a
-    /// live claim's instances to be pruned as dead.
-    pub fn clear_claim_tags(&mut self) {
-        for inst in self.instances.iter_mut() {
-            inst.claim = None;
-        }
-    }
-
     /// Snapshot the complete estimator state for a checkpoint.
     pub fn export_state(&self) -> OnlineEmState {
         OnlineEmState {
@@ -398,13 +388,21 @@ mod tests {
         assert_eq!(stats.retained_instances, 0);
     }
 
+    /// Untag every buffered instance, as a checkpoint holding untagged
+    /// instances restores them: they expire by decay only.
+    fn clear_claim_tags(em: &mut OnlineEm) {
+        for inst in em.instances.iter_mut() {
+            inst.claim = None;
+        }
+    }
+
     /// Retiring a claim reclaims its buffered instances immediately —
     /// untagged instances and instances of live claims are untouched.
     #[test]
     fn dead_claims_instances_are_pruned() {
         let mut em = OnlineEm::new(1);
         em.observe_for_claims(&[(3, vec![0.5], 1.0)]);
-        em.clear_claim_tags(); // untagged: decay-only lifetime
+        clear_claim_tags(&mut em); // untagged: decay-only lifetime
         em.observe_for_claims(&[(3, vec![1.0], 1.0), (4, vec![-1.0], 0.0)]);
         assert_eq!(em.retained(), 3);
         let dropped = em.prune_dead_claims(|c| c != 3);
@@ -444,7 +442,7 @@ mod tests {
         // "new id is live" keeps it, pruning with the old id does nothing.
         let new_id = remap.claim(VarId(1)).unwrap().0;
         assert_eq!(em.prune_dead_claims(|c| c == new_id), 0);
-        em.clear_claim_tags();
+        clear_claim_tags(&mut em);
         assert_eq!(em.prune_dead_claims(|_| false), 0, "untagged = unprunable");
         assert_eq!(em.retained(), 1);
     }

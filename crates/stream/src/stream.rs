@@ -2,16 +2,16 @@
 //!
 //! Claims arrive one at a time with their documents and sources, and
 //! [`StreamingChecker::arrive_new`] is the one way in: the arrival carries
-//! a [`ModelDelta`] and the factor graph **grows in place** through the
-//! shared [`ModelHandle`] — new sources, documents, claims, and cliques
-//! are spliced into the live CSR adjacency ([`crf::CrfModel::apply`]),
-//! and every model-keyed structure catches up: the EM training set and
-//! per-claim state patch forward, and the partition, the Gibbs claim
-//! evidence and the component schedule are recomputed from the new
-//! snapshot. An offline validation process holding a clone of the same
-//! handle picks the growth up on its next inference. A prebuilt corpus
-//! replayed in the order of its posting time (§8.8) comes in through
-//! the same door, as deltas cut by [`crate::replay::Replay`].
+//! a [`ModelDelta`] and the factor graph **grows in place** — new sources,
+//! documents, claims, and cliques are spliced into the live CSR adjacency
+//! ([`crf::CrfModel::apply`]). The checker owns its `Arc<CrfModel>` and is
+//! the lineage's one writer: it edits through `Arc::make_mut`, so the
+//! model is copied only while someone else pins a clone, and its
+//! per-claim state follows each edit it commits. An offline engine that
+//! follows the lineage is handed the checker's current model
+//! ([`crf::Icrf::sync_to`]). A prebuilt corpus replayed in the order of
+//! its posting time (§8.8) comes in through the same door, as deltas cut
+//! by [`crate::replay::Replay`].
 //!
 //! For each arrival the checker:
 //!
@@ -29,10 +29,7 @@ use crate::durable::DurableError;
 use crate::online_em::{ArrivalStats, OnlineEm, OnlineEmConfig, OnlineEmError, OnlineEmState};
 use crf::em::source_trust_from_probs;
 use crf::potentials::{claim_probability, clique_features};
-use crf::{
-    Clique, CrfModel, Icrf, ModelDelta, ModelEdit, ModelError, ModelHandle, RetireSet, Since,
-    Stance, SyncPoint, VarId,
-};
+use crf::{Clique, CrfModel, Icrf, ModelDelta, ModelEdit, ModelError, RetireSet, Stance, VarId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -96,51 +93,38 @@ const NEVER: u64 = u64::MAX;
 
 /// The streaming fact checker of Alg. 2.
 pub struct StreamingChecker {
-    /// The shared, growable model lineage; cloned by the offline process.
-    handle: ModelHandle,
-    /// Snapshot pinned at the revision the per-claim state is sized for.
-    /// `None` only transiently inside [`Self::arrive_new`], which releases
-    /// the pin so an in-place growth does not have to copy the model on
-    /// the checker's account.
-    model: Option<Arc<CrfModel>>,
+    /// The model this checker owns and edits; the per-claim state is
+    /// sized for it.
+    model: Arc<CrfModel>,
     probs: Vec<f64>,
     /// Arrival index per claim ([`NEVER`] = not yet arrived); what the
     /// retention window slides over and what makes a claim visible.
     /// Relocated across compactions.
     arrival_seq: Vec<u64>,
-    /// The model state the per-claim state is sized for.
-    synced: SyncPoint,
     policy: RetentionPolicy,
     online: OnlineEm,
     arrivals: usize,
 }
 
 impl StreamingChecker {
-    /// A checker over the model behind `model` (a bare [`CrfModel`], a
-    /// shared `Arc<CrfModel>`, or a clone of a live [`ModelHandle`]).
-    /// Claims already in the model have not arrived: they stay at
-    /// probability 0.5, out of [`Self::visible_claims`] and out of the
-    /// retention window's reach. Claims ingested through
-    /// [`Self::arrive_new`] become visible as they land. The online
-    /// estimator has no settings, so this cannot fail; the configuration
-    /// argument and the `Result` stay for source compatibility.
-    ///
-    /// To share one growable lineage with other components (the offline
-    /// engine, a validation process), pass **clones of one
-    /// [`ModelHandle`]** — converting the same `Arc<CrfModel>` twice mints
-    /// two *independent* handles that do not observe each other's growth.
+    /// A checker that owns `model` (a bare [`CrfModel`] or a shared
+    /// `Arc<CrfModel>`; while another holder keeps a clone of the `Arc`,
+    /// the first edit copies the model). Claims already in the model have
+    /// not arrived: they stay at probability 0.5, out of
+    /// [`Self::visible_claims`] and out of the retention window's reach.
+    /// Claims ingested through [`Self::arrive_new`] become visible as they
+    /// land. The online estimator has no settings, so this cannot fail;
+    /// the configuration argument and the `Result` stay for source
+    /// compatibility.
     pub fn try_new(
-        model: impl Into<ModelHandle>,
+        model: impl Into<Arc<CrfModel>>,
         _config: OnlineEmConfig,
     ) -> Result<Self, OnlineEmError> {
-        let handle = model.into();
-        let model = handle.snapshot();
+        let model = model.into();
         let n = model.n_claims();
         let dim = model.feature_dim();
         Ok(StreamingChecker {
-            handle,
-            synced: model.sync_point(),
-            model: Some(model),
+            model,
             probs: vec![0.5; n],
             arrival_seq: vec![NEVER; n],
             policy: RetentionPolicy::unbounded(),
@@ -168,89 +152,18 @@ impl StreamingChecker {
         &self.policy
     }
 
-    /// The checker's snapshot of the model, pinned at the revision its
-    /// per-claim state is sized for (refreshed by every arrival).
+    /// The checker's model, at the revision its per-claim state is sized
+    /// for. A clone of the `Arc` is a snapshot: it keeps its revision
+    /// while the checker moves on (the checker's next edit copies the
+    /// model instead of changing it under the clone).
     pub fn model(&self) -> &Arc<CrfModel> {
-        self.model
-            .as_ref()
-            .expect("snapshot pinned outside arrive_new")
-    }
-
-    /// The shared handle of the model lineage this checker ingests into.
-    pub fn handle(&self) -> &ModelHandle {
-        &self.handle
+        &self.model
     }
 
     /// Start an empty [`ModelDelta`] against the current model state — the
     /// staging buffer for the next [`Self::arrive_new`].
     pub fn delta(&self) -> ModelDelta {
-        self.handle.delta()
-    }
-
-    /// Catch the per-claim state up with the current handle revision (the
-    /// model may have been grown, retired, or compacted by another holder
-    /// of the handle). New claims start not-arrived at probability 0.5; a
-    /// compaction relocates the per-claim state through the published
-    /// remap (or, when two compactions elapsed unseen, resets it). Also
-    /// re-pins the snapshot after [`Self::arrive_new`] released it.
-    pub(crate) fn sync(&mut self) {
-        let model = self.handle.snapshot();
-        let n = model.n_claims();
-        match model.since(self.synced) {
-            Since::Unchanged => {
-                self.model = Some(model);
-                return;
-            }
-            Since::Patch { .. } => {}
-            Since::Relocate { remap, .. } => {
-                let mut probs = vec![0.5; n];
-                let mut seq = vec![NEVER; n];
-                for c in 0..self.probs.len() {
-                    if let Some(nc) = remap.claim(VarId(c as u32)) {
-                        probs[nc.idx()] = self.probs[c];
-                        seq[nc.idx()] = self.arrival_seq[c];
-                    }
-                }
-                self.probs = probs;
-                self.arrival_seq = seq;
-                // The online buffer relocates with us: surviving claims'
-                // instances are re-tagged, dropped claims' instances die
-                // with the claim.
-                self.online.remap_claims(remap);
-            }
-            Since::Rebuild => {
-                // Outran the single retained remap: provenance is lost and
-                // the per-claim state resets. Retention must keep working —
-                // treat every live claim as having arrived *now*, so
-                // nothing becomes immortal under the window (and every
-                // live claim is visible).
-                self.probs = vec![0.5; n];
-                self.arrival_seq = (0..n)
-                    .map(|c| {
-                        if model.claim_live(c) {
-                            self.arrivals as u64
-                        } else {
-                            NEVER
-                        }
-                    })
-                    .collect();
-                // Claim-id provenance is lost with the remap: stale tags
-                // must not get a live claim's instances pruned as dead, so
-                // the buffered instances fall back to decay-only lifetime.
-                self.online.clear_claim_tags();
-            }
-        }
-        self.probs.resize(n, 0.5);
-        self.arrival_seq.resize(n, NEVER);
-        if model.has_tombstones() {
-            // A retired claim's buffered training instances are reclaimed
-            // with the claim — the point of tagging them — instead of
-            // accumulating until decay pushes them under the weight floor.
-            self.online
-                .prune_dead_claims(|c| (c as usize) < n && model.claim_live(c as usize));
-        }
-        self.synced = model.sync_point();
-        self.model = Some(model);
+        ModelDelta::for_model(&self.model)
     }
 
     /// Claims that have arrived and are still in service (retired claims
@@ -320,10 +233,11 @@ impl StreamingChecker {
     ///
     /// Under a [`RetentionPolicy`] window a retention sweep rides on every
     /// successful ingest; the sweep's outcome lands in the returned stats
-    /// (`retired_claims`/`retired_sources`/`compacted`). An error from this
-    /// method always means the arrival itself was **not** ingested — a
-    /// sweep that loses a revision race to another handle holder does not
-    /// fail the call (it re-runs on the next arrival).
+    /// (`retired_claims`/`retired_sources`/`compacted`). When the delta
+    /// does not apply, the call fails and nothing changes. The sweep edits
+    /// a model only this checker writes, so its edits cannot go stale; an
+    /// error from it would be an internal invariant violation, and
+    /// surfaces as well.
     pub fn arrive_new(&mut self, delta: ModelDelta) -> Result<ArrivalStats, ModelError> {
         self.arrive_journaled(delta, None)
     }
@@ -342,9 +256,7 @@ impl StreamingChecker {
         // The arrival window comes from the delta itself, not from a
         // snapshot diff: `apply` only succeeds against exactly the
         // revision the delta was prepared for, so its entities occupy
-        // `base..base + n_new` even if another handle holder grows the
-        // model concurrently — their claims are never attributed to this
-        // arrival (they surface as not-yet-arrived through `sync`).
+        // `base..base + n_new`.
         let first_new_claim = delta.base_claims();
         let n_new_claims = delta.n_new_claims();
         let first_new_clique = delta.base_cliques();
@@ -372,33 +284,26 @@ impl StreamingChecker {
             &model.cliques()[first_new_clique..first_new_clique + n_new_cliques],
         );
         let mut stats = self.online.observe_for_claims(&rows);
-        // Release the snapshot clone before the sweep: held across it, it
-        // would make every retiring arrival copy the model.
+        // Release the clone before the sweep: held across it, it would
+        // make every retiring arrival copy the model.
         drop(model);
 
         // Retention rides on the ingest path: expired claims are tombstoned
         // and, past the dead-fraction threshold, compacted away — this is
-        // what keeps a windowed stream's memory on a plateau. The arrival
-        // itself is already committed at this point (model grown, online
-        // update done), so a sweep losing the revision race to another
-        // handle holder must NOT fail the call — the loser's sweep simply
-        // re-runs on the next arrival. Any other sweep error would be an
-        // internal invariant violation and still surfaces.
+        // what keeps a windowed stream's memory on a plateau.
         if let Some(window) = self.policy.window {
-            match self.run_retention(window, &mut stats, journal) {
-                Ok(()) | Err(ModelError::StaleDelta { .. }) => {}
-                Err(e) => return Err(e),
-            }
+            self.run_retention(window, &mut stats, journal)?;
         }
         Ok(stats)
     }
 
-    /// Commit one revision-checked edit through the handle and re-pin,
-    /// returning whether it bumped the revision (a copy of it then lands
-    /// in `journal`). The snapshot pin is released for the duration: when
-    /// the checker is the only holder, the edit then happens strictly in
-    /// place instead of copying the whole model to keep the pin valid. On
-    /// error the model is untouched and nothing is journaled.
+    /// Commit one revision-checked edit to the owned model and bring the
+    /// per-claim state along, returning whether it bumped the revision (a
+    /// copy of it then lands in `journal`): a grow resizes the state, a
+    /// retire prunes the online buffer of the dead claims' instances, and
+    /// a compaction relocates the state through the published remap.
+    /// `Arc::make_mut` edits in place unless a reader pins a clone of the
+    /// model. On error the model is untouched and nothing is journaled.
     fn commit(
         &mut self,
         edit: ModelEdit,
@@ -406,23 +311,47 @@ impl StreamingChecker {
     ) -> Result<bool, ModelError> {
         let (_, base) = edit.base_revision();
         let copy = journal.as_ref().map(|_| edit.clone());
-        self.model = None;
-        let committed = self.handle.edit(edit);
-        self.sync(); // re-pin (the edited model, or the untouched one on error)
-        let bumped = committed? != base;
-        if let (Some(journal), Some(copy), true) = (journal, copy, bumped) {
+        let retires = matches!(edit, ModelEdit::Retire(_));
+        let compacts = matches!(edit, ModelEdit::Compact { .. });
+        if Arc::make_mut(&mut self.model).edit(edit)? == base {
+            return Ok(false);
+        }
+        let model = &self.model;
+        let n = model.n_claims();
+        if compacts {
+            let remap = model
+                .last_compaction()
+                .expect("a committed compaction publishes its remap");
+            self.probs = remap.relocate(&self.probs, n, 0.5);
+            self.arrival_seq = remap.relocate(&self.arrival_seq, n, NEVER);
+            self.online.remap_claims(remap);
+        } else {
+            self.probs.resize(n, 0.5);
+            self.arrival_seq.resize(n, NEVER);
+            if retires {
+                self.online
+                    .prune_dead_claims(|c| (c as usize) < n && model.claim_live(c as usize));
+            }
+        }
+        if let (Some(journal), Some(copy)) = (journal, copy) {
             journal.push(copy);
         }
-        Ok(bumped)
+        Ok(true)
+    }
+
+    /// Replay one logged edit that is not an arrival (recovery's path for
+    /// checkpoint increments and non-arrival log records): the same
+    /// [`Self::commit`] an arrival's edits go through, journaling nothing.
+    pub(crate) fn replay_edit(&mut self, edit: ModelEdit) -> Result<(), ModelError> {
+        self.commit(edit, None).map(|_| ())
     }
 
     /// The retention sweep proper: retire every arrived claim `window`
     /// arrivals old (plus the sources it orphans), then compact once the
     /// dead fraction crosses the policy threshold, recording both in
-    /// `stats` (and the committed edits in `journal`). Expects a fresh
-    /// snapshot pin. The model is only borrowed from that pin, so nothing
-    /// but the pin itself keeps it alive when the sweep releases it to
-    /// tombstone in place.
+    /// `stats` (and the committed edits in `journal`). The model is only
+    /// borrowed while an edit is prepared, so no clone of it is alive when
+    /// the edit commits in place.
     fn run_retention(
         &mut self,
         window: u64,
@@ -520,8 +449,7 @@ impl StreamingChecker {
     /// model lineage position it is sized for. The checkpoint payload of
     /// the durability layer (the model itself is serialised alongside by
     /// [`crate::durable`]).
-    pub(crate) fn export_state(&mut self) -> CheckerState {
-        self.sync();
+    pub(crate) fn export_state(&self) -> CheckerState {
         let model = self.model();
         CheckerState {
             model_id: model.model_id(),
@@ -535,7 +463,7 @@ impl StreamingChecker {
         }
     }
 
-    /// Restore a checkpointed state. The handle must already sit at
+    /// Restore a checkpointed state. The model must already sit at
     /// exactly the `(model_id, revision)` the state was exported at —
     /// recovery rebuilds the model first, then restores the checker —
     /// otherwise the restore is refused with [`ModelError::StaleDelta`].
@@ -543,8 +471,7 @@ impl StreamingChecker {
     /// length, another compaction count, online features of another width)
     /// is refused too. A refused restore leaves the checker untouched.
     pub(crate) fn restore_state(&mut self, state: CheckerState) -> Result<(), DurableError> {
-        self.sync();
-        let model = self.model().clone();
+        let model = &self.model;
         if (model.model_id(), model.revision().0) != (state.model_id, state.revision) {
             return Err(ModelError::StaleDelta {
                 delta_model_id: state.model_id,
@@ -573,7 +500,6 @@ impl StreamingChecker {
         self.online.restore_state(state.online)?;
         self.probs = state.probs;
         self.arrival_seq = state.arrival_seq;
-        self.synced = model.sync_point();
         self.arrivals = state.arrivals as usize;
         self.policy = state.policy;
         Ok(())
@@ -615,7 +541,7 @@ mod tests {
 
     #[test]
     fn arrivals_become_visible_in_order() {
-        let mut s = StreamingChecker::try_new(seed_handle(), OnlineEmConfig::default()).unwrap();
+        let mut s = StreamingChecker::try_new(seed_model(), OnlineEmConfig::default()).unwrap();
         assert!(
             s.visible_claims().is_empty(),
             "the seed claim never arrived"
@@ -647,7 +573,7 @@ mod tests {
     }
 
     /// Replay `corpus` in id order into a fresh lineage; label the first
-    /// `split` arrivals through an offline engine on the same handle, hand
+    /// `split` arrivals through an offline engine on the checker's model, hand
     /// its weights to the checker (Alg. 2 line 7), and let the rest arrive
     /// unlabelled.
     fn replay_with_labelled_prefix(
@@ -662,7 +588,7 @@ mod tests {
             let delta = replay.next_delta(s.model()).unwrap();
             s.arrive_new(delta).unwrap();
         }
-        let mut icrf = Icrf::new(s.handle().clone(), crf::IcrfConfig::default());
+        let mut icrf = Icrf::new(s.model().clone(), crf::IcrfConfig::default());
         for (c, &t) in truth.iter().enumerate().take(split) {
             icrf.set_label(VarId(c as u32), t);
         }
@@ -719,13 +645,13 @@ mod tests {
 
     // ------------------------------------------- true streaming ingestion
 
-    fn seed_handle() -> ModelHandle {
+    fn seed_model() -> CrfModel {
         let mut b = ModelDelta::new(1, 1);
         let s = b.add_source(&[0.8]).unwrap();
         let c = b.add_claim();
         let d = b.add_document(&[0.6]).unwrap();
         b.add_clique(c, d, s, Stance::Support);
-        ModelHandle::new(CrfModel::build(b).unwrap())
+        CrfModel::build(b).unwrap()
     }
 
     /// `arrive_new` grows the graph in place: the new claim is visible,
@@ -733,8 +659,7 @@ mod tests {
     /// lineage's `model_id` survives and the revision advances.
     #[test]
     fn arrive_new_grows_and_estimates() {
-        let handle = seed_handle();
-        let mut s = StreamingChecker::try_new(handle.clone(), OnlineEmConfig::default()).unwrap();
+        let mut s = StreamingChecker::try_new(seed_model(), OnlineEmConfig::default()).unwrap();
         let id = s.model().model_id();
 
         let mut delta = s.delta();
@@ -752,18 +677,14 @@ mod tests {
         assert_eq!(s.visible_claims(), vec![VarId(1)]);
         assert_eq!(s.arrivals(), 1);
         assert!((0.0..=1.0).contains(&s.probs()[1]));
-        // The handle observed the same growth.
-        assert_eq!(handle.revision(), crf::Revision(1));
     }
 
-    /// When the checker is the only snapshot holder, `arrive_new` grows
-    /// the model strictly in place: the pin is released around `apply`, so
-    /// `Arc::make_mut` never has to copy the model on the checker's
-    /// account (the allocation survives the growth).
+    /// When nobody else holds the checker's model, `arrive_new` grows it
+    /// strictly in place: `Arc::make_mut` never has to copy the model (the
+    /// allocation survives the growth).
     #[test]
     fn arrive_new_grows_in_place_without_copy() {
-        let handle = seed_handle();
-        let mut s = StreamingChecker::try_new(handle, OnlineEmConfig::default()).unwrap();
+        let mut s = StreamingChecker::try_new(seed_model(), OnlineEmConfig::default()).unwrap();
         let ptr = Arc::as_ptr(s.model());
         let mut delta = s.delta();
         let c = delta.add_claim();
@@ -779,11 +700,11 @@ mod tests {
     }
 
     /// A retiring arrival tombstones in place too: neither the arrival nor
-    /// its retention sweep still holds a snapshot when the sweep edits the
-    /// handle, so `Arc::make_mut` never copies the model.
+    /// its retention sweep still holds a clone when the sweep edits the
+    /// model, so `Arc::make_mut` never copies it.
     #[test]
     fn retiring_arrival_tombstones_in_place_without_copy() {
-        let mut s = StreamingChecker::try_new(seed_handle(), OnlineEmConfig::default())
+        let mut s = StreamingChecker::try_new(seed_model(), OnlineEmConfig::default())
             .unwrap()
             .with_retention(RetentionPolicy {
                 window: Some(3),
@@ -803,11 +724,43 @@ mod tests {
         );
     }
 
+    /// A clone of the checker's model is a snapshot: an arrival that
+    /// grows, retires and compacts moves the checker on a copy and leaves
+    /// the pinned revision exactly as it was.
+    #[test]
+    fn pinned_model_is_isolated_from_grow_retire_and_compact() {
+        let mut s = StreamingChecker::try_new(seed_model(), OnlineEmConfig::default())
+            .unwrap()
+            .with_retention(RetentionPolicy {
+                window: Some(1),
+                compact_threshold: 0.0,
+            });
+        ingest_one(&mut s, 0);
+        let pinned = s.model().clone();
+        let (revision, n_claims) = (pinned.revision(), pinned.n_claims());
+        let json = serde_json::to_string(&*pinned).unwrap();
+
+        let stats = ingest_one(&mut s, 1);
+        assert_eq!(stats.retired_claims, 1);
+        assert!(stats.compacted);
+        assert_eq!(
+            s.model().revision().0,
+            revision.0 + 3,
+            "grow, retire, compact"
+        );
+        assert_eq!(s.model().compactions(), pinned.compactions() + 1);
+        assert!(!Arc::ptr_eq(s.model(), &pinned));
+
+        assert_eq!(pinned.revision(), revision);
+        assert_eq!(pinned.n_claims(), n_claims);
+        assert_eq!(serde_json::to_string(&*pinned).unwrap(), json);
+    }
+
     /// A stale delta (prepared before another delta landed) is rejected
     /// without corrupting the checker.
     #[test]
     fn arrive_new_rejects_stale_delta() {
-        let mut s = StreamingChecker::try_new(seed_handle(), OnlineEmConfig::default()).unwrap();
+        let mut s = StreamingChecker::try_new(seed_model(), OnlineEmConfig::default()).unwrap();
         let stale = s.delta();
         let mut first = s.delta();
         first.add_claim();
@@ -826,7 +779,7 @@ mod tests {
     /// still updates the online parameters.
     #[test]
     fn arrive_new_accepts_evidence_for_old_claims() {
-        let mut s = StreamingChecker::try_new(seed_handle(), OnlineEmConfig::default()).unwrap();
+        let mut s = StreamingChecker::try_new(seed_model(), OnlineEmConfig::default()).unwrap();
         let mut delta = s.delta();
         let d = delta.add_document(&[0.1]).unwrap();
         delta.add_clique(VarId(0), d, 0, Stance::Refute);
@@ -853,11 +806,10 @@ mod tests {
     /// telemetry reports the retire/compact traffic.
     #[test]
     fn sliding_window_bounds_model_size() {
-        let handle = seed_handle();
-        let mut s = StreamingChecker::try_new(handle.clone(), OnlineEmConfig::default())
+        let mut s = StreamingChecker::try_new(seed_model(), OnlineEmConfig::default())
             .unwrap()
             .with_retention(RetentionPolicy::sliding_window(5));
-        let id = handle.model_id();
+        let id = s.model().model_id();
         let mut total_retired = 0;
         let mut compactions_seen = 0;
         for k in 0..40 {
@@ -886,7 +838,7 @@ mod tests {
             );
         }
         assert_eq!(
-            handle.model_id(),
+            s.model().model_id(),
             id,
             "lineage survives the whole lifecycle"
         );
@@ -908,8 +860,7 @@ mod tests {
     /// relocating the checker's own per-claim state through the remap.
     #[test]
     fn window_sweep_retires_compacts_and_relocates() {
-        let handle = seed_handle();
-        let mut s = StreamingChecker::try_new(handle.clone(), OnlineEmConfig::default()).unwrap();
+        let mut s = StreamingChecker::try_new(seed_model(), OnlineEmConfig::default()).unwrap();
         for k in 0..6 {
             let stats = ingest_one(&mut s, k);
             assert_eq!(
@@ -957,112 +908,48 @@ mod tests {
         );
     }
 
-    /// A checker that outran the single retained remap (two compactions by
-    /// another holder between its calls) resets its per-claim state — but
-    /// the surviving claims must stay evictable, or the bounded-memory
-    /// promise silently erodes.
-    #[test]
-    fn double_compaction_reset_keeps_claims_evictable() {
-        let handle = seed_handle();
-        let mut s = StreamingChecker::try_new(handle.clone(), OnlineEmConfig::default()).unwrap();
-        for k in 0..5 {
-            ingest_one(&mut s, k);
-        }
-        // Another holder retires + compacts twice, unseen by the checker.
-        for _ in 0..2 {
-            let mut set = handle.retire_set();
-            set.retire_claim(VarId(1));
-            handle.retire(set).unwrap();
-            handle.compact().unwrap();
-        }
-        assert_eq!(handle.snapshot().compactions(), 2);
-        // The reset counts the four survivors as arriving at arrival 5; a
-        // window of two retires them once two more arrivals landed.
-        s.set_retention(RetentionPolicy {
-            window: Some(2),
-            compact_threshold: 1.0,
-        });
-        let first = ingest_one(&mut s, 5);
-        assert_eq!(first.retired_claims, 0, "arrival 6 is inside the window");
-        let second = ingest_one(&mut s, 6);
-        assert_eq!(
-            second.retired_claims, 4,
-            "post-reset live claims must remain window-evictable"
-        );
-        assert_eq!(s.model().n_live_claims(), 2);
-    }
-
-    /// After a reset (two compactions unseen), every live claim counts as
-    /// arrived: all of them are visible, the never-arrived seed claim
-    /// included.
-    #[test]
-    fn rebuild_reset_makes_every_live_claim_visible() {
-        let handle = seed_handle();
-        let mut s = StreamingChecker::try_new(handle.clone(), OnlineEmConfig::default()).unwrap();
-        for k in 0..4 {
-            ingest_one(&mut s, k);
-        }
-        assert_eq!(s.visible_claims().len(), 4, "the seed claim never arrived");
-        for _ in 0..2 {
-            let mut set = handle.retire_set();
-            set.retire_claim(VarId(1));
-            handle.retire(set).unwrap();
-            handle.compact().unwrap();
-        }
-        // The next arrival syncs through the reset.
-        ingest_one(&mut s, 4);
-        let m = s.model().clone();
-        let live: Vec<VarId> = (0..m.n_claims() as u32)
-            .map(VarId)
-            .filter(|c| m.claim_live(c.idx()))
-            .collect();
-        assert_eq!(live.len(), 4, "seed + two survivors + the new arrival");
-        assert_eq!(s.visible_claims(), live);
-    }
-
-    /// Retirement done by the checker is visible to an offline engine
-    /// sharing the handle — and vice versa the engine keeps inferring on
+    /// Retirement done by the checker reaches an offline engine that
+    /// follows the checker's model — and the engine keeps inferring on
     /// the survivors.
     #[test]
     fn expired_claims_leave_the_offline_engine() {
-        let handle = seed_handle();
-        let mut s = StreamingChecker::try_new(handle.clone(), OnlineEmConfig::default())
+        let mut s = StreamingChecker::try_new(seed_model(), OnlineEmConfig::default())
             .unwrap()
             .with_retention(RetentionPolicy {
                 window: Some(3),
                 compact_threshold: 0.3,
             });
-        let mut icrf = Icrf::new(handle.clone(), crf::IcrfConfig::default());
+        let mut icrf = Icrf::new(s.model().clone(), crf::IcrfConfig::default());
         icrf.run();
         for k in 0..8 {
             ingest_one(&mut s, k);
             if k % 3 == 2 {
-                icrf.run(); // engine periodically syncs through the lifecycle
+                // The engine periodically follows the lifecycle.
+                icrf.sync_to(s.model().clone());
+                icrf.run();
             }
         }
+        icrf.sync_to(s.model().clone());
         icrf.run();
-        assert_eq!(icrf.probs().len(), handle.snapshot().n_claims());
+        assert_eq!(icrf.probs().len(), s.model().n_claims());
         assert_eq!(icrf.partition().n_claims(), icrf.probs().len());
-        assert!(
-            handle.snapshot().n_claims() < 9,
-            "retention kept the model small"
-        );
+        assert!(s.model().n_claims() < 9, "retention kept the model small");
     }
 
-    /// The growth is shared: an offline engine holding a clone of the
-    /// handle sees the ingested claims on its next inference and can label
+    /// The growth reaches an offline engine handed the checker's model:
+    /// it sees the ingested claims on its next inference and can label
     /// them.
     #[test]
     fn ingested_claims_reach_the_offline_engine() {
-        let handle = seed_handle();
-        let mut s = StreamingChecker::try_new(handle.clone(), OnlineEmConfig::default()).unwrap();
-        let mut icrf = Icrf::new(handle, crf::IcrfConfig::default());
+        let mut s = StreamingChecker::try_new(seed_model(), OnlineEmConfig::default()).unwrap();
+        let mut icrf = Icrf::new(s.model().clone(), crf::IcrfConfig::default());
         icrf.run();
         let mut delta = s.delta();
         let c = delta.add_claim();
         let d = delta.add_document(&[0.4]).unwrap();
         delta.add_clique(c, d, 0, Stance::Support);
         s.arrive_new(delta).unwrap();
+        icrf.sync_to(s.model().clone());
         icrf.run();
         assert_eq!(icrf.probs().len(), 2);
         icrf.set_label(c, true);

@@ -9,7 +9,7 @@
 //! | **D1** | no `HashMap`/`HashSet` in determinism-critical modules |
 //! | **D2** | no ambient nondeterminism (`SystemTime::now`, `Instant::now` outside benches, `thread_rng`, `std::env` reads outside config) |
 //! | **R1** | no `unwrap`/`expect`/panicking indexing in the recovery read path |
-//! | **R2** | every public `&mut self` method on `CrfModel`/`ModelHandle` must be revision-checked |
+//! | **R2** | every public `&mut self` method on `CrfModel` (and `TruthServer`) must be revision-checked |
 //! | **U1** | `unsafe` forbidden outside the shim allowlist |
 //!
 //! Findings are suppressed by a justification marker on the same line or
@@ -150,7 +150,6 @@ impl Config {
                 "crates/crf/src/potentials.rs",
                 "crates/crf/src/partition.rs",
                 "crates/crf/src/graph.rs",
-                "crates/crf/src/handle.rs",
                 "crates/stream/src/",
                 "crates/durability/src/",
                 "crates/serve/src/",
@@ -200,10 +199,6 @@ impl Config {
                 R2Scope {
                     path: "crates/crf/src/graph.rs".into(),
                     types: s(&["CrfModel"]),
-                },
-                R2Scope {
-                    path: "crates/crf/src/handle.rs".into(),
-                    types: s(&["ModelHandle"]),
                 },
                 R2Scope {
                     path: "crates/serve/src/server.rs".into(),

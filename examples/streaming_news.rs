@@ -2,13 +2,14 @@
 //! feed and the factor graph **grows in place** as they do — each arrival
 //! is a [`crf::ModelDelta`] ingested through a [`serve::TruthServer`]
 //! wrapping [`streamcheck::StreamingChecker::arrive_new`], spliced into
-//! the live model behind a shared [`crf::ModelHandle`]. The online EM
-//! algorithm maintains model parameters with stochastic approximation
-//! while two concurrent consumers work the same lineage:
+//! the live model the checker owns. The online EM algorithm maintains
+//! model parameters with stochastic approximation while two concurrent
+//! consumers work the same lineage:
 //!
-//! * a **validation process** — holding a clone of the handle, so it sees
-//!   every ingested claim on its next inference — periodically validates
-//!   the most beneficial claims seen so far;
+//! * a **validation process** — handed the checker's current model before
+//!   each validation burst ([`crf::Icrf::sync_to`]), so it sees every
+//!   ingested claim — periodically validates the most beneficial claims
+//!   seen so far;
 //! * a **query thread** — holding a [`serve::QueryHandle`] — issues
 //!   top-k-most-uncertain queries *during* ingest. Every answer carries a
 //!   staleness tag; after the stream drains, each recorded answer is
@@ -20,7 +21,7 @@
 //! cargo run --release -p repro-examples --example streaming_news
 //! ```
 
-use crf::{CrfModel, Icrf, IcrfConfig, ModelHandle, VarId};
+use crf::{CrfModel, Icrf, IcrfConfig, VarId};
 use factcheck::instantiate_grounding;
 use factdb::{ClaimId, DatasetPreset, FactDatabase, SyncMap};
 use guidance::{GuidanceContext, HybridStrategy, InfoGainConfig, SelectionStrategy};
@@ -61,18 +62,18 @@ fn main() {
         next_claim += 1;
     }
 
-    // One growable model lineage shared by the online and offline sides,
-    // fronted by a TruthServer: ingest is the single write path, and any
-    // number of query threads read the published snapshots.
+    // One growable model lineage, owned by the online side and fronted by
+    // a TruthServer: ingest is the single write path, any number of query
+    // threads read the published snapshots, and the offline side follows
+    // the checker's model.
     // The seed claims are built into the model; every later claim arrives
     // through the server. The sync map carries the record store's ids to
     // the model's.
     let seed = live.to_crf_model().expect("seed arrivals carry evidence");
     let mut map = SyncMap::for_built_model(&live, &seed).expect("model built from the store");
-    let handle = ModelHandle::new(seed);
-    let checker = StreamingChecker::try_new(handle.clone(), OnlineEmConfig::default()).unwrap();
+    let checker = StreamingChecker::try_new(seed, OnlineEmConfig::default()).unwrap();
     let mut server = TruthServer::new(checker);
-    let mut icrf = Icrf::new(handle.clone(), IcrfConfig::default());
+    let mut icrf = Icrf::new(server.backend().model().clone(), IcrfConfig::default());
     let mut strategy = HybridStrategy::new(InfoGainConfig::default(), 7);
     let mut editor = GroundTruthUser::new(ds.truth.clone());
     let period = (n as f64 * 0.2).round() as usize;
@@ -116,7 +117,7 @@ fn main() {
                 live.add_document(full.documents()[d].clone()).unwrap();
             }
             let (delta, next) = live
-                .sync_delta_mapped(&handle.snapshot(), &map)
+                .sync_delta_mapped(server.backend().model(), &map)
                 .expect("live store leads the model");
             let t = Instant::now();
             server.ingest(delta).expect("fresh delta applies");
@@ -126,9 +127,10 @@ fn main() {
 
             if (c + 1) % period == 0 || c + 1 == n {
                 // Parameter hand-off (Alg. 2 line 10) and a validation
-                // burst on the claims that have arrived; `icrf.run()` syncs
-                // the engine to the grown model before inferring.
+                // burst on the claims that have arrived, on the engine
+                // synced to the checker's grown model.
                 server.backend().feed_into(&mut icrf);
+                icrf.sync_to(server.backend().model().clone());
                 icrf.run();
                 // Every claim the store holds has arrived, the seed claims
                 // built into the model included; the map names their
@@ -162,7 +164,7 @@ fn main() {
                 println!(
                     "after {:>3} arrivals (model {}): {} validations so far, avg update {:.2} ms",
                     c + 1,
-                    handle.revision(),
+                    server.backend().model().revision(),
                     validated,
                     total_update_ms / (c + 1) as f64
                 );
@@ -207,7 +209,7 @@ fn main() {
         .count();
     println!(
         "\nstream drained at revision {}: {validated} claims validated ({:.0}%), precision {:.3}",
-        handle.revision(),
+        server.backend().model().revision(),
         100.0 * validated as f64 / n as f64,
         correct as f64 / n as f64
     );

@@ -11,7 +11,7 @@ use streamcheck::{
 };
 
 /// Replay `model` in id order into a fresh lineage until `split` claims
-/// have arrived; an offline engine on the same handle labels them, runs,
+/// have arrived; an offline engine on the checker's model labels them, runs,
 /// and hands its weights to the checker (Alg. 2 line 7). Returns the
 /// checker and the replay, positioned after the labelled prefix.
 fn labelled_prefix(
@@ -26,7 +26,7 @@ fn labelled_prefix(
         let delta = replay.next_delta(checker.model()).unwrap();
         checker.arrive_new(delta).unwrap();
     }
-    let mut icrf = crf::Icrf::new(checker.handle().clone(), crf::IcrfConfig::default());
+    let mut icrf = crf::Icrf::new(checker.model().clone(), crf::IcrfConfig::default());
     for (c, &t) in truth.iter().enumerate().take(split) {
         icrf.set_label(crf::VarId(c as u32), t);
     }
